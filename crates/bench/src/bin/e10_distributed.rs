@@ -11,15 +11,16 @@
 //!    drifting/adversarial query mixes ("is random sampling a risk?": no);
 //! 2. a coordinator merging per-site reservoirs yields a representative
 //!    sample of the union (the \[CTW16\] pattern). Sites ingest their
-//!    shards through the engine's batched `StreamSummary` path.
+//!    shards through the engine's batched `StreamSummary` path;
+//! 3. the engine's `ShardedSummary` round-robin deal plus the sound
+//!    reservoir merge is representative at every shard count.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
 use robust_sampling_core::approx::prefix_discrepancy;
-use robust_sampling_core::engine::StreamSummary;
+use robust_sampling_core::distributed::{merge_sites, LoadBalancer};
+use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
+use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling_core::set_system::{PrefixSystem, SetSystem};
-use robust_sampling_distributed::{
-    merge_sites, run_sharded, run_threaded, LoadBalancer, Site, SiteSnapshot,
-};
 use robust_sampling_streamgen as streamgen;
 
 fn main() {
@@ -63,35 +64,24 @@ fn main() {
         }
     }
     for (name, stream) in suite {
-        // Single-threaded router.
-        let mut lb = LoadBalancer::new(k_servers, 77);
-        lb.run(&stream);
-        let worst = lb
-            .views()
-            .iter()
-            .map(|v| prefix_discrepancy(&stream, v).value)
-            .fold(0.0f64, f64::max);
-        all_ok &= worst <= eps;
-        table.row(&[
-            name.into(),
-            "sync".into(),
-            f(worst),
-            (worst <= eps).to_string(),
-        ]);
-
-        // Threaded router (mpsc workers with local reservoirs).
-        let out = run_threaded(&stream, k_servers, 256, 99);
-        let worst_threaded = out
-            .iter()
-            .map(|(sub, _)| prefix_discrepancy(&stream, sub).value)
-            .fold(0.0f64, f64::max);
-        all_ok &= worst_threaded <= eps;
-        table.row(&[
-            name.into(),
-            "threaded".into(),
-            f(worst_threaded),
-            (worst_threaded <= eps).to_string(),
-        ]);
+        // The router, then an independently reseeded second router over
+        // the same stream.
+        for (mode, seed) in [("sync", 77), ("reseeded", 99)] {
+            let mut lb = LoadBalancer::new(k_servers, seed);
+            lb.run(&stream);
+            let worst = lb
+                .views()
+                .iter()
+                .map(|v| prefix_discrepancy(&stream, v).value)
+                .fold(0.0f64, f64::max);
+            all_ok &= worst <= eps;
+            table.row(&[
+                name.into(),
+                mode.into(),
+                f(worst),
+                (worst <= eps).to_string(),
+            ]);
+        }
     }
     table.emit("e10", "router");
     verdict(
@@ -103,10 +93,10 @@ fn main() {
     // ---- Coordinator merge of per-site reservoirs -----------------------
     println!("\nDistributed reservoir merge (4 sites, disjoint value slices):");
     let per_site = n / 4;
-    let mut snaps = Vec::new();
+    let mut sites = Vec::new();
     let mut union = Vec::new();
     for s in 0..4u64 {
-        let mut site = Site::new(512, s);
+        let mut site = ReservoirSampler::with_seed(512, s);
         let shard: Vec<u64> = streamgen::uniform(per_site, universe / 4, 10 + s)
             .into_iter()
             .map(|x| s * (universe / 4) + x)
@@ -114,9 +104,10 @@ fn main() {
         // Bulk arrival at the site: the engine's batched ingest path.
         site.ingest_batch(&shard);
         union.extend(shard);
-        snaps.push(SiteSnapshot::decode(site.snapshot()).expect("valid frame"));
+        sites.push(site);
     }
-    let merged = merge_sites(&snaps, 1024, 5);
+    let pairs: Vec<(usize, &[u64])> = sites.iter().map(|s| (s.observed(), s.sample())).collect();
+    let merged = merge_sites(&pairs, 1024, 5);
     let d = prefix_discrepancy(&union, &merged).value;
     let mut table = Table::new(&["sites", "merged |S|", "union disc", "<= eps"]);
     table.row(&[
@@ -129,7 +120,7 @@ fn main() {
     verdict(
         "coordinator merge is representative of the union",
         d <= eps,
-        "CTW16-style weighted merge of site snapshots (bytes frames)",
+        "CTW16-style weighted merge of site snapshots",
     );
 
     // ---- Engine-layer sharded ingest + sound reservoir merge ------------
@@ -138,7 +129,11 @@ fn main() {
     let mut sharded_ok = true;
     let stream = streamgen::uniform(n, universe, 6);
     for shards in [2usize, 4, 8] {
-        let sample = run_sharded(&stream, shards, 1024, 44);
+        let mut sharded = ShardedSummary::new(shards, 44, |_, seed| {
+            ReservoirSampler::with_seed(1024, seed)
+        });
+        sharded.ingest_batch(&stream);
+        let sample = sharded.into_merged().into_sample();
         let d = prefix_discrepancy(&stream, &sample).value;
         sharded_ok &= d <= eps;
         table.row(&[

@@ -6,9 +6,10 @@
 //! registry in `robust_sampling_core::attack` — one [`DefenseRow`] per
 //! summary the workspace ships (samplers at break-scale and at the
 //! Theorem 1.2 sizing, the robust sketches, the six baselines, the
-//! sharded fan-out, and the distributed site). The `attack_matrix` binary
-//! drives [`run_matrix`] and prints the grid; `EXPERIMENTS.md` documents
-//! the expected outcome of every cell and the theorem it traces to.
+//! sharded fan-out, the window sampler, and the arena tenant). The
+//! `attack_matrix` binary drives [`run_matrix`] and prints the grid;
+//! `EXPERIMENTS.md` documents the expected outcome of every cell and the
+//! theorem it traces to.
 //!
 //! Cell judgments reuse the existing machinery:
 //!
@@ -35,7 +36,6 @@ use robust_sampling_core::sampler::{
 };
 use robust_sampling_core::sketch::{RobustHeavyHitterSketch, RobustQuantileSketch};
 use robust_sampling_core::window::{window_k_robust, ChainSampler};
-use robust_sampling_distributed::Site;
 use robust_sampling_service::tenant::{
     TenantArena, TenantArenaConfig, VictimTenantView, SLOT_OVERHEAD_BYTES,
 };
@@ -344,12 +344,6 @@ fn cell_tenant_victim_static(a: &AttackSpec, p: &MatrixParams) -> f64 {
     cell_tenant_victim(a, p, false)
 }
 
-fn cell_site(a: &AttackSpec, p: &MatrixParams) -> f64 {
-    let mut d = Site::new(SMALL_K, defense_seed(p));
-    let stream = duel(&mut d, a, p);
-    prefix_discrepancy(&stream, d.sample()).value
-}
-
 /// The defense table, in grid order.
 static DEFENSES: &[DefenseRow] = &[
     DefenseRow {
@@ -429,12 +423,6 @@ static DEFENSES: &[DefenseRow] = &[
         kind: DefenseKind::Sample,
         budget: "4 shards x k = 8, merged",
         cell: cell_sharded_reservoir,
-    },
-    DefenseRow {
-        name: "site",
-        kind: DefenseKind::Sample,
-        budget: "k = 32 local reservoir",
-        cell: cell_site,
     },
     DefenseRow {
         name: "chain-window",

@@ -1,8 +1,8 @@
 //! Offline stand-in for the published `bytes` crate.
 //!
 //! The build environment has no crates.io access, so the small
-//! [`Bytes`]/[`BytesMut`]/[`Buf`]/[`BufMut`] subset the distributed crate
-//! uses for wire frames is implemented locally. [`Bytes`] is a plain
+//! [`Bytes`]/[`BytesMut`]/[`Buf`]/[`BufMut`] subset the service crate's
+//! frame codec uses is implemented locally. [`Bytes`] is a plain
 //! owned buffer with a read cursor rather than a refcounted slice view —
 //! the semantics the workspace relies on (cheap `freeze`, advancing
 //! little-endian reads, length of the *remaining* bytes) are identical.

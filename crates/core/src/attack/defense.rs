@@ -1,7 +1,7 @@
 //! [`ObservableDefense`] implementations for the summaries defined in
 //! this crate: the samplers, the robust sketches, and the sharded
 //! fan-out. (The six baseline sketches implement the trait in the
-//! sketches crate; the distributed `Site` in the distributed crate.)
+//! sketches crate.)
 
 use super::{ObservableDefense, StateOracle};
 use crate::engine::{MergeableSummary, QuantileSummary, ShardedSummary};

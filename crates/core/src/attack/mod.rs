@@ -20,8 +20,8 @@
 //!   sample.
 //! * **The duel loop.** [`Duel`] plays an attack against any
 //!   [`ObservableDefense`] (every summary in the workspace implements it:
-//!   samplers, robust sketches, the six baselines, sharded and
-//!   distributed paths) for `n` rounds, exactly as the Figure 1
+//!   samplers, robust sketches, the six baselines, the sharded
+//!   fan-out) for `n` rounds, exactly as the Figure 1
 //!   `AdaptiveGame` plays an [`Adversary`] against a sampler.
 //!   [`AttackAdversary`] bridges the two worlds, so registered attacks
 //!   also run inside [`AdaptiveGame`](crate::game::AdaptiveGame) and
@@ -165,8 +165,8 @@ impl<A: AttackStrategy + ?Sized> AttackStrategy for Box<A> {
 ///
 /// Implemented by every stream-consuming type in the workspace: the
 /// samplers and robust sketches here in `core`, the six baselines in the
-/// sketches crate, [`ShardedSummary`](crate::engine::ShardedSummary)
-/// over any observable shard type, and the distributed `Site`.
+/// sketches crate, and [`ShardedSummary`](crate::engine::ShardedSummary)
+/// over any observable shard type.
 pub trait ObservableDefense: StreamSummary<u64> + StateOracle {
     /// Append the retained elements (the observable sample) to `out`.
     /// Counter sketches that retain no elements append nothing.

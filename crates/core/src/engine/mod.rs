@@ -3,8 +3,8 @@
 //! This layer unifies everything in the workspace that consumes a stream
 //! — the samplers of [`crate::sampler`], the self-sizing robust sketches
 //! of [`crate::sketch`], the sliding-window sampler of [`crate::window`],
-//! and (via impls in their own crates) the baseline sketches and the
-//! distributed sites — behind one [`StreamSummary`] interface with a
+//! and (via impls in their own crate) the baseline sketches — behind one
+//! [`StreamSummary`] interface with a
 //! batched ingestion hot path:
 //!
 //! * [`StreamSummary`] — `ingest` / `ingest_batch` / introspection. The

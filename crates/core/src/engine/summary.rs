@@ -13,7 +13,7 @@ use crate::window::ChainSampler;
 /// (or in batches) and retains a bounded digest of it.
 ///
 /// This is the engine layer's common denominator over samplers, robust
-/// sketches, baseline sketches, and distributed sites. The contract for
+/// sketches, and baseline sketches. The contract for
 /// [`ingest_batch`](Self::ingest_batch) is strict equivalence:
 /// `s.ingest_batch(xs)` must leave the summary in **exactly** the state
 /// that `for x in xs { s.ingest(x) }` would (same retained elements, same

@@ -255,7 +255,10 @@ impl Request {
                 None => Ok(Request::Stats),
                 Some(_) => Err("usage: STATS".into()),
             },
-            Some("QUIT") => Ok(Request::Quit),
+            Some("QUIT") => match toks.next() {
+                None => Ok(Request::Quit),
+                Some(_) => Err("usage: QUIT".into()),
+            },
             Some(other) => Err(format!("unknown command {other:?}")),
             None => Err("empty request".into()),
         }
@@ -685,6 +688,7 @@ mod tests {
             "TQUERY HH 3 0.1",
             "TSNAPSHOT",
             "TSNAPSHOT 3 extra",
+            "QUIT extra",
         ] {
             assert!(Request::parse(line).is_err(), "accepted {line:?}");
         }

@@ -4,16 +4,17 @@
 //! with p = 1/K — every server's view truthfully represents the global
 //! workload, so per-server query optimizers see the right statistics even
 //! as the workload drifts. Also demonstrates the coordinator pattern:
-//! per-site reservoirs merged into one global sample over the wire.
+//! per-site reservoirs merged into one global sample of the union.
 //!
 //! ```sh
 //! cargo run --release --example distributed_load_balancer
 //! ```
 
 use robust_sampling::core::approx::prefix_discrepancy;
+use robust_sampling::core::distributed::{merge_sites, LoadBalancer};
 use robust_sampling::core::engine::StreamSummary;
+use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::core::set_system::{PrefixSystem, SetSystem};
-use robust_sampling::distributed::{merge_sites, run_threaded, Site, SiteSnapshot};
 use robust_sampling::streamgen;
 
 fn main() {
@@ -34,19 +35,25 @@ fn main() {
     // A drifting workload (the risky case the paper worries about).
     let stream = streamgen::two_phase(n, universe, 11);
 
-    // Threaded router: each worker keeps its substream + a local reservoir.
-    let views = run_threaded(&stream, k_servers, 512, 23);
+    // Random router: each server's substream, then a local reservoir
+    // per server over it.
+    let mut lb = LoadBalancer::new(k_servers, 23);
+    lb.run(&stream);
     println!("\nper-server workload representativeness (prefix discrepancy vs global):");
     let mut worst = 0.0f64;
-    for (j, (substream, reservoir)) in views.iter().enumerate() {
+    let mut sites = Vec::new();
+    for (j, substream) in lb.views().iter().enumerate() {
         let d = prefix_discrepancy(&stream, substream).value;
         worst = worst.max(d);
+        let mut site = ReservoirSampler::with_seed(512, 100 + j as u64);
+        site.ingest_batch(substream);
         println!(
             "  server {j}: received {:>6} queries, discrepancy {:.4}, local reservoir {}",
             substream.len(),
             d,
-            reservoir.len()
+            site.sample().len()
         );
+        sites.push(site);
     }
     println!(
         "worst server: {:.4} <= eps = {eps}: {} — \"is random sampling a \
@@ -55,18 +62,11 @@ fn main() {
         worst <= eps
     );
 
-    // Coordinator merge: ship (count, reservoir) snapshots, fuse into one
+    // Coordinator merge: fuse the sites' (count, reservoir) pairs into one
     // global sample of the union.
     println!("\ncoordinator merge of per-site reservoirs:");
-    let mut snaps = Vec::new();
-    for (j, (substream, _)) in views.iter().enumerate() {
-        let mut site = Site::new(512, 100 + j as u64);
-        site.ingest_batch(substream);
-        let frame = site.snapshot();
-        println!("  site {j}: snapshot frame {} bytes", frame.len());
-        snaps.push(SiteSnapshot::decode(frame).expect("valid frame"));
-    }
-    let merged = merge_sites(&snaps, 1024, 31);
+    let pairs: Vec<(usize, &[u64])> = sites.iter().map(|s| (s.observed(), s.sample())).collect();
+    let merged = merge_sites(&pairs, 1024, 31);
     let d = prefix_discrepancy(&stream, &merged).value;
     println!(
         "merged sample |S| = {}, discrepancy vs global stream = {:.4} (<= eps: {})",

@@ -4,10 +4,10 @@
 //! roof, and hosts the repository-level examples and integration tests.
 //!
 //! * [`core`] — samplers, set systems, adaptive games, adversaries,
-//!   estimators, and the theorem-derived sample-size bounds;
+//!   estimators, the theorem-derived sample-size bounds, and the paper's
+//!   distributed load-balancing scenario (`core::distributed`);
 //! * [`sketches`] — deterministic/randomized streaming-summary baselines;
 //! * [`streamgen`] — seeded workload generators;
-//! * [`distributed`] — the paper's distributed load-balancing scenario;
 //! * [`service`] — the concurrent serving layer: epoch-snapshot queries,
 //!   the TCP line protocol, checkpoint/restore.
 //!
@@ -15,7 +15,6 @@
 //! paper-reproduction results.
 
 pub use robust_sampling_core as core;
-pub use robust_sampling_distributed as distributed;
 pub use robust_sampling_service as service;
 pub use robust_sampling_sketches as sketches;
 pub use robust_sampling_streamgen as streamgen;

@@ -1,11 +1,14 @@
-//! Integration: the distributed crate against the core guarantees —
-//! per-server representativeness under drift, wire-format round trips,
-//! and coordinator merges feeding the core estimators.
+//! Integration: the §1.2 distributed scenario against the core
+//! guarantees — per-server representativeness under drift, per-server
+//! reservoirs over the routed substreams, and coordinator merges feeding
+//! the core estimators.
 
 use robust_sampling::core::approx::prefix_discrepancy;
+use robust_sampling::core::distributed::{merge_sites, LoadBalancer};
+use robust_sampling::core::engine::StreamSummary;
 use robust_sampling::core::estimators::SampleQuantiles;
+use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::core::set_system::{PrefixSystem, SetSystem};
-use robust_sampling::distributed::{merge_sites, run_threaded, LoadBalancer, Site, SiteSnapshot};
 use robust_sampling::streamgen;
 
 #[test]
@@ -28,19 +31,26 @@ fn all_servers_representative_under_drifting_workload() {
 }
 
 #[test]
-fn threaded_router_conserves_and_balances() {
+fn router_conserves_and_balances_with_local_reservoirs() {
     let stream = streamgen::zipf(30_000, 1 << 16, 1.1, 3);
-    let out = run_threaded(&stream, 6, 64, 21);
-    let total: usize = out.iter().map(|(s, _)| s.len()).sum();
+    let mut lb = LoadBalancer::new(6, 21);
+    lb.run(&stream);
+    let total: usize = lb.views().iter().map(Vec::len).sum();
     assert_eq!(total, stream.len());
     let mean = stream.len() / 6;
-    for (j, (sub, res)) in out.iter().enumerate() {
+    for (j, sub) in lb.views().iter().enumerate() {
         assert!(
             (sub.len() as f64 - mean as f64).abs() < 0.15 * mean as f64,
             "server {j} got {} (mean {mean})",
             sub.len()
         );
-        assert_eq!(res.len(), 64);
+        let mut res = ReservoirSampler::with_seed(64, j as u64);
+        res.ingest_batch(sub);
+        assert_eq!(res.observed(), sub.len());
+        assert_eq!(res.sample().len(), 64);
+        for v in res.sample() {
+            assert!(sub.contains(v), "reservoir element not from substream");
+        }
     }
 }
 
@@ -50,18 +60,19 @@ fn merged_reservoir_feeds_quantile_estimator() {
     // accurate global quantiles via the core estimator.
     let universe = 1u64 << 20;
     let per_site = 20_000;
-    let mut snaps = Vec::new();
+    let mut sites = Vec::new();
     let mut union = Vec::new();
     for s in 0..5u64 {
         let shard = streamgen::uniform(per_site, universe, 40 + s);
-        let mut site = Site::new(400, s);
+        let mut site = ReservoirSampler::with_seed(400, s);
         for &x in &shard {
             site.observe(x);
         }
         union.extend(shard);
-        snaps.push(SiteSnapshot::decode(site.snapshot()).expect("valid frame"));
+        sites.push(site);
     }
-    let merged = merge_sites(&snaps, 1500, 9);
+    let pairs: Vec<(usize, &[u64])> = sites.iter().map(|s| (s.observed(), s.sample())).collect();
+    let merged = merge_sites(&pairs, 1500, 9);
     let sq = SampleQuantiles::new(&merged, union.len());
     let mut sorted = union.clone();
     sorted.sort_unstable();
@@ -75,20 +86,4 @@ fn merged_reservoir_feeds_quantile_estimator() {
         );
     }
     let _ = prefix_discrepancy(&union, &merged); // exercised above; no panic
-}
-
-#[test]
-fn snapshot_wire_format_is_stable() {
-    let mut site = Site::new(8, 1);
-    for x in [5u64, 6, 7] {
-        site.observe(x);
-    }
-    let frame = site.snapshot();
-    // 8 (count) + 4 (len) + 3*8 (values).
-    assert_eq!(frame.len(), 8 + 4 + 24);
-    let snap = SiteSnapshot::decode(frame).unwrap();
-    assert_eq!(snap.count, 3);
-    let mut sample = snap.sample;
-    sample.sort_unstable();
-    assert_eq!(sample, vec![5, 6, 7]);
 }
