@@ -87,3 +87,50 @@ fn merged_reservoir_feeds_quantile_estimator() {
     }
     let _ = prefix_discrepancy(&union, &merged); // exercised above; no panic
 }
+
+#[test]
+fn routed_reservoirs_merge_back_to_a_representative_sample() {
+    // The whole §1.2 pipeline: route a drifting stream, keep one reservoir
+    // per server, and merge the servers' (count, sample) pairs at the
+    // coordinator. The merge is seeded, consumes each reservoir element at
+    // most once, and approximates the full stream.
+    let stream = streamgen::two_phase(60_000, 1 << 20, 5);
+    let mut lb = LoadBalancer::new(6, 8);
+    lb.run(&stream);
+    let servers: Vec<ReservoirSampler<u64>> = lb
+        .views()
+        .iter()
+        .enumerate()
+        .map(|(j, sub)| {
+            let mut res = ReservoirSampler::with_seed(512, 100 + j as u64);
+            res.ingest_batch(sub);
+            res
+        })
+        .collect();
+    let pairs: Vec<(usize, &[u64])> = servers.iter().map(|s| (s.observed(), s.sample())).collect();
+    let merged = merge_sites(&pairs, 1024, 13);
+    assert_eq!(merged.len(), 1024);
+    assert_eq!(
+        merged,
+        merge_sites(&pairs, 1024, 13),
+        "seeded merge must repeat"
+    );
+
+    let mut pool: Vec<u64> = servers.iter().flat_map(|s| s.sample().to_vec()).collect();
+    pool.sort_unstable();
+    let mut drawn = merged.clone();
+    drawn.sort_unstable();
+    let mut i = 0;
+    for v in &drawn {
+        i += pool[i..].partition_point(|x| x < v);
+        assert_eq!(
+            pool.get(i),
+            Some(v),
+            "merged element {v} not left in any reservoir"
+        );
+        i += 1;
+    }
+
+    let d = prefix_discrepancy(&stream, &merged).value;
+    assert!(d < 0.1, "merged discrepancy {d}");
+}
