@@ -12,7 +12,10 @@
 //! writes any number of requests before reading and returns the
 //! responses in order — one flush and one socket round trip for a whole
 //! batch, which is where the binary protocol's throughput headroom
-//! comes from.
+//! comes from. The `INGEST` and admin requests are built from
+//! crate-private send and receive halves; the blocking methods are one
+//! of each, and the cluster router uses the halves to put a request on
+//! every node's connection before it reads any reply.
 //!
 //! Besides the plain request methods, the client implements the core
 //! engine and attack traits —
@@ -35,7 +38,7 @@
 //! failed experiment, not a recoverable condition; the inherent methods
 //! return `io::Result` for callers that want to handle failure.
 
-use crate::frame::{self, AdminRequest, AdminResponse};
+use crate::frame::{self, AdminRequest, AdminResponse, FrameError};
 use crate::protocol::{
     write_ingest_line, write_tenant_ingest_line, Request, Response, ServiceStats, MAX_INGEST_FRAME,
 };
@@ -76,43 +79,41 @@ impl Conn {
         self.writer.write_all(&self.wbuf)
     }
 
-    /// Encode an `INGEST` frame straight from the value slice — no owned
-    /// `Request::Ingest(Vec<u64>)` is ever built on the ingest path.
-    fn send_ingest(&mut self, chunk: &[u64]) -> std::io::Result<()> {
+    /// Encode an `INGEST` frame — or, with a tenant, a `TINGEST` frame —
+    /// straight from the value slice: no owned `Request::Ingest(Vec<u64>)`
+    /// is ever built on the ingest path.
+    fn send_ingest(&mut self, tenant: Option<u64>, chunk: &[u64]) -> std::io::Result<()> {
         self.wbuf.clear();
-        match self.wire {
-            Wire::Text => {
-                write_ingest_line(chunk, &mut self.wbuf);
-                self.wbuf.push(b'\n');
-            }
-            Wire::Binary => frame::encode_ingest_slice(chunk, &mut self.wbuf),
+        match (self.wire, tenant) {
+            (Wire::Text, None) => write_ingest_line(chunk, &mut self.wbuf),
+            (Wire::Text, Some(t)) => write_tenant_ingest_line(t, chunk, &mut self.wbuf),
+            (Wire::Binary, None) => frame::encode_ingest_slice(chunk, &mut self.wbuf),
+            (Wire::Binary, Some(t)) => frame::encode_tenant_ingest_slice(t, chunk, &mut self.wbuf),
         }
-        self.writer.write_all(&self.wbuf)
-    }
-
-    /// The tenant analogue of [`send_ingest`](Self::send_ingest): a
-    /// `TINGEST` frame encoded straight from the value slice.
-    fn send_tenant_ingest(&mut self, tenant: u64, chunk: &[u64]) -> std::io::Result<()> {
-        self.wbuf.clear();
-        match self.wire {
-            Wire::Text => {
-                write_tenant_ingest_line(tenant, chunk, &mut self.wbuf);
-                self.wbuf.push(b'\n');
-            }
-            Wire::Binary => frame::encode_tenant_ingest_slice(tenant, chunk, &mut self.wbuf),
+        if self.wire == Wire::Text {
+            self.wbuf.push(b'\n');
         }
         self.writer.write_all(&self.wbuf)
     }
 
     fn send_admin(&mut self, req: &AdminRequest) -> std::io::Result<()> {
+        if self.wire != Wire::Binary {
+            return Err(std::io::Error::other(
+                "admin frames require a binary connection",
+            ));
+        }
         self.wbuf.clear();
         frame::encode_admin_request(req, &mut self.wbuf);
         self.writer.write_all(&self.wbuf)
     }
 
-    fn receive_admin(&mut self) -> std::io::Result<AdminResponse> {
+    /// Read until `decode` yields one whole binary frame, and consume it.
+    fn receive_frame<T, D>(&mut self, decode: D) -> std::io::Result<T>
+    where
+        D: Fn(&[u8]) -> Result<Option<(T, usize)>, FrameError>,
+    {
         loop {
-            match frame::decode_admin_response(&self.rbuf) {
+            match decode(&self.rbuf) {
                 Ok(Some((resp, consumed))) => {
                     self.rbuf.drain(..consumed);
                     return Ok(resp);
@@ -141,28 +142,13 @@ impl Conn {
                 Response::parse(line.trim_end_matches(['\r', '\n']))
                     .map_err(|msg| std::io::Error::other(format!("protocol error: {msg}")))
             }
-            Wire::Binary => loop {
-                match frame::decode_response(&self.rbuf) {
-                    Ok(Some((resp, consumed))) => {
-                        self.rbuf.drain(..consumed);
-                        return Ok(resp);
-                    }
-                    Ok(None) => {
-                        let chunk = self.reader.fill_buf()?;
-                        if chunk.is_empty() {
-                            return Err(closed());
-                        }
-                        let n = chunk.len();
-                        self.rbuf.extend_from_slice(chunk);
-                        self.reader.consume(n);
-                    }
-                    Err(e) => {
-                        return Err(std::io::Error::other(format!("frame error: {e}")));
-                    }
-                }
-            },
+            Wire::Binary => self.receive_frame(frame::decode_response),
         }
     }
+}
+
+fn service_error(msg: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::other(format!("service error: {msg}"))
 }
 
 fn closed() -> std::io::Error {
@@ -226,7 +212,7 @@ impl ServiceClient {
         conn.send(req)?;
         conn.writer.flush()?;
         match conn.receive()? {
-            Response::Err(msg) => Err(std::io::Error::other(format!("service error: {msg}"))),
+            Response::Err(msg) => Err(service_error(msg)),
             resp => Ok(resp),
         }
     }
@@ -257,10 +243,45 @@ impl ServiceClient {
         Ok(out)
     }
 
-    fn unexpected<T>(&self, what: &str, got: Response) -> std::io::Result<T> {
+    fn unexpected<T>(&self, what: &str, got: impl std::fmt::Debug) -> std::io::Result<T> {
         Err(std::io::Error::other(format!(
             "expected {what} response, got {got:?}"
         )))
+    }
+
+    /// Send half of `INGEST` (or, with a tenant, `TINGEST`): encode one
+    /// frame of at most [`MAX_INGEST_FRAME`] values straight from `chunk`
+    /// into the connection's reusable write scratch, write and flush it,
+    /// and return without reading the ack. A caller holding several
+    /// connections (the cluster router) puts a frame on each before
+    /// waiting on any.
+    pub(crate) fn send_ingest(&self, tenant: Option<u64>, chunk: &[u64]) -> std::io::Result<()> {
+        debug_assert!(chunk.len() <= MAX_INGEST_FRAME);
+        let mut conn = self.conn.borrow_mut();
+        conn.send_ingest(tenant, chunk)?;
+        conn.writer.flush()
+    }
+
+    /// Receive half of `INGEST`/`TINGEST`: read the next `INGESTED` ack
+    /// and return the running item count it carries.
+    pub(crate) fn recv_ingested(&self) -> std::io::Result<usize> {
+        let resp = self.conn.borrow_mut().receive()?;
+        match resp {
+            Response::Ingested(n) => Ok(n),
+            Response::Err(msg) => Err(service_error(msg)),
+            other => self.unexpected("INGESTED", other),
+        }
+    }
+
+    /// Send `xs` in frames under the protocol's frame cap, one round trip
+    /// each; the last ack's running count, or `None` for empty `xs`.
+    fn ingest_frames(&self, tenant: Option<u64>, xs: &[u64]) -> std::io::Result<Option<usize>> {
+        let mut total = None;
+        for chunk in xs.chunks(MAX_INGEST_FRAME) {
+            self.send_ingest(tenant, chunk)?;
+            total = Some(self.recv_ingested()?);
+        }
+        Ok(total)
     }
 
     /// `INGEST` a frame (chunked under the protocol's frame cap);
@@ -268,24 +289,9 @@ impl ServiceClient {
     /// encoded straight from `xs` into the connection's reusable write
     /// scratch — the ingest path builds no owned request.
     pub fn ingest(&self, xs: &[u64]) -> std::io::Result<usize> {
-        let mut total = self.last_items.get();
-        for chunk in xs.chunks(MAX_INGEST_FRAME) {
-            if chunk.is_empty() {
-                continue;
-            }
-            let mut conn = self.conn.borrow_mut();
-            conn.send_ingest(chunk)?;
-            conn.writer.flush()?;
-            let resp = conn.receive()?;
-            drop(conn);
-            match resp {
-                Response::Ingested(n) => total = n,
-                Response::Err(msg) => {
-                    return Err(std::io::Error::other(format!("service error: {msg}")))
-                }
-                other => return self.unexpected("INGESTED", other),
-            }
-        }
+        let total = self
+            .ingest_frames(None, xs)?
+            .unwrap_or(self.last_items.get());
         self.last_items.set(total);
         Ok(total)
     }
@@ -294,25 +300,7 @@ impl ServiceClient {
     /// (chunked under the protocol's frame cap); returns that tenant's
     /// total item count afterwards.
     pub fn tenant_ingest(&self, tenant: u64, xs: &[u64]) -> std::io::Result<usize> {
-        let mut total = 0;
-        for chunk in xs.chunks(MAX_INGEST_FRAME) {
-            if chunk.is_empty() {
-                continue;
-            }
-            let mut conn = self.conn.borrow_mut();
-            conn.send_tenant_ingest(tenant, chunk)?;
-            conn.writer.flush()?;
-            let resp = conn.receive()?;
-            drop(conn);
-            match resp {
-                Response::Ingested(n) => total = n,
-                Response::Err(msg) => {
-                    return Err(std::io::Error::other(format!("service error: {msg}")))
-                }
-                other => return self.unexpected("INGESTED", other),
-            }
-        }
-        Ok(total)
+        Ok(self.ingest_frames(Some(tenant), xs)?.unwrap_or(0))
     }
 
     /// `TQUERY COUNT tenant x`.
@@ -339,20 +327,49 @@ impl ServiceClient {
         }
     }
 
-    /// One admin request/response round trip — binary wire only (the
-    /// cluster control plane has no text grammar).
-    fn admin_round_trip(&self, req: &AdminRequest) -> std::io::Result<AdminResponse> {
+    /// Send half of an admin request — binary wire only (the cluster
+    /// control plane has no text grammar): write and flush the frame and
+    /// return without reading the reply.
+    pub(crate) fn send_admin(&self, req: &AdminRequest) -> std::io::Result<()> {
         let mut conn = self.conn.borrow_mut();
-        if conn.wire != Wire::Binary {
-            return Err(std::io::Error::other(
-                "admin frames require a binary connection",
-            ));
-        }
         conn.send_admin(req)?;
-        conn.writer.flush()?;
-        match conn.receive_admin()? {
-            AdminResponse::Err(msg) => Err(std::io::Error::other(format!("service error: {msg}"))),
+        conn.writer.flush()
+    }
+
+    /// Receive half of an admin request: read the next admin reply,
+    /// turning a service-side `ERR` into an error.
+    fn recv_admin(&self) -> std::io::Result<AdminResponse> {
+        let resp = self
+            .conn
+            .borrow_mut()
+            .receive_frame(frame::decode_admin_response)?;
+        match resp {
+            AdminResponse::Err(msg) => Err(service_error(msg)),
             resp => Ok(resp),
+        }
+    }
+
+    /// Receive half of [`epoch_state`](Self::epoch_state).
+    pub(crate) fn recv_epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
+        match self.recv_admin()? {
+            AdminResponse::EpochState {
+                epoch,
+                items,
+                frames_acked,
+                state,
+            } => Ok((epoch, items as usize, frames_acked, state)),
+            other => self.unexpected("EPOCH STATE", other),
+        }
+    }
+
+    /// Receive half of [`checkpoint`](Self::checkpoint).
+    pub(crate) fn recv_checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
+        match self.recv_admin()? {
+            AdminResponse::Checkpoint {
+                frames_acked,
+                bytes,
+            } => Ok((frames_acked, bytes)),
+            other => self.unexpected("CHECKPOINT", other),
         }
     }
 
@@ -363,42 +380,25 @@ impl ServiceClient {
     /// and a [`spawn_admin`](crate::ServiceServer::spawn_admin)
     /// endpoint.
     pub fn epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
-        match self.admin_round_trip(&AdminRequest::EpochState)? {
-            AdminResponse::EpochState {
-                epoch,
-                items,
-                frames_acked,
-                state,
-            } => Ok((epoch, items as usize, frames_acked, state)),
-            other => Err(std::io::Error::other(format!(
-                "expected EPOCH STATE response, got {other:?}"
-            ))),
-        }
+        self.send_admin(&AdminRequest::EpochState)?;
+        self.recv_epoch_state()
     }
 
     /// `CHECKPOINT` (admin): the node's full checkpoint envelope plus
     /// the frame high-water mark it was cut at.
     pub fn checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
-        match self.admin_round_trip(&AdminRequest::Checkpoint)? {
-            AdminResponse::Checkpoint {
-                frames_acked,
-                bytes,
-            } => Ok((frames_acked, bytes)),
-            other => Err(std::io::Error::other(format!(
-                "expected CHECKPOINT response, got {other:?}"
-            ))),
-        }
+        self.send_admin(&AdminRequest::Checkpoint)?;
+        self.recv_checkpoint()
     }
 
     /// `RESTORE` (admin): seed the node from a checkpoint envelope and
     /// return the restored service's frame high-water mark — the router
     /// replays only retained frames at or past it.
     pub fn restore(&self, envelope: &[u8]) -> std::io::Result<u64> {
-        match self.admin_round_trip(&AdminRequest::Restore(envelope.to_vec()))? {
+        self.send_admin(&AdminRequest::Restore(envelope.to_vec()))?;
+        match self.recv_admin()? {
             AdminResponse::Restored { frames_acked } => Ok(frames_acked),
-            other => Err(std::io::Error::other(format!(
-                "expected RESTORED response, got {other:?}"
-            ))),
+            other => self.unexpected("RESTORED", other),
         }
     }
 

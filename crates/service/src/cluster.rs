@@ -23,11 +23,25 @@
 //! [`EpochSnapshot`] serving `COUNT`/`QUANTILE`/`HH`/`KS` exactly like
 //! a local epoch.
 //!
+//! **Node I/O is split-phase.** Each router step puts one request on
+//! every node's connection before it reads any reply, then reads the
+//! replies in node order, so a step waits for the slowest node's round
+//! trip rather than the sum of all of them. In
+//! [`ingest`](ClusterRouter::ingest) a step is one
+//! [`MAX_INGEST_FRAME`] chunk: at most one `INGEST` frame per node is in
+//! flight, and every frame is acknowledged before `ingest` returns.
+//! [`global_view`](ClusterRouter::global_view) and
+//! [`checkpoint_all`](ClusterRouter::checkpoint_all) do the same with
+//! one `EPOCH STATE` or `CHECKPOINT` request per node. No reply is ever
+//! left unread across calls, even when a node fails mid-step.
+//!
 //! **Failover** is the headline contract. The router retains, per node,
 //! every ingest frame since the node's last checkpoint (its *replay
 //! window*), indexed by the node's frame high-water mark
 //! ([`FrameHwm`](robust_sampling_core::engine::FrameHwm), carried in the
-//! checkpoint envelope). When a node dies
+//! checkpoint envelope). A frame enters the window *before* it is sent,
+//! so a frame lost to a dead node is still there to replay. When a node
+//! dies
 //! ([`kill_node`](ClusterRouter::kill_node) in the fault-injection
 //! harness), [`restore_node`](ClusterRouter::restore_node) spawns a
 //! fresh process on a new ephemeral port, seeds it from the retained
@@ -46,6 +60,7 @@
 //! the cluster boundary through [`ClusterDefense`]).
 
 use crate::client::ServiceClient;
+use crate::frame::AdminRequest;
 use crate::protocol::MAX_INGEST_FRAME;
 use crate::service::EpochSnapshot;
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
@@ -286,13 +301,36 @@ fn deal_strides(routed: usize, k: usize, chunk: &[u64]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Where one node's connection stands during a [`ClusterRouter::ingest`]
+/// call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// Nothing in flight; the next frame may be sent.
+    Idle,
+    /// A frame was sent and its ack is still unread.
+    InFlight,
+    /// A send or ack failed: no more I/O on this node until the call
+    /// returns (its frames are still retained for replay).
+    Down,
+}
+
+/// Decode an `EPOCH STATE` reply's summary bytes.
+fn decode_epoch_state<S: SnapshotCodec>(
+    (epoch, items, hwm, bytes): (u64, usize, u64, Vec<u8>),
+) -> std::io::Result<(u64, usize, u64, S)> {
+    let summary = S::restore(&bytes)
+        .map_err(|e| std::io::Error::other(format!("undecodable node state: {e}")))?;
+    Ok((epoch, items, hwm, summary))
+}
+
 /// The cluster data plane and its fault-recovery bookkeeping.
 ///
 /// `ingest` deals each input chunk into per-node strides (one binary
 /// `INGEST` frame per non-empty stride, so the router's per-node *sent
 /// frame* counter and the node's applied-frame high-water mark advance
-/// in lockstep) and retains every sent frame in the node's replay
-/// window. `checkpoint_node` pulls the node's checkpoint envelope and
+/// in lockstep), retains every frame in the node's replay window, then
+/// sends all of the chunk's frames before reading their acks.
+/// `checkpoint_node` pulls the node's checkpoint envelope and
 /// trims the window to the envelope's high-water mark;
 /// `restore_node` spawns a replacement process, seeds it from that
 /// envelope, and replays the retained tail. See the module docs for the
@@ -346,18 +384,35 @@ impl ClusterRouter {
         self.nodes[j].addr
     }
 
-    /// Frames sent to node `j` so far (its expected high-water mark).
+    /// Frames dealt to node `j` so far (its expected high-water mark):
+    /// every frame sent, plus any retained for replay because the node
+    /// was down when its turn came.
     pub fn frames_sent(&self, j: usize) -> u64 {
         self.window_base[j] + self.window[j].len() as u64
     }
 
     /// Deal `xs` across the nodes — element at global arrival index `i`
-    /// to node `i mod N`, exactly the [`ShardedSummary`] deal — sending
-    /// one binary `INGEST` frame per non-empty stride and retaining
-    /// each frame in the node's replay window. Returns the total
-    /// elements routed so far.
+    /// to node `i mod N`, exactly the [`ShardedSummary`] deal — as one
+    /// binary `INGEST` frame per non-empty stride, retaining each frame
+    /// in the node's replay window. Returns the total elements routed so
+    /// far.
+    ///
+    /// The I/O is split-phase per [`MAX_INGEST_FRAME`] chunk of `xs`: the
+    /// chunk's strides are dealt and retained, every node's frame is
+    /// sent, and only then are the acks read, in node order. At most one
+    /// frame per node is in flight, and nothing is left in flight when
+    /// this returns.
+    ///
+    /// A frame is retained *before* it is sent, so a frame whose send or
+    /// ack fails is still replayed by [`restore_node`](Self::restore_node).
+    /// A node that fails is skipped for the rest of the call while every
+    /// other node still gets and acks its frames; all of `xs` is dealt
+    /// and the first error is returned. Restoring the failed node then
+    /// brings the cluster to exactly the uninterrupted state.
     pub fn ingest(&mut self, xs: &[u64]) -> std::io::Result<usize> {
         let k = self.nodes.len();
+        let mut first_err = None;
+        let mut link = vec![Link::Idle; k];
         // Cap each stride at one protocol frame so frame accounting
         // stays one-send-one-ack.
         for chunk in xs.chunks(MAX_INGEST_FRAME) {
@@ -367,34 +422,89 @@ impl ClusterRouter {
                 if stride.is_empty() {
                     continue;
                 }
-                self.nodes[j].client.ingest(&stride)?;
                 self.window[j].push_back(stride);
+                if link[j] == Link::Idle {
+                    let frame = self.window[j].back().expect("frame just retained");
+                    link[j] = match self.nodes[j].client.send_ingest(None, frame) {
+                        Ok(()) => Link::InFlight,
+                        Err(e) => {
+                            first_err.get_or_insert(e);
+                            Link::Down
+                        }
+                    };
+                }
+            }
+            for (j, state) in link.iter_mut().enumerate() {
+                if *state == Link::InFlight {
+                    *state = match self.nodes[j].client.recv_ingested() {
+                        Ok(_) => Link::Idle,
+                        Err(e) => {
+                            first_err.get_or_insert(e);
+                            Link::Down
+                        }
+                    };
+                }
             }
         }
-        Ok(self.routed)
+        first_err.map_or(Ok(self.routed), Err)
     }
 
-    /// Pull node `j`'s checkpoint envelope and trim its replay window to
-    /// the envelope's frame high-water mark: frames the checkpoint
-    /// already contains will never need replaying.
-    pub fn checkpoint_node(&mut self, j: usize) -> std::io::Result<()> {
-        let (hwm, bytes) = self.nodes[j].client.checkpoint()?;
+    /// Send `req` to every node, then read every reply in node order with
+    /// `recv`. A node whose send fails gets no read; every other reply is
+    /// read even after a failure, so no connection is left holding a
+    /// stale reply.
+    fn admin_all<T>(
+        &self,
+        req: &AdminRequest,
+        recv: impl Fn(&ServiceClient) -> std::io::Result<T>,
+    ) -> Vec<std::io::Result<T>> {
+        let sent: Vec<_> = self
+            .nodes
+            .iter()
+            .map(|node| node.client.send_admin(req))
+            .collect();
+        sent.into_iter()
+            .zip(&self.nodes)
+            .map(|(sent, node)| sent.and_then(|()| recv(&node.client)))
+            .collect()
+    }
+
+    /// Trim node `j`'s replay window to a checkpoint's frame high-water
+    /// mark and retain the envelope: frames the checkpoint already
+    /// contains will never need replaying.
+    fn keep_checkpoint(&mut self, j: usize, hwm: u64, envelope: Vec<u8>) {
         while self.window_base[j] < hwm {
             self.window[j]
                 .pop_front()
                 .expect("checkpoint high-water mark beyond the sent-frame count");
             self.window_base[j] += 1;
         }
-        self.checkpoints[j] = Some(bytes);
+        self.checkpoints[j] = Some(envelope);
+    }
+
+    /// Pull node `j`'s checkpoint envelope and trim its replay window to
+    /// the envelope's frame high-water mark.
+    pub fn checkpoint_node(&mut self, j: usize) -> std::io::Result<()> {
+        let (hwm, envelope) = self.nodes[j].client.checkpoint()?;
+        self.keep_checkpoint(j, hwm, envelope);
         Ok(())
     }
 
-    /// Checkpoint every node.
+    /// Checkpoint every node: send every `CHECKPOINT` request, then read
+    /// the envelopes in node order. Every checkpoint that arrives is kept
+    /// even if another node fails; the first error is returned.
     pub fn checkpoint_all(&mut self) -> std::io::Result<()> {
-        for j in 0..self.nodes.len() {
-            self.checkpoint_node(j)?;
+        let replies = self.admin_all(&AdminRequest::Checkpoint, ServiceClient::recv_checkpoint);
+        let mut first_err = None;
+        for (j, reply) in replies.into_iter().enumerate() {
+            match reply {
+                Ok((hwm, envelope)) => self.keep_checkpoint(j, hwm, envelope),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// **Fault injection**: kill node `j`'s process outright (no
@@ -436,19 +546,17 @@ impl ClusterRouter {
     where
         S: SnapshotCodec,
     {
-        let (epoch, items, hwm, bytes) = self.nodes[j].client.epoch_state()?;
-        let summary = S::restore(&bytes)
-            .map_err(|e| std::io::Error::other(format!("undecodable node state: {e}")))?;
-        Ok((epoch, items, hwm, summary))
+        decode_epoch_state(self.nodes[j].client.epoch_state()?)
     }
 
     /// **The coordinator merge**: pull every node's published epoch
     /// snapshot and merge the summaries in node order via
     /// [`merge_in_shard_order`] into one consistent global
-    /// [`EpochSnapshot`] — the cluster's query surface. The view's
-    /// epoch is the slowest node's published epoch (a consistent lower
-    /// bound; in an aligned run all nodes agree) and its item count is
-    /// the sum of per-node boundary counts.
+    /// [`EpochSnapshot`] — the cluster's query surface. Every node's
+    /// `EPOCH STATE` request goes out before any reply is read. The
+    /// view's epoch is the slowest node's published epoch (a consistent
+    /// lower bound; in an aligned run all nodes agree) and its item
+    /// count is the sum of per-node boundary counts.
     pub fn global_view<S>(&self) -> std::io::Result<EpochSnapshot<S>>
     where
         S: SnapshotCodec + MergeableSummary<u64>,
@@ -456,8 +564,8 @@ impl ClusterRouter {
         let mut summaries = Vec::with_capacity(self.nodes.len());
         let mut items = 0usize;
         let mut epoch = u64::MAX;
-        for j in 0..self.nodes.len() {
-            let (e, n, _, s) = self.node_epoch_state::<S>(j)?;
+        for reply in self.admin_all(&AdminRequest::EpochState, ServiceClient::recv_epoch_state) {
+            let (e, n, _, s) = decode_epoch_state::<S>(reply?)?;
             epoch = epoch.min(e);
             items += n;
             summaries.push(s);

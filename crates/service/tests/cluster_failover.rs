@@ -20,6 +20,7 @@
 use proptest::prelude::*;
 use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_service::cluster::{ClusterConfig, ClusterRouter};
+use robust_sampling_service::protocol::MAX_INGEST_FRAME;
 
 /// Split `stream` into frames whose sizes cycle through `splits`.
 fn frames<'a>(stream: &'a [u64], splits: &[usize]) -> Vec<&'a [u64]> {
@@ -261,4 +262,66 @@ fn checkpoints_trim_the_replay_window() {
         .node_epoch_state::<ReservoirSampler<u64>>(0)
         .expect("node epoch state");
     assert_eq!(hwm, sent_total);
+}
+
+/// A node that dies *between* calls makes the next `ingest` fail. That
+/// call still delivers and acks every other node's frames and retains
+/// the dead node's, so a restore afterwards lands the cluster exactly on
+/// the uninterrupted run: the same view after every frame, and the same
+/// sent-frame count per node, matching each node's acked high-water
+/// mark. Checked for each node as the victim, with the failing call
+/// either one frame or three `MAX_INGEST_FRAME` chunks long.
+#[test]
+fn failed_ingest_to_a_dead_node_loses_no_frame() {
+    let (nodes, seed, epoch_every) = (2, 31, 5);
+    let long = 2 * MAX_INGEST_FRAME + 50;
+    let data = stream(4_000 + long, seed);
+    let (head, rest) = data.split_at(2_000);
+    for (victim, failing) in [(0, 100), (1, 100), (0, long), (1, long)] {
+        // Frame 20, the first after the kill, is `failing` elements long.
+        let schedule: Vec<&[u64]> = head
+            .chunks(100)
+            .chain([&rest[..failing]])
+            .chain(rest[failing..failing + 2_000].chunks(100))
+            .collect();
+        let mut baseline = cluster(nodes, seed, epoch_every);
+        let mut router = cluster(nodes, seed, epoch_every);
+        for (i, frame) in schedule.iter().enumerate() {
+            baseline.ingest(frame).expect("baseline ingest");
+            if i == 20 {
+                router.kill_node(victim);
+                assert!(
+                    router.ingest(frame).is_err(),
+                    "victim {victim}: ingest to a dead node must fail"
+                );
+                router.restore_node(victim).expect("restore");
+            } else {
+                router.ingest(frame).expect("cluster ingest");
+            }
+            if i == 10 {
+                router.checkpoint_all().expect("checkpoint");
+            }
+            assert_eq!(
+                view_of(&router),
+                view_of(&baseline),
+                "victim {victim}, frame {i}"
+            );
+        }
+        assert_eq!(
+            view_of(&router).1,
+            schedule.iter().map(|f| f.len()).sum::<usize>(),
+            "victim {victim}"
+        );
+        for j in 0..nodes {
+            let (_, _, hwm, _) = router
+                .node_epoch_state::<ReservoirSampler<u64>>(j)
+                .expect("node epoch state");
+            assert_eq!(
+                router.frames_sent(j),
+                baseline.frames_sent(j),
+                "victim {victim}, node {j}"
+            );
+            assert_eq!(hwm, router.frames_sent(j), "victim {victim}, node {j}");
+        }
+    }
 }

@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use robust_sampling::core::engine::{merge_in_shard_order, ShardedSummary, StreamSummary};
 use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::service::cluster::{ClusterConfig, ClusterRouter};
+use robust_sampling::service::protocol::MAX_INGEST_FRAME;
 use robust_sampling::service::SummaryService;
 use robust_sampling::streamgen;
 
@@ -168,6 +169,44 @@ proptest! {
         prop_assert_eq!(view.items(), items);
         prop_assert_eq!(view.summary().sample(), hand_merged.sample());
         prop_assert_eq!(view.summary().observed(), hand_merged.observed());
+    }
+}
+
+/// One `ingest` call longer than a protocol frame: the router splits it
+/// into `MAX_INGEST_FRAME` chunks, each sent to every node before any
+/// ack is read. Started at an odd phase (a short prefix frame first), so
+/// no chunk boundary lines up with the `mod N` deal; the merged view
+/// still equals the offline sharded run.
+#[test]
+fn multi_frame_ingest_equals_offline_sharded_merge() {
+    let (nodes, seed) = (3, 19);
+    let stream = workload_stream(0, 5 + 3 * MAX_INGEST_FRAME + 17, seed);
+    let (prefix, bulk) = stream.split_at(5);
+    let mut offline = ShardedSummary::new(nodes, seed, |_, s| {
+        ReservoirSampler::<u64>::with_seed(32, s)
+    });
+    let mut router = cluster(nodes, seed, 1, 32);
+    for frame in [prefix, bulk] {
+        offline.ingest_batch(frame);
+        assert_eq!(
+            router.ingest(frame).expect("cluster ingest"),
+            offline.items_seen()
+        );
+    }
+    let view = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    let merged = offline.into_merged();
+    assert_eq!(view.items(), stream.len());
+    assert_eq!(view.summary().sample(), merged.sample());
+    assert_eq!(view.summary().observed(), merged.observed());
+    for j in 0..nodes {
+        let (_, _, hwm, _) = router
+            .node_epoch_state::<ReservoirSampler<u64>>(j)
+            .expect("node epoch state");
+        // One prefix frame plus one frame per chunk of the bulk call.
+        assert_eq!(hwm, 5, "node {j}");
+        assert_eq!(router.frames_sent(j), 5, "node {j}");
     }
 }
 
