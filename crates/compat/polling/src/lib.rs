@@ -81,17 +81,47 @@ impl Event {
     }
 }
 
+/// One `struct pollfd` record, laid out as `poll(2)` expects it.
+#[repr(C)]
 #[derive(Debug, Clone, Copy)]
-struct Registration {
-    key: usize,
-    readable: bool,
-    writable: bool,
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
+
+#[derive(Debug, Default)]
+struct Registry {
+    /// Interest per fd: the caller's key and the `poll(2)` event mask.
+    interest: BTreeMap<RawFd, (usize, i16)>,
+    /// Set when `interest` changed since [`Poller::wait`] last rebuilt
+    /// its `pollfd` buffer.
+    changed: bool,
+}
+
+/// The buffer [`Poller::wait`] hands to `poll(2)`: one record per
+/// registered fd and, in the same order, the key it reports.
+#[derive(Debug, Default)]
+struct PollSet {
+    fds: Vec<PollFd>,
+    keys: Vec<usize>,
 }
 
 /// A level-triggered readiness poller over a set of registered sources.
+///
+/// `wait` reuses one `pollfd` buffer and rebuilds it only after `add`,
+/// `modify` or `delete` changed the registered set, so a wait over an
+/// unchanged set performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct Poller {
-    registered: Mutex<BTreeMap<RawFd, Registration>>,
+    registry: Mutex<Registry>,
+    set: Mutex<PollSet>,
 }
 
 impl Poller {
@@ -103,14 +133,13 @@ impl Poller {
     /// Register `source` under `key` with the interest set carried by
     /// `interest`'s flags. One registration per fd; re-adding replaces.
     pub fn add(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-        self.registered.lock().expect("poller lock").insert(
-            source.as_raw_fd(),
-            Registration {
-                key: interest.key,
-                readable: interest.readable,
-                writable: interest.writable,
-            },
-        );
+        let mask = if interest.readable { POLLIN } else { 0 }
+            | if interest.writable { POLLOUT } else { 0 };
+        let mut reg = self.registry.lock().expect("poller lock");
+        let old = reg
+            .interest
+            .insert(source.as_raw_fd(), (interest.key, mask));
+        reg.changed |= old != Some((interest.key, mask));
         Ok(())
     }
 
@@ -121,16 +150,14 @@ impl Poller {
 
     /// Remove a source from the registered set.
     pub fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
-        self.registered
-            .lock()
-            .expect("poller lock")
-            .remove(&source.as_raw_fd());
+        let mut reg = self.registry.lock().expect("poller lock");
+        reg.changed |= reg.interest.remove(&source.as_raw_fd()).is_some();
         Ok(())
     }
 
     /// Number of registered sources.
     pub fn len(&self) -> usize {
-        self.registered.lock().expect("poller lock").len()
+        self.registry.lock().expect("poller lock").interest.len()
     }
 
     /// Whether no sources are registered.
@@ -144,58 +171,65 @@ impl Poller {
     /// Level-triggered: a source that stays ready is reported again on
     /// the next call.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        let snapshot: Vec<(RawFd, Registration)> = {
-            let reg = self.registered.lock().expect("poller lock");
-            reg.iter().map(|(&fd, &r)| (fd, r)).collect()
-        };
-        if snapshot.is_empty() {
+        let mut set = self.set.lock().expect("poller lock");
+        let PollSet { fds, keys } = &mut *set;
+        {
+            let mut reg = self.registry.lock().expect("poller lock");
+            if reg.changed {
+                fds.clear();
+                keys.clear();
+                for (&fd, &(key, mask)) in &reg.interest {
+                    fds.push(PollFd {
+                        fd,
+                        events: mask,
+                        revents: 0,
+                    });
+                    keys.push(key);
+                }
+                reg.changed = false;
+            }
+        }
+        if fds.is_empty() {
             if let Some(t) = timeout {
                 std::thread::sleep(t);
             }
             return Ok(0);
         }
-        sys::wait(&snapshot, events, timeout)
+        if sys::poll_fds(fds, timeout)? == 0 {
+            return Ok(0);
+        }
+        let mut appended = 0;
+        for (pfd, &key) in fds.iter().zip(keys.iter()) {
+            if pfd.revents == 0 {
+                continue;
+            }
+            // Error/hangup conditions surface as readability so the
+            // owner's next read observes the EOF/error directly.
+            events.push(Event {
+                key,
+                readable: pfd.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0,
+                writable: pfd.revents & (POLLOUT | POLLERR) != 0,
+            });
+            appended += 1;
+        }
+        Ok(appended)
     }
 }
 
 #[cfg(all(unix, target_os = "linux"))]
 mod sys {
-    use super::{Event, Registration};
+    use super::PollFd;
     use std::io;
-    use std::os::unix::io::RawFd;
     use std::time::Duration;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
 
     extern "C" {
         // `nfds_t` is `unsigned long` on Linux.
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
 
-    pub fn wait(
-        snapshot: &[(RawFd, Registration)],
-        events: &mut Vec<Event>,
-        timeout: Option<Duration>,
-    ) -> io::Result<usize> {
-        let mut fds: Vec<PollFd> = snapshot
-            .iter()
-            .map(|&(fd, r)| PollFd {
-                fd,
-                events: if r.readable { POLLIN } else { 0 } | if r.writable { POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
+    /// One `poll(2)` call over `fds`: fills every `revents` and returns
+    /// how many records have one set (0 on timeout or `EINTR`).
+    pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
         let ms = timeout
             .map(|t| i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX))
             .unwrap_or(-1);
@@ -210,51 +244,28 @@ mod sys {
             }
             return Err(err);
         }
-        let mut appended = 0;
-        for (pfd, &(_, r)) in fds.iter().zip(snapshot) {
-            if pfd.revents == 0 {
-                continue;
-            }
-            // Error/hangup conditions surface as readability so the
-            // owner's next read observes the EOF/error directly.
-            let readable = pfd.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0;
-            let writable = pfd.revents & (POLLOUT | POLLERR) != 0;
-            events.push(Event {
-                key: r.key,
-                readable,
-                writable,
-            });
-            appended += 1;
-        }
-        Ok(appended)
+        Ok(rc as usize)
     }
 }
 
 #[cfg(not(all(unix, target_os = "linux")))]
 mod sys {
     //! Degenerate fallback for targets without `poll(2)`: sleep out the
-    //! timeout and report every registered source as ready in both
-    //! directions. Correct (the owner's nonblocking reads/writes observe
-    //! `WouldBlock` for the ones that were not actually ready) but a
-    //! busy sweep — the Linux path is the real implementation.
-    use super::{Event, Registration};
+    //! timeout and report every registered source as ready in every
+    //! direction it is interested in. Correct (the owner's nonblocking
+    //! reads/writes observe `WouldBlock` for the ones that were not
+    //! actually ready) but a busy sweep — the Linux path is the real
+    //! implementation.
+    use super::PollFd;
     use std::io;
     use std::time::Duration;
 
-    pub fn wait(
-        snapshot: &[(super::RawFd, Registration)],
-        events: &mut Vec<Event>,
-        timeout: Option<Duration>,
-    ) -> io::Result<usize> {
+    pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
         std::thread::sleep(timeout.unwrap_or(Duration::from_millis(1)));
-        for &(_, r) in snapshot {
-            events.push(Event {
-                key: r.key,
-                readable: r.readable,
-                writable: r.writable,
-            });
+        for pfd in fds.iter_mut() {
+            pfd.revents = pfd.events;
         }
-        Ok(snapshot.len())
+        Ok(fds.len())
     }
 }
 

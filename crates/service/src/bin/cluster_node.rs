@@ -1,6 +1,12 @@
 //! One cluster node process: a single-shard [`SummaryService`] behind
 //! an admin-enabled TCP endpoint.
 //!
+//! A one-shard service runs inline: the event-loop thread that decodes
+//! an `INGEST` frame also runs the sampler kernel and any due epoch
+//! publish before it writes the ack. So the process runs three threads
+//! (main, acceptor, one event loop with the default `--workers 1`),
+//! and an acked frame is already in the node's state.
+//!
 //! Spawned by the `ClusterRouter` (and by the fault-injection tests)
 //! with the node's **exact** shard seed — the router computes
 //! `ShardedSummary::shard_seed(base_seed, j)` so that node `j` of an

@@ -87,7 +87,7 @@ pub enum Request {
 /// Service counters reported by `STATS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Elements ingested (routed to shard workers) so far.
+    /// Elements ingested so far.
     pub items: usize,
     /// Epoch of the published snapshot.
     pub epoch: u64,

@@ -21,12 +21,16 @@
 //!
 //! `INGEST` goes through a mutex around the service's ingest path
 //! (frames from concurrent connections interleave, but each frame is
-//! dealt atomically and epochs stay frame-aligned). A binary `INGEST`
-//! payload takes the **zero-copy fast path**: the little-endian value
-//! slice, still borrowed from the connection's read buffer, is dealt
-//! in place into the service's pooled shard buffers
-//! ([`SummaryService::ingest_frame_le`]) — no intermediate `Vec<u64>`,
-//! no per-request allocation. Every query answers from the published
+//! ingested atomically and epochs stay frame-aligned). A binary
+//! `INGEST` payload takes the **zero-copy fast path**: the little-endian
+//! value slice, still borrowed from the connection's read buffer, goes
+//! straight to [`SummaryService::ingest_frame_le`] — no per-request
+//! allocation. A one-shard service (every cluster node) decodes it into
+//! its reused batch buffer and runs the kernel, and any due epoch
+//! publish, on this event-loop thread before the ack is written, so an
+//! `INGEST` ack means the frame has been applied. A multi-shard service
+//! deals it in place into its pooled shard buffers and acks once the
+//! strides are queued. Every query answers from the published
 //! epoch snapshot through a [`QueryHandle`] and serializes its response
 //! (including the `SNAPSHOT` sample, borrowed from the snapshot's
 //! cache) straight into the connection's out-buffer, so the read path
@@ -467,9 +471,9 @@ impl Conn {
             if frame::is_frame_start(first) {
                 match frame::decode_request_frame(buf) {
                     // The zero-copy ingest fast path: the payload slice
-                    // (borrowed from the input buffer) is dealt straight
-                    // into the service's pooled shard buffers — no
-                    // intermediate Vec<u64> is ever built.
+                    // (borrowed from the input buffer) is decoded straight
+                    // into the service's reused batch buffers — no
+                    // per-request Vec<u64> is ever built.
                     Ok(Some((frame::RequestFrame::IngestLe(payload), consumed))) => {
                         let total = shared
                             .service

@@ -5,8 +5,8 @@
 //!
 //! The service reuses the [`ShardedSummary`] round-robin deal verbatim:
 //! frame element `i` (counting from the global arrival index) goes to
-//! shard `i mod K`, and each shard worker drives its summary's batched
-//! hot path over exactly the per-shard subsequence the offline
+//! shard `i mod K`, and each shard drives its summary's batched hot path
+//! over exactly the per-shard subsequence the offline
 //! [`ShardedSummary::ingest_batch`] would hand it. Because the engine's
 //! batch contract is strict state equivalence, a service fed a frame
 //! schedule ends with shard states — and therefore merged epoch
@@ -15,35 +15,53 @@
 //!
 //! ## Concurrency model
 //!
-//! One writer, many readers, and a publisher off to the side. The owner
-//! thread deals frames to `K` worker threads over bounded FIFO queues
-//! (ingest is pipelined: dealing frame `t+1` overlaps shard work on
-//! frame `t`). The steady-state ingest path is **allocation-free**: the
-//! deal writes each shard's stride into a reusable per-shard buffer,
-//! full buffers are swapped against a free-list pool of drained ones,
-//! and workers return each batch buffer to the pool after ingesting it.
-//! The pool also bounds memory — a dealer that outruns the shards blocks
-//! on the free list instead of growing a queue without limit.
+//! The shard count picks one of two modes; there is no option for it.
 //!
-//! Every `epoch_every` ingested elements the service *publishes* — but
-//! the merge runs **off the ingest path**. The dealer only enqueues a
-//! capture request per worker (the request queues behind all pending
-//! batches on each FIFO, so the captured states form a consistent,
-//! frame-aligned cut); each worker clones its shard state
+//! **One shard runs inline.** With `K = 1` the service owns its shard
+//! and does all the work on the calling thread. `ingest_frame` hands the
+//! slice straight to the batch kernel; `ingest_frame_le` first decodes
+//! the payload into one reused buffer (batch ≡ element-wise makes the
+//! two bit-identical). When a publish comes due, the same call clones
+//! the shard into the next [`EpochSnapshot`], swaps it in and lands the
+//! epoch before it returns. So when an ingest call returns, its frame
+//! has been applied: a server's `INGEST` ack follows the kernel. The
+//! service starts no thread. This is the mode every cluster node runs —
+//! one shard has nothing to run in parallel, and a worker and publisher
+//! hop per frame cost more than the kernel work they hand off.
+//!
+//! **Several shards run threaded.** One writer, many readers, and a
+//! publisher off to the side. The owner thread deals frames to `K`
+//! worker threads over bounded FIFO queues (ingest is pipelined: dealing
+//! frame `t+1` overlaps shard work on frame `t`). The steady-state
+//! ingest path is **allocation-free**: the deal writes each shard's
+//! stride into a reusable per-shard buffer, full buffers are swapped
+//! against a free-list pool of drained ones, and workers return each
+//! batch buffer to the pool after ingesting it. The pool also bounds
+//! memory — a dealer that outruns the shards blocks on the free list
+//! instead of growing a queue without limit.
+//!
+//! Every `epoch_every` ingested elements a threaded service
+//! *publishes* — but the merge runs **off the ingest path**. The dealer
+//! only enqueues a capture request per worker (the request queues
+//! behind all pending batches on each FIFO, so the captured states form
+//! a consistent, frame-aligned cut); each worker clones its shard state
 //! ([`MergeableSummary::capture_into`]) and hands it to a dedicated
 //! publisher thread, which merges the captures in shard order, swaps the
-//! result behind an `Arc`, and marks the epoch landed. The ingest stall
-//! per publish is the capture enqueue — O(K) — instead of the old
-//! collect-clone-merge barrier, which was O(total state).
+//! result behind an `Arc`, and marks the epoch landed — the same swap
+//! and land an inline publish does. The ingest stall per publish is the
+//! capture enqueue — O(K) — instead of a collect-clone-merge barrier,
+//! which would be O(total state).
 //!
-//! Readers ([`QueryHandle`]) still never observe a half-published epoch
-//! or a half-ingested frame: a query first waits (on a condvar gate) for
-//! the newest *triggered* epoch to land, then clones the published `Arc`
-//! and answers from an immutable [`EpochSnapshot`]. That wait keeps the
-//! pre-publisher semantics — after `ingest_frame` crosses a cadence
-//! boundary, the very next query observes the new epoch — while leaving
-//! the ingest path free of merge work. In the steady state the gate is
-//! one atomic load plus an uncontended mutex check.
+//! Readers ([`QueryHandle`]) never observe a half-published epoch or a
+//! half-ingested frame: a query first waits (on a condvar gate) for the
+//! newest *triggered* epoch to land, then clones the published `Arc`
+//! and answers from an immutable [`EpochSnapshot`]. In threaded mode
+//! that wait gives read-your-ingest ordering — after `ingest_frame`
+//! crosses a cadence boundary, the very next query observes the new
+//! epoch — while leaving the ingest path free of merge work. In inline
+//! mode the epoch has already landed when the call returns. In the
+//! steady state the gate is one atomic load plus an uncontended mutex
+//! check.
 
 use robust_sampling_core::attack::ObservableDefense;
 use robust_sampling_core::engine::snapshot::{
@@ -227,11 +245,12 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
     }
 }
 
-/// The publish gate: which epoch has been *triggered* (capture requests
-/// enqueued by the dealer) and which has *landed* (merged and swapped in
-/// by the publisher thread). Queries wait for the newest triggered epoch
-/// to land before reading, so publishing off the ingest path never
-/// weakens the read-your-ingest ordering the synchronous publisher gave.
+/// The publish gate: which epoch has been *triggered* (by the ingest
+/// call that crossed the cadence) and which has *landed* (swapped in,
+/// by that same call in inline mode or by the publisher thread in
+/// threaded mode). Queries wait for the newest triggered epoch to land
+/// before reading, so publishing off the ingest path never weakens
+/// read-your-ingest ordering.
 #[derive(Debug)]
 struct EpochGate {
     triggered: AtomicU64,
@@ -248,12 +267,12 @@ impl EpochGate {
         }
     }
 
-    /// Record that `epoch`'s capture requests are enqueued (dealer side).
+    /// Record that `epoch`'s publish has started (ingest side).
     fn trigger(&self, epoch: u64) {
         self.triggered.store(epoch, Ordering::Release);
     }
 
-    /// Record that `epoch` is merged and published (publisher side).
+    /// Record that `epoch` is swapped in and readable.
     fn land(&self, epoch: u64) {
         let mut landed = self.landed.lock().expect("epoch gate poisoned");
         debug_assert!(*landed < epoch, "epochs land in order");
@@ -379,6 +398,29 @@ struct Worker<S> {
     handle: Option<JoinHandle<()>>,
 }
 
+/// Where the shards live and who runs the kernel. The shard count picks
+/// the mode (see the module docs): one shard runs on the caller's
+/// thread, several run on worker threads.
+enum Mode<S> {
+    /// `K = 1`: the caller's thread ingests and publishes.
+    Inline {
+        shard: S,
+        /// Reused decode buffer for [`SummaryService::ingest_frame_le`].
+        buf: Vec<u64>,
+    },
+    /// `K > 1`: shard workers fed by the deal, plus a publisher thread.
+    Threaded {
+        workers: Vec<Worker<S>>,
+        /// Reusable per-shard stride buffers the deal writes into;
+        /// swapped against `pool` when dispatched.
+        deal: Vec<Vec<u64>>,
+        /// Free list of drained batch buffers (returned by the workers).
+        pool: Arc<FifoQueue<Vec<u64>>>,
+        pub_tx: mpsc::Sender<PubMsg<S>>,
+        publisher: Option<JoinHandle<()>>,
+    },
+}
+
 /// Batch buffers seeded into the free-list pool per shard. Eight frames
 /// of run-ahead per shard lets the dealer keep routing across an epoch
 /// capture burst (a worker cloning its state is briefly not draining
@@ -395,12 +437,7 @@ const CHECKPOINT_MAGIC: u64 = 0x5253_5643_0000_0002;
 /// A long-running, concurrently-queried summary service. See the module
 /// docs for the determinism and concurrency contracts.
 pub struct SummaryService<S: ServableSummary> {
-    workers: Vec<Worker<S>>,
-    /// Reusable per-shard stride buffers the deal writes into; swapped
-    /// against `pool` when dispatched.
-    deal: Vec<Vec<u64>>,
-    /// Free list of drained batch buffers (returned by the workers).
-    pool: Arc<FifoQueue<Vec<u64>>>,
+    mode: Mode<S>,
     /// Elements dealt so far — the round-robin cursor (identical role to
     /// [`ShardedSummary`]'s).
     routed: usize,
@@ -412,19 +449,18 @@ pub struct SummaryService<S: ServableSummary> {
     frames_acked: FrameHwm,
     /// Publish an epoch every this many ingested elements.
     epoch_every: usize,
-    /// Epoch number of the most recently *triggered* publish (the
-    /// publisher lands it asynchronously; the gate tracks both sides).
+    /// Epoch number of the most recently *triggered* publish (a threaded
+    /// service's publisher lands it asynchronously; the gate tracks both
+    /// sides).
     epoch: u64,
     published: Arc<RwLock<Arc<EpochSnapshot<S>>>>,
     gate: Arc<EpochGate>,
-    pub_tx: mpsc::Sender<PubMsg<S>>,
-    publisher: Option<JoinHandle<()>>,
 }
 
 impl<S: ServableSummary> std::fmt::Debug for SummaryService<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SummaryService")
-            .field("shards", &self.workers.len())
+            .field("shards", &self.num_shards())
             .field("routed", &self.routed)
             .field("epoch", &self.epoch)
             .field("epoch_every", &self.epoch_every)
@@ -433,13 +469,15 @@ impl<S: ServableSummary> std::fmt::Debug for SummaryService<S> {
 }
 
 impl<S: ServableSummary> SummaryService<S> {
-    /// Start a service of `shards` ingest workers whose summaries come
+    /// Start a service of `shards` ingest shards whose summaries come
     /// from `factory(shard_index, shard_seed)` — the same constructor
     /// shape, and the same [`ShardedSummary::shard_seed`] derivation, as
     /// the offline sharded engine, so served and offline runs are
     /// comparable shard for shard. An epoch is published every
     /// `epoch_every` ingested elements (1 = publish after every frame,
-    /// what a remote adaptive duel needs).
+    /// what a remote adaptive duel needs). One shard runs on the
+    /// caller's thread; more shards get a worker thread each plus a
+    /// publisher thread (see the module docs).
     ///
     /// # Panics
     ///
@@ -464,7 +502,7 @@ impl<S: ServableSummary> SummaryService<S> {
     /// `None` and serves the merge of the initial shard states under
     /// epoch number `epoch`.
     fn from_parts(
-        shards: Vec<S>,
+        mut shards: Vec<S>,
         routed: usize,
         since_publish: usize,
         frames_acked: FrameHwm,
@@ -480,41 +518,52 @@ impl<S: ServableSummary> SummaryService<S> {
         let published = Arc::new(RwLock::new(Arc::new(snapshot)));
         let gate = Arc::new(EpochGate::new(epoch));
 
-        // Buffers in circulation: the seeded free list plus the K deal
-        // slots that migrate through it. The pool capacity covers all of
-        // them, so a worker's return push never blocks.
-        let total_bufs = (BUFS_PER_SHARD + 1) * k + 1;
-        let pool = Arc::new(FifoQueue::with_capacity(total_bufs));
-        for _ in 0..BUFS_PER_SHARD * k {
-            pool.push(Vec::new());
-        }
-
-        let (pub_tx, pub_rx) = mpsc::channel();
-        let publisher = spawn_publisher(k, pub_rx, Arc::clone(&published), Arc::clone(&gate));
-        let workers = shards
-            .into_iter()
-            .enumerate()
-            .map(|(j, shard)| {
-                // Worst case every circulating buffer queues on one
-                // worker (K = 1); leave slack for control messages.
-                let queue = Arc::new(FifoQueue::with_capacity(total_bufs + 4));
-                let handle = spawn_worker(
-                    shard,
-                    j,
-                    Arc::clone(&queue),
-                    Arc::clone(&pool),
-                    pub_tx.clone(),
-                );
-                Worker {
-                    queue,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
+        let mode = if k == 1 {
+            Mode::Inline {
+                shard: shards.pop().expect("one shard"),
+                buf: Vec::new(),
+            }
+        } else {
+            // Buffers in circulation: the seeded free list plus the K
+            // deal slots that migrate through it. The pool capacity
+            // covers all of them, so a worker's return push never blocks.
+            let total_bufs = (BUFS_PER_SHARD + 1) * k + 1;
+            let pool = Arc::new(FifoQueue::with_capacity(total_bufs));
+            for _ in 0..BUFS_PER_SHARD * k {
+                pool.push(Vec::new());
+            }
+            let (pub_tx, pub_rx) = mpsc::channel();
+            let publisher = spawn_publisher(k, pub_rx, Arc::clone(&published), Arc::clone(&gate));
+            let workers = shards
+                .into_iter()
+                .enumerate()
+                .map(|(j, shard)| {
+                    // Worst case every circulating buffer queues on one
+                    // worker; leave slack for control messages.
+                    let queue = Arc::new(FifoQueue::with_capacity(total_bufs + 4));
+                    let handle = spawn_worker(
+                        shard,
+                        j,
+                        Arc::clone(&queue),
+                        Arc::clone(&pool),
+                        pub_tx.clone(),
+                    );
+                    Worker {
+                        queue,
+                        handle: Some(handle),
+                    }
+                })
+                .collect();
+            Mode::Threaded {
+                workers,
+                deal: (0..k).map(|_| Vec::new()).collect(),
+                pool,
+                pub_tx,
+                publisher: Some(publisher),
+            }
+        };
         Self {
-            workers,
-            deal: (0..k).map(|_| Vec::new()).collect(),
-            pool,
+            mode,
             routed,
             since_publish,
             frames_acked,
@@ -522,17 +571,18 @@ impl<S: ServableSummary> SummaryService<S> {
             epoch,
             published,
             gate,
-            pub_tx,
-            publisher: Some(publisher),
         }
     }
 
     /// Number of ingest shards `K`.
     pub fn num_shards(&self) -> usize {
-        self.workers.len()
+        match &self.mode {
+            Mode::Inline { .. } => 1,
+            Mode::Threaded { workers, .. } => workers.len(),
+        }
     }
 
-    /// Elements ingested (dealt to workers) so far.
+    /// Elements ingested so far.
     pub fn items_routed(&self) -> usize {
         self.routed
     }
@@ -563,40 +613,44 @@ impl<S: ServableSummary> SummaryService<S> {
         self.query_handle().snapshot()
     }
 
-    /// Ingest one frame: deal it round-robin to the shard workers
-    /// (returning as soon as the strides are queued), then trigger an
-    /// epoch publish if the cadence came due. Returns the new total item
-    /// count. Steady-state calls perform no heap allocation: strides are
-    /// written into reusable buffers swapped against the free-list pool.
+    /// Ingest one frame, then publish an epoch if the cadence came due.
+    /// Returns the new total item count. One shard ingests the slice on
+    /// this thread and lands any due epoch before returning; several
+    /// shards get the frame dealt round-robin to their workers and the
+    /// call returns as soon as the strides are queued. Steady-state
+    /// calls perform no heap allocation in either mode.
     pub fn ingest_frame(&mut self, xs: &[u64]) -> usize {
-        let k = self.workers.len();
-        if k == 1 {
-            if !xs.is_empty() {
-                let mut buf = self.pool.pop();
-                debug_assert!(buf.is_empty(), "pooled buffers come back drained");
-                buf.extend_from_slice(xs);
-                self.workers[0].queue.push(WorkerMsg::Batch(buf));
+        match &mut self.mode {
+            Mode::Inline { shard, .. } => shard.ingest_batch(xs),
+            Mode::Threaded {
+                workers,
+                deal,
+                pool,
+                ..
+            } => {
+                // Shard j's stride starts at the first frame index i with
+                // (routed + i) % k == j — the ShardedSummary deal.
+                let k = workers.len();
+                let offset = self.routed % k;
+                for (j, stride) in deal.iter_mut().enumerate() {
+                    let start = (j + k - offset) % k;
+                    stride.extend(xs.iter().skip(start).step_by(k).copied());
+                }
+                dispatch_deal(workers, deal, pool);
             }
-        } else {
-            // Shard j's stride starts at the first frame index i with
-            // (routed + i) % k == j — the ShardedSummary deal.
-            let offset = self.routed % k;
-            for j in 0..k {
-                let start = (j + k - offset) % k;
-                self.deal[j].extend(xs.iter().skip(start).step_by(k).copied());
-            }
-            self.dispatch_deal();
         }
         self.finish_frame(xs.len())
     }
 
     /// Ingest one frame straight from its wire encoding: `payload` is
     /// the flat little-endian `u64` chunk of a binary `INGEST` frame.
-    /// The round-robin deal runs **in place during decode** — each
-    /// shard's stride is decoded directly into its reusable batch
-    /// buffer, so the payload is never materialized as an intermediate
-    /// `Vec<u64>`. State evolution is bit-identical to
-    /// [`ingest_frame`](Self::ingest_frame) on the decoded values.
+    /// One shard decodes it into a reused buffer and ingests that; with
+    /// several shards the round-robin deal runs **in place during
+    /// decode** — each shard's stride is decoded directly into its
+    /// reusable batch buffer. Either way the payload is never
+    /// materialized as a fresh `Vec<u64>`, and state evolution is
+    /// bit-identical to [`ingest_frame`](Self::ingest_frame) on the
+    /// decoded values.
     ///
     /// # Panics
     ///
@@ -607,39 +661,29 @@ impl<S: ServableSummary> SummaryService<S> {
             payload.len().is_multiple_of(8),
             "INGEST payload must be a multiple of 8 bytes"
         );
-        let n = payload.len() / 8;
-        let k = self.workers.len();
         let words = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-        if k == 1 {
-            if n > 0 {
-                let mut buf = self.pool.pop();
-                debug_assert!(buf.is_empty(), "pooled buffers come back drained");
+        match &mut self.mode {
+            Mode::Inline { shard, buf } => {
+                buf.clear();
                 buf.extend(payload.chunks_exact(8).map(words));
-                self.workers[0].queue.push(WorkerMsg::Batch(buf));
+                shard.ingest_batch(buf);
             }
-        } else {
-            let offset = self.routed % k;
-            for j in 0..k {
-                let start = (j + k - offset) % k;
-                self.deal[j].extend(payload.chunks_exact(8).skip(start).step_by(k).map(words));
+            Mode::Threaded {
+                workers,
+                deal,
+                pool,
+                ..
+            } => {
+                let k = workers.len();
+                let offset = self.routed % k;
+                for (j, stride) in deal.iter_mut().enumerate() {
+                    let start = (j + k - offset) % k;
+                    stride.extend(payload.chunks_exact(8).skip(start).step_by(k).map(words));
+                }
+                dispatch_deal(workers, deal, pool);
             }
-            self.dispatch_deal();
         }
-        self.finish_frame(n)
-    }
-
-    /// Swap each non-empty deal buffer against a pooled one and queue it
-    /// on its shard worker.
-    fn dispatch_deal(&mut self) {
-        for j in 0..self.workers.len() {
-            if self.deal[j].is_empty() {
-                continue;
-            }
-            let fresh = self.pool.pop();
-            debug_assert!(fresh.is_empty(), "pooled buffers come back drained");
-            let stride = std::mem::replace(&mut self.deal[j], fresh);
-            self.workers[j].queue.push(WorkerMsg::Batch(stride));
-        }
+        self.finish_frame(payload.len() / 8)
     }
 
     fn finish_frame(&mut self, n: usize) -> usize {
@@ -652,24 +696,35 @@ impl<S: ServableSummary> SummaryService<S> {
         self.routed
     }
 
-    /// Enqueue capture requests for a new epoch behind every pending
-    /// batch — the entire ingest-path cost of a publish. The publisher
-    /// thread merges the captures and lands the epoch asynchronously.
+    /// Start publishing a new epoch. One shard is cloned into the
+    /// snapshot and landed right here. Several shards get a capture
+    /// request queued behind every pending batch — the entire
+    /// ingest-path cost of a threaded publish; the publisher thread
+    /// merges the captures and lands the epoch asynchronously.
     fn trigger_publish(&mut self) {
         self.epoch += 1;
         self.since_publish = 0;
         self.gate.trigger(self.epoch);
-        for w in &self.workers {
-            w.queue.push(WorkerMsg::Capture {
-                epoch: self.epoch,
-                items: self.routed,
-            });
+        match &self.mode {
+            Mode::Inline { shard, .. } => swap_and_land(
+                &self.published,
+                &self.gate,
+                EpochSnapshot::new(self.epoch, self.routed, shard.clone()),
+            ),
+            Mode::Threaded { workers, .. } => {
+                for w in workers {
+                    w.queue.push(WorkerMsg::Capture {
+                        epoch: self.epoch,
+                        items: self.routed,
+                    });
+                }
+            }
         }
     }
 
     /// Publish a new epoch now (the `epoch_every` cadence triggers the
-    /// same machinery asynchronously): enqueue the capture cut, wait for
-    /// the publisher to merge and land it, and return the snapshot.
+    /// same machinery): trigger it, wait for it to land, and return the
+    /// snapshot.
     pub fn publish(&mut self) -> Arc<EpochSnapshot<S>> {
         self.trigger_publish();
         self.wait_for_epoch(self.epoch)
@@ -683,24 +738,27 @@ impl<S: ServableSummary> SummaryService<S> {
         self.snapshot()
     }
 
-    /// Barrier on every worker and capture the shard states, in shard
-    /// order. The state request queues behind all pending batches on each
-    /// worker's FIFO queue, so the captured states reflect every frame
-    /// dealt before this call — a consistent, frame-aligned cut.
+    /// Copy the shard states, in shard order, as of every frame ingested
+    /// before this call — a consistent, frame-aligned cut. Shard workers
+    /// get the state request queued behind all their pending batches.
     fn collect_states(&self) -> Vec<S> {
-        let replies: Vec<mpsc::Receiver<S>> = self
-            .workers
-            .iter()
-            .map(|w| {
-                let (tx, rx) = mpsc::channel();
-                w.queue.push(WorkerMsg::State(tx));
-                rx
-            })
-            .collect();
-        replies
-            .into_iter()
-            .map(|rx| rx.recv().expect("shard worker died"))
-            .collect()
+        match &self.mode {
+            Mode::Inline { shard, .. } => vec![shard.clone()],
+            Mode::Threaded { workers, .. } => {
+                let replies: Vec<mpsc::Receiver<S>> = workers
+                    .iter()
+                    .map(|w| {
+                        let (tx, rx) = mpsc::channel();
+                        w.queue.push(WorkerMsg::State(tx));
+                        rx
+                    })
+                    .collect();
+                replies
+                    .into_iter()
+                    .map(|rx| rx.recv().expect("shard worker died"))
+                    .collect()
+            }
+        }
     }
 }
 
@@ -709,10 +767,11 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
     /// private RNG/gap state), round-robin cursor, the frame high-water
     /// mark ([`frames_acked`](Self::frames_acked), which a failover
     /// replay dedups against), publish cadence and phase, epoch counter,
-    /// **and the currently published snapshot** — as one byte string. The cut is consistent and frame-aligned (same
-    /// barrier as [`collect_states`](Self::publish); any in-flight
-    /// cadence publish is waited out first so the snapshot that rides
-    /// along is the newest one).
+    /// **and the currently published snapshot** — as one byte string.
+    /// The cut is consistent and frame-aligned (shard workers answer
+    /// behind every pending batch; any in-flight cadence publish is
+    /// waited out first so the snapshot that rides along is the newest
+    /// one).
     ///
     /// [`restore`](Self::restore)-ing the bytes yields a service whose
     /// future ingestion, publication cadence, and query answers are
@@ -726,7 +785,7 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
         debug_assert_eq!(snap.epoch(), self.epoch, "published epoch out of sync");
         let mut out = Vec::new();
         put_u64(&mut out, CHECKPOINT_MAGIC);
-        put_usize(&mut out, self.workers.len());
+        put_usize(&mut out, self.num_shards());
         put_usize(&mut out, self.routed);
         put_usize(&mut out, self.since_publish);
         self.frames_acked.save_into(&mut out);
@@ -782,22 +841,65 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
 
 impl<S: ServableSummary> Drop for SummaryService<S> {
     fn drop(&mut self) {
-        for w in &self.workers {
-            w.queue.push(WorkerMsg::Stop);
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
+        match &mut self.mode {
+            Mode::Inline { .. } => {}
+            Mode::Threaded {
+                workers,
+                pub_tx,
+                publisher,
+                ..
+            } => {
+                for w in workers.iter() {
+                    w.queue.push(WorkerMsg::Stop);
+                }
+                for w in workers.iter_mut() {
+                    if let Some(handle) = w.handle.take() {
+                        let _ = handle.join();
+                    }
+                }
+                // The workers are joined, so every capture they sent is
+                // already queued ahead of this Stop — the publisher lands
+                // all triggered epochs before exiting.
+                let _ = pub_tx.send(PubMsg::Stop);
+                if let Some(handle) = publisher.take() {
+                    let _ = handle.join();
+                }
             }
         }
-        // The workers are joined, so every capture they sent is already
-        // queued ahead of this Stop — the publisher lands all triggered
-        // epochs before exiting.
-        let _ = self.pub_tx.send(PubMsg::Stop);
-        if let Some(handle) = self.publisher.take() {
-            let _ = handle.join();
-        }
     }
+}
+
+/// Swap each non-empty deal buffer against a pooled one and queue it on
+/// its shard worker.
+fn dispatch_deal<S>(workers: &[Worker<S>], deal: &mut [Vec<u64>], pool: &FifoQueue<Vec<u64>>) {
+    for (w, stride) in workers.iter().zip(deal) {
+        if stride.is_empty() {
+            continue;
+        }
+        let fresh = pool.pop();
+        debug_assert!(fresh.is_empty(), "pooled buffers come back drained");
+        w.queue
+            .push(WorkerMsg::Batch(std::mem::replace(stride, fresh)));
+    }
+}
+
+/// The last step of every publish, inline or on the publisher thread:
+/// swap `snap` in as the published epoch, then mark it landed so
+/// waiting readers see it.
+fn swap_and_land<S>(
+    published: &RwLock<Arc<EpochSnapshot<S>>>,
+    gate: &EpochGate,
+    snap: EpochSnapshot<S>,
+) {
+    let epoch = snap.epoch;
+    let old = std::mem::replace(
+        &mut *published.write().expect("snapshot lock poisoned"),
+        Arc::new(snap),
+    );
+    gate.land(epoch);
+    // The retired epoch (if no reader still holds it) is freed outside
+    // the write lock.
+    drop(old);
 }
 
 fn spawn_worker<S: ServableSummary>(
@@ -839,9 +941,9 @@ fn spawn_worker<S: ServableSummary>(
     })
 }
 
-/// The publisher thread: collect per-shard captures per epoch, merge
-/// each completed epoch in shard order, swap it behind the `Arc`, and
-/// mark it landed. Workers enqueue captures in epoch order on FIFO
+/// The publisher thread of a threaded service: collect per-shard
+/// captures per epoch, merge each completed epoch in shard order, and
+/// swap and land it. Workers enqueue captures in epoch order on FIFO
 /// channels and every worker contributes to every epoch, so epochs
 /// complete — and land — in order.
 fn spawn_publisher<S: ServableSummary>(
@@ -882,9 +984,11 @@ fn spawn_publisher<S: ServableSummary>(
                         .into_iter()
                         .map(|s| s.expect("capture from every shard")),
                 );
-                let snap = Arc::new(EpochSnapshot::new(epoch, b.items, merged));
-                *published.write().expect("snapshot lock poisoned") = snap;
-                gate.land(epoch);
+                swap_and_land(
+                    &published,
+                    &gate,
+                    EpochSnapshot::new(epoch, b.items, merged),
+                );
             }
         }
     })
@@ -947,20 +1051,29 @@ mod tests {
 
     #[test]
     fn epochs_publish_on_cadence_and_are_immutable() {
-        let mut svc = service(2, 7, 1_000);
-        let pre = svc.snapshot();
-        assert_eq!(pre.epoch(), 0);
-        assert_eq!(pre.items(), 0);
-        svc.ingest_frame(&(0..999).collect::<Vec<u64>>());
-        assert_eq!(svc.snapshot().epoch(), 0, "cadence not due yet");
-        svc.ingest_frame(&[999]);
-        // The publish runs off-path, but snapshot() waits for the
-        // triggered epoch to land — the new epoch is already visible.
-        let snap = svc.snapshot();
-        assert_eq!(snap.epoch(), 1);
-        assert_eq!(snap.items(), 1_000);
-        // The old Arc is still the old state.
-        assert_eq!(pre.items(), 0);
+        for k in [1, 2] {
+            let mut svc = service(k, 7, 1_000);
+            let pre = svc.snapshot();
+            assert_eq!(pre.epoch(), 0);
+            assert_eq!(pre.items(), 0);
+            svc.ingest_frame(&(0..999).collect::<Vec<u64>>());
+            assert_eq!(svc.snapshot().epoch(), 0, "cadence not due yet");
+            svc.ingest_frame(&[999]);
+            if k == 1 {
+                // Inline mode lands the epoch before the crossing ingest
+                // returns: no wait is needed to see it.
+                let triggered = svc.gate.triggered.load(Ordering::Acquire);
+                assert_eq!(triggered, 1);
+                assert_eq!(*svc.gate.landed.lock().unwrap(), triggered);
+            }
+            // Threaded mode publishes off-path, but snapshot() waits for
+            // the triggered epoch to land — the new epoch is visible.
+            let snap = svc.snapshot();
+            assert_eq!(snap.epoch(), 1);
+            assert_eq!(snap.items(), 1_000);
+            // The old Arc is still the old state.
+            assert_eq!(pre.items(), 0);
+        }
     }
 
     #[test]
@@ -1017,31 +1130,34 @@ mod tests {
     #[test]
     fn checkpoint_restore_resumes_bit_identically() {
         let stream: Vec<u64> = (0..30_000).rev().collect();
-        let mut whole = service(3, 11, 4_096);
-        let mut half = service(3, 11, 4_096);
-        for frame in stream.chunks(500) {
-            whole.ingest_frame(frame);
+        for k in [1, 3] {
+            let mut whole = service(k, 11, 4_096);
+            let mut half = service(k, 11, 4_096);
+            for frame in stream.chunks(500) {
+                whole.ingest_frame(frame);
+            }
+            for frame in stream[..15_000].chunks(500) {
+                half.ingest_frame(frame);
+            }
+            let frames_before = half.frames_acked();
+            assert_eq!(frames_before, 30); // 15_000 elements in 500-element frames
+            let bytes = half.checkpoint();
+            drop(half);
+            let mut resumed = SummaryService::<ReservoirSampler<u64>>::restore(&bytes).unwrap();
+            assert_eq!(resumed.num_shards(), k);
+            assert_eq!(resumed.items_routed(), 15_000);
+            assert_eq!(resumed.frames_acked(), frames_before);
+            for frame in stream[15_000..].chunks(500) {
+                resumed.ingest_frame(frame);
+            }
+            whole.publish();
+            resumed.publish();
+            assert_eq!(
+                resumed.snapshot().summary().sample(),
+                whole.snapshot().summary().sample()
+            );
+            assert_eq!(resumed.snapshot().epoch(), whole.snapshot().epoch());
         }
-        for frame in stream[..15_000].chunks(500) {
-            half.ingest_frame(frame);
-        }
-        let frames_before = half.frames_acked();
-        assert_eq!(frames_before, 30); // 15_000 elements in 500-element frames
-        let bytes = half.checkpoint();
-        drop(half);
-        let mut resumed = SummaryService::<ReservoirSampler<u64>>::restore(&bytes).unwrap();
-        assert_eq!(resumed.items_routed(), 15_000);
-        assert_eq!(resumed.frames_acked(), frames_before);
-        for frame in stream[15_000..].chunks(500) {
-            resumed.ingest_frame(frame);
-        }
-        whole.publish();
-        resumed.publish();
-        assert_eq!(
-            resumed.snapshot().summary().sample(),
-            whole.snapshot().summary().sample()
-        );
-        assert_eq!(resumed.snapshot().epoch(), whole.snapshot().epoch());
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Allocation gate for the serving data path: after warmup, the pooled
-//! ingest path — both the slice form (`ingest_frame`) and the wire form
-//! (`ingest_frame_le`) — performs **zero heap allocations** per frame.
+//! Allocation gate for the serving data path: after warmup, the ingest
+//! path — both the slice form (`ingest_frame`) and the wire form
+//! (`ingest_frame_le`) — performs **zero heap allocations** per frame,
+//! for a one-shard service (inline on the caller's thread) and for a
+//! four-shard one (pooled deal to shard workers).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this
 //! test binary (the counter covers every thread, so the shard workers
 //! and the free-list pool are measured too, not just the dealer). The
-//! warmup phase circulates every pooled buffer through a full-size
-//! stride and fills the shard reservoirs, so all capacities stabilize;
-//! the measured window then asserts the allocation counter does not move
-//! at all across hundreds of frames.
+//! warmup phase grows every reused buffer to full size and fills the
+//! shard reservoirs, so all capacities stabilize; the measured window
+//! then asserts the allocation counter does not move at all across
+//! hundreds of frames.
 //!
 //! This file holds exactly one test: the counter is global, so a
 //! concurrently running sibling test would pollute the measured window.
@@ -48,11 +50,6 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_ingest_performs_zero_heap_allocations() {
-    // Cadence effectively off: the measured window isolates the pure
-    // ingest path (epoch captures are a per-publish cost by design).
-    let mut svc = SummaryService::start(4, 42, usize::MAX, |_, s| {
-        ReservoirSampler::with_seed(256, s)
-    });
     let frame: Vec<u64> = (0..1024u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
@@ -61,29 +58,40 @@ fn steady_state_ingest_performs_zero_heap_allocations() {
         payload.extend_from_slice(&v.to_le_bytes());
     }
 
-    // Warmup: grow every circulating buffer to full stride size and fill
-    // the reservoirs, then quiesce the workers behind a publish barrier
-    // so no warmup growth bleeds into the measured window.
-    for _ in 0..256 {
-        svc.ingest_frame(&frame);
-        svc.ingest_frame_le(&payload);
-    }
-    svc.publish();
+    // K = 1 runs inline on this thread (every cluster node's shape);
+    // K = 4 runs the pooled deal to shard workers.
+    for shards in [1, 4] {
+        // Cadence effectively off: the measured window isolates the pure
+        // ingest path (epoch captures are a per-publish cost by design).
+        let mut svc = SummaryService::start(shards, 42, usize::MAX, |_, s| {
+            ReservoirSampler::with_seed(256, s)
+        });
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..512 {
-        svc.ingest_frame(&frame);
-        svc.ingest_frame_le(&payload);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state pooled ingest must not allocate"
-    );
+        // Warmup: grow every reused buffer to full frame or stride size
+        // and fill the reservoirs, then quiesce any workers behind a
+        // publish barrier so no warmup growth bleeds into the measured
+        // window.
+        for _ in 0..256 {
+            svc.ingest_frame(&frame);
+            svc.ingest_frame_le(&payload);
+        }
+        svc.publish();
 
-    // The gate measured real work: the frames above must be visible.
-    svc.publish();
-    let snap = svc.snapshot();
-    assert_eq!(snap.items(), (256 + 512) * 2 * frame.len());
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..512 {
+            svc.ingest_frame(&frame);
+            svc.ingest_frame_le(&payload);
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state ingest with {shards} shard(s) must not allocate"
+        );
+
+        // The gate measured real work: the frames above must be visible.
+        svc.publish();
+        let snap = svc.snapshot();
+        assert_eq!(snap.items(), (256 + 512) * 2 * frame.len());
+    }
 }
