@@ -316,6 +316,50 @@ mod tests {
         assert_eq!(folded.observed(), manual.observed());
     }
 
+    /// FNV-1a over a checkpoint: a compact pin for exact state bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn merged_reservoir_state_is_pinned_bit_for_bit() {
+        use crate::engine::snapshot::SnapshotCodec;
+        // (K, digest of the fold's checkpoint, digest after it continues).
+        // A checkpoint holds the settled Algorithm L state, so when the
+        // post-merge threshold re-draw runs must not move a single byte.
+        let pins: [(u64, u64, u64); 3] = [
+            (2, 0xf812_28fe_e2ae_150e, 0x3508_ec58_2ffd_7538),
+            (3, 0x3557_a614_098f_25aa, 0x49e3_930a_5265_7cb7),
+            (5, 0xbe6d_9bbc_7688_264e, 0xe8f8_4c1a_0550_1975),
+        ];
+        let mut got = Vec::new();
+        for (shards, _, _) in pins {
+            let full = |seed: u64, lo: u64, n: u64| {
+                let mut s = ReservoirSampler::with_seed(64, seed);
+                s.observe_batch(&(lo..lo + n).collect::<Vec<_>>());
+                s
+            };
+            let mut folded: ReservoirSampler<u64> = super::merge_in_shard_order(
+                (0..shards).map(|j| full(100 * shards + j, 10_000 * j, 3_000 + 500 * j)),
+            );
+            let fold = fnv1a(&folded.save());
+            // Continue with every ingest kind, each first after a merge,
+            // and end on a merge so the last checkpoint is of a merge too.
+            folded.observe_batch(&(1_000_000..1_004_000u64).collect::<Vec<_>>());
+            folded.merge(full(7, 2_000_000, 5_000));
+            for x in 3_000_000..3_000_300u64 {
+                folded.observe(x);
+            }
+            folded.merge(full(8, 4_000_000, 6_000));
+            folded.observe_weighted(5_000_000, 700);
+            folded.merge(full(9, 6_000_000, 7_000));
+            got.push((shards, fold, fnv1a(&folded.save())));
+        }
+        assert_eq!(got, pins);
+    }
+
     #[test]
     fn robust_heavy_hitter_merge_finds_union_hitter() {
         let mut a = RobustHeavyHitterSketch::<u64>::new(14.0, 0.1, 0.05, 0.05, 3);

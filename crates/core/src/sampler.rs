@@ -386,6 +386,29 @@ fn algo_l_gap(rng: &mut StdRng, w: f64) -> u64 {
     }
 }
 
+/// The Algorithm L state `(w, skip)` of a full capacity-`k` reservoir that
+/// has just finished a stream of `n` elements, drawn from `rng`: in the
+/// bottom-k view the threshold is the `k`-th smallest of `n` i.i.d.
+/// uniform keys, drawn here by the ascending order-statistic recursion
+/// (`k` RNG words), then a fresh acceptance gap from it (one more word).
+///
+/// A merge needs this so that streaming may continue with the correct
+/// acceptance law `k/i`, but [`ReservoirSampler::merge`] defers it: it
+/// runs on the merged sampler's next ingest, or on an RNG copy when a
+/// checkpoint is written first.
+fn reseed_threshold(k: usize, n: usize, rng: &mut StdRng) -> (f64, u64) {
+    debug_assert!(n >= k);
+    let mut w = 0.0f64;
+    for j in 0..k {
+        let u: f64 = rng.random();
+        // Smallest of the (n - j) remaining uniforms above w, rescaled
+        // into (w, 1): w + (1-w)·(1 - (1-u)^{1/(n-j)}).
+        w += (1.0 - w) * (1.0 - (1.0 - u).powf(1.0 / (n - j) as f64));
+    }
+    let w = w.clamp(0.0, 1.0);
+    (w, algo_l_gap(rng, w))
+}
+
 /// Classical reservoir sampling (the paper's Section 2 algorithm: store
 /// element `i > k` with probability `k/i`, evicting a uniformly random
 /// resident), maintaining a uniform sample of fixed size `k`.
@@ -424,6 +447,10 @@ pub struct ReservoirSampler<T> {
     w: f64,
     /// Elements still to skip before the next store (once full).
     skip: u64,
+    /// A merge's threshold re-draw not yet run: the combined stream
+    /// length. While set, `w`, `skip` and `rng` are stale; the next
+    /// ingest settles them (see [`merge`](Self::merge)).
+    reseed: Option<usize>,
 }
 
 impl<T> ReservoirSampler<T> {
@@ -442,6 +469,7 @@ impl<T> ReservoirSampler<T> {
             rng: StdRng::seed_from_u64(seed),
             w: 1.0,
             skip: 0,
+            reseed: None,
         }
     }
 
@@ -470,23 +498,13 @@ impl<T> ReservoirSampler<T> {
         self.skip = algo_l_gap(&mut self.rng, self.w);
     }
 
-    /// Re-draw the Algorithm L threshold as if this (full) reservoir had
-    /// just finished a stream of `n` elements: in the bottom-k view the
-    /// threshold is the `k`-th smallest of `n` i.i.d. uniform keys, drawn
-    /// here by the ascending order-statistic recursion (`k` RNG draws),
-    /// then a fresh acceptance gap from it. Called after a merge so that
-    /// streaming may continue with the correct acceptance law `k/i`.
-    fn reseed_threshold(&mut self, n: usize) {
-        debug_assert!(n >= self.k);
-        let mut w = 0.0f64;
-        for j in 0..self.k {
-            let u: f64 = self.rng.random();
-            // Smallest of the (n - j) remaining uniforms above w, rescaled
-            // into (w, 1): w + (1-w)·(1 - (1-u)^{1/(n-j)}).
-            w += (1.0 - w) * (1.0 - (1.0 - u).powf(1.0 / (n - j) as f64));
+    /// Run a merge's deferred threshold re-draw, if one is pending. Every
+    /// ingest calls this before it reads `w`, `skip` or the RNG.
+    #[inline]
+    fn settle(&mut self) {
+        if let Some(n) = self.reseed.take() {
+            (self.w, self.skip) = reseed_threshold(self.k, n, &mut self.rng);
         }
-        self.w = w.clamp(0.0, 1.0);
-        self.draw_skip();
     }
 
     /// Merge another reservoir into this one: the result is distributed as
@@ -498,9 +516,22 @@ impl<T> ReservoirSampler<T> {
     /// hypergeometric law), then takes a uniform subset of each input
     /// reservoir of that size — sound because a uniform `j`-subset of a
     /// uniform `k`-sample of a stream is a uniform `j`-subset of the
-    /// stream itself. Afterwards the Algorithm L threshold is re-drawn
-    /// for the combined length (see `reseed_threshold`'s comment), so
-    /// the merged sampler can keep ingesting.
+    /// stream itself.
+    ///
+    /// A full merged reservoir also needs its Algorithm L threshold
+    /// re-drawn for the combined length (see `reseed_threshold`) before
+    /// it can keep ingesting. That re-draw — `k` `powf` calls — is
+    /// deferred: the merge only records it, and the next
+    /// [`observe`](StreamSampler::observe),
+    /// [`observe_batch`](Self::observe_batch) or
+    /// [`observe_weighted`](Self::observe_weighted) runs it with exactly
+    /// the draws an eager re-draw would have made. Read-only views of the
+    /// merge (`sample`, `observed`, queries built on them) never pay for
+    /// it. A further merge overwrites the threshold anyway, so it only
+    /// advances the RNG past the pending re-draw's `k + 1` words, and a
+    /// checkpoint writes the settled state; merged state, continued
+    /// ingestion and checkpoint bytes are all bit-identical to the eager
+    /// re-draw.
     ///
     /// All randomness comes from `self`'s RNG: merges are deterministic
     /// per seed. [`total_stored`](StreamSampler::total_stored) becomes the
@@ -523,6 +554,13 @@ impl<T> ReservoirSampler<T> {
             other.k,
             self.k
         );
+        if self.reseed.take().is_some() {
+            // The pending re-draw's k uniforms plus its gap draw: one RNG
+            // word each.
+            for _ in 0..=self.k {
+                self.rng.random::<u64>();
+            }
+        }
         let n_total = self.observed + other.observed;
         self.total_stored += other.total_stored;
         // How many of the merged sample's slots come from each side:
@@ -555,7 +593,7 @@ impl<T> ReservoirSampler<T> {
         self.reservoir = merged;
         self.observed = n_total;
         if self.reservoir.len() == self.k && n_total > self.k {
-            self.reseed_threshold(n_total);
+            self.reseed = Some(n_total);
         } else if self.reservoir.len() == self.k {
             // Exactly full with the whole union: behave like a freshly
             // filled reservoir.
@@ -578,6 +616,7 @@ impl<T> ReservoirSampler<T> {
     where
         T: Clone,
     {
+        self.settle();
         let mut rem = weight;
         let mut stored = 0usize;
         while rem > 0 && self.reservoir.len() < self.k {
@@ -636,6 +675,7 @@ impl<T> ReservoirSampler<T> {
     where
         T: Clone,
     {
+        self.settle();
         let mut i = 0usize;
         let n = xs.len();
         // Fill phase: the first k elements are stored unconditionally and
@@ -710,6 +750,7 @@ impl<T> ReservoirSampler<T> {
 
 impl<T: Clone> StreamSampler<T> for ReservoirSampler<T> {
     fn observe(&mut self, x: T) -> Observation<T> {
+        self.settle();
         self.observed += 1;
         if self.reservoir.len() < self.k {
             self.reservoir.push(x);
@@ -756,6 +797,7 @@ impl<T: Clone> StreamSampler<T> for ReservoirSampler<T> {
         self.rng = StdRng::seed_from_u64(seed);
         self.w = 1.0;
         self.skip = 0;
+        self.reseed = None;
     }
 }
 
@@ -821,17 +863,24 @@ impl SnapshotCodec for BernoulliSampler<u64> {
 
 /// Full-state checkpoint: capacity, counts, reservoir, Algorithm L
 /// threshold + pending gap, and raw RNG words — a restored reservoir
-/// continues the identical acceptance stream.
+/// continues the identical acceptance stream. A merge's pending threshold
+/// re-draw is run on a copy of the RNG and its settled result written, so
+/// the bytes do not depend on whether the re-draw has run yet.
 impl SnapshotCodec for ReservoirSampler<u64> {
     fn save_into(&self, out: &mut Vec<u8>) {
+        let mut rng = self.rng.clone();
+        let (w, skip) = match self.reseed {
+            Some(n) => reseed_threshold(self.k, n, &mut rng),
+            None => (self.w, self.skip),
+        };
         put_usize(out, self.k);
         put_usize(out, self.observed);
         put_usize(out, self.total_stored);
         put_u64_seq(out, &self.reservoir);
-        put_f64(out, self.w);
-        put_u64(out, self.skip);
-        for w in self.rng.state() {
-            put_u64(out, w);
+        put_f64(out, w);
+        put_u64(out, skip);
+        for word in rng.state() {
+            put_u64(out, word);
         }
     }
 
@@ -846,7 +895,17 @@ impl SnapshotCodec for ReservoirSampler<u64> {
         if reservoir.len() > k {
             return Err(SnapshotError::Corrupt("reservoir overfull"));
         }
+        // A partial reservoir has stored everything it observed; a full
+        // one has observed at least its k residents.
+        if observed < reservoir.len() || (reservoir.len() < k && observed != reservoir.len()) {
+            return Err(SnapshotError::Corrupt(
+                "reservoir count contradicts its sample",
+            ));
+        }
         let w = r.f64()?;
+        if !(0.0..=1.0).contains(&w) {
+            return Err(SnapshotError::Corrupt("reservoir threshold outside [0,1]"));
+        }
         let skip = r.u64()?;
         let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         Ok(Self {
@@ -857,6 +916,7 @@ impl SnapshotCodec for ReservoirSampler<u64> {
             rng: StdRng::from_state(state),
             w,
             skip,
+            reseed: None,
         })
     }
 }
@@ -1516,6 +1576,37 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(ReservoirSampler::<u64>::restore(&trailing).is_err());
+        // Well-framed bytes whose counts or threshold contradict the
+        // reservoir (merging such a state would panic mid-draw).
+        use crate::engine::snapshot::{put_f64, put_u64, put_u64_seq, put_usize};
+        let forge = |k: usize, observed: usize, sample: &[u64], w: f64| {
+            let mut out = Vec::new();
+            put_usize(&mut out, k);
+            put_usize(&mut out, observed);
+            put_usize(&mut out, sample.len());
+            put_u64_seq(&mut out, sample);
+            put_f64(&mut out, w);
+            put_u64(&mut out, 0);
+            for word in [1, 2, 3, 4] {
+                put_u64(&mut out, word);
+            }
+            out
+        };
+        let ok = |b: &[u8]| ReservoirSampler::<u64>::restore(b).is_ok();
+        assert!(ok(&forge(8, 3, &[1, 2, 3], 1.0)));
+        assert!(ok(&forge(4, 90, &[1, 2, 3, 4], 0.25)));
+        for bad in [
+            forge(8, 10, &[1, 2, 3], 1.0),   // partial, but observed > len
+            forge(4, 2, &[1, 2, 3, 4], 1.0), // observed < len
+            forge(4, 90, &[1, 2, 3, 4], 1.5),
+            forge(4, 90, &[1, 2, 3, 4], -0.25),
+            forge(4, 90, &[1, 2, 3, 4], f64::NAN),
+        ] {
+            assert!(matches!(
+                ReservoirSampler::<u64>::restore(&bad),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
