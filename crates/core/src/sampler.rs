@@ -839,6 +839,12 @@ impl SnapshotCodec for BernoulliSampler<u64> {
         }
         let observed = r.usize()?;
         let sample = r.u64_seq()?;
+        // Every stored element was observed.
+        if observed < sample.len() {
+            return Err(SnapshotError::Corrupt(
+                "bernoulli sample exceeds observed count",
+            ));
+        }
         let has_skip = r.u64()?;
         let skip_val = r.u64()?;
         let skip = match has_skip {
@@ -1604,6 +1610,47 @@ mod tests {
         ] {
             assert!(matches!(
                 ReservoirSampler::<u64>::restore(&bad),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn bernoulli_snapshot_rejects_corrupt_bytes() {
+        use crate::engine::snapshot::SnapshotCodec;
+        let mut s = BernoulliSampler::<u64>::with_seed(0.5, 1);
+        for x in 0..100 {
+            s.observe(x);
+        }
+        let bytes = s.save();
+        assert!(BernoulliSampler::<u64>::restore(&bytes[..bytes.len() - 3]).is_err());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(BernoulliSampler::<u64>::restore(&trailing).is_err());
+        // Well-framed bytes whose count contradicts the sample.
+        use crate::engine::snapshot::{put_f64, put_u64, put_u64_seq, put_usize};
+        let forge = |p: f64, observed: usize, sample: &[u64]| {
+            let mut out = Vec::new();
+            put_f64(&mut out, p);
+            put_usize(&mut out, observed);
+            put_u64_seq(&mut out, sample);
+            put_u64(&mut out, 1);
+            put_u64(&mut out, 0);
+            for word in [1, 2, 3, 4] {
+                put_u64(&mut out, word);
+            }
+            out
+        };
+        let ok = |b: &[u8]| BernoulliSampler::<u64>::restore(b).is_ok();
+        assert!(ok(&forge(0.5, 3, &[1, 2, 3])));
+        assert!(ok(&forge(0.5, 90, &[1, 2, 3])));
+        for bad in [
+            forge(0.5, 2, &[1, 2, 3]),
+            forge(1.0, 0, &[7]),
+            forge(0.25, 4, &[1, 2, 3, 4, 5, 6, 7, 8]),
+        ] {
+            assert!(matches!(
+                BernoulliSampler::<u64>::restore(&bad),
                 Err(SnapshotError::Corrupt(_))
             ));
         }

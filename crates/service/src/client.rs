@@ -158,6 +158,11 @@ fn closed() -> std::io::Error {
     )
 }
 
+/// One `EPOCH STATE` reply: `(epoch, boundary items, frame high-water
+/// mark, summary codec bytes)`, the bytes `None` when the node's epoch
+/// equals the request's `since`.
+pub type EpochState = (u64, usize, u64, Option<Vec<u8>>);
+
 /// A blocking client over one TCP connection, speaking either the text
 /// or the binary wire format.
 pub struct ServiceClient {
@@ -350,7 +355,7 @@ impl ServiceClient {
     }
 
     /// Receive half of [`epoch_state`](Self::epoch_state).
-    pub(crate) fn recv_epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
+    pub(crate) fn recv_epoch_state(&self) -> std::io::Result<EpochState> {
         match self.recv_admin()? {
             AdminResponse::EpochState {
                 epoch,
@@ -376,11 +381,13 @@ impl ServiceClient {
     /// `EPOCH STATE` (admin): the node's published epoch, its boundary
     /// item count, the frame high-water mark, and the published merged
     /// summary's codec bytes — what a cluster coordinator merges in
-    /// shard order. Requires [`connect_binary`](Self::connect_binary)
+    /// shard order. The bytes are `None` when the published epoch equals
+    /// `since` (the caller's copy is current); with `since: None` they
+    /// are always present. Requires [`connect_binary`](Self::connect_binary)
     /// and a [`spawn_admin`](crate::ServiceServer::spawn_admin)
     /// endpoint.
-    pub fn epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
-        self.send_admin(&AdminRequest::EpochState)?;
+    pub fn epoch_state(&self, since: Option<u64>) -> std::io::Result<EpochState> {
+        self.send_admin(&AdminRequest::EpochState { since })?;
         self.recv_epoch_state()
     }
 

@@ -21,7 +21,14 @@
 //! [`merge_in_shard_order`]
 //! — the one canonical merge loop — into a consistent global
 //! [`EpochSnapshot`] serving `COUNT`/`QUANTILE`/`HH`/`KS` exactly like
-//! a local epoch.
+//! a local epoch. The pull is **conditional**: the router keeps its last
+//! merged view with the node states it came from, and asks each node for
+//! its state *since* the epoch it holds. A node publishes only once per
+//! `epoch_every` of its elements, so most pulls (an adversary reads the
+//! sample before every element it sends) come back "unchanged" from every
+//! node, and the cached view is returned with no transfer, decode or
+//! merge. The merged view is a pure function of the node states, so a
+//! reused view is bit-identical to a fresh merge.
 //!
 //! **Node I/O is split-phase.** Each router step puts one request on
 //! every node's connection before it reads any reply, then reads the
@@ -62,12 +69,13 @@
 use crate::client::ServiceClient;
 use crate::frame::AdminRequest;
 use crate::protocol::MAX_INGEST_FRAME;
-use crate::service::EpochSnapshot;
+use crate::service::{EpochSnapshot, ServableSummary};
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::engine::{
-    merge_in_shard_order, MergeableSummary, ShardedSummary, SnapshotCodec, StreamSummary,
+    merge_in_shard_order, ShardedSummary, SnapshotCodec, StreamSummary,
 };
 use robust_sampling_core::sampler::ReservoirSampler;
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
@@ -75,7 +83,7 @@ use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A child process that is **killed (and reaped) on drop** unless
 /// explicitly waited for. Every subprocess the cluster harness — or the
@@ -315,12 +323,24 @@ enum Link {
 }
 
 /// Decode an `EPOCH STATE` reply's summary bytes.
-fn decode_epoch_state<S: SnapshotCodec>(
-    (epoch, items, hwm, bytes): (u64, usize, u64, Vec<u8>),
-) -> std::io::Result<(u64, usize, u64, S)> {
-    let summary = S::restore(&bytes)
-        .map_err(|e| std::io::Error::other(format!("undecodable node state: {e}")))?;
-    Ok((epoch, items, hwm, summary))
+fn decode_state<S: SnapshotCodec>(bytes: &[u8]) -> std::io::Result<S> {
+    S::restore(bytes).map_err(|e| std::io::Error::other(format!("undecodable node state: {e}")))
+}
+
+/// An `EPOCH STATE` reply that contradicts what the router asked or
+/// holds.
+fn bad_epoch_reply(j: usize, what: String) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("node {j} EPOCH STATE reply {what}"),
+    )
+}
+
+/// The coordinator's last merged view and the node states it was merged
+/// from, per node `(epoch, boundary items, summary codec bytes)`.
+struct ViewCache<S> {
+    nodes: Vec<(u64, usize, Vec<u8>)>,
+    view: Arc<EpochSnapshot<S>>,
 }
 
 /// The cluster data plane and its fault-recovery bookkeeping.
@@ -347,6 +367,9 @@ pub struct ClusterRouter {
     window: Vec<VecDeque<Vec<u64>>>,
     /// Per node: the last checkpoint envelope pulled, if any.
     checkpoints: Vec<Option<Vec<u8>>>,
+    /// The last [`global_view`](Self::global_view) as a `ViewCache<S>`
+    /// for the `S` it was built for; empty after any error or failover.
+    view_cache: Cell<Option<Box<dyn Any + Send>>>,
 }
 
 impl ClusterRouter {
@@ -366,6 +389,7 @@ impl ClusterRouter {
             window_base: vec![0; n],
             window: (0..n).map(|_| VecDeque::new()).collect(),
             checkpoints: vec![None; n],
+            view_cache: Cell::new(None),
         })
     }
 
@@ -449,19 +473,20 @@ impl ClusterRouter {
         first_err.map_or(Ok(self.routed), Err)
     }
 
-    /// Send `req` to every node, then read every reply in node order with
-    /// `recv`. A node whose send fails gets no read; every other reply is
-    /// read even after a failure, so no connection is left holding a
-    /// stale reply.
+    /// Send `req(j)` to every node `j`, then read every reply in node
+    /// order with `recv`. A node whose send fails gets no read; every
+    /// other reply is read even after a failure, so no connection is left
+    /// holding a stale reply.
     fn admin_all<T>(
         &self,
-        req: &AdminRequest,
+        req: impl Fn(usize) -> AdminRequest,
         recv: impl Fn(&ServiceClient) -> std::io::Result<T>,
     ) -> Vec<std::io::Result<T>> {
         let sent: Vec<_> = self
             .nodes
             .iter()
-            .map(|node| node.client.send_admin(req))
+            .enumerate()
+            .map(|(j, node)| node.client.send_admin(&req(j)))
             .collect();
         sent.into_iter()
             .zip(&self.nodes)
@@ -494,7 +519,7 @@ impl ClusterRouter {
     /// the envelopes in node order. Every checkpoint that arrives is kept
     /// even if another node fails; the first error is returned.
     pub fn checkpoint_all(&mut self) -> std::io::Result<()> {
-        let replies = self.admin_all(&AdminRequest::Checkpoint, ServiceClient::recv_checkpoint);
+        let replies = self.admin_all(|_| AdminRequest::Checkpoint, ServiceClient::recv_checkpoint);
         let mut first_err = None;
         for (j, reply) in replies.into_iter().enumerate() {
             match reply {
@@ -510,6 +535,7 @@ impl ClusterRouter {
     /// **Fault injection**: kill node `j`'s process outright (no
     /// graceful shutdown — the process is gone mid-whatever-it-was-doing).
     pub fn kill_node(&mut self, j: usize) {
+        self.view_cache.set(None);
         self.nodes[j].child.kill_now();
     }
 
@@ -520,6 +546,7 @@ impl ClusterRouter {
     /// or past the restored high-water mark. The window is kept, so a
     /// second fault on the same node replays the same recovery.
     pub fn restore_node(&mut self, j: usize) -> std::io::Result<()> {
+        self.view_cache.set(None);
         let node = spawn_node(&self.cfg, j)?;
         let hwm = match &self.checkpoints[j] {
             Some(envelope) => node.client.restore(envelope)?,
@@ -541,40 +568,99 @@ impl ClusterRouter {
     }
 
     /// Pull node `j`'s published epoch state: `(epoch, boundary items,
-    /// frame high-water mark, summary)`.
+    /// frame high-water mark, summary)`. Always a full pull; the view
+    /// cache is neither read nor touched.
     pub fn node_epoch_state<S>(&self, j: usize) -> std::io::Result<(u64, usize, u64, S)>
     where
         S: SnapshotCodec,
     {
-        decode_epoch_state(self.nodes[j].client.epoch_state()?)
+        let (epoch, items, hwm, state) = self.nodes[j].client.epoch_state(None)?;
+        let state = state
+            .ok_or_else(|| bad_epoch_reply(j, "to an unconditional pull has no state".into()))?;
+        Ok((epoch, items, hwm, decode_state(&state)?))
     }
 
-    /// **The coordinator merge**: pull every node's published epoch
-    /// snapshot and merge the summaries in node order via
-    /// [`merge_in_shard_order`] into one consistent global
-    /// [`EpochSnapshot`] — the cluster's query surface. Every node's
-    /// `EPOCH STATE` request goes out before any reply is read. The
+    /// **The coordinator merge**: the cluster's query surface, one
+    /// consistent global [`EpochSnapshot`] of every node's published
+    /// epoch, merged in node order via [`merge_in_shard_order`]. The
     /// view's epoch is the slowest node's published epoch (a consistent
     /// lower bound; in an aligned run all nodes agree) and its item
     /// count is the sum of per-node boundary counts.
-    pub fn global_view<S>(&self) -> std::io::Result<EpochSnapshot<S>>
+    ///
+    /// Every call is one split-phase round trip: each node gets an
+    /// `EPOCH STATE` request before any reply is read, so node failures
+    /// surface on every call. The request carries the epoch the router
+    /// last merged from that node, and a node still at that epoch
+    /// answers without its summary. When every node answers so, the
+    /// previous view is returned again (the same [`Arc`], with its
+    /// `visible`/`sorted` caches already built). Otherwise the changed
+    /// states are decoded with the cached bytes of the unchanged ones
+    /// and merged afresh — the merged view is a pure function of the
+    /// node states, so a reused view is bit-identical to a fresh merge.
+    /// The cache is dropped on any error, on
+    /// [`kill_node`](Self::kill_node)/[`restore_node`](Self::restore_node),
+    /// and when the call asks for a different `S`.
+    ///
+    /// An admin `RESTORE` sent to a node by another client that
+    /// republishes the epoch number the router holds is not seen until
+    /// that node next publishes.
+    pub fn global_view<S>(&self) -> std::io::Result<Arc<EpochSnapshot<S>>>
     where
-        S: SnapshotCodec + MergeableSummary<u64>,
+        S: ServableSummary + SnapshotCodec,
     {
-        let mut summaries = Vec::with_capacity(self.nodes.len());
-        let mut items = 0usize;
-        let mut epoch = u64::MAX;
-        for reply in self.admin_all(&AdminRequest::EpochState, ServiceClient::recv_epoch_state) {
-            let (e, n, _, s) = decode_epoch_state::<S>(reply?)?;
-            epoch = epoch.min(e);
-            items += n;
-            summaries.push(s);
+        let mut cache = self
+            .view_cache
+            .take()
+            .and_then(|c| c.downcast::<ViewCache<S>>().ok());
+        let since: Vec<Option<u64>> = (0..self.nodes.len())
+            .map(|j| cache.as_ref().map(|c| c.nodes[j].0))
+            .collect();
+        let replies = self.admin_all(
+            |j| AdminRequest::EpochState { since: since[j] },
+            ServiceClient::recv_epoch_state,
+        );
+        let mut nodes = Vec::with_capacity(replies.len());
+        let mut changed = false;
+        for (j, reply) in replies.into_iter().enumerate() {
+            let (epoch, items, _, state) = reply?;
+            let state = match (state, cache.as_mut()) {
+                (Some(bytes), _) => {
+                    changed = true;
+                    bytes
+                }
+                (None, Some(c)) if (c.nodes[j].0, c.nodes[j].1) == (epoch, items) => {
+                    std::mem::take(&mut c.nodes[j].2)
+                }
+                (None, _) => {
+                    return Err(bad_epoch_reply(
+                        j,
+                        format!("says epoch {epoch} ({items} items) is unchanged, but the router does not hold it"),
+                    ));
+                }
+            };
+            nodes.push((epoch, items, state));
         }
-        Ok(EpochSnapshot::new(
-            epoch,
-            items,
-            merge_in_shard_order(summaries),
-        ))
+        let view = match cache {
+            Some(c) if !changed => c.view,
+            _ => {
+                let summaries = nodes
+                    .iter()
+                    .map(|(_, _, bytes)| decode_state::<S>(bytes))
+                    .collect::<std::io::Result<Vec<_>>>()?;
+                let epoch = nodes.iter().map(|n| n.0).min().expect("at least one node");
+                let items = nodes.iter().map(|n| n.1).sum();
+                Arc::new(EpochSnapshot::new(
+                    epoch,
+                    items,
+                    merge_in_shard_order(summaries),
+                ))
+            }
+        };
+        self.view_cache.set(Some(Box::new(ViewCache {
+            nodes,
+            view: Arc::clone(&view),
+        })));
+        Ok(view)
     }
 
     /// Send a keyed ingest frame to the node that owns `tenant` (the
@@ -628,7 +714,7 @@ pub struct ClusterDefense<S> {
 
 impl<S> ClusterDefense<S>
 where
-    S: SnapshotCodec + MergeableSummary<u64> + ObservableDefense,
+    S: ServableSummary + SnapshotCodec + ObservableDefense,
 {
     /// Wrap a running cluster.
     pub fn new(router: ClusterRouter) -> Self {
@@ -644,7 +730,7 @@ where
         &mut self.router
     }
 
-    fn view(&self) -> EpochSnapshot<S> {
+    fn view(&self) -> Arc<EpochSnapshot<S>> {
         self.router
             .global_view::<S>()
             .expect("cluster EPOCH STATE pull failed")
@@ -653,7 +739,7 @@ where
 
 impl<S> StreamSummary<u64> for ClusterDefense<S>
 where
-    S: SnapshotCodec + MergeableSummary<u64> + ObservableDefense,
+    S: ServableSummary + SnapshotCodec + ObservableDefense,
 {
     fn ingest(&mut self, x: u64) {
         self.router.ingest(&[x]).expect("cluster INGEST failed");
@@ -678,7 +764,7 @@ where
 
 impl<S> StateOracle for ClusterDefense<S>
 where
-    S: SnapshotCodec + MergeableSummary<u64> + ObservableDefense,
+    S: ServableSummary + SnapshotCodec + ObservableDefense,
 {
     fn count_estimate(&self, x: u64) -> Option<f64> {
         Some(self.view().count(x))
@@ -691,7 +777,7 @@ where
 
 impl<S> ObservableDefense for ClusterDefense<S>
 where
-    S: SnapshotCodec + MergeableSummary<u64> + ObservableDefense,
+    S: ServableSummary + SnapshotCodec + ObservableDefense,
 {
     fn visible_into(&self, out: &mut Vec<u64>) {
         let view = self.view();

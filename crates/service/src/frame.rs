@@ -30,7 +30,7 @@
 //! 0x06    SNAPSHOT           (empty)
 //! 0x07    STATS              (empty)
 //! 0x08    QUIT               (empty)
-//! 0x09    EPOCH STATE        (empty)                     [admin]
+//! 0x09    EPOCH STATE        (empty) or u64 since epoch  [admin]
 //! 0x0A    CHECKPOINT         (empty)                     [admin]
 //! 0x0B    RESTORE            checkpoint envelope bytes   [admin]
 //! 0x0C    TINGEST            u64 tenant, then count × u64
@@ -52,6 +52,7 @@
 //! 0x8C    TSNAPSHOT          u64 tenant, u64 items, u32 k, then k × u64
 //! 0x89    EPOCH STATE        u64 epoch, u64 items, u64 frames acked,
 //!                            then the published summary's codec bytes
+//!                            (none when the epoch equals `since`)
 //! 0x8A    CHECKPOINT         u64 frames acked, then envelope bytes
 //! 0x8B    RESTORED           u64 frames acked
 //! 0xC0    ERR                UTF-8 message bytes
@@ -60,7 +61,10 @@
 //! The `[admin]` opcodes are the **cluster control plane** — binary-only
 //! frames (no text grammar) a coordinator or failover router exchanges
 //! with a cluster node: `EPOCH STATE` pulls the node's published epoch
-//! snapshot for the coordinator's shard-order merge, `CHECKPOINT` pulls
+//! snapshot for the coordinator's shard-order merge (given a `since`
+//! epoch, a node still at that epoch answers with the 24-byte header
+//! alone; no summary codec writes zero bytes, so the empty state is
+//! unambiguous), `CHECKPOINT` pulls
 //! the node's full checkpoint envelope, and `RESTORE` seeds a fresh node
 //! with one. They decode to [`AdminRequest`]/[`AdminResponse`] rather
 //! than [`Request`]/[`Response`], and a server that has not enabled
@@ -445,8 +449,12 @@ fn unit_f64(bits_src: &mut &[u8], what: &'static str) -> Result<f64, FrameError>
 pub enum AdminRequest {
     /// Pull the node's published epoch snapshot (epoch, items, frame
     /// high-water mark, and the merged summary's codec bytes) for the
-    /// coordinator's shard-order merge.
-    EpochState,
+    /// coordinator's shard-order merge. With `since: Some(e)`, a node
+    /// whose published epoch is still `e` leaves the summary out.
+    EpochState {
+        /// The epoch the requester already holds, if any.
+        since: Option<u64>,
+    },
     /// Pull the node's full checkpoint envelope.
     Checkpoint,
     /// Seed the node from a checkpoint envelope (failover restore). The
@@ -458,7 +466,7 @@ impl AdminRequest {
     /// The request's wire opcode.
     pub fn opcode(&self) -> u8 {
         match self {
-            AdminRequest::EpochState => opcode::EPOCH_STATE,
+            AdminRequest::EpochState { .. } => opcode::EPOCH_STATE,
             AdminRequest::Checkpoint => opcode::CHECKPOINT,
             AdminRequest::Restore(_) => opcode::RESTORE,
         }
@@ -480,8 +488,10 @@ pub enum AdminResponse {
         items: u64,
         /// Ingest frames the node has applied so far.
         frames_acked: u64,
-        /// The published merged summary's codec bytes.
-        state: Vec<u8>,
+        /// The published merged summary's codec bytes; `None` when the
+        /// request's `since` equals `epoch` (the requester's copy is
+        /// current).
+        state: Option<Vec<u8>>,
     },
     /// The node's checkpoint envelope, plus the frame high-water mark it
     /// was cut at (so the router can trim its replay window without
@@ -511,7 +521,11 @@ pub enum AdminResponse {
 /// [`MAX_FRAME_PAYLOAD`] bytes.
 pub fn encode_admin_request(req: &AdminRequest, out: &mut Vec<u8>) {
     match req {
-        AdminRequest::EpochState => put_header(out, opcode::EPOCH_STATE, 0),
+        AdminRequest::EpochState { since: None } => put_header(out, opcode::EPOCH_STATE, 0),
+        AdminRequest::EpochState { since: Some(e) } => {
+            put_header(out, opcode::EPOCH_STATE, 8);
+            out.put_u64_le(*e);
+        }
         AdminRequest::Checkpoint => put_header(out, opcode::CHECKPOINT, 0),
         AdminRequest::Restore(bytes) => {
             assert!(
@@ -531,7 +545,8 @@ pub fn encode_admin_request(req: &AdminRequest, out: &mut Vec<u8>) {
 ///
 /// Panics if a variable-length part pushes the payload over
 /// [`MAX_FRAME_PAYLOAD`] (checkpoint envelopes and summary states are
-/// orders of magnitude below the cap).
+/// orders of magnitude below the cap), or if an `EPOCH STATE` carries
+/// `Some` empty state, which would decode as `None`.
 pub fn encode_admin_response(resp: &AdminResponse, out: &mut Vec<u8>) {
     match resp {
         AdminResponse::EpochState {
@@ -540,6 +555,16 @@ pub fn encode_admin_response(resp: &AdminResponse, out: &mut Vec<u8>) {
             frames_acked,
             state,
         } => {
+            let state: &[u8] = match state {
+                Some(bytes) => {
+                    assert!(
+                        !bytes.is_empty(),
+                        "an EPOCH STATE summary state is never empty"
+                    );
+                    bytes
+                }
+                None => &[],
+            };
             put_header(out, opcode::R_EPOCH_STATE, 24 + state.len());
             out.put_u64_le(*epoch);
             out.put_u64_le(*items);
@@ -588,7 +613,7 @@ pub fn decode_admin_response(buf: &[u8]) -> Result<Option<(AdminResponse, usize)
                 epoch,
                 items,
                 frames_acked,
-                state: payload.to_vec(),
+                state: (!payload.is_empty()).then(|| payload.to_vec()),
             }
         }
         opcode::R_CHECKPOINT => {
@@ -771,9 +796,17 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usiz
             }
         }
         opcode::EPOCH_STATE => {
-            expect_len(payload, 0, "EPOCH STATE carries no payload")?;
+            let since = match len {
+                0 => None,
+                8 => Some(payload.get_u64_le()),
+                _ => {
+                    return Err(FrameError::Malformed(
+                        "EPOCH STATE payload must be empty or one u64",
+                    ))
+                }
+            };
             return Ok(Some((
-                RequestFrame::Admin(AdminRequest::EpochState),
+                RequestFrame::Admin(AdminRequest::EpochState { since }),
                 consumed,
             )));
         }
@@ -1211,7 +1244,11 @@ mod tests {
 
     fn all_admin_requests() -> Vec<AdminRequest> {
         vec![
-            AdminRequest::EpochState,
+            AdminRequest::EpochState { since: None },
+            AdminRequest::EpochState { since: Some(0) },
+            AdminRequest::EpochState {
+                since: Some(u64::MAX),
+            },
             AdminRequest::Checkpoint,
             AdminRequest::Restore(vec![0xAB; 120]),
         ]
@@ -1223,7 +1260,13 @@ mod tests {
                 epoch: 3,
                 items: 9_000,
                 frames_acked: 17,
-                state: vec![1, 2, 3, 4, 5, 6, 7, 8],
+                state: Some(vec![1, 2, 3, 4, 5, 6, 7, 8]),
+            },
+            AdminResponse::EpochState {
+                epoch: 3,
+                items: 9_000,
+                frames_acked: 18,
+                state: None,
             },
             AdminResponse::Checkpoint {
                 frames_acked: 42,
@@ -1298,14 +1341,16 @@ mod tests {
 
     #[test]
     fn malformed_admin_payloads_are_typed_errors() {
-        // EPOCH STATE request with a stray payload byte.
-        let mut buf = Vec::new();
-        put_header(&mut buf, opcode::EPOCH_STATE, 1);
-        buf.push(0);
-        assert!(matches!(
-            decode_request_frame(&buf),
-            Err(FrameError::Malformed(_))
-        ));
+        // EPOCH STATE requests whose payload is neither empty nor one u64.
+        for len in [1, 7, 9, 16] {
+            let mut buf = Vec::new();
+            put_header(&mut buf, opcode::EPOCH_STATE, len);
+            buf.resize(HEADER_BYTES + len, 0);
+            assert!(
+                matches!(decode_request_frame(&buf), Err(FrameError::Malformed(_))),
+                "{len}-byte EPOCH STATE payload"
+            );
+        }
         // RESTORE with an empty envelope.
         let mut buf = Vec::new();
         put_header(&mut buf, opcode::RESTORE, 0);

@@ -86,7 +86,7 @@ impl Default for ServiceConfig {
 /// [`SnapshotCodec`] bound holds (so the plain [`ServiceServer::spawn`]
 /// never requires it). `None` = admin frames answered with `ERR`.
 struct AdminHooks<S: ServableSummary> {
-    epoch_state: fn(&SummaryService<S>) -> AdminResponse,
+    epoch_state: fn(&SummaryService<S>, Option<u64>) -> AdminResponse,
     checkpoint: fn(&SummaryService<S>) -> AdminResponse,
     restore: fn(&[u8]) -> RestoredService<S>,
 }
@@ -100,10 +100,14 @@ where
     S: ServableSummary + SnapshotCodec,
 {
     AdminHooks {
-        epoch_state: |svc| {
+        epoch_state: |svc, since| {
             let snap = svc.snapshot();
-            let mut state = Vec::new();
-            snap.summary().save_into(&mut state);
+            // The requester already holds this epoch: skip the encode.
+            let state = (since != Some(snap.epoch())).then(|| {
+                let mut state = Vec::new();
+                snap.summary().save_into(&mut state);
+                state
+            });
             AdminResponse::EpochState {
                 epoch: snap.epoch(),
                 items: snap.items() as u64,
@@ -182,7 +186,8 @@ impl ServiceServer {
     /// Like [`spawn`](Self::spawn), but with the **cluster control
     /// plane** enabled: the endpoint additionally answers the binary
     /// admin frames — `EPOCH STATE` (pull the published epoch snapshot
-    /// for a coordinator's shard-order merge), `CHECKPOINT` (pull the
+    /// for a coordinator's shard-order merge; only its header when the
+    /// request's `since` is the published epoch), `CHECKPOINT` (pull the
     /// full checkpoint envelope), and `RESTORE` (swap in a service
     /// rebuilt from an envelope; queries re-point at the restored
     /// service's published snapshot atomically). This is what a cluster
@@ -611,9 +616,9 @@ impl Conn {
         let resp = match &shared.admin {
             None => AdminResponse::Err("admin frames are not enabled on this endpoint".into()),
             Some(hooks) => match req {
-                AdminRequest::EpochState => {
+                AdminRequest::EpochState { since } => {
                     let service = shared.service.lock().expect("service lock poisoned");
-                    (hooks.epoch_state)(&service)
+                    (hooks.epoch_state)(&service, since)
                 }
                 AdminRequest::Checkpoint => {
                     let service = shared.service.lock().expect("service lock poisoned");

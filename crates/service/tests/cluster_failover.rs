@@ -325,3 +325,35 @@ fn failed_ingest_to_a_dead_node_loses_no_frame() {
         }
     }
 }
+
+/// A `RESTORE` from another client that republishes the epoch number the
+/// router holds, with a different item count: the node's "unchanged"
+/// reply contradicts the router's cached view, which is a typed
+/// `InvalidData` error, and the error leaves no cache behind, so the
+/// next view pulls the restored state in full.
+#[test]
+fn unchanged_reply_contradicting_the_cached_view_is_a_typed_error() {
+    use robust_sampling_service::{ServiceClient, SummaryService};
+    let mut router = cluster(1, 3, 10);
+    router.ingest(&stream(10, 3)).expect("cluster ingest");
+    let view = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    assert_eq!((view.epoch(), view.items()), (1, 10));
+    // Another service at the same epoch number, 15 items in.
+    let mut other =
+        SummaryService::start(1, 3, 10, |_, s| ReservoirSampler::<u64>::with_seed(32, s));
+    other.ingest_frame(&stream(15, 4));
+    let foreign = ServiceClient::connect_binary(router.node_addr(0)).expect("connect");
+    foreign
+        .restore(&other.checkpoint())
+        .expect("foreign restore");
+    let err = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect_err("an unchanged reply with other items");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let view = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view after the error");
+    assert_eq!((view.epoch(), view.items()), (1, 15));
+}

@@ -137,12 +137,16 @@ proptest! {
     // ---- Cluster control plane (admin opcodes) ----------------------
 
     /// Every admin request round-trips through the frame-level request
-    /// decoder (the coordinator→node direction), including `RESTORE`
-    /// envelopes of arbitrary contents.
+    /// decoder (the coordinator→node direction), including conditional
+    /// `EPOCH STATE` pulls and `RESTORE` envelopes of arbitrary contents.
     #[test]
-    fn admin_requests_round_trip(envelope in proptest::collection::vec(0u8..=255, 1..512)) {
+    fn admin_requests_round_trip(
+        since in any::<u64>(),
+        envelope in proptest::collection::vec(0u8..=255, 1..512),
+    ) {
         for req in [
-            AdminRequest::EpochState,
+            AdminRequest::EpochState { since: None },
+            AdminRequest::EpochState { since: Some(since) },
             AdminRequest::Checkpoint,
             AdminRequest::Restore(envelope),
         ] {
@@ -161,7 +165,8 @@ proptest! {
 
     /// Every admin response round-trips (the node→coordinator
     /// direction), with arbitrary state/envelope payloads and
-    /// high-water marks.
+    /// high-water marks, and the "unchanged" `EPOCH STATE` reply that
+    /// carries no state.
     #[test]
     fn admin_responses_round_trip(
         epoch in any::<u64>(),
@@ -174,7 +179,13 @@ proptest! {
                 epoch,
                 items,
                 frames_acked,
-                state: state.clone(),
+                state: (!state.is_empty()).then(|| state.clone()),
+            },
+            AdminResponse::EpochState {
+                epoch,
+                items,
+                frames_acked,
+                state: None,
             },
             AdminResponse::Checkpoint {
                 frames_acked,
@@ -263,7 +274,7 @@ proptest! {
                 epoch: 3,
                 items: 99,
                 frames_acked,
-                state,
+                state: (!state.is_empty()).then_some(state),
             },
             &mut buf,
         );
@@ -290,7 +301,8 @@ proptest! {
 #[test]
 fn owned_request_decoder_rejects_admin_opcodes_as_typed_errors() {
     for req in [
-        AdminRequest::EpochState,
+        AdminRequest::EpochState { since: None },
+        AdminRequest::EpochState { since: Some(7) },
         AdminRequest::Checkpoint,
         AdminRequest::Restore(vec![1, 2, 3]),
     ] {

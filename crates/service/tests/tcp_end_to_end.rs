@@ -405,3 +405,35 @@ fn protocol_errors_do_not_kill_the_connection() {
     assert_eq!(line.trim(), "OK BYE");
     server.shutdown();
 }
+
+#[test]
+fn conditional_epoch_state_skips_the_state_only_while_the_epoch_is_current() {
+    let service = SummaryService::start(1, 5, 10, |_, s| ReservoirSampler::<u64>::with_seed(8, s));
+    let server =
+        ServiceServer::spawn_admin(service, ServiceConfig::default()).expect("bind ephemeral port");
+    let client = ServiceClient::connect_binary(server.addr()).unwrap();
+    // Frames of 10, 10 and 5 elements: two publishes at the cadence of 10.
+    for frame in (0..25).collect::<Vec<u64>>().chunks(10) {
+        client.ingest(frame).unwrap();
+    }
+    let (epoch, items, hwm, state) = client.epoch_state(None).unwrap();
+    assert_eq!((epoch, items, hwm), (2, 20, 3));
+    let state = state.expect("an unconditional pull carries the state");
+    // `since` = the published epoch: the header alone.
+    assert_eq!(client.epoch_state(Some(2)).unwrap(), (2, 20, 3, None));
+    // A stale or unknown `since`: the same bytes as the unconditional pull.
+    for since in [0, 1, 3, u64::MAX] {
+        assert_eq!(
+            client.epoch_state(Some(since)).unwrap(),
+            (2, 20, 3, Some(state.clone())),
+            "since {since}"
+        );
+    }
+    // After the next publish, the old epoch is stale.
+    client.ingest(&[99; 10]).unwrap();
+    let current = client.epoch_state(None).unwrap();
+    assert_eq!((current.0, current.1, current.2), (3, 35, 4));
+    assert_eq!(client.epoch_state(Some(2)).unwrap(), current);
+    assert_eq!(client.epoch_state(Some(3)).unwrap(), (3, 35, 4, None));
+    server.shutdown();
+}

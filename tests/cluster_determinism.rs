@@ -12,7 +12,8 @@
 //!    boundary's global view equals the offline sharded prefix merge at
 //!    exactly that boundary, and at *any* point the coordinator's
 //!    merged view equals the hand-merge of the per-node epoch states it
-//!    was built from.
+//!    was built from — also when the coordinator reuses its cached view
+//!    because no node has published since the last one.
 //!
 //! Node processes are real: each case spawns `cluster_node` binaries on
 //! ephemeral ports and speaks the binary admin protocol.
@@ -22,8 +23,9 @@ use robust_sampling::core::engine::{merge_in_shard_order, ShardedSummary, Stream
 use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::service::cluster::{ClusterConfig, ClusterRouter};
 use robust_sampling::service::protocol::MAX_INGEST_FRAME;
-use robust_sampling::service::SummaryService;
+use robust_sampling::service::{EpochSnapshot, SummaryService};
 use robust_sampling::streamgen;
+use std::sync::Arc;
 
 /// Split `stream` into frames whose sizes cycle through `splits`.
 fn frames<'a>(stream: &'a [u64], splits: &[usize]) -> Vec<&'a [u64]> {
@@ -59,6 +61,33 @@ fn cluster(nodes: usize, base_seed: u64, epoch_every: usize, cap: usize) -> Clus
         tenant_budget_bytes: None,
     })
     .expect("start cluster")
+}
+
+/// The shard-order hand-merge of fresh, unconditional per-node epoch
+/// pulls: `(per-node epochs, summed items, merged summary)`.
+fn hand_merge(router: &ClusterRouter) -> (Vec<u64>, usize, ReservoirSampler<u64>) {
+    let mut epochs = Vec::new();
+    let mut items = 0;
+    let mut parts = Vec::new();
+    for j in 0..router.config().nodes {
+        let (epoch, node_items, _, summary) = router
+            .node_epoch_state::<ReservoirSampler<u64>>(j)
+            .expect("node epoch state");
+        epochs.push(epoch);
+        items += node_items;
+        parts.push(summary);
+    }
+    (epochs, items, merge_in_shard_order(parts))
+}
+
+/// Whether `view` is exactly the hand-merge of the nodes' current
+/// published states: sample, observed count, epoch and items.
+fn equals_hand_merge(view: &EpochSnapshot<ReservoirSampler<u64>>, router: &ClusterRouter) -> bool {
+    let (epochs, items, merged) = hand_merge(router);
+    view.summary().sample() == merged.sample()
+        && view.summary().observed() == merged.observed()
+        && Some(view.epoch()) == epochs.iter().copied().min()
+        && view.items() == items
 }
 
 proptest! {
@@ -170,6 +199,73 @@ proptest! {
         prop_assert_eq!(view.summary().sample(), hand_merged.sample());
         prop_assert_eq!(view.summary().observed(), hand_merged.observed());
     }
+
+    /// View-cache coherence: with a small cadence and small frames, some
+    /// ingests cross a node's epoch boundary (the next view must merge
+    /// afresh) and some do not (the cached view is reused). Either way
+    /// every view equals the hand-merge of unconditional node pulls, a
+    /// second view with no ingest in between is the same `Arc`, and the
+    /// first view after an ingest is reused exactly when no node
+    /// published.
+    #[test]
+    fn cached_views_equal_the_hand_merge_of_fresh_node_pulls(
+        which in 0usize..16,
+        nodes in 1usize..5,
+        epoch_every in 1usize..24,
+        seed in 0u64..500,
+        n in 1usize..600,
+        splits in proptest::collection::vec(1usize..40, 1..6),
+    ) {
+        let stream = workload_stream(which, n, seed.wrapping_add(31));
+        let mut router = cluster(nodes, seed, epoch_every, 16);
+        let mut last = None;
+        for frame in frames(&stream, &splits) {
+            router.ingest(frame).expect("cluster ingest");
+            let first = router.global_view::<ReservoirSampler<u64>>().expect("global view");
+            let second = router.global_view::<ReservoirSampler<u64>>().expect("global view");
+            prop_assert!(Arc::ptr_eq(&first, &second), "a repeat view was rebuilt");
+            prop_assert!(equals_hand_merge(&first, &router));
+            let (epochs, _, _) = hand_merge(&router);
+            if let Some((prev, prev_epochs)) = &last {
+                prop_assert_eq!(Arc::ptr_eq(prev, &first), *prev_epochs == epochs);
+            }
+            last = Some((first, epochs));
+        }
+    }
+}
+
+/// Failover between two views: the router drops its cached view when a
+/// node is killed and restored, and the next view is again the
+/// hand-merge of the nodes' states, identical to the view before the
+/// fault.
+#[test]
+fn view_after_failover_equals_the_hand_merge() {
+    let mut router = cluster(3, 29, 8, 16);
+    let stream = workload_stream(2, 400, 29);
+    let (head, tail) = stream.split_at(150);
+    router.ingest(head).expect("cluster ingest");
+    router.checkpoint_all().expect("checkpoint");
+    router.ingest(tail).expect("cluster ingest");
+    let before = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    assert!(equals_hand_merge(&before, &router));
+    router.kill_node(1);
+    router.restore_node(1).expect("restore node");
+    let after = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    assert!(equals_hand_merge(&after, &router));
+    assert_eq!(after.summary().sample(), before.summary().sample());
+    assert_eq!(
+        (after.epoch(), after.items()),
+        (before.epoch(), before.items())
+    );
+    router.ingest(&[7; 40]).expect("cluster ingest");
+    let next = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    assert!(equals_hand_merge(&next, &router));
 }
 
 /// One `ingest` call longer than a protocol frame: the router splits it
