@@ -76,7 +76,7 @@
 //! ```
 
 use robust_sampling_bench::matrix::ROBUST_EPS;
-use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
+use robust_sampling_bench::{banner, f, init_cli, is_quick, micros, verdict, Table};
 use robust_sampling_core::attack::Duel;
 use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
 use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
@@ -130,10 +130,6 @@ fn served_ops(reports: &[ClientReport]) -> u64 {
         .iter()
         .map(|r| if r.elems > 0 { r.elems } else { r.ops })
         .sum()
-}
-
-fn micros(lat: &KllSketch, q: f64) -> f64 {
-    lat.quantile(q).unwrap_or(0) as f64 / 1_000.0
 }
 
 fn push_row(table: &mut Table, mode: &str, clients: usize, secs: f64, ops: u64, lat: &KllSketch) {

@@ -45,7 +45,7 @@
 
 use robust_sampling_bench::perf::{self, Area, PerfEntry, PerfRun};
 use robust_sampling_bench::{
-    banner, bench_label, bench_out, check_dir, init_cli, is_quick, verdict, Table,
+    banner, bench_label, bench_out, check_dir, init_cli, is_quick, micros, verdict, Table,
 };
 use robust_sampling_core::sampler::{BernoulliSampler, ReservoirSampler, StreamSampler};
 use robust_sampling_service::tenant::{TenantArena, TenantArenaConfig};
@@ -298,10 +298,6 @@ fn measure_stream(shape: &Shape) -> Vec<PerfEntry> {
 // ---------------------------------------------------------------------------
 // Area: serve
 // ---------------------------------------------------------------------------
-
-fn micros(lat: &KllSketch, q: f64) -> f64 {
-    lat.quantile(q).unwrap_or(0) as f64 / 1_000.0
-}
 
 fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
     let universe = 1u64 << 20;

@@ -43,6 +43,7 @@ pub use cli::{
     tenants, threads, workload,
 };
 pub use robust_sampling_core::engine::report::Table;
+use robust_sampling_sketches::kll::KllSketch;
 
 /// Format a float with 4 significant decimals.
 pub fn f(x: f64) -> String {
@@ -55,6 +56,12 @@ pub fn banner(id: &str, title: &str, claim: &str) {
     println!("{id}: {title}");
     println!("paper claim: {claim}");
     println!("================================================================");
+}
+
+/// The `q`-quantile of a KLL sketch of nanosecond latencies, in µs
+/// (0 for an empty sketch).
+pub fn micros(lat: &KllSketch, q: f64) -> f64 {
+    lat.quantile(q).unwrap_or(0) as f64 / 1_000.0
 }
 
 /// Print a PASS/FAIL verdict line.

@@ -12,10 +12,14 @@
 //! writes any number of requests before reading and returns the
 //! responses in order — one flush and one socket round trip for a whole
 //! batch, which is where the binary protocol's throughput headroom
-//! comes from. The `INGEST` and admin requests are built from
-//! crate-private send and receive halves; the blocking methods are one
-//! of each, and the cluster router uses the halves to put a request on
-//! every node's connection before it reads any reply.
+//! comes from. Every request, the cluster admin ones included, leaves
+//! through one send path — which refuses, with `InvalidInput` and before
+//! writing a byte, any request the connection's wire cannot carry — and
+//! every reply arrives through one receive path. The blocking methods
+//! are one send and one receive each, and the cluster router uses the
+//! crate-private halves to put a request on every node's connection
+//! before it reads any reply. The admin requests (`EPOCH STATE`,
+//! `CHECKPOINT`, `RESTORE`) are binary-only.
 //!
 //! Besides the plain request methods, the client implements the core
 //! engine and attack traits —
@@ -38,22 +42,16 @@
 //! failed experiment, not a recoverable condition; the inherent methods
 //! return `io::Result` for callers that want to handle failure.
 
-use crate::frame::{self, AdminRequest, AdminResponse, FrameError};
+use crate::frame::{self, MAX_FRAME_PAYLOAD};
 use crate::protocol::{
-    write_ingest_line, write_tenant_ingest_line, Request, Response, ServiceStats, MAX_INGEST_FRAME,
+    write_ingest_line, write_tenant_ingest_line, Request, Response, ServiceStats, Wire,
+    MAX_INGEST_FRAME,
 };
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::engine::StreamSummary;
 use std::cell::{Cell, RefCell};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-
-/// Which wire format a connection speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Wire {
-    Text,
-    Binary,
-}
 
 struct Conn {
     reader: BufReader<TcpStream>,
@@ -66,17 +64,57 @@ struct Conn {
     wbuf: Vec<u8>,
 }
 
-impl Conn {
-    fn send(&mut self, req: &Request) -> std::io::Result<()> {
-        self.wbuf.clear();
-        match self.wire {
-            Wire::Text => {
-                req.write_line(&mut self.wbuf);
-                self.wbuf.push(b'\n');
-            }
-            Wire::Binary => frame::encode_request(req, &mut self.wbuf),
+/// Why `wire` cannot carry `req`, if it cannot: a binary frame holds an
+/// ingest chunk of 1..=[`MAX_INGEST_FRAME`] values and a non-empty
+/// `RESTORE` envelope of at most [`MAX_FRAME_PAYLOAD`] bytes, and the
+/// admin requests have no text form. (The text wire carries any ingest
+/// line; the server answers a bad one with `ERR`.)
+fn unsendable(req: &Request, wire: Wire) -> Option<String> {
+    match (wire, req) {
+        (Wire::Text, req) if req.is_admin() => {
+            Some("admin requests are binary-only; connect with connect_binary".into())
         }
-        self.writer.write_all(&self.wbuf)
+        (Wire::Binary, Request::Ingest(vs) | Request::TenantIngest { values: vs, .. })
+            if vs.is_empty() || vs.len() > MAX_INGEST_FRAME =>
+        {
+            Some(format!(
+                "an ingest frame carries 1..={MAX_INGEST_FRAME} values, got {}",
+                vs.len()
+            ))
+        }
+        (Wire::Binary, Request::Restore(bytes))
+            if bytes.is_empty() || bytes.len() > MAX_FRAME_PAYLOAD =>
+        {
+            Some(format!(
+                "a RESTORE envelope is 1..={MAX_FRAME_PAYLOAD} bytes, got {}",
+                bytes.len()
+            ))
+        }
+        _ => None,
+    }
+}
+
+impl Conn {
+    /// The one send path: check every request against this wire, then
+    /// encode and write each through the reusable scratch. A request the
+    /// wire cannot carry fails the whole batch with `InvalidInput` before
+    /// any byte is written, so the connection stays in sync.
+    fn send(&mut self, reqs: &[Request]) -> std::io::Result<()> {
+        if let Some(why) = reqs.iter().find_map(|req| unsendable(req, self.wire)) {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        }
+        for req in reqs {
+            self.wbuf.clear();
+            match self.wire {
+                Wire::Text => {
+                    req.write_line(&mut self.wbuf);
+                    self.wbuf.push(b'\n');
+                }
+                Wire::Binary => frame::encode_request(req, &mut self.wbuf),
+            }
+            self.writer.write_all(&self.wbuf)?;
+        }
+        Ok(())
     }
 
     /// Encode an `INGEST` frame — or, with a tenant, a `TINGEST` frame —
@@ -96,24 +134,18 @@ impl Conn {
         self.writer.write_all(&self.wbuf)
     }
 
-    fn send_admin(&mut self, req: &AdminRequest) -> std::io::Result<()> {
-        if self.wire != Wire::Binary {
-            return Err(std::io::Error::other(
-                "admin frames require a binary connection",
-            ));
+    /// The one receive path: read the next reply in this wire's format.
+    fn receive(&mut self) -> std::io::Result<Response> {
+        if self.wire == Wire::Text {
+            let mut line = String::new();
+            if self.reader.read_line(&mut line)? == 0 {
+                return Err(closed());
+            }
+            return Response::parse(line.trim_end_matches(['\r', '\n']))
+                .map_err(|msg| std::io::Error::other(format!("protocol error: {msg}")));
         }
-        self.wbuf.clear();
-        frame::encode_admin_request(req, &mut self.wbuf);
-        self.writer.write_all(&self.wbuf)
-    }
-
-    /// Read until `decode` yields one whole binary frame, and consume it.
-    fn receive_frame<T, D>(&mut self, decode: D) -> std::io::Result<T>
-    where
-        D: Fn(&[u8]) -> Result<Option<(T, usize)>, FrameError>,
-    {
         loop {
-            match decode(&self.rbuf) {
+            match frame::decode_response(&self.rbuf) {
                 Ok(Some((resp, consumed))) => {
                     self.rbuf.drain(..consumed);
                     return Ok(resp);
@@ -129,20 +161,6 @@ impl Conn {
                 }
                 Err(e) => return Err(std::io::Error::other(format!("frame error: {e}"))),
             }
-        }
-    }
-
-    fn receive(&mut self) -> std::io::Result<Response> {
-        match self.wire {
-            Wire::Text => {
-                let mut line = String::new();
-                if self.reader.read_line(&mut line)? == 0 {
-                    return Err(closed());
-                }
-                Response::parse(line.trim_end_matches(['\r', '\n']))
-                    .map_err(|msg| std::io::Error::other(format!("protocol error: {msg}")))
-            }
-            Wire::Binary => self.receive_frame(frame::decode_response),
         }
     }
 }
@@ -211,15 +229,28 @@ impl ServiceClient {
         })
     }
 
-    /// One request/response round trip.
-    fn round_trip(&self, req: &Request) -> std::io::Result<Response> {
+    /// Send half of one request: write and flush it and return without
+    /// reading the reply. A caller holding several connections (the
+    /// cluster router) puts a request on each before waiting on any.
+    pub(crate) fn send(&self, req: &Request) -> std::io::Result<()> {
         let mut conn = self.conn.borrow_mut();
-        conn.send(req)?;
-        conn.writer.flush()?;
-        match conn.receive()? {
+        conn.send(std::slice::from_ref(req))?;
+        conn.writer.flush()
+    }
+
+    /// Receive half: the next reply, a service-side `ERR` turned into an
+    /// error.
+    fn recv(&self) -> std::io::Result<Response> {
+        match self.conn.borrow_mut().receive()? {
             Response::Err(msg) => Err(service_error(msg)),
             resp => Ok(resp),
         }
+    }
+
+    /// One request/response round trip.
+    fn round_trip(&self, req: &Request) -> std::io::Result<Response> {
+        self.send(req)?;
+        self.recv()
     }
 
     /// **Pipelining**: write every request back-to-back with one flush,
@@ -227,12 +258,13 @@ impl ServiceClient {
     /// `out[i]` answers `reqs[i]`. A whole batch costs one network round
     /// trip instead of `reqs.len()`. Service-level errors come back as
     /// [`Response::Err`] values in the output (the pipeline keeps going);
-    /// only transport failures error out.
+    /// only transport failures error out. A request the connection's
+    /// wire cannot carry (an empty or over-cap binary ingest frame, an
+    /// admin request on a text connection, …) fails the call with
+    /// `InvalidInput` before anything is sent.
     pub fn pipeline(&self, reqs: &[Request]) -> std::io::Result<Vec<Response>> {
         let mut conn = self.conn.borrow_mut();
-        for req in reqs {
-            conn.send(req)?;
-        }
+        conn.send(reqs)?;
         conn.writer.flush()?;
         let mut out = Vec::with_capacity(reqs.len());
         for _ in reqs {
@@ -270,10 +302,8 @@ impl ServiceClient {
     /// Receive half of `INGEST`/`TINGEST`: read the next `INGESTED` ack
     /// and return the running item count it carries.
     pub(crate) fn recv_ingested(&self) -> std::io::Result<usize> {
-        let resp = self.conn.borrow_mut().receive()?;
-        match resp {
+        match self.recv()? {
             Response::Ingested(n) => Ok(n),
-            Response::Err(msg) => Err(service_error(msg)),
             other => self.unexpected("INGESTED", other),
         }
     }
@@ -332,32 +362,10 @@ impl ServiceClient {
         }
     }
 
-    /// Send half of an admin request — binary wire only (the cluster
-    /// control plane has no text grammar): write and flush the frame and
-    /// return without reading the reply.
-    pub(crate) fn send_admin(&self, req: &AdminRequest) -> std::io::Result<()> {
-        let mut conn = self.conn.borrow_mut();
-        conn.send_admin(req)?;
-        conn.writer.flush()
-    }
-
-    /// Receive half of an admin request: read the next admin reply,
-    /// turning a service-side `ERR` into an error.
-    fn recv_admin(&self) -> std::io::Result<AdminResponse> {
-        let resp = self
-            .conn
-            .borrow_mut()
-            .receive_frame(frame::decode_admin_response)?;
-        match resp {
-            AdminResponse::Err(msg) => Err(service_error(msg)),
-            resp => Ok(resp),
-        }
-    }
-
     /// Receive half of [`epoch_state`](Self::epoch_state).
     pub(crate) fn recv_epoch_state(&self) -> std::io::Result<EpochState> {
-        match self.recv_admin()? {
-            AdminResponse::EpochState {
+        match self.recv()? {
+            Response::EpochState {
                 epoch,
                 items,
                 frames_acked,
@@ -369,8 +377,8 @@ impl ServiceClient {
 
     /// Receive half of [`checkpoint`](Self::checkpoint).
     pub(crate) fn recv_checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
-        match self.recv_admin()? {
-            AdminResponse::Checkpoint {
+        match self.recv()? {
+            Response::Checkpoint {
                 frames_acked,
                 bytes,
             } => Ok((frames_acked, bytes)),
@@ -387,24 +395,24 @@ impl ServiceClient {
     /// and a [`spawn_admin`](crate::ServiceServer::spawn_admin)
     /// endpoint.
     pub fn epoch_state(&self, since: Option<u64>) -> std::io::Result<EpochState> {
-        self.send_admin(&AdminRequest::EpochState { since })?;
+        self.send(&Request::EpochState { since })?;
         self.recv_epoch_state()
     }
 
     /// `CHECKPOINT` (admin): the node's full checkpoint envelope plus
     /// the frame high-water mark it was cut at.
     pub fn checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
-        self.send_admin(&AdminRequest::Checkpoint)?;
+        self.send(&Request::Checkpoint)?;
         self.recv_checkpoint()
     }
 
     /// `RESTORE` (admin): seed the node from a checkpoint envelope and
     /// return the restored service's frame high-water mark — the router
-    /// replays only retained frames at or past it.
+    /// replays only retained frames at or past it. An empty envelope, or
+    /// one over [`MAX_FRAME_PAYLOAD`], fails with `InvalidInput` unsent.
     pub fn restore(&self, envelope: &[u8]) -> std::io::Result<u64> {
-        self.send_admin(&AdminRequest::Restore(envelope.to_vec()))?;
-        match self.recv_admin()? {
-            AdminResponse::Restored { frames_acked } => Ok(frames_acked),
+        match self.round_trip(&Request::Restore(envelope.to_vec()))? {
+            Response::Restored { frames_acked } => Ok(frames_acked),
             other => self.unexpected("RESTORED", other),
         }
     }

@@ -15,8 +15,8 @@
 //! same stream — the distributed boundary adds no randomness.
 //!
 //! Queries go through the coordinator half ([`ClusterRouter::global_view`]):
-//! it pulls each node's published epoch snapshot over the binary admin
-//! protocol (`EPOCH STATE`) and merges the per-node summaries **in node
+//! it pulls each node's published epoch snapshot with the binary-only
+//! admin request `EPOCH STATE` and merges the per-node summaries **in node
 //! order** via
 //! [`merge_in_shard_order`]
 //! — the one canonical merge loop — into a consistent global
@@ -67,8 +67,7 @@
 //! the cluster boundary through [`ClusterDefense`]).
 
 use crate::client::ServiceClient;
-use crate::frame::AdminRequest;
-use crate::protocol::MAX_INGEST_FRAME;
+use crate::protocol::{Request, MAX_INGEST_FRAME};
 use crate::service::{EpochSnapshot, ServableSummary};
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::engine::{
@@ -197,6 +196,13 @@ pub struct ClusterConfig {
     /// node exactly at an epoch boundary.
     pub epoch_every: usize,
     /// Per-node reservoir capacity.
+    ///
+    /// Every admin reply must fit one frame ([`MAX_FRAME_PAYLOAD`]
+    /// bytes): `CHECKPOINT` works up to a `cap` of about 32.7K and
+    /// `SNAPSHOT`/`EPOCH STATE` up to about 65.5K. Past that the node
+    /// answers `ERR` and the router's call fails.
+    ///
+    /// [`MAX_FRAME_PAYLOAD`]: crate::frame::MAX_FRAME_PAYLOAD
     pub cap: usize,
     /// Universe bound `U` for the `KS` drift monitor.
     pub universe: u64,
@@ -479,14 +485,14 @@ impl ClusterRouter {
     /// holding a stale reply.
     fn admin_all<T>(
         &self,
-        req: impl Fn(usize) -> AdminRequest,
+        req: impl Fn(usize) -> Request,
         recv: impl Fn(&ServiceClient) -> std::io::Result<T>,
     ) -> Vec<std::io::Result<T>> {
         let sent: Vec<_> = self
             .nodes
             .iter()
             .enumerate()
-            .map(|(j, node)| node.client.send_admin(&req(j)))
+            .map(|(j, node)| node.client.send(&req(j)))
             .collect();
         sent.into_iter()
             .zip(&self.nodes)
@@ -519,7 +525,7 @@ impl ClusterRouter {
     /// the envelopes in node order. Every checkpoint that arrives is kept
     /// even if another node fails; the first error is returned.
     pub fn checkpoint_all(&mut self) -> std::io::Result<()> {
-        let replies = self.admin_all(|_| AdminRequest::Checkpoint, ServiceClient::recv_checkpoint);
+        let replies = self.admin_all(|_| Request::Checkpoint, ServiceClient::recv_checkpoint);
         let mut first_err = None;
         for (j, reply) in replies.into_iter().enumerate() {
             match reply {
@@ -616,7 +622,7 @@ impl ClusterRouter {
             .map(|j| cache.as_ref().map(|c| c.nodes[j].0))
             .collect();
         let replies = self.admin_all(
-            |j| AdminRequest::EpochState { since: since[j] },
+            |j| Request::EpochState { since: since[j] },
             ServiceClient::recv_epoch_state,
         );
         let mut nodes = Vec::with_capacity(replies.len());

@@ -15,10 +15,10 @@
 //! 8       len   payload (opcode-specific, little-endian throughout)
 //! ```
 //!
-//! Request opcodes (`0x01`–`0x08`) and response opcodes (`0x81`–`0x88`,
-//! plus `0xC0` = ERR) mirror the text grammar one-to-one — both wire
-//! formats encode the same [`Request`]/[`Response`] enums, so the
-//! server's dispatch and the client's API are format-agnostic:
+//! Request opcodes (`0x01`–`0x0F`) and response opcodes (`0x81`–`0x8C`,
+//! plus `0xC0` = ERR) encode the one [`Request`]/[`Response`] vocabulary
+//! the text grammar of [`crate::protocol`] also carries, so the server's
+//! dispatch and the client's API are format-agnostic:
 //!
 //! ```text
 //! opcode  request            payload
@@ -49,26 +49,32 @@
 //!                            snapshot_items, shard_bytes, arena_tenants,
 //!                            arena_bytes, arena_evictions)
 //! 0x88    BYE                (empty)
-//! 0x8C    TSNAPSHOT          u64 tenant, u64 items, u32 k, then k × u64
 //! 0x89    EPOCH STATE        u64 epoch, u64 items, u64 frames acked,
 //!                            then the published summary's codec bytes
 //!                            (none when the epoch equals `since`)
 //! 0x8A    CHECKPOINT         u64 frames acked, then envelope bytes
 //! 0x8B    RESTORED           u64 frames acked
+//! 0x8C    TSNAPSHOT          u64 tenant, u64 items, u32 k, then k × u64
 //! 0xC0    ERR                UTF-8 message bytes
 //! ```
 //!
-//! The `[admin]` opcodes are the **cluster control plane** — binary-only
-//! frames (no text grammar) a coordinator or failover router exchanges
-//! with a cluster node: `EPOCH STATE` pulls the node's published epoch
-//! snapshot for the coordinator's shard-order merge (given a `since`
-//! epoch, a node still at that epoch answers with the 24-byte header
-//! alone; no summary codec writes zero bytes, so the empty state is
-//! unambiguous), `CHECKPOINT` pulls
-//! the node's full checkpoint envelope, and `RESTORE` seeds a fresh node
-//! with one. They decode to [`AdminRequest`]/[`AdminResponse`] rather
-//! than [`Request`]/[`Response`], and a server that has not enabled
-//! admin dispatch answers them with `ERR`.
+//! The `[admin]` opcodes are the **cluster control plane**: the
+//! binary-only variants [`Request::EpochState`], [`Request::Checkpoint`]
+//! and [`Request::Restore`] (no text grammar) a coordinator or failover
+//! router exchanges with a cluster node. `EPOCH STATE` pulls the node's
+//! published epoch snapshot for the coordinator's shard-order merge
+//! (given a `since` epoch, a node still at that epoch answers with the
+//! 24-byte header alone; no summary codec writes zero bytes, so the
+//! empty state is unambiguous), `CHECKPOINT` pulls the node's full
+//! checkpoint envelope, and `RESTORE` seeds a fresh node with one. They
+//! share the codec, the decoders and the `ERR` reply with every other
+//! request; a server that has not enabled admin dispatch answers them
+//! with `ERR`.
+//!
+//! A response whose payload would pass [`MAX_FRAME_PAYLOAD`] (a
+//! `SNAPSHOT`, `HH`, `EPOCH STATE` or `CHECKPOINT` of a very large
+//! summary) is written as an `ERR` naming the response and its size, so
+//! the peer reads a typed error and the connection stays in sync.
 //!
 //! Floats travel as raw bit patterns (`f64::to_bits`), so — like the
 //! text protocol's shortest-round-trip decimals — every value survives
@@ -208,6 +214,29 @@ fn put_header(out: &mut Vec<u8>, op: u8, payload_len: usize) {
     out.put_u32_le(payload_len as u32);
 }
 
+/// Open a response frame of `len` payload bytes and return `true` — or,
+/// when `len` is over [`MAX_FRAME_PAYLOAD`], write an `ERR` naming the
+/// `what` response and its size instead and return `false`, so the
+/// caller skips the payload and the peer stays in sync.
+fn open_response(out: &mut Vec<u8>, op: u8, what: &str, len: usize) -> bool {
+    if len > MAX_FRAME_PAYLOAD {
+        let msg = format!(
+            "{what} response ({op:#04x}) needs {len} payload bytes, over the \
+             {MAX_FRAME_PAYLOAD}-byte frame cap"
+        );
+        encode_response(&Response::Err(msg), out);
+        return false;
+    }
+    put_header(out, op, len);
+    true
+}
+
+fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+    for &v in vs {
+        out.put_u64_le(v);
+    }
+}
+
 /// Append an `INGEST` frame carrying `vs` to `out` — the slice-based
 /// encoder the client's zero-copy ingest path uses (no intermediate
 /// owned `Request` is built).
@@ -223,9 +252,7 @@ pub fn encode_ingest_slice(vs: &[u64], out: &mut Vec<u8>) {
         vs.len()
     );
     put_header(out, opcode::INGEST, 8 * vs.len());
-    for &v in vs {
-        out.put_u64_le(v);
-    }
+    put_u64s(out, vs);
 }
 
 /// Append a `TINGEST` frame carrying `vs` for `tenant` to `out` — the
@@ -243,24 +270,28 @@ pub fn encode_tenant_ingest_slice(tenant: u64, vs: &[u64], out: &mut Vec<u8>) {
     );
     put_header(out, opcode::TENANT_INGEST, 8 + 8 * vs.len());
     out.put_u64_le(tenant);
-    for &v in vs {
-        out.put_u64_le(v);
-    }
+    put_u64s(out, vs);
 }
 
 /// Append a `SNAPSHOT` response frame to `out` straight from a borrowed
 /// sample slice — the server serializes [`EpochSnapshot::visible_ref`]
 /// directly into the connection's out-buffer through this, never
-/// materializing an owned copy of the sample.
+/// materializing an owned copy of the sample. A sample too large for one
+/// frame is written as an `ERR` (see the module docs).
 ///
 /// [`EpochSnapshot::visible_ref`]: crate::EpochSnapshot::visible_ref
 pub fn encode_snapshot_slice(epoch: u64, items: usize, sample: &[u64], out: &mut Vec<u8>) {
-    put_header(out, opcode::R_SNAPSHOT, 20 + 8 * sample.len());
-    out.put_u64_le(epoch);
-    out.put_u64_le(items as u64);
-    out.put_u32_le(sample.len() as u32);
-    for &v in sample {
-        out.put_u64_le(v);
+    put_sampled(out, opcode::R_SNAPSHOT, "SNAPSHOT", epoch, items, sample);
+}
+
+/// The payload `SNAPSHOT` and `TSNAPSHOT` share: `head` (epoch or
+/// tenant), items, `k`, then the `k` sample values.
+fn put_sampled(out: &mut Vec<u8>, op: u8, what: &str, head: u64, items: usize, sample: &[u64]) {
+    if open_response(out, op, what, 20 + 8 * sample.len()) {
+        out.put_u64_le(head);
+        out.put_u64_le(items as u64);
+        out.put_u32_le(sample.len() as u32);
+        put_u64s(out, sample);
     }
 }
 
@@ -268,8 +299,10 @@ pub fn encode_snapshot_slice(epoch: u64, items: usize, sample: &[u64], out: &mut
 ///
 /// # Panics
 ///
-/// Panics if an `Ingest` frame exceeds [`MAX_INGEST_FRAME`] values or is
-/// empty — the caller chunks batches, exactly as on the text path.
+/// Panics if an `Ingest`/`TenantIngest` frame exceeds
+/// [`MAX_INGEST_FRAME`] values or is empty, or a `Restore` envelope is
+/// empty or exceeds [`MAX_FRAME_PAYLOAD`] bytes — the client checks both
+/// before encoding, and chunks batches exactly as on the text path.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     match req {
         Request::Ingest(vs) => encode_ingest_slice(vs, out),
@@ -306,12 +339,33 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         }
         Request::Stats => put_header(out, opcode::STATS, 0),
         Request::Quit => put_header(out, opcode::QUIT, 0),
+        Request::EpochState { since: None } => put_header(out, opcode::EPOCH_STATE, 0),
+        Request::EpochState { since: Some(e) } => {
+            put_header(out, opcode::EPOCH_STATE, 8);
+            out.put_u64_le(*e);
+        }
+        Request::Checkpoint => put_header(out, opcode::CHECKPOINT, 0),
+        Request::Restore(bytes) => {
+            assert!(
+                !bytes.is_empty() && bytes.len() <= MAX_FRAME_PAYLOAD,
+                "RESTORE envelope must be 1..={MAX_FRAME_PAYLOAD} bytes, got {}",
+                bytes.len()
+            );
+            put_header(out, opcode::RESTORE, bytes.len());
+            out.put_slice(bytes);
+        }
     }
 }
 
-/// Append `resp` to `out` as one binary frame. Oversized variable parts
-/// (a pathological ERR message) are truncated to fit the payload cap;
-/// the fixed-shape responses always fit.
+/// Append `resp` to `out` as one binary frame. A pathological ERR
+/// message is truncated to fit the payload cap, and any other response
+/// whose payload would pass it is written as an `ERR` naming it and its
+/// size; the fixed-shape responses always fit.
+///
+/// # Panics
+///
+/// Panics if an `EpochState` carries `Some` empty state, which would
+/// decode as `None` (no summary codec writes zero bytes).
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::Ingested(n) => {
@@ -332,11 +386,12 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.put_u64_le(*v);
         }
         Response::Heavy(items) => {
-            put_header(out, opcode::HH, 4 + 16 * items.len());
-            out.put_u32_le(items.len() as u32);
-            for &(v, d) in items {
-                out.put_u64_le(v);
-                out.put_f64_le(d);
+            if open_response(out, opcode::HH, "HH", 4 + 16 * items.len()) {
+                out.put_u32_le(items.len() as u32);
+                for &(v, d) in items {
+                    out.put_u64_le(v);
+                    out.put_f64_le(d);
+                }
             }
         }
         Response::Ks(d) => {
@@ -352,15 +407,14 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             tenant,
             items,
             sample,
-        } => {
-            put_header(out, opcode::R_TENANT_SNAPSHOT, 20 + 8 * sample.len());
-            out.put_u64_le(*tenant);
-            out.put_u64_le(*items as u64);
-            out.put_u32_le(sample.len() as u32);
-            for &v in sample {
-                out.put_u64_le(v);
-            }
-        }
+        } => put_sampled(
+            out,
+            opcode::R_TENANT_SNAPSHOT,
+            "TSNAPSHOT",
+            *tenant,
+            *items,
+            sample,
+        ),
         Response::Stats(st) => {
             put_header(out, opcode::R_STATS, 72);
             out.put_u64_le(st.items as u64);
@@ -379,6 +433,43 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             let take = floor_char_boundary(msg, bytes.len().min(MAX_FRAME_PAYLOAD));
             put_header(out, opcode::ERR, take);
             out.put_slice(&bytes[..take]);
+        }
+        Response::EpochState {
+            epoch,
+            items,
+            frames_acked,
+            state,
+        } => {
+            let state: &[u8] = match state {
+                Some(bytes) => {
+                    assert!(
+                        !bytes.is_empty(),
+                        "an EPOCH STATE summary state is never empty"
+                    );
+                    bytes
+                }
+                None => &[],
+            };
+            let len = 24 + state.len();
+            if open_response(out, opcode::R_EPOCH_STATE, "EPOCH STATE", len) {
+                out.put_u64_le(*epoch);
+                out.put_u64_le(*items);
+                out.put_u64_le(*frames_acked);
+                out.put_slice(state);
+            }
+        }
+        Response::Checkpoint {
+            frames_acked,
+            bytes,
+        } => {
+            if open_response(out, opcode::R_CHECKPOINT, "CHECKPOINT", 8 + bytes.len()) {
+                out.put_u64_le(*frames_acked);
+                out.put_slice(bytes);
+            }
+        }
+        Response::Restored { frames_acked } => {
+            put_header(out, opcode::RESTORED, 8);
+            out.put_u64_le(*frames_acked);
         }
     }
 }
@@ -442,208 +533,6 @@ fn unit_f64(bits_src: &mut &[u8], what: &'static str) -> Result<f64, FrameError>
     Ok(v)
 }
 
-/// A cluster control-plane request — binary-only frames with no text
-/// grammar (see the module docs). Exchanged between the cluster router
-/// or coordinator and one node's serving endpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdminRequest {
-    /// Pull the node's published epoch snapshot (epoch, items, frame
-    /// high-water mark, and the merged summary's codec bytes) for the
-    /// coordinator's shard-order merge. With `since: Some(e)`, a node
-    /// whose published epoch is still `e` leaves the summary out.
-    EpochState {
-        /// The epoch the requester already holds, if any.
-        since: Option<u64>,
-    },
-    /// Pull the node's full checkpoint envelope.
-    Checkpoint,
-    /// Seed the node from a checkpoint envelope (failover restore). The
-    /// payload is the envelope byte string; must be non-empty.
-    Restore(Vec<u8>),
-}
-
-impl AdminRequest {
-    /// The request's wire opcode.
-    pub fn opcode(&self) -> u8 {
-        match self {
-            AdminRequest::EpochState { .. } => opcode::EPOCH_STATE,
-            AdminRequest::Checkpoint => opcode::CHECKPOINT,
-            AdminRequest::Restore(_) => opcode::RESTORE,
-        }
-    }
-}
-
-/// A cluster control-plane response (see [`AdminRequest`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdminResponse {
-    /// The node's published epoch snapshot: epoch number, the stream
-    /// length at its boundary, the node's current frame high-water mark,
-    /// and the published merged summary's [`SnapshotCodec`] bytes.
-    ///
-    /// [`SnapshotCodec`]: robust_sampling_core::engine::SnapshotCodec
-    EpochState {
-        /// Published epoch number.
-        epoch: u64,
-        /// Stream length at the epoch boundary.
-        items: u64,
-        /// Ingest frames the node has applied so far.
-        frames_acked: u64,
-        /// The published merged summary's codec bytes; `None` when the
-        /// request's `since` equals `epoch` (the requester's copy is
-        /// current).
-        state: Option<Vec<u8>>,
-    },
-    /// The node's checkpoint envelope, plus the frame high-water mark it
-    /// was cut at (so the router can trim its replay window without
-    /// peeking inside the envelope).
-    Checkpoint {
-        /// Frame high-water mark at checkpoint time.
-        frames_acked: u64,
-        /// The full checkpoint envelope bytes.
-        bytes: Vec<u8>,
-    },
-    /// Restore acknowledged: the restored service's frame high-water
-    /// mark — the router replays only retained frames at or past it.
-    Restored {
-        /// Frame high-water mark of the restored service.
-        frames_acked: u64,
-    },
-    /// The node rejected the request (admin dispatch disabled, corrupt
-    /// envelope, …).
-    Err(String),
-}
-
-/// Append `req` to `out` as one binary frame.
-///
-/// # Panics
-///
-/// Panics if a `Restore` envelope is empty or exceeds
-/// [`MAX_FRAME_PAYLOAD`] bytes.
-pub fn encode_admin_request(req: &AdminRequest, out: &mut Vec<u8>) {
-    match req {
-        AdminRequest::EpochState { since: None } => put_header(out, opcode::EPOCH_STATE, 0),
-        AdminRequest::EpochState { since: Some(e) } => {
-            put_header(out, opcode::EPOCH_STATE, 8);
-            out.put_u64_le(*e);
-        }
-        AdminRequest::Checkpoint => put_header(out, opcode::CHECKPOINT, 0),
-        AdminRequest::Restore(bytes) => {
-            assert!(
-                !bytes.is_empty() && bytes.len() <= MAX_FRAME_PAYLOAD,
-                "RESTORE envelope must be 1..={MAX_FRAME_PAYLOAD} bytes, got {}",
-                bytes.len()
-            );
-            put_header(out, opcode::RESTORE, bytes.len());
-            out.put_slice(bytes);
-        }
-    }
-}
-
-/// Append `resp` to `out` as one binary frame.
-///
-/// # Panics
-///
-/// Panics if a variable-length part pushes the payload over
-/// [`MAX_FRAME_PAYLOAD`] (checkpoint envelopes and summary states are
-/// orders of magnitude below the cap), or if an `EPOCH STATE` carries
-/// `Some` empty state, which would decode as `None`.
-pub fn encode_admin_response(resp: &AdminResponse, out: &mut Vec<u8>) {
-    match resp {
-        AdminResponse::EpochState {
-            epoch,
-            items,
-            frames_acked,
-            state,
-        } => {
-            let state: &[u8] = match state {
-                Some(bytes) => {
-                    assert!(
-                        !bytes.is_empty(),
-                        "an EPOCH STATE summary state is never empty"
-                    );
-                    bytes
-                }
-                None => &[],
-            };
-            put_header(out, opcode::R_EPOCH_STATE, 24 + state.len());
-            out.put_u64_le(*epoch);
-            out.put_u64_le(*items);
-            out.put_u64_le(*frames_acked);
-            out.put_slice(state);
-        }
-        AdminResponse::Checkpoint {
-            frames_acked,
-            bytes,
-        } => {
-            put_header(out, opcode::R_CHECKPOINT, 8 + bytes.len());
-            out.put_u64_le(*frames_acked);
-            out.put_slice(bytes);
-        }
-        AdminResponse::Restored { frames_acked } => {
-            put_header(out, opcode::RESTORED, 8);
-            out.put_u64_le(*frames_acked);
-        }
-        AdminResponse::Err(msg) => encode_response(&Response::Err(msg.clone()), out),
-    }
-}
-
-/// Decode one admin response frame from the front of `buf`. Same
-/// incremental contract as [`decode_response`]; a server-side `ERR`
-/// frame decodes to [`AdminResponse::Err`].
-pub fn decode_admin_response(buf: &[u8]) -> Result<Option<(AdminResponse, usize)>, FrameError> {
-    let Some((op, len)) = decode_header(buf)? else {
-        return Ok(None);
-    };
-    if buf.len() < HEADER_BYTES + len {
-        return Ok(None);
-    }
-    let mut payload = &buf[HEADER_BYTES..HEADER_BYTES + len];
-    let consumed = HEADER_BYTES + len;
-    let resp = match op {
-        opcode::R_EPOCH_STATE => {
-            if len < 24 {
-                return Err(FrameError::Malformed(
-                    "EPOCH STATE payload missing its header",
-                ));
-            }
-            let epoch = payload.get_u64_le();
-            let items = payload.get_u64_le();
-            let frames_acked = payload.get_u64_le();
-            AdminResponse::EpochState {
-                epoch,
-                items,
-                frames_acked,
-                state: (!payload.is_empty()).then(|| payload.to_vec()),
-            }
-        }
-        opcode::R_CHECKPOINT => {
-            if len < 8 {
-                return Err(FrameError::Malformed(
-                    "CHECKPOINT payload missing its high-water mark",
-                ));
-            }
-            let frames_acked = payload.get_u64_le();
-            AdminResponse::Checkpoint {
-                frames_acked,
-                bytes: payload.to_vec(),
-            }
-        }
-        opcode::RESTORED => {
-            expect_len(payload, 8, "RESTORED payload must be one u64")?;
-            AdminResponse::Restored {
-                frames_acked: payload.get_u64_le(),
-            }
-        }
-        opcode::ERR => {
-            let msg = std::str::from_utf8(payload)
-                .map_err(|_| FrameError::Malformed("ERR message must be UTF-8"))?;
-            AdminResponse::Err(msg.to_string())
-        }
-        other => return Err(FrameError::BadOpcode(other)),
-    };
-    Ok(Some((resp, consumed)))
-}
-
 /// A decoded request frame whose bulk payload stays **borrowed** from
 /// the connection's read buffer. This is what the server's zero-copy
 /// ingest path consumes: an `INGEST` frame's values are never collected
@@ -668,43 +557,20 @@ pub enum RequestFrame<'a> {
     },
     /// Any non-bulk request, decoded to its owned form.
     Owned(Request),
-    /// A cluster control-plane request (binary-only — there is no owned
-    /// [`Request`] form; see [`AdminRequest`]).
-    Admin(AdminRequest),
 }
 
 impl RequestFrame<'_> {
     /// Materialize the owned [`Request`] (decoding an `IngestLe` payload
     /// into a fresh `Vec<u64>`) — the compatibility bridge for callers
     /// that do not run the zero-copy path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an [`Admin`](Self::Admin) frame — admin requests have
-    /// no [`Request`] form ([`decode_request`] reports them as
-    /// [`FrameError::BadOpcode`] instead of reaching this).
     pub fn into_owned(self) -> Request {
         match self {
-            RequestFrame::IngestLe(payload) => Request::Ingest(
-                payload
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect(),
-            ),
+            RequestFrame::IngestLe(payload) => Request::Ingest(le_u64s(payload)),
             RequestFrame::TenantIngestLe { tenant, payload } => Request::TenantIngest {
                 tenant,
-                values: payload
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect(),
+                values: le_u64s(payload),
             },
             RequestFrame::Owned(req) => req,
-            RequestFrame::Admin(req) => {
-                panic!(
-                    "admin frame {:#04x} has no owned Request form",
-                    req.opcode()
-                )
-            }
         }
     }
 }
@@ -795,8 +661,8 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usiz
                 tenant: payload.get_u64_le(),
             }
         }
-        opcode::EPOCH_STATE => {
-            let since = match len {
+        opcode::EPOCH_STATE => Request::EpochState {
+            since: match len {
                 0 => None,
                 8 => Some(payload.get_u64_le()),
                 _ => {
@@ -804,18 +670,11 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usiz
                         "EPOCH STATE payload must be empty or one u64",
                     ))
                 }
-            };
-            return Ok(Some((
-                RequestFrame::Admin(AdminRequest::EpochState { since }),
-                consumed,
-            )));
-        }
+            },
+        },
         opcode::CHECKPOINT => {
             expect_len(payload, 0, "CHECKPOINT carries no payload")?;
-            return Ok(Some((
-                RequestFrame::Admin(AdminRequest::Checkpoint),
-                consumed,
-            )));
+            Request::Checkpoint
         }
         opcode::RESTORE => {
             if len == 0 {
@@ -823,10 +682,7 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usiz
                     "RESTORE payload must carry a checkpoint envelope",
                 ));
             }
-            return Ok(Some((
-                RequestFrame::Admin(AdminRequest::Restore(payload.to_vec())),
-                consumed,
-            )));
+            Request::Restore(payload.to_vec())
         }
         other => return Err(FrameError::BadOpcode(other)),
     };
@@ -841,13 +697,33 @@ pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usiz
 /// hot path uses [`decode_request_frame`] instead, which keeps `INGEST`
 /// payloads borrowed.
 pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError> {
-    match decode_request_frame(buf)? {
-        // Admin frames are binary-only: at the owned-Request level (the
-        // text-compat bridge) their opcodes are simply not requests.
-        Some((RequestFrame::Admin(req), _)) => Err(FrameError::BadOpcode(req.opcode())),
-        Some((frame, consumed)) => Ok(Some((frame.into_owned(), consumed))),
-        None => Ok(None),
+    Ok(decode_request_frame(buf)?.map(|(frame, consumed)| (frame.into_owned(), consumed)))
+}
+
+/// The little-endian `u64` values of `bytes` (a multiple of 8 long).
+fn le_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect()
+}
+
+/// Decode the payload `SNAPSHOT` and `TSNAPSHOT` share: a leading u64
+/// (epoch or tenant), u64 items, u32 `k`, then `k` × u64.
+fn get_sampled(
+    mut payload: &[u8],
+    what: &'static str,
+) -> Result<(u64, usize, Vec<u64>), FrameError> {
+    if payload.len() < 20 {
+        return Err(FrameError::Malformed(what));
     }
+    let head = payload.get_u64_le();
+    let items = payload.get_u64_le() as usize;
+    let k = payload.get_u32_le() as usize;
+    if payload.remaining() != 8 * k {
+        return Err(FrameError::Malformed(what));
+    }
+    Ok((head, items, le_u64s(payload)))
 }
 
 /// Decode one response frame from the front of `buf`. Same contract as
@@ -905,21 +781,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
             Response::Ks(payload.get_f64_le())
         }
         opcode::R_SNAPSHOT => {
-            if len < 20 {
-                return Err(FrameError::Malformed("SNAPSHOT payload missing its header"));
-            }
-            let epoch = payload.get_u64_le();
-            let items = payload.get_u64_le() as usize;
-            let k = payload.get_u32_le() as usize;
-            if payload.remaining() != 8 * k {
-                return Err(FrameError::Malformed(
-                    "SNAPSHOT sample length disagrees with payload size",
-                ));
-            }
-            let mut sample = Vec::with_capacity(k);
-            for _ in 0..k {
-                sample.push(payload.get_u64_le());
-            }
+            let (epoch, items, sample) = get_sampled(payload, "SNAPSHOT")?;
             Response::Snapshot {
                 epoch,
                 items,
@@ -927,23 +789,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
             }
         }
         opcode::R_TENANT_SNAPSHOT => {
-            if len < 20 {
-                return Err(FrameError::Malformed(
-                    "TSNAPSHOT payload missing its header",
-                ));
-            }
-            let tenant = payload.get_u64_le();
-            let items = payload.get_u64_le() as usize;
-            let k = payload.get_u32_le() as usize;
-            if payload.remaining() != 8 * k {
-                return Err(FrameError::Malformed(
-                    "TSNAPSHOT sample length disagrees with payload size",
-                ));
-            }
-            let mut sample = Vec::with_capacity(k);
-            for _ in 0..k {
-                sample.push(payload.get_u64_le());
-            }
+            let (tenant, items, sample) = get_sampled(payload, "TSNAPSHOT")?;
             Response::TenantSnapshot {
                 tenant,
                 items,
@@ -972,6 +818,36 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
             let msg = std::str::from_utf8(payload)
                 .map_err(|_| FrameError::Malformed("ERR message must be UTF-8"))?;
             Response::Err(msg.to_string())
+        }
+        opcode::R_EPOCH_STATE => {
+            if len < 24 {
+                return Err(FrameError::Malformed(
+                    "EPOCH STATE payload missing its header",
+                ));
+            }
+            Response::EpochState {
+                epoch: payload.get_u64_le(),
+                items: payload.get_u64_le(),
+                frames_acked: payload.get_u64_le(),
+                state: (!payload.is_empty()).then(|| payload.to_vec()),
+            }
+        }
+        opcode::R_CHECKPOINT => {
+            if len < 8 {
+                return Err(FrameError::Malformed(
+                    "CHECKPOINT payload missing its high-water mark",
+                ));
+            }
+            Response::Checkpoint {
+                frames_acked: payload.get_u64_le(),
+                bytes: payload.to_vec(),
+            }
+        }
+        opcode::RESTORED => {
+            expect_len(payload, 8, "RESTORED payload must be one u64")?;
+            Response::Restored {
+                frames_acked: payload.get_u64_le(),
+            }
         }
         other => return Err(FrameError::BadOpcode(other)),
     };
@@ -1002,6 +878,13 @@ mod tests {
             Request::TenantSnapshot { tenant: 9 },
             Request::Stats,
             Request::Quit,
+            Request::EpochState { since: None },
+            Request::EpochState { since: Some(0) },
+            Request::EpochState {
+                since: Some(u64::MAX),
+            },
+            Request::Checkpoint,
+            Request::Restore(vec![0xAB; 120]),
         ]
     }
 
@@ -1036,7 +919,140 @@ mod tests {
             }),
             Response::Bye,
             Response::Err("boom × unicode".into()),
+            Response::EpochState {
+                epoch: 3,
+                items: 9_000,
+                frames_acked: 17,
+                state: Some(vec![1, 2, 3, 4, 5, 6, 7, 8]),
+            },
+            Response::EpochState {
+                epoch: 3,
+                items: 9_000,
+                frames_acked: 18,
+                state: None,
+            },
+            Response::Checkpoint {
+                frames_acked: 42,
+                bytes: vec![9; 64],
+            },
+            Response::Restored { frames_acked: 42 },
         ]
+    }
+
+    /// FNV-1a over one frame: a compact pin for exact wire bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn every_encoder_writes_the_pinned_bytes() {
+        // (opcode, frame length, digest) per frame, in the order below:
+        // every request, every response, then the three slice encoders.
+        // Captured from the encoders as they stood when the admin frames
+        // had an encoder pair of their own, so peers built before and
+        // after the fold exchange identical bytes.
+        let pins: [(u8, usize, u64); 35] = [
+            (0x01, 32, 0x0f64_8535_e5b9_c2ed),
+            (0x02, 16, 0x333c_d4db_0ef5_ebf5),
+            (0x03, 16, 0xc935_bdfd_e039_c078),
+            (0x04, 16, 0x96e0_cb16_29eb_44eb),
+            (0x05, 8, 0xc2e1_3e5c_30e2_16a0),
+            (0x06, 8, 0xe8ed_e7db_a8d0_55c9),
+            (0x0C, 40, 0xfe91_dba9_f4c8_64de),
+            (0x0D, 24, 0x195f_88a6_ad8f_aca4),
+            (0x0E, 24, 0x425d_0546_877d_e3ac),
+            (0x0F, 16, 0x68f5_beae_8f2e_4fdf),
+            (0x07, 8, 0xdc3f_04b1_2b80_eb66),
+            (0x08, 8, 0x67c2_c784_8dea_7da7),
+            (0x09, 8, 0x5b13_e45a_109b_1344),
+            (0x09, 16, 0xc63f_ae57_727c_e94c),
+            (0x09, 16, 0x44c9_7d03_8c37_83c4),
+            (0x0A, 8, 0x8120_8dd9_8889_526d),
+            (0x0B, 128, 0xef61_06d0_3038_affa),
+            (0x81, 16, 0x6c1c_e752_6389_c69c),
+            (0x82, 16, 0xdfa9_b715_9487_0419),
+            (0x83, 9, 0xf3d6_b98c_2843_6519),
+            (0x83, 17, 0x8117_7b6d_0bb5_c8d4),
+            (0x84, 44, 0x81cb_617a_162d_9a9c),
+            (0x85, 16, 0x3a10_b2cb_f2b3_5c9e),
+            (0x86, 68, 0xf275_630c_16b1_831a),
+            (0x8C, 52, 0x7f49_f329_1257_0874),
+            (0x87, 80, 0xe520_1667_7785_c9a2),
+            (0x88, 8, 0x1051_3245_e635_4c27),
+            (0xC0, 23, 0x0fe0_761b_30cc_82ac),
+            (0x89, 40, 0xcb7e_48ed_18b3_be9b),
+            (0x89, 32, 0x28a6_b63d_0830_2c20),
+            (0x8A, 80, 0x995e_0e20_2c69_c7af),
+            (0x8B, 16, 0x3276_7777_c8c8_a728),
+            (0x01, 24, 0x4197_fe6c_1dbd_9673),
+            (0x0C, 32, 0xb065_d64e_1bb5_e123),
+            (0x86, 52, 0x1754_988c_b1b4_e695),
+        ];
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut push = |encode: &dyn Fn(&mut Vec<u8>)| {
+            let mut buf = Vec::new();
+            encode(&mut buf);
+            frames.push(buf);
+        };
+        for req in all_requests() {
+            push(&|out| encode_request(&req, out));
+        }
+        for resp in all_responses() {
+            push(&|out| encode_response(&resp, out));
+        }
+        push(&|out| encode_ingest_slice(&[7, u64::MAX], out));
+        push(&|out| encode_tenant_ingest_slice(3, &[1, 2], out));
+        push(&|out| encode_snapshot_slice(4, 99, &[5, 6, 7], out));
+        let got: Vec<(u8, usize, u64)> = frames.iter().map(|f| (f[3], f.len(), fnv1a(f))).collect();
+        assert_eq!(got, pins);
+    }
+
+    #[test]
+    fn over_cap_responses_become_a_typed_err() {
+        let big = MAX_FRAME_PAYLOAD / 8;
+        let over = [
+            Response::Snapshot {
+                epoch: 1,
+                items: big,
+                sample: vec![7; big],
+            },
+            Response::TenantSnapshot {
+                tenant: 2,
+                items: big,
+                sample: vec![7; big],
+            },
+            Response::Heavy(vec![(7, 0.5); big / 2]),
+            Response::EpochState {
+                epoch: 1,
+                items: 2,
+                frames_acked: 3,
+                state: Some(vec![1; MAX_FRAME_PAYLOAD]),
+            },
+            Response::Checkpoint {
+                frames_acked: 3,
+                bytes: vec![1; MAX_FRAME_PAYLOAD],
+            },
+        ];
+        for resp in over {
+            let mut buf = Vec::new();
+            encode_response(&resp, &mut buf);
+            let (back, consumed) = decode_response(&buf).unwrap().unwrap();
+            assert_eq!(consumed, buf.len());
+            match back {
+                Response::Err(msg) => assert!(msg.contains("frame cap"), "{msg}"),
+                other => panic!("expected ERR, got {other:?}"),
+            }
+        }
+        // The largest snapshot that fits still goes out whole.
+        let fits = (MAX_FRAME_PAYLOAD - 20) / 8;
+        let mut buf = Vec::new();
+        encode_snapshot_slice(1, fits, &vec![7; fits], &mut buf);
+        assert!(matches!(
+            decode_response(&buf).unwrap().unwrap().0,
+            Response::Snapshot { .. }
+        ));
     }
 
     #[test]
@@ -1071,6 +1087,17 @@ mod tests {
                     decode_request(&buf[..cut]).unwrap(),
                     None,
                     "cut at {cut} of {req:?}"
+                );
+            }
+        }
+        for resp in all_responses() {
+            let mut buf = Vec::new();
+            encode_response(&resp, &mut buf);
+            for cut in 0..buf.len() {
+                assert_eq!(
+                    decode_response(&buf[..cut]).unwrap(),
+                    None,
+                    "cut at {cut} of {resp:?}"
                 );
             }
         }
@@ -1242,103 +1269,6 @@ mod tests {
         }
     }
 
-    fn all_admin_requests() -> Vec<AdminRequest> {
-        vec![
-            AdminRequest::EpochState { since: None },
-            AdminRequest::EpochState { since: Some(0) },
-            AdminRequest::EpochState {
-                since: Some(u64::MAX),
-            },
-            AdminRequest::Checkpoint,
-            AdminRequest::Restore(vec![0xAB; 120]),
-        ]
-    }
-
-    fn all_admin_responses() -> Vec<AdminResponse> {
-        vec![
-            AdminResponse::EpochState {
-                epoch: 3,
-                items: 9_000,
-                frames_acked: 17,
-                state: Some(vec![1, 2, 3, 4, 5, 6, 7, 8]),
-            },
-            AdminResponse::EpochState {
-                epoch: 3,
-                items: 9_000,
-                frames_acked: 18,
-                state: None,
-            },
-            AdminResponse::Checkpoint {
-                frames_acked: 42,
-                bytes: vec![9; 64],
-            },
-            AdminResponse::Restored { frames_acked: 42 },
-            AdminResponse::Err("restore rejected × unicode".into()),
-        ]
-    }
-
-    #[test]
-    fn every_admin_request_round_trips_through_the_frame_decoder() {
-        for req in all_admin_requests() {
-            let mut buf = Vec::new();
-            encode_admin_request(&req, &mut buf);
-            let (frame, consumed) = decode_request_frame(&buf).unwrap().unwrap();
-            assert_eq!(frame, RequestFrame::Admin(req));
-            assert_eq!(consumed, buf.len());
-        }
-    }
-
-    #[test]
-    fn every_admin_response_round_trips() {
-        for resp in all_admin_responses() {
-            let mut buf = Vec::new();
-            encode_admin_response(&resp, &mut buf);
-            let (back, consumed) = decode_admin_response(&buf).unwrap().unwrap();
-            assert_eq!(back, resp);
-            assert_eq!(consumed, buf.len());
-        }
-    }
-
-    #[test]
-    fn every_admin_truncation_is_incomplete_not_an_error() {
-        for req in all_admin_requests() {
-            let mut buf = Vec::new();
-            encode_admin_request(&req, &mut buf);
-            for cut in 0..buf.len() {
-                assert_eq!(
-                    decode_request_frame(&buf[..cut]).unwrap(),
-                    None,
-                    "cut at {cut} of {req:?}"
-                );
-            }
-        }
-        for resp in all_admin_responses() {
-            let mut buf = Vec::new();
-            encode_admin_response(&resp, &mut buf);
-            for cut in 0..buf.len() {
-                assert_eq!(
-                    decode_admin_response(&buf[..cut]).unwrap(),
-                    None,
-                    "cut at {cut} of {resp:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn admin_frames_are_binary_only_at_the_owned_request_level() {
-        // The text-compat bridge must refuse admin opcodes rather than
-        // materialize a Request they have no form for.
-        for req in all_admin_requests() {
-            let mut buf = Vec::new();
-            encode_admin_request(&req, &mut buf);
-            assert_eq!(
-                decode_request(&buf),
-                Err(FrameError::BadOpcode(req.opcode()))
-            );
-        }
-    }
-
     #[test]
     fn malformed_admin_payloads_are_typed_errors() {
         // EPOCH STATE requests whose payload is neither empty nor one u64.
@@ -1363,7 +1293,7 @@ mod tests {
         put_header(&mut buf, opcode::R_EPOCH_STATE, 16);
         buf.extend_from_slice(&[0; 16]);
         assert!(matches!(
-            decode_admin_response(&buf),
+            decode_response(&buf),
             Err(FrameError::Malformed(_))
         ));
         // CHECKPOINT response missing its high-water mark.
@@ -1371,7 +1301,7 @@ mod tests {
         put_header(&mut buf, opcode::R_CHECKPOINT, 4);
         buf.extend_from_slice(&[0; 4]);
         assert!(matches!(
-            decode_admin_response(&buf),
+            decode_response(&buf),
             Err(FrameError::Malformed(_))
         ));
         // RESTORED with a missized payload.
@@ -1379,15 +1309,8 @@ mod tests {
         put_header(&mut buf, opcode::RESTORED, 9);
         buf.extend_from_slice(&[0; 9]);
         assert!(matches!(
-            decode_admin_response(&buf),
+            decode_response(&buf),
             Err(FrameError::Malformed(_))
-        ));
-        // A plain response opcode is not an admin response.
-        let mut buf = Vec::new();
-        encode_response(&Response::Bye, &mut buf);
-        assert!(matches!(
-            decode_admin_response(&buf),
-            Err(FrameError::BadOpcode(_))
         ));
     }
 

@@ -18,9 +18,11 @@
 //!   swap's write lock is equally brief), so concurrent queries are
 //!   effectively constant-time, mutually consistent, never contend with
 //!   ingestion, and never observe a half-ingested frame.
-//! * [`protocol`] — a dependency-free text line protocol
-//!   (`INGEST` / `QUERY COUNT|QUANTILE|HH|KS` / `SNAPSHOT` / `STATS`)
-//!   spoken over `std::net::TcpStream`.
+//! * [`protocol`] — the one [`Request`]/[`Response`] vocabulary and its
+//!   dependency-free text line form (`INGEST` /
+//!   `QUERY COUNT|QUANTILE|HH|KS` / `SNAPSHOT` / `STATS`) spoken over
+//!   `std::net::TcpStream`; [`frame`] is its binary form, which alone
+//!   also carries the cluster admin requests.
 //! * [`ServiceServer`] / [`ServiceClient`] — a threaded TCP server and a
 //!   blocking client. The client implements the core engine and attack
 //!   traits ([`StreamSummary`], [`StateOracle`], [`ObservableDefense`]),
@@ -65,7 +67,7 @@ pub mod tenant;
 
 pub use client::ServiceClient;
 pub use cluster::{ChildGuard, ClusterConfig, ClusterDefense, ClusterRouter};
-pub use frame::{AdminRequest, AdminResponse, FrameError};
+pub use frame::FrameError;
 pub use protocol::{Request, Response, ServiceStats};
 pub use server::{ServiceConfig, ServiceServer};
 pub use service::{EpochSnapshot, QueryHandle, ServableSummary, SummaryService};

@@ -1,4 +1,7 @@
-//! The dependency-free text line protocol the service speaks over TCP.
+//! The request vocabulary — [`Request`] and [`Response`], the one set of
+//! enums both wire formats carry — and its text line form, the
+//! dependency-free debug front-end the service speaks over TCP beside
+//! the binary frames of [`crate::frame`].
 //!
 //! One request per line, one response line per request, ASCII throughout
 //! (`u64` values in decimal, `f64` in Rust's shortest-round-trip decimal
@@ -27,11 +30,26 @@
 //! [`TenantArena`](crate::tenant::TenantArena); on a server spawned
 //! without an arena they answer `ERR`.
 //!
+//! The cluster admin variants — [`Request::EpochState`],
+//! [`Request::Checkpoint`], [`Request::Restore`] and their replies — are
+//! **binary-only**: the grammar above has no line for them,
+//! [`Request::parse`] rejects their verbs, and the client refuses to send
+//! them on a text connection ([`Request::is_admin`]).
+//!
 //! [`Request`] and [`Response`] each encode to and parse from a line, and
 //! both directions are round-trip tested — the server and the blocking
 //! client share this one grammar definition.
 
 use std::fmt::Write as _;
+
+/// Which wire format a request arrived in or a connection speaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wire {
+    /// The text line protocol of this module.
+    Text,
+    /// The binary frames of [`crate::frame`].
+    Binary,
+}
 
 /// Cap on values per `INGEST` line (keeps a hostile line from ballooning
 /// server memory; the client chunks longer batches).
@@ -82,6 +100,20 @@ pub enum Request {
     Stats,
     /// Close the connection.
     Quit,
+    /// Cluster admin (binary-only): pull the node's published epoch
+    /// state for the coordinator's shard-order merge. With
+    /// `since: Some(e)`, a node whose published epoch is still `e` leaves
+    /// the summary out of its reply.
+    EpochState {
+        /// The epoch the requester already holds, if any.
+        since: Option<u64>,
+    },
+    /// Cluster admin (binary-only): pull the node's full checkpoint
+    /// envelope.
+    Checkpoint,
+    /// Cluster admin (binary-only): seed the node from a checkpoint
+    /// envelope (failover restore). The envelope must be non-empty.
+    Restore(Vec<u8>),
 }
 
 /// Service counters reported by `STATS`.
@@ -146,6 +178,39 @@ pub enum Response {
     Bye,
     /// Request failed.
     Err(String),
+    /// Reply to [`Request::EpochState`]: the node's published epoch, the
+    /// stream length at its boundary, the ingest frames the node has
+    /// applied, and the published merged summary's [`SnapshotCodec`]
+    /// bytes — `None` when the request's `since` equals `epoch` (the
+    /// requester's copy is current).
+    ///
+    /// [`SnapshotCodec`]: robust_sampling_core::engine::SnapshotCodec
+    EpochState {
+        /// Published epoch number.
+        epoch: u64,
+        /// Stream length at the epoch boundary.
+        items: u64,
+        /// Ingest frames the node has applied so far.
+        frames_acked: u64,
+        /// The published merged summary's codec bytes, if sent.
+        state: Option<Vec<u8>>,
+    },
+    /// Reply to [`Request::Checkpoint`]: the envelope plus the frame
+    /// high-water mark it was cut at (so the router can trim its replay
+    /// window without peeking inside the envelope).
+    Checkpoint {
+        /// Frame high-water mark at checkpoint time.
+        frames_acked: u64,
+        /// The full checkpoint envelope bytes.
+        bytes: Vec<u8>,
+    },
+    /// Reply to [`Request::Restore`]: the restored service's frame
+    /// high-water mark — the router replays only retained frames at or
+    /// past it.
+    Restored {
+        /// Frame high-water mark of the restored service.
+        frames_acked: u64,
+    },
 }
 
 fn parse_u64(tok: &str, what: &'static str) -> Result<u64, String> {
@@ -169,6 +234,15 @@ fn parse_unit(tok: &str, what: &'static str) -> Result<f64, String> {
 }
 
 impl Request {
+    /// Whether this is a binary-only cluster admin request
+    /// (`EPOCH STATE`, `CHECKPOINT` or `RESTORE`).
+    pub fn is_admin(&self) -> bool {
+        matches!(
+            self,
+            Request::EpochState { .. } | Request::Checkpoint | Request::Restore(_)
+        )
+    }
+
     /// Parse one request line (without its trailing newline).
     pub fn parse(line: &str) -> Result<Self, String> {
         let mut toks = line.split_ascii_whitespace();
@@ -273,7 +347,9 @@ impl Request {
 
     /// Append the encoded line (without trailing newline) directly to a
     /// byte buffer — the client's reusable-scratch send path; same
-    /// grammar as [`encode`](Self::encode) (which delegates here).
+    /// grammar as [`encode`](Self::encode) (which delegates here). An
+    /// admin request has no line: it writes its bare verb, which
+    /// [`parse`](Self::parse) rejects.
     pub fn write_line(&self, out: &mut Vec<u8>) {
         if let Request::Ingest(vs) = self {
             return write_ingest_line(vs, out);
@@ -313,6 +389,15 @@ impl Request {
             }
             Request::Quit => {
                 let _ = w.write_str("QUIT");
+            }
+            Request::EpochState { .. } => {
+                let _ = w.write_str("EPOCH STATE");
+            }
+            Request::Checkpoint => {
+                let _ = w.write_str("CHECKPOINT");
+            }
+            Request::Restore(_) => {
+                let _ = w.write_str("RESTORE");
             }
         }
     }
@@ -385,7 +470,8 @@ impl Response {
     /// byte buffer — the path the server uses to serialize responses
     /// straight into a connection's out-buffer, with no intermediate
     /// `String`. The grammar is identical to [`encode`](Self::encode)
-    /// (which delegates here).
+    /// (which delegates here). An admin reply has no line and writes an
+    /// `ERR` instead.
     pub fn write_into(&self, out: &mut Vec<u8>) {
         if let Response::Snapshot {
             epoch,
@@ -450,6 +536,11 @@ impl Response {
             }
             Response::Err(msg) => {
                 let _ = write!(w, "ERR {}", msg.replace(['\r', '\n'], " "));
+            }
+            Response::EpochState { .. }
+            | Response::Checkpoint { .. }
+            | Response::Restored { .. } => {
+                let _ = w.write_str("ERR admin replies have no text form");
             }
         }
     }
@@ -691,6 +782,49 @@ mod tests {
             "QUIT extra",
         ] {
             assert!(Request::parse(line).is_err(), "accepted {line:?}");
+        }
+    }
+
+    #[test]
+    fn admin_requests_have_no_text_form() {
+        // The binary-only verbs never parse, and the bare verb an admin
+        // request writes is rejected like any unknown command.
+        for req in [
+            Request::EpochState { since: None },
+            Request::EpochState { since: Some(3) },
+            Request::Checkpoint,
+            Request::Restore(vec![1, 2]),
+        ] {
+            assert!(req.is_admin());
+            assert!(Request::parse(&req.encode()).is_err(), "{req:?}");
+        }
+        for line in [
+            "EPOCH STATE",
+            "EPOCH STATE 3",
+            "CHECKPOINT",
+            "RESTORE",
+            "RESTORE 1 2",
+        ] {
+            assert!(Request::parse(line).is_err(), "accepted {line:?}");
+        }
+        // An admin reply written as text is an ERR line.
+        for resp in [
+            Response::EpochState {
+                epoch: 1,
+                items: 2,
+                frames_acked: 3,
+                state: None,
+            },
+            Response::Checkpoint {
+                frames_acked: 3,
+                bytes: vec![4],
+            },
+            Response::Restored { frames_acked: 3 },
+        ] {
+            assert!(matches!(
+                Response::parse(&resp.encode()),
+                Ok(Response::Err(_))
+            ));
         }
     }
 

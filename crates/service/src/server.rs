@@ -15,9 +15,14 @@
 //!
 //! The two protocols share one dispatch: the first byte of each request
 //! picks the front-end (`0xB5` opens a binary frame, anything else is a
-//! text line), and the response travels in the same format as its
-//! request — so a debug `telnet` session and a binary load generator
-//! can even share a connection.
+//! text line), both decode to the one [`Request`] vocabulary, and a
+//! single `respond` answers it and writes the [`Response`] in the same
+//! format as its request — so a debug `telnet` session and a binary load
+//! generator can even share a connection. The cluster admin requests
+//! (`EPOCH STATE`, `CHECKPOINT`, `RESTORE`) ride the same dispatch; they
+//! only ever arrive as binary frames (the text grammar has no line for
+//! them), and only a [`ServiceServer::spawn_admin`] endpoint answers them
+//! with anything but `ERR`.
 //!
 //! `INGEST` goes through a mutex around the service's ingest path
 //! (frames from concurrent connections interleave, but each frame is
@@ -38,13 +43,13 @@
 //! for an ephemeral port ([`ServiceServer::port`] reports it), which is
 //! what CI and tests use to avoid bind collisions.
 
-use crate::frame::{self, AdminRequest, AdminResponse};
-use crate::protocol::{write_snapshot_line, Request, Response, ServiceStats};
+use crate::frame;
+use crate::protocol::{write_snapshot_line, Request, Response, ServiceStats, Wire};
 use crate::service::{EpochSnapshot, QueryHandle, ServableSummary, SummaryService};
 use crate::tenant::{TenantArena, TenantArenaConfig};
 use polling::{Event, Poller};
 use robust_sampling_core::attack::ObservableDefense;
-use robust_sampling_core::engine::{SnapshotCodec, SnapshotError};
+use robust_sampling_core::engine::SnapshotCodec;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -82,49 +87,56 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The cluster control-plane handlers, monomorphized where the
+/// Answers the cluster admin requests, monomorphized where the
 /// [`SnapshotCodec`] bound holds (so the plain [`ServiceServer::spawn`]
-/// never requires it). `None` = admin frames answered with `ERR`.
-struct AdminHooks<S: ServableSummary> {
-    epoch_state: fn(&SummaryService<S>, Option<u64>) -> AdminResponse,
-    checkpoint: fn(&SummaryService<S>) -> AdminResponse,
-    restore: fn(&[u8]) -> RestoredService<S>,
-}
+/// never requires it). `None` = admin requests answered with `ERR`.
+type AdminHook<S> = fn(Request, &Shared<S>) -> Response;
 
-/// What a `RESTORE` handler rebuilds: the service plus its frame
-/// high-water mark at checkpoint time.
-type RestoredService<S> = Result<(SummaryService<S>, u64), SnapshotError>;
-
-fn admin_hooks<S>() -> AdminHooks<S>
+/// The [`AdminHook`] of a [`ServiceServer::spawn_admin`] endpoint.
+/// `RESTORE` swaps the service wholesale under the mutex and re-points
+/// query dispatch at the restored service's published snapshot before
+/// acknowledging, so no query window ever mixes old and new state.
+fn answer_admin<S>(req: Request, shared: &Shared<S>) -> Response
 where
     S: ServableSummary + SnapshotCodec,
 {
-    AdminHooks {
-        epoch_state: |svc, since| {
-            let snap = svc.snapshot();
+    let lock = || shared.service.lock().expect("service lock poisoned");
+    match req {
+        Request::EpochState { since } => {
+            let service = lock();
+            let snap = service.snapshot();
             // The requester already holds this epoch: skip the encode.
             let state = (since != Some(snap.epoch())).then(|| {
                 let mut state = Vec::new();
                 snap.summary().save_into(&mut state);
                 state
             });
-            AdminResponse::EpochState {
+            Response::EpochState {
                 epoch: snap.epoch(),
                 items: snap.items() as u64,
-                frames_acked: svc.frames_acked(),
+                frames_acked: service.frames_acked(),
                 state,
             }
+        }
+        Request::Checkpoint => {
+            let service = lock();
+            Response::Checkpoint {
+                frames_acked: service.frames_acked(),
+                bytes: service.checkpoint(),
+            }
+        }
+        Request::Restore(bytes) => match SummaryService::<S>::restore(&bytes) {
+            Ok(restored) => {
+                let frames_acked = restored.frames_acked();
+                let mut service = lock();
+                let mut queries = shared.queries.write().expect("query handle poisoned");
+                *queries = restored.query_handle();
+                *service = restored;
+                Response::Restored { frames_acked }
+            }
+            Err(e) => Response::Err(format!("restore rejected: {e}")),
         },
-        checkpoint: |svc| AdminResponse::Checkpoint {
-            frames_acked: svc.frames_acked(),
-            bytes: svc.checkpoint(),
-        },
-        restore: |bytes| {
-            SummaryService::restore(bytes).map(|svc| {
-                let frames_acked = svc.frames_acked();
-                (svc, frames_acked)
-            })
-        },
+        _ => unreachable!("only admin requests reach the admin hook"),
     }
 }
 
@@ -135,7 +147,7 @@ struct Shared<S: ServableSummary> {
     /// published snapshot. Uncontended on the query path.
     queries: RwLock<QueryHandle<S>>,
     universe: u64,
-    admin: Option<AdminHooks<S>>,
+    admin: Option<AdminHook<S>>,
     /// The keyed per-tenant arena, when enabled. Ingest and tenant
     /// queries share this mutex — tenant queries must revive evicted
     /// tenants, so they mutate the arena and cannot ride the snapshot
@@ -192,7 +204,8 @@ impl ServiceServer {
     /// rebuilt from an envelope; queries re-point at the restored
     /// service's published snapshot atomically). This is what a cluster
     /// node's serving endpoint runs; the plain `spawn` answers admin
-    /// frames with `ERR` and needs no [`SnapshotCodec`] bound.
+    /// frames with `ERR` and needs no [`SnapshotCodec`] bound. Admin
+    /// requests are binary-only: the text grammar has no line for them.
     pub fn spawn_admin<S>(
         service: SummaryService<S>,
         config: ServiceConfig,
@@ -200,13 +213,13 @@ impl ServiceServer {
     where
         S: ServableSummary + ObservableDefense + SnapshotCodec,
     {
-        Self::spawn_inner(service, config, Some(admin_hooks()))
+        Self::spawn_inner(service, config, Some(answer_admin::<S>))
     }
 
     fn spawn_inner<S>(
         service: SummaryService<S>,
         config: ServiceConfig,
-        admin: Option<AdminHooks<S>>,
+        admin: Option<AdminHook<S>>,
     ) -> std::io::Result<Self>
     where
         S: ServableSummary + ObservableDefense,
@@ -508,17 +521,13 @@ impl Conn {
                     }
                     Ok(Some((frame::RequestFrame::Owned(req), consumed))) => {
                         pos += consumed;
-                        self.respond_binary(req, shared);
-                    }
-                    Ok(Some((frame::RequestFrame::Admin(req), consumed))) => {
-                        pos += consumed;
-                        self.respond_admin(req, shared);
+                        self.respond(Ok(req), Wire::Binary, shared);
                     }
                     Ok(None) => break,
                     Err(e) => {
                         // The stream cannot be resynchronized after a
                         // framing violation: report and close.
-                        frame::encode_response(&Response::Err(e.to_string()), &mut self.outbuf);
+                        self.respond(Err(e.to_string()), Wire::Binary, shared);
                         self.closing = true;
                         pos = self.inbuf.len();
                     }
@@ -530,26 +539,20 @@ impl Conn {
                         // (can happen when the newline arrived in the
                         // same read burst as the flood).
                         pos += i + 1;
-                        self.respond_text(
-                            Err("request line exceeds the per-line byte cap".into()),
-                            shared,
-                        );
+                        self.respond(Err(LINE_OVER_CAP.into()), Wire::Text, shared);
                     }
                     Some(i) => {
                         let line_end = pos + i;
                         let (head, _) = self.inbuf.split_at(line_end);
                         let req = parse_text_line(&head[pos..]);
                         pos = line_end + 1;
-                        self.respond_text(req, shared);
+                        self.respond(req, Wire::Text, shared);
                     }
                     None => {
                         if buf.len() >= MAX_LINE_BYTES {
                             // Too long to ever parse: answer now, then
                             // discard until the newline shows up.
-                            self.respond_text(
-                                Err("request line exceeds the per-line byte cap".into()),
-                                shared,
-                            );
+                            self.respond(Err(LINE_OVER_CAP.into()), Wire::Text, shared);
                             self.draining_line = true;
                             pos = self.inbuf.len();
                         }
@@ -575,93 +578,49 @@ impl Conn {
         }
         if !frame::is_frame_start(self.inbuf[0]) && self.inbuf.len() < MAX_LINE_BYTES {
             let line = std::mem::take(&mut self.inbuf);
-            self.respond_text(parse_text_line(&line), shared);
+            self.respond(parse_text_line(&line), Wire::Text, shared);
         }
         self.inbuf.clear();
     }
 
-    fn respond_binary<S>(&mut self, req: Request, shared: &Shared<S>)
+    /// Answer one request — or the error that stood in for it — and
+    /// write the response to the out-buffer in the request's own wire
+    /// format. `SNAPSHOT` serializes the sample straight from the
+    /// snapshot's cached slice, with no owned copy and no intermediate
+    /// [`Response`].
+    fn respond<S>(&mut self, req: Result<Request, String>, wire: Wire, shared: &Shared<S>)
     where
         S: ServableSummary + ObservableDefense,
     {
-        match req {
-            Request::Quit => {
-                self.closing = true;
-                frame::encode_response(&Response::Bye, &mut self.outbuf);
-            }
-            // Serialize the sample straight from the snapshot's cached
-            // slice into the out-buffer — no owned copy of the sample,
-            // no intermediate Response.
-            Request::Snapshot => {
-                let snap = shared.snapshot();
-                frame::encode_snapshot_slice(
-                    snap.epoch(),
-                    snap.items(),
-                    snap.visible_ref(),
-                    &mut self.outbuf,
-                );
-            }
-            req => frame::encode_response(&answer(req, shared), &mut self.outbuf),
-        }
-    }
-
-    /// Answer one cluster control-plane frame. `RESTORE` swaps the
-    /// service wholesale under the mutex and re-points query dispatch at
-    /// the restored service's published snapshot before acknowledging,
-    /// so no query window ever mixes old and new state.
-    fn respond_admin<S>(&mut self, req: AdminRequest, shared: &Shared<S>)
-    where
-        S: ServableSummary + ObservableDefense,
-    {
-        let resp = match &shared.admin {
-            None => AdminResponse::Err("admin frames are not enabled on this endpoint".into()),
-            Some(hooks) => match req {
-                AdminRequest::EpochState { since } => {
-                    let service = shared.service.lock().expect("service lock poisoned");
-                    (hooks.epoch_state)(&service, since)
-                }
-                AdminRequest::Checkpoint => {
-                    let service = shared.service.lock().expect("service lock poisoned");
-                    (hooks.checkpoint)(&service)
-                }
-                AdminRequest::Restore(bytes) => match (hooks.restore)(&bytes) {
-                    Ok((restored, frames_acked)) => {
-                        let mut service = shared.service.lock().expect("service lock poisoned");
-                        let mut queries = shared.queries.write().expect("query handle poisoned");
-                        *queries = restored.query_handle();
-                        *service = restored;
-                        AdminResponse::Restored { frames_acked }
-                    }
-                    Err(e) => AdminResponse::Err(format!("restore rejected: {e}")),
-                },
-            },
-        };
-        frame::encode_admin_response(&resp, &mut self.outbuf);
-    }
-
-    fn respond_text<S>(&mut self, req: Result<Request, String>, shared: &Shared<S>)
-    where
-        S: ServableSummary + ObservableDefense,
-    {
-        match req {
-            Err(msg) => Response::Err(msg).write_into(&mut self.outbuf),
-            Ok(Request::Quit) => {
-                self.closing = true;
-                Response::Bye.write_into(&mut self.outbuf);
-            }
-            // Same borrowed serialization as the binary snapshot path.
+        let resp = match req {
             Ok(Request::Snapshot) => {
                 let snap = shared.snapshot();
-                write_snapshot_line(
-                    snap.epoch(),
-                    snap.items(),
-                    snap.visible_ref(),
-                    &mut self.outbuf,
-                );
+                let (epoch, items, sample) = (snap.epoch(), snap.items(), snap.visible_ref());
+                match wire {
+                    Wire::Binary => {
+                        frame::encode_snapshot_slice(epoch, items, sample, &mut self.outbuf)
+                    }
+                    Wire::Text => {
+                        write_snapshot_line(epoch, items, sample, &mut self.outbuf);
+                        self.outbuf.push(b'\n');
+                    }
+                }
+                return;
             }
-            Ok(req) => answer(req, shared).write_into(&mut self.outbuf),
+            Ok(Request::Quit) => {
+                self.closing = true;
+                Response::Bye
+            }
+            Ok(req) => answer(req, shared),
+            Err(msg) => Response::Err(msg),
+        };
+        match wire {
+            Wire::Binary => frame::encode_response(&resp, &mut self.outbuf),
+            Wire::Text => {
+                resp.write_into(&mut self.outbuf);
+                self.outbuf.push(b'\n');
+            }
         }
-        self.outbuf.push(b'\n');
     }
 
     /// Write until `WouldBlock` or the buffer empties. Returns `false`
@@ -723,6 +682,9 @@ fn parse_text_line(raw: &[u8]) -> Result<Request, String> {
 /// arena.
 const NO_ARENA: &str = "tenant arena is not enabled on this endpoint";
 
+/// The error for a text line longer than [`MAX_LINE_BYTES`].
+const LINE_OVER_CAP: &str = "request line exceeds the per-line byte cap";
+
 fn answer<S>(req: Request, shared: &Shared<S>) -> Response
 where
     S: ServableSummary + ObservableDefense,
@@ -763,14 +725,6 @@ where
         Request::QueryQuantile(q) => Response::Quantile(shared.snapshot().quantile(q)),
         Request::QueryHeavy(t) => Response::Heavy(shared.snapshot().heavy(t)),
         Request::QueryKs => Response::Ks(shared.snapshot().ks_uniform(shared.universe)),
-        Request::Snapshot => {
-            let snap = shared.snapshot();
-            Response::Snapshot {
-                epoch: snap.epoch(),
-                items: snap.items(),
-                sample: snap.visible(),
-            }
-        }
         Request::Stats => {
             let snap = shared.snapshot();
             let service = shared.service.lock().expect("service lock poisoned");
@@ -798,7 +752,13 @@ where
                 arena_evictions,
             })
         }
-        Request::Quit => Response::Bye, // handled by the caller
+        Request::EpochState { .. } | Request::Checkpoint | Request::Restore(_) => {
+            match shared.admin {
+                Some(answer_admin) => answer_admin(req, shared),
+                None => Response::Err("admin frames are not enabled on this endpoint".into()),
+            }
+        }
+        Request::Snapshot | Request::Quit => unreachable!("answered by `Conn::respond`"),
         Request::TenantIngest { .. }
         | Request::TenantQueryCount { .. }
         | Request::TenantQueryQuantile { .. }

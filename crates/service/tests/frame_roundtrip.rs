@@ -5,11 +5,10 @@
 
 use proptest::prelude::*;
 use robust_sampling_service::frame::{
-    decode_admin_response, decode_request, decode_request_frame, decode_response,
-    encode_admin_request, encode_admin_response, encode_request, encode_response, FrameError,
-    RequestFrame, HEADER_BYTES,
+    decode_request, decode_request_frame, decode_response, encode_request, encode_response,
+    FrameError, HEADER_BYTES,
 };
-use robust_sampling_service::{AdminRequest, AdminResponse, Request, Response, ServiceStats};
+use robust_sampling_service::{Request, Response, ServiceStats};
 
 fn assert_request_roundtrip(req: Request) {
     let mut buf = Vec::new();
@@ -136,31 +135,18 @@ proptest! {
 
     // ---- Cluster control plane (admin opcodes) ----------------------
 
-    /// Every admin request round-trips through the frame-level request
-    /// decoder (the coordinator→node direction), including conditional
-    /// `EPOCH STATE` pulls and `RESTORE` envelopes of arbitrary contents.
+    /// Every admin request round-trips through the request codec (the
+    /// coordinator→node direction), including conditional `EPOCH STATE`
+    /// pulls and `RESTORE` envelopes of arbitrary contents.
     #[test]
     fn admin_requests_round_trip(
         since in any::<u64>(),
         envelope in proptest::collection::vec(0u8..=255, 1..512),
     ) {
-        for req in [
-            AdminRequest::EpochState { since: None },
-            AdminRequest::EpochState { since: Some(since) },
-            AdminRequest::Checkpoint,
-            AdminRequest::Restore(envelope),
-        ] {
-            let mut buf = Vec::new();
-            encode_admin_request(&req, &mut buf);
-            let (frame, consumed) = decode_request_frame(&buf)
-                .expect("well-formed admin frame")
-                .expect("complete admin frame");
-            prop_assert_eq!(consumed, buf.len());
-            match frame {
-                RequestFrame::Admin(back) => prop_assert_eq!(back, req),
-                other => prop_assert!(false, "expected Admin frame, got {:?}", other),
-            }
-        }
+        assert_request_roundtrip(Request::EpochState { since: None });
+        assert_request_roundtrip(Request::EpochState { since: Some(since) });
+        assert_request_roundtrip(Request::Checkpoint);
+        assert_request_roundtrip(Request::Restore(envelope));
     }
 
     /// Every admin response round-trips (the node→coordinator
@@ -174,34 +160,23 @@ proptest! {
         frames_acked in any::<u64>(),
         state in proptest::collection::vec(0u8..=255, 0..512),
     ) {
-        for resp in [
-            AdminResponse::EpochState {
-                epoch,
-                items,
-                frames_acked,
-                state: (!state.is_empty()).then(|| state.clone()),
-            },
-            AdminResponse::EpochState {
-                epoch,
-                items,
-                frames_acked,
-                state: None,
-            },
-            AdminResponse::Checkpoint {
-                frames_acked,
-                bytes: state.clone(),
-            },
-            AdminResponse::Restored { frames_acked },
-            AdminResponse::Err("node unreachable ×".into()),
-        ] {
-            let mut buf = Vec::new();
-            encode_admin_response(&resp, &mut buf);
-            let (back, consumed) = decode_admin_response(&buf)
-                .expect("well-formed admin response")
-                .expect("complete admin response");
-            prop_assert_eq!(back, resp);
-            prop_assert_eq!(consumed, buf.len());
-        }
+        assert_response_roundtrip(Response::EpochState {
+            epoch,
+            items,
+            frames_acked,
+            state: (!state.is_empty()).then(|| state.clone()),
+        });
+        assert_response_roundtrip(Response::EpochState {
+            epoch,
+            items,
+            frames_acked,
+            state: None,
+        });
+        assert_response_roundtrip(Response::Checkpoint {
+            frames_acked,
+            bytes: state,
+        });
+        assert_response_roundtrip(Response::Restored { frames_acked });
     }
 
     /// Any strict prefix of a valid admin frame — either direction of
@@ -214,28 +189,28 @@ proptest! {
         cut_seed in any::<u64>(),
     ) {
         let mut buf = Vec::new();
-        encode_admin_request(&AdminRequest::Restore(envelope.clone()), &mut buf);
+        encode_request(&Request::Restore(envelope.clone()), &mut buf);
         let cut = (cut_seed as usize) % buf.len();
         prop_assert_eq!(decode_request_frame(&buf[..cut]).unwrap().map(|(_, n)| n), None);
 
         let mut rbuf = Vec::new();
-        encode_admin_response(
-            &AdminResponse::Checkpoint {
+        encode_response(
+            &Response::Checkpoint {
                 frames_acked,
                 bytes: envelope,
             },
             &mut rbuf,
         );
         let rcut = (cut_seed as usize) % rbuf.len();
-        prop_assert!(decode_admin_response(&rbuf[..rcut]).unwrap().is_none());
+        prop_assert!(decode_response(&rbuf[..rcut]).unwrap().is_none());
     }
 
     /// Arbitrary garbage at the coordinator↔node boundary never panics
-    /// the admin decoders: a typed [`FrameError`], "read more", or an
+    /// the decoders: a typed [`FrameError`], "read more", or an
     /// in-bounds decode — nothing else.
     #[test]
     fn admin_garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..96)) {
-        match decode_admin_response(&bytes) {
+        match decode_response(&bytes) {
             Ok(Some((_, consumed))) => {
                 prop_assert!(consumed >= HEADER_BYTES && consumed <= bytes.len());
             }
@@ -269,8 +244,8 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let mut buf = Vec::new();
-        encode_admin_response(
-            &AdminResponse::EpochState {
+        encode_response(
+            &Response::EpochState {
                 epoch: 3,
                 items: 99,
                 frames_acked,
@@ -280,7 +255,7 @@ proptest! {
         );
         let pos = (pos_seed as usize) % buf.len();
         buf[pos] ^= flip;
-        match decode_admin_response(&buf) {
+        match decode_response(&buf) {
             Ok(Some((_, consumed))) => prop_assert!(consumed <= buf.len()),
             Ok(None) => {}
             Err(
@@ -290,27 +265,6 @@ proptest! {
                 | FrameError::Oversized { .. }
                 | FrameError::Malformed(_),
             ) => {}
-        }
-    }
-}
-
-/// The text-compat bridge refuses admin frames with a typed error: the
-/// cluster control plane has no text grammar, so an admin opcode
-/// arriving where only classic requests are expected is `BadOpcode`,
-/// never a panic or a misparse.
-#[test]
-fn owned_request_decoder_rejects_admin_opcodes_as_typed_errors() {
-    for req in [
-        AdminRequest::EpochState { since: None },
-        AdminRequest::EpochState { since: Some(7) },
-        AdminRequest::Checkpoint,
-        AdminRequest::Restore(vec![1, 2, 3]),
-    ] {
-        let mut buf = Vec::new();
-        encode_admin_request(&req, &mut buf);
-        match decode_request(&buf) {
-            Err(FrameError::BadOpcode(op)) => assert_eq!(op, req.opcode()),
-            other => panic!("expected BadOpcode, got {other:?}"),
         }
     }
 }

@@ -437,3 +437,103 @@ fn conditional_epoch_state_skips_the_state_only_while_the_epoch_is_current() {
     assert_eq!(client.epoch_state(Some(3)).unwrap(), (3, 35, 4, None));
     server.shutdown();
 }
+
+#[test]
+fn over_cap_responses_are_service_errors_and_the_connection_keeps_serving() {
+    // One shard, so the published sample is the whole reservoir.
+    let serve_k = |k: usize| {
+        let service = SummaryService::start(1, 3, k, move |_, s| {
+            ReservoirSampler::<u64>::with_seed(k, s)
+        });
+        let server = ServiceServer::spawn_admin(service, ServiceConfig::default())
+            .expect("bind ephemeral port");
+        let client = ServiceClient::connect_binary(server.addr()).unwrap();
+        client.ingest(&(0..k as u64).collect::<Vec<_>>()).unwrap();
+        (server, client)
+    };
+    // k = 70,000: a SNAPSHOT payload of 20 + 8k bytes passes the cap.
+    let (server, client) = serve_k(70_000);
+    let err = client.snapshot().expect_err("over-cap SNAPSHOT");
+    assert!(err.to_string().contains("service error"), "{err}");
+    assert_eq!(client.stats().unwrap().items, 70_000);
+    server.shutdown();
+    // k = 40,000: the checkpoint envelope passes the cap (the sample is
+    // in it twice: shard state and published epoch).
+    let (server, client) = serve_k(40_000);
+    let err = client.checkpoint().expect_err("over-cap CHECKPOINT");
+    assert!(err.to_string().contains("service error"), "{err}");
+    assert_eq!(client.stats().unwrap().items, 40_000);
+    assert_eq!(client.snapshot().unwrap().2.len(), 40_000);
+    server.shutdown();
+}
+
+#[test]
+fn requests_the_binary_wire_cannot_frame_are_invalid_input_and_unsent() {
+    use robust_sampling_service::frame::MAX_FRAME_PAYLOAD;
+    use robust_sampling_service::protocol::MAX_INGEST_FRAME;
+    use robust_sampling_service::Request;
+    use std::io::ErrorKind::InvalidInput;
+    let (server, addr) = serve(1, 1, 64, 1 << 10);
+    let client = ServiceClient::connect_binary(addr).unwrap();
+    let too_many = vec![1; MAX_INGEST_FRAME + 1];
+    for batch in [
+        vec![Request::Ingest(vec![])],
+        vec![Request::Ingest(too_many.clone())],
+        vec![Request::TenantIngest {
+            tenant: 1,
+            values: vec![],
+        }],
+        vec![Request::TenantIngest {
+            tenant: 1,
+            values: too_many,
+        }],
+        // One bad request fails the whole pipeline before any is sent.
+        vec![Request::Ingest(vec![5]), Request::Restore(vec![])],
+    ] {
+        let err = client.pipeline(&batch).expect_err("unframeable request");
+        assert_eq!(err.kind(), InvalidInput, "{batch:?}");
+    }
+    assert_eq!(client.restore(&[]).unwrap_err().kind(), InvalidInput);
+    let huge = vec![0; MAX_FRAME_PAYLOAD + 1];
+    assert_eq!(client.restore(&huge).unwrap_err().kind(), InvalidInput);
+    // Nothing reached the server: no ingest, no stray reply.
+    assert_eq!(client.stats().unwrap().items, 0);
+    client.quit().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn admin_requests_need_an_admin_endpoint_and_a_binary_connection() {
+    // A plain `spawn` endpoint answers every admin frame with ERR and
+    // keeps serving the connection.
+    let (server, addr) = serve(1, 1, 1, 1 << 10);
+    let binary = ServiceClient::connect_binary(addr).unwrap();
+    binary.ingest(&[1, 2, 3]).unwrap();
+    let refusals = [
+        binary.epoch_state(None).map(|_| ()),
+        binary.epoch_state(Some(0)).map(|_| ()),
+        binary.checkpoint().map(|_| ()),
+        binary.restore(b"not an envelope").map(|_| ()),
+    ];
+    for refusal in refusals {
+        let err = refusal.expect_err("admin frame on a plain endpoint");
+        assert!(err.to_string().contains("not enabled"), "{err}");
+    }
+    assert_eq!(binary.stats().unwrap().items, 3);
+    binary.quit().unwrap();
+    server.shutdown();
+    // On a text connection the admin calls fail unsent, even against an
+    // admin endpoint: the next reply read is the next request's own.
+    let service = SummaryService::start(1, 5, 1, |_, s| ReservoirSampler::<u64>::with_seed(8, s));
+    let server =
+        ServiceServer::spawn_admin(service, ServiceConfig::default()).expect("bind ephemeral port");
+    let text = ServiceClient::connect(server.addr()).unwrap();
+    text.ingest(&[4, 5]).unwrap();
+    use std::io::ErrorKind::InvalidInput;
+    assert_eq!(text.epoch_state(None).unwrap_err().kind(), InvalidInput);
+    assert_eq!(text.checkpoint().unwrap_err().kind(), InvalidInput);
+    assert_eq!(text.restore(b"envelope").unwrap_err().kind(), InvalidInput);
+    assert_eq!(text.stats().unwrap().items, 2);
+    text.quit().unwrap();
+    server.shutdown();
+}
