@@ -15,6 +15,15 @@
 //! versioned schema, no external crates — the service layer wraps the raw
 //! bytes in its own magic/version envelope.
 //!
+//! Runs of `u64` words (a reservoir's sample, a frame's payload) go
+//! through one writer, [`put_u64_run`], and one decoder,
+//! [`extend_u64_run`]: each is a single resize or reserve and a
+//! fixed-stride copy, so a checkpoint's cost is a memory copy of its
+//! sample. [`SnapshotReader::u64_seq_into`] decodes a sequence into a
+//! buffer the caller already owns, which is how the tenant arena revives
+//! a checkpointed tenant into the reservoir of the tenant it just
+//! evicted.
+//!
 //! Implemented by the summaries the serving layer checkpoints:
 //! [`BernoulliSampler<u64>`](crate::sampler::BernoulliSampler),
 //! [`ReservoirSampler<u64>`](crate::sampler::ReservoirSampler), both
@@ -69,12 +78,39 @@ pub fn put_usize(out: &mut Vec<u8>, v: usize) {
     put_u64(out, v as u64);
 }
 
+/// Append a run of little-endian `u64` words, with no length prefix.
+///
+/// The one u64-run writer behind [`put_u64_seq`] and the service
+/// crate's binary frames: a single `resize` of `out`, then one 8-byte
+/// store per word into the new tail, so a reservoir-sized run is written
+/// at copy speed instead of one `extend_from_slice` per word.
+pub fn put_u64_run(out: &mut Vec<u8>, vs: &[u64]) {
+    let start = out.len();
+    out.resize(start + 8 * vs.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Append the little-endian `u64` words of `bytes` to `out`; a tail
+/// shorter than one word is ignored.
+///
+/// The one u64-run decoder behind [`SnapshotReader::u64_seq_into`] and
+/// the service crate's binary frames. Callers pass a range they have
+/// already length-checked, so the loop has no error path: one `reserve`
+/// of `out`, then one 8-byte load per word.
+pub fn extend_u64_run(out: &mut Vec<u64>, bytes: &[u8]) {
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+    );
+}
+
 /// Append a length-prefixed `u64` sequence.
 pub fn put_u64_seq(out: &mut Vec<u8>, vs: &[u64]) {
     put_usize(out, vs.len());
-    for &v in vs {
-        put_u64(out, v);
-    }
+    put_u64_run(out, vs);
 }
 
 /// Cursor over an encoded snapshot byte string.
@@ -93,6 +129,22 @@ impl<'a> SnapshotReader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Run `decode` over all of `bytes`: its result, or
+    /// [`SnapshotError::TrailingBytes`] if it left bytes unread. This is
+    /// [`SnapshotCodec::restore`] for decoders that take more than the
+    /// reader.
+    pub fn decode_all<T>(
+        bytes: &'a [u8],
+        decode: impl FnOnce(&mut SnapshotReader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let mut r = SnapshotReader::new(bytes);
+        let v = decode(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(SnapshotError::TrailingBytes(r.remaining()));
+        }
+        Ok(v)
     }
 
     /// The next `u64` word.
@@ -120,11 +172,31 @@ impl<'a> SnapshotReader<'a> {
 
     /// The next length-prefixed `u64` sequence.
     pub fn u64_seq(&mut self) -> Result<Vec<u64>, SnapshotError> {
+        let mut out = Vec::new();
+        self.u64_seq_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// The next length-prefixed `u64` sequence, decoded into `out` in
+    /// place of its previous contents.
+    ///
+    /// `out` is cleared and keeps its allocation, so a caller that holds
+    /// a buffer of the sequence's size (a recycled reservoir) decodes
+    /// without allocating; a smaller buffer grows to exactly the
+    /// sequence's length. The length prefix is checked against the bytes
+    /// left before `out` is touched, so a forged length cannot make it
+    /// allocate, and on an error `out` is left as it was.
+    pub fn u64_seq_into(&mut self, out: &mut Vec<u64>) -> Result<(), SnapshotError> {
         let len = self.usize()?;
         if len.saturating_mul(8) > self.remaining() {
             return Err(SnapshotError::UnexpectedEof);
         }
-        (0..len).map(|_| self.u64()).collect()
+        let end = self.pos + 8 * len;
+        out.clear();
+        out.reserve_exact(len);
+        extend_u64_run(out, &self.buf[self.pos..end]);
+        self.pos = end;
+        Ok(())
     }
 }
 
@@ -195,12 +267,7 @@ pub trait SnapshotCodec: Sized {
 
     /// Decode from exactly `bytes` (trailing bytes are an error).
     fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        let v = Self::restore_from(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes(r.remaining()));
-        }
-        Ok(v)
+        SnapshotReader::decode_all(bytes, Self::restore_from)
     }
 }
 
@@ -253,6 +320,72 @@ mod tests {
             FrameHwm::restore(&bytes[..7]),
             Err(SnapshotError::UnexpectedEof)
         );
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every `SnapshotCodec` implementation's `save()` bytes, pinned as
+    /// (length, FNV-1a digest). The constants were captured from the
+    /// per-word codec that preceded the bulk u64-run helpers, so a byte
+    /// the helpers move, drop or reorder fails here.
+    #[test]
+    fn every_codec_writes_the_pinned_bytes() {
+        use crate::engine::{ShardedSummary, StreamSummary};
+        use crate::sampler::{BernoulliSampler, ReservoirSampler};
+        use crate::sketch::{RobustHeavyHitterSketch, RobustQuantileSketch};
+        let stream: Vec<u64> = (0..20_000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 44)
+            .collect();
+        let ln_u = 20.0 * std::f64::consts::LN_2;
+
+        let mut bernoulli = BernoulliSampler::<u64>::with_seed(0.05, 1);
+        bernoulli.observe_batch(&stream);
+        let mut partial = ReservoirSampler::<u64>::with_seed(256, 2);
+        partial.observe_batch(&stream[..100]);
+        let mut full = ReservoirSampler::<u64>::with_seed(256, 3);
+        full.observe_batch(&stream);
+        // A full merge leaves its threshold re-draw pending until the
+        // next ingest; the checkpoint writes the settled state.
+        let mut merged = full.clone();
+        let mut other = ReservoirSampler::<u64>::with_seed(256, 4);
+        other.observe_batch(&stream[..5_000]);
+        merged.merge(other);
+        let mut sharded =
+            ShardedSummary::new(3, 5, |_, seed| ReservoirSampler::<u64>::with_seed(64, seed));
+        sharded.ingest_batch(&stream);
+        let hwm = FrameHwm(0x0123_4567_89ab_cdef);
+        let mut quantiles = RobustQuantileSketch::<u64>::new(ln_u, 0.1, 0.05, 6);
+        quantiles.observe_batch(&stream);
+        let mut hitters = RobustHeavyHitterSketch::<u64>::new(ln_u, 0.2, 0.1, 0.05, 7);
+        hitters.observe_batch(&stream);
+
+        let got = [
+            ("bernoulli", bernoulli.save()),
+            ("reservoir partial", partial.save()),
+            ("reservoir full", full.save()),
+            ("reservoir merged, re-draw pending", merged.save()),
+            ("sharded", sharded.save()),
+            ("frame hwm", hwm.save()),
+            ("robust quantiles", quantiles.save()),
+            ("robust heavy hitters", hitters.save()),
+        ];
+        let pinned: [(usize, u64); 8] = [
+            (8064, 0x5ca2_d285_7b55_9782),
+            (880, 0x3c93_c8bd_06b9_c987),
+            (2128, 0x3498_d179_0b3d_10b8),
+            (2128, 0x091e_d4ea_6e78_2657),
+            (1800, 0xbf7c_9d14_fa63_1f57),
+            (8, 0x37eb_3f33_4776_1c55),
+            (28184, 0xd83e_63d2_14bc_fc8c),
+            (160_096, 0x4877_0d53_9c56_893a),
+        ];
+        for ((name, bytes), (len, digest)) in got.iter().zip(pinned) {
+            assert_eq!((bytes.len(), fnv1a(bytes)), (len, digest), "{name}");
+        }
     }
 
     #[test]

@@ -891,13 +891,32 @@ impl SnapshotCodec for ReservoirSampler<u64> {
     }
 
     fn restore_from(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Self::restore_from_reusing(r, Vec::new())
+    }
+}
+
+impl ReservoirSampler<u64> {
+    /// [`restore_from`](SnapshotCodec::restore_from), decoding the sample
+    /// into `reservoir` instead of a fresh allocation.
+    ///
+    /// `reservoir`'s contents are discarded and its capacity kept, so a
+    /// recycled buffer at least as long as the checkpointed sample
+    /// decodes without allocating, and the restored sampler keeps that
+    /// capacity for the rest of its fill. Every check `restore_from`
+    /// makes is made here (it is this function with an empty buffer);
+    /// wrap the call in [`SnapshotReader::decode_all`] for the
+    /// trailing-bytes check of [`restore`](SnapshotCodec::restore).
+    pub fn restore_from_reusing(
+        r: &mut SnapshotReader<'_>,
+        mut reservoir: Vec<u64>,
+    ) -> Result<Self, SnapshotError> {
         let k = r.usize()?;
         if k == 0 {
             return Err(SnapshotError::Corrupt("reservoir capacity zero"));
         }
         let observed = r.usize()?;
         let total_stored = r.usize()?;
-        let reservoir = r.u64_seq()?;
+        r.u64_seq_into(&mut reservoir)?;
         if reservoir.len() > k {
             return Err(SnapshotError::Corrupt("reservoir overfull"));
         }
@@ -1613,6 +1632,88 @@ mod tests {
                 Err(SnapshotError::Corrupt(_))
             ));
         }
+    }
+
+    #[test]
+    fn reusing_restore_equals_restore() {
+        use crate::engine::snapshot::{
+            put_f64, put_u64, put_u64_seq, put_usize, SnapshotCodec, SnapshotReader,
+        };
+        let stream: Vec<u64> = (0..30_000u64).map(|i| i * 7 % 5_003).collect();
+        let mut partial = ReservoirSampler::<u64>::with_seed(64, 1);
+        partial.observe_batch(&stream[..40]);
+        let mut full = ReservoirSampler::<u64>::with_seed(64, 2);
+        full.observe_batch(&stream[..9_000]);
+        let mut merged = full.clone();
+        merged.merge(partial.clone());
+        let forge = |k: usize, observed: usize, sample: &[u64], w: f64| {
+            let mut out = Vec::new();
+            put_usize(&mut out, k);
+            put_usize(&mut out, observed);
+            put_usize(&mut out, sample.len());
+            put_u64_seq(&mut out, sample);
+            put_f64(&mut out, w);
+            put_u64(&mut out, 0);
+            for word in [1, 2, 3, 4] {
+                put_u64(&mut out, word);
+            }
+            out
+        };
+        let mut inputs = vec![
+            forge(8, 3, &[1, 2, 3], 1.0),
+            forge(4, 90, &[1, 2, 3, 4], 0.25),
+            forge(0, 0, &[], 1.0),            // capacity zero
+            forge(2, 5, &[1, 2, 3], 1.0),     // overfull
+            forge(8, 10, &[1, 2, 3], 1.0),    // partial, but observed > len
+            forge(4, 2, &[1, 2, 3, 4], 1.0),  // observed < len
+            forge(4, 90, &[1, 2, 3, 4], 1.5), // threshold above 1
+            forge(4, 90, &[1, 2, 3, 4], -0.25),
+            forge(4, 90, &[1, 2, 3, 4], f64::NAN),
+        ];
+        let mut bogus_len = forge(8, 3, &[1, 2, 3], 1.0);
+        bogus_len[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        inputs.push(bogus_len);
+        for s in [
+            &ReservoirSampler::<u64>::with_seed(64, 3),
+            &partial,
+            &full,
+            &merged,
+        ] {
+            let bytes = s.save();
+            for cut in 0..bytes.len() {
+                inputs.push(bytes[..cut].to_vec());
+            }
+            for extra in [1, 8] {
+                let mut trailing = bytes.clone();
+                trailing.resize(bytes.len() + extra, 0xA5);
+                inputs.push(trailing);
+            }
+            inputs.push(bytes);
+        }
+        let mut valid = 0;
+        for bytes in &inputs {
+            // Dirty spares both shorter and longer than any sample here.
+            for spare_len in [5, 300] {
+                let spare: Vec<u64> = (0..spare_len).map(|i| i * 0x9e37_79b9 + 11).collect();
+                let fresh = ReservoirSampler::<u64>::restore(bytes);
+                let reused = SnapshotReader::decode_all(bytes, |r| {
+                    ReservoirSampler::restore_from_reusing(r, spare)
+                });
+                assert_eq!(fresh.as_ref().err(), reused.as_ref().err());
+                let (Ok(mut fresh), Ok(mut reused)) = (fresh, reused) else {
+                    continue;
+                };
+                valid += 1;
+                assert_eq!(fresh.save(), reused.save());
+                assert_eq!(fresh.sample(), reused.sample());
+                fresh.observe_batch(&stream[..10_000]);
+                reused.observe_batch(&stream[..10_000]);
+                assert_eq!(fresh.save(), reused.save());
+                assert_eq!(fresh.sample(), reused.sample());
+            }
+        }
+        // The two valid forgeries and the four untouched checkpoints.
+        assert_eq!(valid, 2 * 6);
     }
 
     #[test]

@@ -85,6 +85,10 @@
 //! protocol's throughput over the text front-end comes from. Frames are
 //! independent, so a client may **pipeline**: write any number of
 //! request frames before reading, and the server answers each in order.
+//! Every run of `u64` values (`INGEST`/`TINGEST` payloads, `SNAPSHOT`/
+//! `TSNAPSHOT` samples) is written and read by the checkpoint codec's
+//! [`put_u64_run`] and [`extend_u64_run`], so frames and checkpoints
+//! share one u64-run codec.
 //!
 //! Decoding is incremental ([`decode_request`] / [`decode_response`]
 //! return `Ok(None)` on a truncated buffer) and every structural
@@ -94,6 +98,7 @@
 
 use crate::protocol::{Request, Response, ServiceStats, MAX_INGEST_FRAME};
 use bytes::{Buf, BufMut};
+use robust_sampling_core::engine::snapshot::{extend_u64_run, put_u64_run};
 use std::fmt;
 
 /// The two magic bytes opening every binary frame. `0xB5` is not valid
@@ -231,12 +236,6 @@ fn open_response(out: &mut Vec<u8>, op: u8, what: &str, len: usize) -> bool {
     true
 }
 
-fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
-    for &v in vs {
-        out.put_u64_le(v);
-    }
-}
-
 /// Append an `INGEST` frame carrying `vs` to `out` — the slice-based
 /// encoder the client's zero-copy ingest path uses (no intermediate
 /// owned `Request` is built).
@@ -252,7 +251,7 @@ pub fn encode_ingest_slice(vs: &[u64], out: &mut Vec<u8>) {
         vs.len()
     );
     put_header(out, opcode::INGEST, 8 * vs.len());
-    put_u64s(out, vs);
+    put_u64_run(out, vs);
 }
 
 /// Append a `TINGEST` frame carrying `vs` for `tenant` to `out` — the
@@ -270,7 +269,7 @@ pub fn encode_tenant_ingest_slice(tenant: u64, vs: &[u64], out: &mut Vec<u8>) {
     );
     put_header(out, opcode::TENANT_INGEST, 8 + 8 * vs.len());
     out.put_u64_le(tenant);
-    put_u64s(out, vs);
+    put_u64_run(out, vs);
 }
 
 /// Append a `SNAPSHOT` response frame to `out` straight from a borrowed
@@ -291,7 +290,7 @@ fn put_sampled(out: &mut Vec<u8>, op: u8, what: &str, head: u64, items: usize, s
         out.put_u64_le(head);
         out.put_u64_le(items as u64);
         out.put_u32_le(sample.len() as u32);
-        put_u64s(out, sample);
+        put_u64_run(out, sample);
     }
 }
 
@@ -702,10 +701,9 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
 
 /// The little-endian `u64` values of `bytes` (a multiple of 8 long).
 fn le_u64s(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
+    let mut out = Vec::with_capacity(bytes.len() / 8);
+    extend_u64_run(&mut out, bytes);
+    out
 }
 
 /// Decode the payload `SNAPSHOT` and `TSNAPSHOT` share: a leading u64

@@ -65,7 +65,7 @@
 
 use robust_sampling_core::attack::ObservableDefense;
 use robust_sampling_core::engine::snapshot::{
-    put_u64, put_usize, FrameHwm, SnapshotCodec, SnapshotError, SnapshotReader,
+    extend_u64_run, put_u64, put_usize, FrameHwm, SnapshotCodec, SnapshotError, SnapshotReader,
 };
 use robust_sampling_core::engine::{
     merge_in_shard_order, MergeableSummary, ShardedSummary, StreamSummary,
@@ -665,7 +665,7 @@ impl<S: ServableSummary> SummaryService<S> {
         match &mut self.mode {
             Mode::Inline { shard, buf } => {
                 buf.clear();
-                buf.extend(payload.chunks_exact(8).map(words));
+                extend_u64_run(buf, payload);
                 shard.ingest_batch(buf);
             }
             Mode::Threaded {

@@ -24,6 +24,16 @@
 //!   acceptance stream, so an evicted-and-revived tenant answers every
 //!   query bit-identically to one that was never evicted
 //!   (property-tested in `tests/tenant_isolation.rs`).
+//! * **Recycled buffers** — a miss in a full arena evicts first, then
+//!   revives into what the eviction freed: the revived tenant's sample
+//!   is decoded into the victim's reservoir, and the victim's checkpoint
+//!   is written into the byte buffer the previous revival emptied. In
+//!   the steady state of a full arena of full tenants a miss therefore
+//!   allocates no checkpoint- or reservoir-sized buffer
+//!   (`tests/alloc_free_tenant.rs`). Every resident reservoir has
+//!   capacity exactly `k`, so a slot never holds more than the
+//!   `slot_bytes` the budget charges for it. The checkpoint format is
+//!   the codec's, unchanged.
 //!
 //! Queries mirror the [`EpochSnapshot`](crate::EpochSnapshot)
 //! conventions: `count` scales sample occurrences by `items / k`,
@@ -44,7 +54,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::bounds;
-use robust_sampling_core::engine::{QuantileSummary, SnapshotCodec, StreamSummary};
+use robust_sampling_core::engine::{QuantileSummary, SnapshotCodec, SnapshotReader, StreamSummary};
 use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
 
 /// Fixed per-slot overhead charged on top of the reservoir payload:
@@ -58,7 +68,7 @@ pub const SLOT_OVERHEAD_BYTES: usize = 96;
 /// [`SnapshotCodec`] envelope bytes around a reservoir's sample words:
 /// `k`, `observed`, `total_stored`, the sequence length prefix, the
 /// Algorithm L threshold and gap, and four raw RNG words. Used to
-/// right-size checkpoint buffers so `shrink_to_fit` is a no-op.
+/// right-size checkpoint buffers.
 ///
 /// [`SnapshotCodec`]: robust_sampling_core::engine::SnapshotCodec
 const CHECKPOINT_ENVELOPE_BYTES: usize = 80;
@@ -170,6 +180,10 @@ pub struct TenantArena {
     cold: TenantMap<Vec<u8>>,
     /// Total checkpoint payload bytes in `cold` (kept incrementally).
     cold_bytes: usize,
+    /// The last revived tenant's checkpoint buffer. The next eviction
+    /// clears it and writes into it when its checkpoint has exactly this
+    /// capacity (always, between full tenants).
+    spare: Vec<u8>,
     clock: u64,
     counters: ArenaCounters,
 }
@@ -212,6 +226,7 @@ impl TenantArena {
             lru: BTreeMap::new(),
             cold: HashMap::with_hasher(hasher),
             cold_bytes: 0,
+            spare: Vec::new(),
             clock: 0,
             counters: ArenaCounters::default(),
         }
@@ -277,28 +292,37 @@ impl TenantArena {
     }
 
     /// Evict the least-recently-touched resident tenant into the cold
-    /// store (checkpoint-on-evict). No-op when nothing is resident.
-    fn evict_lru(&mut self) {
-        let Some((_, victim)) = self.lru.pop_first() else {
-            return;
-        };
+    /// store (checkpoint-on-evict) and hand back its reservoir buffer
+    /// (capacity `k`) for the tenant taking its slot. `None` when
+    /// nothing is resident.
+    fn evict_lru(&mut self) -> Option<Vec<u64>> {
+        let (_, victim) = self.lru.pop_first()?;
         let slot = self
             .resident
             .remove(&victim)
             .expect("LRU index out of sync with resident map");
         // Checkpoints are right-sized, not slot-sized: a million cold
         // long-tail tenants must not each pin a full slot's capacity.
-        let mut bytes =
-            Vec::with_capacity(CHECKPOINT_ENVELOPE_BYTES + 8 * slot.sampler.sample().len());
+        // The spare buffer is reused only when it is exactly that size.
+        let len = CHECKPOINT_ENVELOPE_BYTES + 8 * slot.sampler.sample().len();
+        let mut bytes = std::mem::take(&mut self.spare);
+        bytes.clear();
+        if bytes.capacity() != len {
+            bytes = Vec::with_capacity(len);
+        }
         slot.sampler.save_into(&mut bytes);
-        bytes.shrink_to_fit();
+        debug_assert_eq!(bytes.len(), len, "checkpoint envelope size");
         self.cold_bytes += bytes.len();
         self.cold.insert(victim, bytes);
         self.counters.evictions += 1;
+        Some(slot.sampler.into_sample())
     }
 
     /// The tenant's live sampler, reviving or creating as needed and
-    /// stamping recency. At most one eviction happens per call.
+    /// stamping recency. At most one eviction happens per call: on a
+    /// miss in a full arena the LRU victim is evicted first, a revival
+    /// decodes into the victim's reservoir, and the revived checkpoint's
+    /// bytes become the next eviction's spare.
     fn slot(&mut self, tenant: u64) -> &mut ReservoirSampler<u64> {
         // Resident fast path: one probe of a hot bucket, then the LRU
         // index is only churned when the recency order actually changes
@@ -314,21 +338,28 @@ impl TenantArena {
             slot.last_touch = self.clock;
             return &mut slot.sampler;
         }
+        let freed = if self.resident.len() >= self.max_resident {
+            self.evict_lru()
+        } else {
+            None
+        };
         let sampler = match self.cold.remove(&tenant) {
             Some(bytes) => {
                 self.counters.revivals += 1;
                 self.cold_bytes -= bytes.len();
-                ReservoirSampler::restore(&bytes)
-                    .expect("cold-store snapshot written by evict_lru must decode")
+                let reservoir = freed.unwrap_or_else(|| Vec::with_capacity(self.k));
+                let sampler = SnapshotReader::decode_all(&bytes, |r| {
+                    ReservoirSampler::restore_from_reusing(r, reservoir)
+                })
+                .expect("cold-store snapshot written by evict_lru must decode");
+                self.spare = bytes;
+                sampler
             }
             None => {
                 self.counters.created += 1;
                 ReservoirSampler::with_seed(self.k, tenant_seed(self.config.base_seed, tenant))
             }
         };
-        if self.resident.len() >= self.max_resident {
-            self.evict_lru();
-        }
         let stamp = self.touch_stamp();
         self.lru.insert(stamp, tenant);
         self.resident.insert(
@@ -488,11 +519,7 @@ impl StreamSummary<u64> for VictimTenantView {
     }
 
     fn items_seen(&self) -> usize {
-        self.arena
-            .resident
-            .get(&self.victim)
-            .map(|s| s.sampler.observed())
-            .unwrap_or(0)
+        self.with_victim_sampler(|s| s.observed()).unwrap_or(0)
     }
 
     fn space(&self) -> usize {
@@ -703,7 +730,8 @@ mod tests {
         // Push the victim cold, then check it is still observable.
         view.arena.ingest(1, &[1]);
         view.arena.ingest(2, &[2]);
-        assert_eq!(view.items_seen(), 0, "victim is evicted at rest");
+        assert!(!view.arena().is_resident(0), "victim is evicted at rest");
+        assert_eq!(view.items_seen(), 200, "a cold victim still counts");
         let visible = view.visible();
         assert!(!visible.is_empty(), "cold victim must still be observable");
         // Revive and compare: the cold bytes and live sampler agree.

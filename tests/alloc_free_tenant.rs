@@ -1,0 +1,133 @@
+//! Allocation gate for the tenant arena's evict/revive cycle: a miss in
+//! a full arena recycles the buffers the eviction freed instead of
+//! allocating checkpoint- and reservoir-sized ones.
+//!
+//! * Steady state: over 1,000 misses on a full arena of full tenants
+//!   (k = 1,499, a 12,072-byte checkpoint each), the allocator hands out
+//!   under 1 KiB per miss. A revival decodes into the victim's
+//!   reservoir, and the victim's checkpoint goes into the byte buffer
+//!   the previous revival emptied; what remains is the LRU index's node
+//!   churn.
+//! * Fill after revival: a partial tenant revived and then filled to k
+//!   allocates at most 8·k bytes in all, the victim's small checkpoint
+//!   included. Its revived reservoir already has capacity k, so filling
+//!   it never grows the buffer past k by doubling. (A tenant is only
+//!   ever cold in a full arena: residents leave by eviction alone.)
+//!
+//! A byte-counting `#[global_allocator]` wraps the system allocator for
+//! this test binary. This file holds exactly one test: the counter is
+//! global, so a concurrently running sibling test would pollute the
+//! measured window.
+
+use robust_sampling_service::tenant::SLOT_OVERHEAD_BYTES;
+use robust_sampling_service::{TenantArena, TenantArenaConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+/// Bytes handed out: every allocation's size, and every reallocation's
+/// new size.
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// perfbench's `tenant-churn` sizing (k = 1,499) with room for `slots`
+/// resident tenants.
+fn arena(slots: usize) -> TenantArena {
+    let config = TenantArenaConfig {
+        universe: 1 << 20,
+        eps: 0.15,
+        delta: 0.1,
+        budget_bytes: 0,
+        base_seed: 7,
+        robust: true,
+    };
+    let slot_bytes = 8 * config.reservoir_k() + SLOT_OVERHEAD_BYTES;
+    TenantArena::new(TenantArenaConfig {
+        budget_bytes: slots * slot_bytes,
+        ..config
+    })
+}
+
+fn values(n: usize, salt: u64) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44)
+        .collect()
+}
+
+#[test]
+fn evict_revive_recycles_the_victims_buffers() {
+    // ---- Steady-state misses on a full arena of full tenants.
+    const SLOTS: usize = 64;
+    const TENANTS: u64 = 2 * SLOTS as u64;
+    let mut full = arena(SLOTS);
+    let k = full.reservoir_k();
+    assert_eq!(k, 1_499, "perfbench's tenant-churn sizing");
+    let frame = values(2 * k, 1);
+    // Warmup: every tenant full, every tenant evicted and revived at
+    // least once, so the maps and the spare buffer have their final size.
+    for round in 0..3 {
+        for t in 0..TENANTS {
+            full.ingest(t, &frame[..if round == 0 { 2 * k } else { 8 }]);
+        }
+    }
+    assert_eq!(full.resident_tenants(), SLOTS);
+    // Round-robin over twice the resident capacity: every touch misses.
+    const MISSES: u64 = 1_000;
+    let before_counters = full.counters();
+    let before = BYTES.load(Ordering::SeqCst);
+    for i in 0..MISSES {
+        full.ingest(i % TENANTS, &frame[..8]);
+    }
+    let bytes = BYTES.load(Ordering::SeqCst) - before;
+    let after_counters = full.counters();
+    assert_eq!(after_counters.revivals - before_counters.revivals, MISSES);
+    assert_eq!(after_counters.evictions - before_counters.evictions, MISSES);
+    let per_miss = bytes as f64 / MISSES as f64;
+    assert!(
+        per_miss < 1024.0,
+        "a steady-state miss allocated {per_miss:.0} B (checkpoint is {} B)",
+        80 + 8 * k
+    );
+
+    // ---- A partial tenant revived and then filled to k.
+    let mut small = arena(2);
+    small.ingest(1, &values(100, 2)); // the partial tenant
+    small.ingest(2, &values(50, 3));
+    small.ingest(3, &values(50, 4)); // evicts tenant 1
+    assert!(!small.is_resident(1));
+    let (revive, fill) = (values(1, 5), values(k - 101, 6));
+    let before = BYTES.load(Ordering::SeqCst);
+    small.ingest(1, &revive); // revives tenant 1, evicts tenant 2
+    small.ingest(1, &fill);
+    let bytes = BYTES.load(Ordering::SeqCst) - before;
+    assert!(small.is_resident(1));
+    assert_eq!(small.items(1), k, "tenant 1 is exactly full");
+    assert!(
+        bytes <= 8 * k as u64,
+        "reviving a 100-element tenant and filling it to k = {k} allocated {bytes} B"
+    );
+}
