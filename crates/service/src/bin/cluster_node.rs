@@ -3,9 +3,9 @@
 //!
 //! A one-shard service runs inline: the event-loop thread that decodes
 //! an `INGEST` frame also runs the sampler kernel and any due epoch
-//! publish before it writes the ack. So the process runs three threads
-//! (main, acceptor, one event loop with the default `--workers 1`),
-//! and an acked frame is already in the node's state.
+//! publish before it writes the ack. So the process runs two threads
+//! (main, and one event loop that also accepts, with the default
+//! `--workers 1`), and an acked frame is already in the node's state.
 //!
 //! Spawned by the `ClusterRouter` (and by the fault-injection tests)
 //! with the node's **exact** shard seed — the router computes

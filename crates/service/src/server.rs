@@ -3,11 +3,13 @@
 //! text line protocol of [`crate::protocol`] — on a fixed worker pool.
 //!
 //! Instead of a thread per connection, the server runs `workers`
-//! event-loop threads. An acceptor thread polls the nonblocking
-//! listener and deals new connections round-robin to the workers; each
-//! worker drives its own level-triggered [`Poller`] over its share of
-//! the connections, so ten thousand idle clients cost ten thousand
-//! registered fds — not ten thousand stacks. Every connection is
+//! event-loop threads and no other. Every worker registers the shared
+//! nonblocking listener in its own level-triggered [`Poller`] beside
+//! its connections; on listener readiness it accepts one connection and
+//! registers it before polling again, so a new connection's first
+//! request is served at once, and a burst of connects spreads over the
+//! workers that wake for it. Ten thousand idle clients cost ten
+//! thousand registered fds — not ten thousand stacks. Every connection is
 //! nonblocking with an input and an output buffer: reads drain the
 //! socket until `WouldBlock`, complete requests are answered in arrival
 //! order (so clients may **pipeline** freely), and unflushed responses
@@ -54,7 +56,6 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -66,8 +67,8 @@ pub struct ServiceConfig {
     pub addr: String,
     /// Universe bound `U` used by the `QUERY KS` drift monitor.
     pub universe: u64,
-    /// Event-loop worker threads. Connections are dealt round-robin
-    /// across the pool at accept time; each worker polls its own set.
+    /// Event-loop worker threads. Every worker polls the shared listener
+    /// beside its own connections and keeps each one it accepts.
     pub workers: usize,
     /// When set, the server additionally hosts a [`TenantArena`] with
     /// this sizing and answers the tenant requests
@@ -167,27 +168,29 @@ impl<S: ServableSummary> Shared<S> {
     }
 }
 
-/// How long a worker (or the acceptor) sleeps in `poll` before
-/// re-checking the stop flag and its intake of new connections.
+/// How long a worker sleeps in `poll` before re-checking the stop flag
+/// when nothing wakes it.
 const POLL_TICK: Duration = Duration::from_millis(10);
 
+/// The poller key of the shared listener; connection keys count up
+/// from 0 and never reach it.
+const LISTENER_KEY: usize = usize::MAX;
+
 /// A running server. Dropping it (or calling
-/// [`shutdown`](ServiceServer::shutdown)) stops the accept loop and the
-/// worker pool; established connections are closed by their workers on
-/// the way out.
+/// [`shutdown`](ServiceServer::shutdown)) stops the worker pool;
+/// established connections are closed by their workers on the way out.
 #[derive(Debug)]
 pub struct ServiceServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl ServiceServer {
     /// Bind `config.addr` and serve `service` until shutdown. Returns as
-    /// soon as the listener is bound — the accept loop and the fixed
-    /// worker pool run on their own threads; no thread is ever spawned
-    /// per connection.
+    /// soon as the listener is bound — the fixed worker pool accepts and
+    /// serves on its own threads; no thread is ever spawned per
+    /// connection.
     pub fn spawn<S>(service: SummaryService<S>, config: ServiceConfig) -> std::io::Result<Self>
     where
         S: ServableSummary + ObservableDefense,
@@ -227,6 +230,7 @@ impl ServiceServer {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let listener = Arc::new(listener);
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             queries: RwLock::new(service.query_handle()),
@@ -235,65 +239,22 @@ impl ServiceServer {
             admin,
             arena: config.tenants.map(|c| Mutex::new(TenantArena::new(c))),
         });
-
-        let workers = config.workers.max(1);
-        let mut intakes: Vec<Sender<TcpStream>> = Vec::with_capacity(workers);
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-            intakes.push(tx);
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            worker_handles.push(
+        let worker_handles = (0..config.workers.max(1))
+            .map(|i| {
+                let (listener, shared, stop) = (
+                    Arc::clone(&listener),
+                    Arc::clone(&shared),
+                    Arc::clone(&stop),
+                );
                 std::thread::Builder::new()
                     .name(format!("svc-worker-{i}"))
-                    .spawn(move || worker_loop(rx, &shared, &stop))
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        let accept_stop = Arc::clone(&stop);
-        let accept_handle = std::thread::Builder::new()
-            .name("svc-accept".into())
-            .spawn(move || {
-                let poller = match Poller::new() {
-                    Ok(p) => p,
-                    Err(_) => return,
-                };
-                if poller.add(&listener, Event::readable(0)).is_err() {
-                    return;
-                }
-                let mut events = Vec::new();
-                let mut next_worker = 0usize;
-                while !accept_stop.load(Ordering::Relaxed) {
-                    events.clear();
-                    let _ = poller.wait(&mut events, Some(POLL_TICK));
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if stream.set_nonblocking(true).is_err() {
-                                    continue;
-                                }
-                                let _ = stream.set_nodelay(true);
-                                // Round-robin deal; a worker whose
-                                // channel closed (it panicked) just
-                                // drops its share of new connections.
-                                let _ = intakes[next_worker % intakes.len()].send(stream);
-                                next_worker = next_worker.wrapping_add(1);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => return,
-                        }
-                    }
-                }
+                    .spawn(move || worker_loop(&listener, &shared, &stop))
+                    .expect("spawn worker thread")
             })
-            .expect("spawn accept thread");
-
+            .collect();
         Ok(Self {
             local_addr,
             stop,
-            accept_handle: Some(accept_handle),
             worker_handles,
         })
     }
@@ -308,18 +269,22 @@ impl ServiceServer {
         self.local_addr.port()
     }
 
-    /// Stop the accept loop and the worker pool. Workers close their
-    /// established connections on exit, so shutdown does not wait on
-    /// remote clients.
+    /// Stop the worker pool. Workers close their established
+    /// connections on exit, so shutdown does not wait on remote clients.
     pub fn shutdown(mut self) {
         self.stop_all();
     }
 
+    /// Set the stop flag, then connect once to the server's own port:
+    /// the pending connection makes the listener readable in every
+    /// worker's poll, and a stopping worker never accepts it, so all of
+    /// them wake at once and exit. If that connect fails, each worker
+    /// still sees the flag within one [`POLL_TICK`].
     fn stop_all(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        // Held open until every worker has joined. (Linux routes a
+        // connect to an unspecified bind address to the local host.)
+        let _wake = TcpStream::connect_timeout(&self.local_addr, POLL_TICK);
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
@@ -344,35 +309,43 @@ const MAX_LINE_BYTES: usize = 2 << 20;
 /// the output buffer is compacted.
 const IO_CHUNK: usize = 64 * 1024;
 
-/// One worker's event loop: adopt newly dealt connections, poll the
-/// set, and drive readable/writable connections forward.
-fn worker_loop<S>(intake: Receiver<TcpStream>, shared: &Shared<S>, stop: &AtomicBool)
+/// One worker's event loop: poll the shared listener and this worker's
+/// connections, accept at most one connection per wake, and drive
+/// readable/writable connections forward.
+fn worker_loop<S>(listener: &TcpListener, shared: &Shared<S>, stop: &AtomicBool)
 where
     S: ServableSummary + ObservableDefense,
 {
     let Ok(poller) = Poller::new() else { return };
+    if poller.add(listener, Event::readable(LISTENER_KEY)).is_err() {
+        return;
+    }
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = 0usize;
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = vec![0u8; IO_CHUNK];
     while !stop.load(Ordering::Relaxed) {
-        loop {
-            match intake.try_recv() {
-                Ok(stream) => {
-                    let key = next_key;
-                    next_key += 1;
-                    if poller.add(&stream, Event::readable(key)).is_ok() {
-                        conns.insert(key, Conn::new(stream));
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                // Acceptor gone: serve what we have until stopped.
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
         events.clear();
         let _ = poller.wait(&mut events, Some(POLL_TICK));
         for ev in &events {
+            if ev.key == LISTENER_KEY {
+                // A stopping worker leaves the shutdown's wake
+                // connection in the backlog for its siblings' polls.
+                // Any accept error is retried on the next wake.
+                if stop.load(Ordering::Relaxed) {
+                    continue;
+                }
+                if let Ok((stream, _)) = listener.accept() {
+                    if stream.set_nonblocking(true).is_ok()
+                        && poller.add(&stream, Event::readable(next_key)).is_ok()
+                    {
+                        let _ = stream.set_nodelay(true);
+                        conns.insert(next_key, Conn::new(stream));
+                        next_key += 1;
+                    }
+                }
+                continue;
+            }
             let Some(conn) = conns.get_mut(&ev.key) else {
                 continue;
             };

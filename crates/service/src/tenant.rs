@@ -184,6 +184,9 @@ pub struct TenantArena {
     /// clears it and writes into it when its checkpoint has exactly this
     /// capacity (always, between full tenants).
     spare: Vec<u8>,
+    /// `quantile`'s working copy of a sample: selection reorders it,
+    /// never the reservoir itself (its order steers replacements).
+    select: Vec<u64>,
     clock: u64,
     counters: ArenaCounters,
 }
@@ -227,6 +230,7 @@ impl TenantArena {
             cold: HashMap::with_hasher(hasher),
             cold_bytes: 0,
             spare: Vec::new(),
+            select: Vec::new(),
             clock: 0,
             counters: ArenaCounters::default(),
         }
@@ -419,21 +423,24 @@ impl TenantArena {
     }
 
     /// The tenant's `q`-quantile: the rank-`⌈q·len⌉` element of its
-    /// sorted sample (`None` before the first element).
+    /// sorted sample (`None` before the first element). Selected in
+    /// O(k) from an arena-owned copy, so a resident tenant's query
+    /// neither sorts nor allocates.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&mut self, tenant: u64, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "q must be in [0,1], got {q}");
-        let sampler = self.slot(tenant);
-        let mut sorted = sampler.sample().to_vec();
-        if sorted.is_empty() {
-            return None;
-        }
-        sorted.sort_unstable();
-        let target = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[target - 1])
+        let mut select = std::mem::take(&mut self.select);
+        select.clear();
+        select.extend_from_slice(self.slot(tenant).sample());
+        let answer = (!select.is_empty()).then(|| {
+            let target = ((q * select.len() as f64).ceil() as usize).clamp(1, select.len());
+            *select.select_nth_unstable(target - 1).1
+        });
+        self.select = select;
+        answer
     }
 
     /// The tenant's current sample (reviving it if checkpointed).
@@ -702,6 +709,43 @@ mod tests {
         assert_eq!(arena.quantile(9, 0.5), Some(50));
         assert_eq!(arena.quantile(9, 1.0), Some(100));
         assert_eq!(arena.quantile(10, 0.5), None);
+    }
+
+    #[test]
+    fn quantile_selection_matches_the_sorted_reference() {
+        // Four tenants in two slots, so they cycle through the cold store.
+        let mut arena = small_arena(2, true);
+        let k = arena.reservoir_k() as u64;
+        let lens = [0, 1, 37, 5 * k]; // empty, partial ×2, full
+        for (t, &n) in lens.iter().enumerate() {
+            let frame: Vec<u64> = (0..n).map(|i| (i * 7_919 + t as u64) % 4_099).collect();
+            arena.ingest(t as u64, &frame);
+        }
+        for round in 0..2 {
+            for t in 0..lens.len() as u64 {
+                let before = arena.sample(t);
+                let mut sorted = before.clone();
+                sorted.sort_unstable();
+                for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+                    let reference = (!sorted.is_empty()).then(|| {
+                        let target =
+                            ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                        sorted[target - 1]
+                    });
+                    assert_eq!(
+                        arena.quantile(t, q),
+                        reference,
+                        "round {round}, tenant {t}, q {q}"
+                    );
+                }
+                assert_eq!(
+                    arena.sample(t),
+                    before,
+                    "selection must not reorder the reservoir"
+                );
+            }
+        }
+        assert!(arena.counters().revivals > 0, "queries must cycle tenants");
     }
 
     #[test]

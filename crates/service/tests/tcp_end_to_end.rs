@@ -5,6 +5,7 @@ use robust_sampling_core::attack::{attack, Duel};
 use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
 use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling_service::{ServiceClient, ServiceConfig, ServiceServer, SummaryService};
+use std::time::{Duration, Instant};
 
 fn serve(
     shards: usize,
@@ -536,4 +537,88 @@ fn admin_requests_need_an_admin_endpoint_and_a_binary_connection() {
     assert_eq!(text.stats().unwrap().items, 2);
     text.quit().unwrap();
     server.shutdown();
+}
+
+/// The server's idle poll timeout (a private constant of the server):
+/// the wait a worker falls back on when nothing wakes it.
+const POLL_TICK: Duration = Duration::from_millis(10);
+
+/// A one-shard server with `workers` event loops.
+fn serve_on(workers: usize) -> ServiceServer {
+    let service = SummaryService::start(1, 3, 1_024, |_, s| {
+        ReservoirSampler::<u64>::with_seed(64, s)
+    });
+    let config = ServiceConfig {
+        workers,
+        ..ServiceConfig::default()
+    };
+    ServiceServer::spawn(service, config).expect("bind ephemeral port")
+}
+
+fn median(mut xs: Vec<Duration>) -> Duration {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
+/// Median connect→reply time of 16 fresh connections opened one after
+/// another, each sending `STATS` and closing.
+fn median_first_reply(addr: std::net::SocketAddr) -> Duration {
+    median(
+        (0..16)
+            .map(|_| {
+                let t = Instant::now();
+                let client = ServiceClient::connect(addr).unwrap();
+                client.stats().unwrap();
+                t.elapsed()
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn first_reply_on_a_fresh_connection_does_not_wait_out_the_poll_tick() {
+    // The empty-set path: the only worker holds no connection yet.
+    let lone = serve_on(1);
+    let lone_median = median_first_reply(lone.addr());
+    lone.shutdown();
+    // Two workers, one of them already holding an idle connection.
+    let pair = serve_on(2);
+    let idle = ServiceClient::connect(pair.addr()).unwrap();
+    idle.stats().unwrap();
+    let pair_median = median_first_reply(pair.addr());
+    pair.shutdown();
+    println!(
+        "first reply on a fresh connection, median of 16: \
+         workers=1 {lone_median:?}, workers=2 with an idle connection {pair_median:?}"
+    );
+    for (what, m) in [("workers=1", lone_median), ("workers=2", pair_median)] {
+        assert!(
+            m < POLL_TICK / 4,
+            "{what}: median connect->reply {m:?} waits on the poll tick"
+        );
+    }
+}
+
+#[test]
+fn spawn_then_shutdown_does_not_wait_out_the_poll_tick() {
+    // The server idles between spawn and shutdown (untimed), so every
+    // worker is parked in its poll when the stop arrives.
+    let cycle = median(
+        (0..8)
+            .map(|_| {
+                let t = Instant::now();
+                let server = serve_on(2);
+                let spawned = t.elapsed();
+                std::thread::sleep(POLL_TICK / 5);
+                let t = Instant::now();
+                server.shutdown();
+                spawned + t.elapsed()
+            })
+            .collect(),
+    );
+    println!("spawn->shutdown cycle, median of 8: {cycle:?}");
+    assert!(
+        cycle < POLL_TICK / 4,
+        "median spawn->shutdown {cycle:?} waits on the poll tick"
+    );
 }

@@ -8,6 +8,8 @@
 //!   reservoir, and the victim's checkpoint goes into the byte buffer
 //!   the previous revival emptied; what remains is the LRU index's node
 //!   churn.
+//! * Quantile on a resident tenant: after the first call sizes the
+//!   arena's selection buffer, a `quantile` allocates nothing.
 //! * Fill after revival: a partial tenant revived and then filled to k
 //!   allocates at most 8·k bytes in all, the victim's small checkpoint
 //!   included. Its revived reservoir already has capacity k, so filling
@@ -111,6 +113,20 @@ fn evict_revive_recycles_the_victims_buffers() {
         per_miss < 1024.0,
         "a steady-state miss allocated {per_miss:.0} B (checkpoint is {} B)",
         80 + 8 * k
+    );
+
+    // ---- Quantiles on a resident full tenant select in place.
+    let resident = (MISSES - 1) % TENANTS;
+    assert!(full.is_resident(resident));
+    full.quantile(resident, 0.5);
+    let before = BYTES.load(Ordering::SeqCst);
+    for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+        full.quantile(resident, q);
+    }
+    let bytes = BYTES.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        bytes, 0,
+        "quantiles on a resident tenant allocated {bytes} B"
     );
 
     // ---- A partial tenant revived and then filled to k.
