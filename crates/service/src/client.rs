@@ -18,8 +18,12 @@
 //! every reply arrives through one receive path. The blocking methods
 //! are one send and one receive each, and the cluster router uses the
 //! crate-private halves to put a request on every node's connection
-//! before it reads any reply. The admin requests (`EPOCH STATE`,
-//! `CHECKPOINT`, `RESTORE`) are binary-only.
+//! before it reads any reply. The router also sends `INGEST` frames with
+//! their acks left owed, at most 16 per connection; the connection
+//! counts them, and the receive path and [`pipeline`](ServiceClient::pipeline)
+//! read them before any later reply, so no call misreads an ack. The
+//! admin requests (`EPOCH STATE`, `CHECKPOINT`, `RESTORE`) are
+//! binary-only.
 //!
 //! Besides the plain request methods, the client implements the core
 //! engine and attack traits —
@@ -62,7 +66,16 @@ struct Conn {
     /// Reusable serialization scratch: every outgoing request is encoded
     /// into this buffer, so steady-state sends allocate nothing.
     wbuf: Vec<u8>,
+    /// `INGESTED` acks owed: frames sent by
+    /// [`send_ingest_owed`](ServiceClient::send_ingest_owed) whose acks
+    /// are still unread. They precede every later reply, so each read of
+    /// a reply drains them first.
+    owed: usize,
 }
+
+/// The most `INGESTED` acks one connection may owe: the same pipelining
+/// depth a single-node client reaches by writing 16 frames per batch.
+const MAX_OWED_ACKS: usize = 16;
 
 /// Why `wire` cannot carry `req`, if it cannot: a binary frame holds an
 /// ingest chunk of 1..=[`MAX_INGEST_FRAME`] values and a non-empty
@@ -165,6 +178,28 @@ impl Conn {
     }
 }
 
+/// An `INGESTED` ack's running item count; any other reply is an error.
+fn ack(reply: Response) -> std::io::Result<usize> {
+    match reply {
+        Response::Ingested(n) => Ok(n),
+        Response::Err(msg) => Err(service_error(msg)),
+        other => Err(std::io::Error::other(format!(
+            "expected INGESTED response, got {other:?}"
+        ))),
+    }
+}
+
+/// Read every ack `conn` owes, oldest first. Each owed reply is read even
+/// after one fails, so the connection stays in step with its requests;
+/// the first failure is returned.
+fn drain(conn: &mut Conn) -> std::io::Result<()> {
+    let mut result = Ok(());
+    for _ in 0..std::mem::take(&mut conn.owed) {
+        result = result.and(conn.receive().and_then(ack).map(drop));
+    }
+    result
+}
+
 fn service_error(msg: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::other(format!("service error: {msg}"))
 }
@@ -223,6 +258,7 @@ impl ServiceClient {
                 wire,
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
+                owed: 0,
             }),
             last_items: Cell::new(0),
             last_sample_len: Cell::new(0),
@@ -239,9 +275,14 @@ impl ServiceClient {
     }
 
     /// Receive half: the next reply, a service-side `ERR` turned into an
-    /// error.
+    /// error. Owed acks are drained first; if one of them failed, its
+    /// error is returned once this request's own reply has been read.
     fn recv(&self) -> std::io::Result<Response> {
-        match self.conn.borrow_mut().receive()? {
+        let mut conn = self.conn.borrow_mut();
+        let drained = drain(&mut conn);
+        let reply = conn.receive();
+        drained?;
+        match reply? {
             Response::Err(msg) => Err(service_error(msg)),
             resp => Ok(resp),
         }
@@ -264,6 +305,7 @@ impl ServiceClient {
     /// `InvalidInput` before anything is sent.
     pub fn pipeline(&self, reqs: &[Request]) -> std::io::Result<Vec<Response>> {
         let mut conn = self.conn.borrow_mut();
+        drain(&mut conn)?;
         conn.send(reqs)?;
         conn.writer.flush()?;
         let mut out = Vec::with_capacity(reqs.len());
@@ -289,23 +331,35 @@ impl ServiceClient {
     /// Send half of `INGEST` (or, with a tenant, `TINGEST`): encode one
     /// frame of at most [`MAX_INGEST_FRAME`] values straight from `chunk`
     /// into the connection's reusable write scratch, write and flush it,
-    /// and return without reading the ack. A caller holding several
-    /// connections (the cluster router) puts a frame on each before
-    /// waiting on any.
-    pub(crate) fn send_ingest(&self, tenant: Option<u64>, chunk: &[u64]) -> std::io::Result<()> {
+    /// and return without reading the ack.
+    fn send_ingest(&self, tenant: Option<u64>, chunk: &[u64]) -> std::io::Result<()> {
         debug_assert!(chunk.len() <= MAX_INGEST_FRAME);
         let mut conn = self.conn.borrow_mut();
         conn.send_ingest(tenant, chunk)?;
         conn.writer.flush()
     }
 
-    /// Receive half of `INGEST`/`TINGEST`: read the next `INGESTED` ack
-    /// and return the running item count it carries.
-    pub(crate) fn recv_ingested(&self) -> std::io::Result<usize> {
-        match self.recv()? {
-            Response::Ingested(n) => Ok(n),
-            other => self.unexpected("INGESTED", other),
+    /// Send one `INGEST` frame of at most [`MAX_INGEST_FRAME`] values and
+    /// leave its ack owed. When the connection already owes
+    /// [`MAX_OWED_ACKS`], the oldest ack is read first, so a caller that
+    /// only sends (the cluster router) waits on a round trip once per 16
+    /// frames instead of once per frame.
+    pub(crate) fn send_ingest_owed(&self, chunk: &[u64]) -> std::io::Result<()> {
+        let mut conn = self.conn.borrow_mut();
+        if conn.owed == MAX_OWED_ACKS {
+            conn.owed -= 1;
+            conn.receive().and_then(ack)?;
         }
+        debug_assert!(chunk.len() <= MAX_INGEST_FRAME);
+        conn.send_ingest(None, chunk)?;
+        conn.writer.flush()?;
+        conn.owed += 1;
+        Ok(())
+    }
+
+    /// Read every ack this connection owes; see [`drain`].
+    pub(crate) fn drain_owed(&self) -> std::io::Result<()> {
+        drain(&mut self.conn.borrow_mut())
     }
 
     /// Send `xs` in frames under the protocol's frame cap, one round trip
@@ -314,7 +368,7 @@ impl ServiceClient {
         let mut total = None;
         for chunk in xs.chunks(MAX_INGEST_FRAME) {
             self.send_ingest(tenant, chunk)?;
-            total = Some(self.recv_ingested()?);
+            total = Some(self.recv().and_then(ack)?);
         }
         Ok(total)
     }

@@ -30,25 +30,31 @@
 //! merge. The merged view is a pure function of the node states, so a
 //! reused view is bit-identical to a fresh merge.
 //!
-//! **Node I/O is split-phase.** Each router step puts one request on
-//! every node's connection before it reads any reply, then reads the
-//! replies in node order, so a step waits for the slowest node's round
-//! trip rather than the sum of all of them. In
-//! [`ingest`](ClusterRouter::ingest) a step is one
-//! [`MAX_INGEST_FRAME`] chunk: at most one `INGEST` frame per node is in
-//! flight, and every frame is acknowledged before `ingest` returns.
+//! **Ingest is pipelined; admin reads are split-phase.**
+//! [`ingest`](ClusterRouter::ingest) deals each [`MAX_INGEST_FRAME`]
+//! chunk into one `INGEST` frame per node and writes it without waiting
+//! for the ack. Acks stay owed on each node's connection across calls,
+//! at most 16 per node: a node that already owes 16 has its oldest ack
+//! read before its next frame is sent. An `Ok` from `ingest` therefore
+//! means dealt, retained and written, and an ack error surfaces by the
+//! next read of that node. Every other read — a view, a checkpoint, a
+//! tenant call, a restore — first drains the node's owed acks; replies
+//! come back in request order, so no reply is ever misread.
 //! [`global_view`](ClusterRouter::global_view) and
-//! [`checkpoint_all`](ClusterRouter::checkpoint_all) do the same with
-//! one `EPOCH STATE` or `CHECKPOINT` request per node. No reply is ever
-//! left unread across calls, even when a node fails mid-step.
+//! [`checkpoint_all`](ClusterRouter::checkpoint_all) put one
+//! `EPOCH STATE` or `CHECKPOINT` request on every node's connection
+//! before they read any reply, so they wait for the slowest node rather
+//! than the sum of all of them, and every reply is read even when a node
+//! fails.
 //!
 //! **Failover** is the headline contract. The router retains, per node,
 //! every ingest frame since the node's last checkpoint (its *replay
 //! window*), indexed by the node's frame high-water mark
 //! ([`FrameHwm`](robust_sampling_core::engine::FrameHwm), carried in the
 //! checkpoint envelope). A frame enters the window *before* it is sent,
-//! so a frame lost to a dead node is still there to replay. When a node
-//! dies
+//! so a frame lost to a dead node — acknowledged or not — is still there
+//! to replay, and a `CHECKPOINT` is answered only after every frame sent
+//! ahead of it. When a node dies
 //! ([`kill_node`](ClusterRouter::kill_node) in the fault-injection
 //! harness), [`restore_node`](ClusterRouter::restore_node) spawns a
 //! fresh process on a new ephemeral port, seeds it from the retained
@@ -254,6 +260,9 @@ struct Node {
     child: ChildGuard,
     addr: SocketAddr,
     client: ServiceClient,
+    /// Killed, or failed during an `ingest`: until a restore, `ingest`
+    /// retains this node's frames without sending them.
+    down: bool,
 }
 
 /// Spawn one `cluster_node` process for node `j` of `cfg` on a fresh
@@ -299,33 +308,29 @@ fn spawn_node(cfg: &ClusterConfig, j: usize) -> std::io::Result<Node> {
         child,
         addr,
         client,
+        down: false,
     })
 }
 
 /// Deal `chunk` (whose first element has global arrival index `routed`)
-/// into `k` per-node strides: global index `i` goes to node `i mod k` —
-/// the exact [`ShardedSummary`] routing contract.
-fn deal_strides(routed: usize, k: usize, chunk: &[u64]) -> Vec<Vec<u64>> {
-    let offset = routed % k;
-    (0..k)
-        .map(|j| {
-            let start = (j + k - offset) % k;
-            chunk.iter().skip(start).step_by(k).copied().collect()
-        })
-        .collect()
+/// straight into the per-node replay windows, `k = windows.len()`:
+/// global index `i` goes to node `i mod k` — the exact [`ShardedSummary`]
+/// routing contract. Each node with a non-empty stride gets one frame at
+/// the back of its window; those are the nodes `i mod k` for `i` in
+/// `routed..routed + min(k, chunk.len())`.
+fn deal_strides(routed: usize, chunk: &[u64], windows: &mut [VecDeque<Vec<u64>>]) {
+    let k = windows.len();
+    for (p, i) in (routed..routed + chunk.len().min(k)).enumerate() {
+        windows[i % k].push_back(chunk[p..].iter().step_by(k).copied().collect());
+    }
 }
 
-/// Where one node's connection stands during a [`ClusterRouter::ingest`]
-/// call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Link {
-    /// Nothing in flight; the next frame may be sent.
-    Idle,
-    /// A frame was sent and its ack is still unread.
-    InFlight,
-    /// A send or ack failed: no more I/O on this node until the call
-    /// returns (its frames are still retained for replay).
-    Down,
+/// The error `ingest` reports for a node that is down.
+fn node_down(j: usize) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::NotConnected,
+        format!("node {j} is down until restore_node"),
+    )
 }
 
 /// Decode an `EPOCH STATE` reply's summary bytes.
@@ -355,7 +360,7 @@ struct ViewCache<S> {
 /// `INGEST` frame per non-empty stride, so the router's per-node *sent
 /// frame* counter and the node's applied-frame high-water mark advance
 /// in lockstep), retains every frame in the node's replay window, then
-/// sends all of the chunk's frames before reading their acks.
+/// sends it, leaving up to 16 acks per node unread.
 /// `checkpoint_node` pulls the node's checkpoint envelope and
 /// trims the window to the envelope's high-water mark;
 /// `restore_node` spawns a replacement process, seeds it from that
@@ -423,58 +428,43 @@ impl ClusterRouter {
 
     /// Deal `xs` across the nodes — element at global arrival index `i`
     /// to node `i mod N`, exactly the [`ShardedSummary`] deal — as one
-    /// binary `INGEST` frame per non-empty stride, retaining each frame
-    /// in the node's replay window. Returns the total elements routed so
-    /// far.
+    /// binary `INGEST` frame per non-empty stride of each
+    /// [`MAX_INGEST_FRAME`] chunk, retaining each frame in the node's
+    /// replay window. Returns the total elements routed so far.
     ///
-    /// The I/O is split-phase per [`MAX_INGEST_FRAME`] chunk of `xs`: the
-    /// chunk's strides are dealt and retained, every node's frame is
-    /// sent, and only then are the acks read, in node order. At most one
-    /// frame per node is in flight, and nothing is left in flight when
-    /// this returns.
+    /// `Ok` means every frame was dealt, retained and written, not that
+    /// it was acknowledged: acks are left owed on each node's connection,
+    /// at most 16 per node, and the oldest is read only when a node
+    /// already owes 16. Every other read of a node (a view, a checkpoint,
+    /// a tenant call) drains its owed acks first, so an ack error
+    /// surfaces by the next read of that node.
     ///
     /// A frame is retained *before* it is sent, so a frame whose send or
     /// ack fails is still replayed by [`restore_node`](Self::restore_node).
-    /// A node that fails is skipped for the rest of the call while every
-    /// other node still gets and acks its frames; all of `xs` is dealt
-    /// and the first error is returned. Restoring the failed node then
-    /// brings the cluster to exactly the uninterrupted state.
+    /// A node that fails, or was killed, is down until restored: its
+    /// frames are retained without I/O while every other node still gets
+    /// its frames; all of `xs` is dealt and the first error is returned.
+    /// Restoring the failed node then brings the cluster to exactly the
+    /// uninterrupted state.
     pub fn ingest(&mut self, xs: &[u64]) -> std::io::Result<usize> {
         let k = self.nodes.len();
         let mut first_err = None;
-        let mut link = vec![Link::Idle; k];
-        // Cap each stride at one protocol frame so frame accounting
-        // stays one-send-one-ack.
         for chunk in xs.chunks(MAX_INGEST_FRAME) {
-            let strides = deal_strides(self.routed, k, chunk);
-            self.routed += chunk.len();
-            for (j, stride) in strides.into_iter().enumerate() {
-                if stride.is_empty() {
+            deal_strides(self.routed, chunk, &mut self.window);
+            for i in self.routed..self.routed + chunk.len().min(k) {
+                let j = i % k;
+                let node = &mut self.nodes[j];
+                if node.down {
+                    first_err.get_or_insert_with(|| node_down(j));
                     continue;
                 }
-                self.window[j].push_back(stride);
-                if link[j] == Link::Idle {
-                    let frame = self.window[j].back().expect("frame just retained");
-                    link[j] = match self.nodes[j].client.send_ingest(None, frame) {
-                        Ok(()) => Link::InFlight,
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                            Link::Down
-                        }
-                    };
+                let frame = self.window[j].back().expect("frame just dealt");
+                if let Err(e) = node.client.send_ingest_owed(frame) {
+                    node.down = true;
+                    first_err.get_or_insert(e);
                 }
             }
-            for (j, state) in link.iter_mut().enumerate() {
-                if *state == Link::InFlight {
-                    *state = match self.nodes[j].client.recv_ingested() {
-                        Ok(_) => Link::Idle,
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                            Link::Down
-                        }
-                    };
-                }
-            }
+            self.routed += chunk.len();
         }
         first_err.map_or(Ok(self.routed), Err)
     }
@@ -500,25 +490,43 @@ impl ClusterRouter {
             .collect()
     }
 
+    /// Check a frame high-water mark node `j` reported against the
+    /// replay window: it must lie in `window_base..=frames_sent`. Outside
+    /// that range the node holds state this router did not send it (a
+    /// `RESTORE` from another client, say), and its window cannot
+    /// replay onto it.
+    fn check_hwm(&self, j: usize, hwm: u64) -> std::io::Result<()> {
+        let (base, sent) = (self.window_base[j], self.frames_sent(j));
+        if (base..=sent).contains(&hwm) {
+            return Ok(());
+        }
+        Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "node {j} frame high-water mark {hwm} is outside the replay window {base}..={sent}"
+            ),
+        ))
+    }
+
     /// Trim node `j`'s replay window to a checkpoint's frame high-water
     /// mark and retain the envelope: frames the checkpoint already
-    /// contains will never need replaying.
-    fn keep_checkpoint(&mut self, j: usize, hwm: u64, envelope: Vec<u8>) {
-        while self.window_base[j] < hwm {
-            self.window[j]
-                .pop_front()
-                .expect("checkpoint high-water mark beyond the sent-frame count");
-            self.window_base[j] += 1;
-        }
+    /// contains will never need replaying. A high-water mark outside the
+    /// window is `InvalidData`, and the window and kept envelope stay as
+    /// they were.
+    fn keep_checkpoint(&mut self, j: usize, hwm: u64, envelope: Vec<u8>) -> std::io::Result<()> {
+        self.check_hwm(j, hwm)?;
+        let trimmed = (hwm - self.window_base[j]) as usize;
+        self.window[j].drain(..trimmed);
+        self.window_base[j] = hwm;
         self.checkpoints[j] = Some(envelope);
+        Ok(())
     }
 
     /// Pull node `j`'s checkpoint envelope and trim its replay window to
     /// the envelope's frame high-water mark.
     pub fn checkpoint_node(&mut self, j: usize) -> std::io::Result<()> {
         let (hwm, envelope) = self.nodes[j].client.checkpoint()?;
-        self.keep_checkpoint(j, hwm, envelope);
-        Ok(())
+        self.keep_checkpoint(j, hwm, envelope)
     }
 
     /// Checkpoint every node: send every `CHECKPOINT` request, then read
@@ -528,11 +536,9 @@ impl ClusterRouter {
         let replies = self.admin_all(|_| Request::Checkpoint, ServiceClient::recv_checkpoint);
         let mut first_err = None;
         for (j, reply) in replies.into_iter().enumerate() {
-            match reply {
-                Ok((hwm, envelope)) => self.keep_checkpoint(j, hwm, envelope),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+            if let Err(e) = reply.and_then(|(hwm, envelope)| self.keep_checkpoint(j, hwm, envelope))
+            {
+                first_err.get_or_insert(e);
             }
         }
         first_err.map_or(Ok(()), Err)
@@ -540,17 +546,23 @@ impl ClusterRouter {
 
     /// **Fault injection**: kill node `j`'s process outright (no
     /// graceful shutdown — the process is gone mid-whatever-it-was-doing).
+    /// The node is down until [`restore_node`](Self::restore_node), so
+    /// the next `ingest` fails without touching its connection.
     pub fn kill_node(&mut self, j: usize) {
         self.view_cache.set(None);
         self.nodes[j].child.kill_now();
+        self.nodes[j].down = true;
     }
 
     /// **Failover**: spawn a replacement for node `j` on a fresh
     /// ephemeral port, seed it from the retained checkpoint envelope
     /// (`RESTORE` over the admin protocol; a node that was never
     /// checkpointed restarts empty), and replay the retained frames at
-    /// or past the restored high-water mark. The window is kept, so a
-    /// second fault on the same node replays the same recovery.
+    /// or past the restored high-water mark. The replay leaves acks owed
+    /// like `ingest` does, and every one is read before this returns
+    /// `Ok`. The window is kept, so a second fault on the same node
+    /// replays the same recovery. A restored high-water mark outside the
+    /// replay window is `InvalidData`, and node `j` is left as it was.
     pub fn restore_node(&mut self, j: usize) -> std::io::Result<()> {
         self.view_cache.set(None);
         let node = spawn_node(&self.cfg, j)?;
@@ -558,17 +570,12 @@ impl ClusterRouter {
             Some(envelope) => node.client.restore(envelope)?,
             None => 0,
         };
-        assert!(
-            hwm >= self.window_base[j],
-            "restored high-water mark {hwm} predates the replay window base {}",
-            self.window_base[j]
-        );
-        for (i, frame) in self.window[j].iter().enumerate() {
-            let idx = self.window_base[j] + i as u64;
-            if idx >= hwm {
-                node.client.ingest(frame)?;
-            }
+        self.check_hwm(j, hwm)?;
+        let replayed = (hwm - self.window_base[j]) as usize;
+        for frame in self.window[j].iter().skip(replayed) {
+            node.client.send_ingest_owed(frame)?;
         }
+        node.client.drain_owed()?;
         self.nodes[j] = node;
         Ok(())
     }
@@ -800,16 +807,140 @@ mod tests {
     #[test]
     fn deal_strides_match_the_mod_k_contract() {
         // Any (phase, k, len): element at global index routed + p lands
-        // in stride (routed + p) mod k, in arrival order.
+        // in stride (routed + p) mod k, in arrival order, and only a
+        // non-empty stride becomes a frame.
         for routed in [0usize, 1, 2, 7, 100] {
             for k in 1..=5usize {
-                let chunk: Vec<u64> = (0..23u64).map(|x| 1_000 + x).collect();
-                let strides = deal_strides(routed, k, &chunk);
-                let mut rebuilt: Vec<Vec<u64>> = vec![Vec::new(); k];
-                for (p, &x) in chunk.iter().enumerate() {
-                    rebuilt[(routed + p) % k].push(x);
+                for len in [1usize, 2, 3, 23] {
+                    let chunk: Vec<u64> = (0..len as u64).map(|x| 1_000 + x).collect();
+                    let mut windows: Vec<VecDeque<Vec<u64>>> = vec![VecDeque::from([vec![7]]); k];
+                    deal_strides(routed, &chunk, &mut windows);
+                    let mut rebuilt: Vec<Vec<u64>> = vec![Vec::new(); k];
+                    for (p, &x) in chunk.iter().enumerate() {
+                        rebuilt[(routed + p) % k].push(x);
+                    }
+                    for (j, stride) in rebuilt.into_iter().enumerate() {
+                        let mut want = VecDeque::from([vec![7]]);
+                        if !stride.is_empty() {
+                            want.push_back(stride);
+                        }
+                        assert_eq!(windows[j], want, "routed={routed} k={k} len={len} node {j}");
+                    }
                 }
-                assert_eq!(strides, rebuilt, "routed={routed} k={k}");
+            }
+        }
+    }
+
+    /// How a node's unannounced death is first noticed.
+    #[derive(Debug, Clone, Copy)]
+    enum Notice {
+        /// By further `ingest`s of one frame per node.
+        Ingest,
+        /// By the next `global_view`.
+        View,
+        /// By the next `checkpoint_all`.
+        Checkpoint,
+    }
+
+    #[test]
+    fn a_node_dying_unannounced_fails_by_its_owed_acks_and_restores_exactly() {
+        // The child dies without `kill_node`, so the router still thinks
+        // it is up and owes it acks. The error must surface within 16
+        // more frames to that node (its owed acks), or on the next view
+        // or checkpoint; a restore then lands on the uninterrupted run.
+        let cfg = ClusterConfig {
+            nodes: 2,
+            base_seed: 8,
+            epoch_every: 3,
+            cap: 16,
+            universe: 1 << 16,
+            workers: 1,
+            tenant_budget_bytes: None,
+        };
+        let data: Vec<u64> = (0..4_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) >> 12)
+            .collect();
+        let frames: Vec<&[u64]> = data.chunks(40).collect();
+        let view = |router: &ClusterRouter| {
+            let v = router
+                .global_view::<ReservoirSampler<u64>>()
+                .expect("global view");
+            (v.epoch(), v.items(), v.visible_ref().to_vec())
+        };
+        for (victim, notice) in [
+            (0, Notice::Ingest),
+            (1, Notice::Ingest),
+            (1, Notice::View),
+            (0, Notice::Checkpoint),
+        ] {
+            let mut baseline = ClusterRouter::start(cfg.clone()).expect("start baseline");
+            let mut router = ClusterRouter::start(cfg.clone()).expect("start cluster");
+            let mut fed = 0;
+            for frame in &frames[..30] {
+                baseline.ingest(frame).expect("baseline ingest");
+                router.ingest(frame).expect("cluster ingest");
+                fed += 1;
+                if fed == 10 {
+                    router.checkpoint_all().expect("checkpoint");
+                }
+            }
+            router.nodes[victim].child.kill_now();
+            match notice {
+                Notice::Ingest => {
+                    let mut passed = 0;
+                    loop {
+                        baseline.ingest(frames[fed]).expect("baseline ingest");
+                        let failed = router.ingest(frames[fed]).is_err();
+                        fed += 1;
+                        if failed {
+                            break;
+                        }
+                        passed += 1;
+                        assert!(
+                            passed <= 16,
+                            "victim {victim}: no error after {passed} frames"
+                        );
+                    }
+                    println!(
+                        "victim {victim}: the error surfaced after {passed} more frames passed"
+                    );
+                }
+                Notice::View => {
+                    router
+                        .global_view::<ReservoirSampler<u64>>()
+                        .expect_err("a view of a dead node");
+                }
+                Notice::Checkpoint => {
+                    router
+                        .checkpoint_all()
+                        .expect_err("a checkpoint of a dead node");
+                }
+            }
+            router.restore_node(victim).expect("restore");
+            assert_eq!(
+                view(&router),
+                view(&baseline),
+                "victim {victim}, {notice:?}"
+            );
+            for frame in &frames[fed..fed + 20] {
+                baseline.ingest(frame).expect("baseline ingest");
+                router.ingest(frame).expect("cluster ingest");
+                assert_eq!(
+                    view(&router),
+                    view(&baseline),
+                    "victim {victim}, {notice:?}"
+                );
+            }
+            for j in 0..cfg.nodes {
+                let (_, _, hwm, _) = router
+                    .node_epoch_state::<ReservoirSampler<u64>>(j)
+                    .expect("node epoch state");
+                assert_eq!(
+                    hwm,
+                    router.frames_sent(j),
+                    "victim {victim}, {notice:?}, node {j}"
+                );
+                assert_eq!(router.frames_sent(j), baseline.frames_sent(j));
             }
         }
     }

@@ -357,3 +357,50 @@ fn unchanged_reply_contradicting_the_cached_view_is_a_typed_error() {
         .expect("global view after the error");
     assert_eq!((view.epoch(), view.items()), (1, 15));
 }
+
+/// A checkpoint whose frame high-water mark is beyond the frames the
+/// router sent the node — another client's `RESTORE` put the node 5
+/// frames into a foreign stream — is a typed `InvalidData` error, not a
+/// panic, from both `checkpoint_node` and `checkpoint_all`. The replay
+/// window and the kept envelope stay as they were, so a failover
+/// afterwards still lands on the router's own uninterrupted run.
+#[test]
+fn checkpoint_beyond_the_sent_frames_is_a_typed_error() {
+    use robust_sampling_service::{ServiceClient, SummaryService};
+    let data = stream(30, 3);
+    let mut baseline = cluster(1, 3, 10);
+    let mut router = cluster(1, 3, 10);
+    for frame in data.chunks(10) {
+        baseline.ingest(frame).expect("baseline ingest");
+    }
+    router.ingest(&data[..10]).expect("cluster ingest");
+    router.checkpoint_all().expect("checkpoint");
+    router.ingest(&data[10..20]).expect("cluster ingest");
+    let mut other =
+        SummaryService::start(1, 3, 10, |_, s| ReservoirSampler::<u64>::with_seed(32, s));
+    for frame in stream(15, 4).chunks(3) {
+        other.ingest_frame(frame);
+    }
+    let foreign = ServiceClient::connect_binary(router.node_addr(0)).expect("connect");
+    assert!(
+        foreign
+            .restore(&other.checkpoint())
+            .expect("foreign restore")
+            >= 5
+    );
+    let err = router.checkpoint_node(0).expect_err("a foreign checkpoint");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let err = router.checkpoint_all().expect_err("a foreign checkpoint");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(router.frames_sent(0), 2);
+    // Fail over: the kept envelope (1 frame in) plus the retained second
+    // frame rebuild the router's own node.
+    router.kill_node(0);
+    router.restore_node(0).expect("restore");
+    router.ingest(&data[20..]).expect("cluster ingest");
+    assert_eq!(view_of(&router), view_of(&baseline));
+    let (_, _, hwm, _) = router
+        .node_epoch_state::<ReservoirSampler<u64>>(0)
+        .expect("node epoch state");
+    assert_eq!(hwm, router.frames_sent(0));
+}

@@ -269,10 +269,10 @@ fn view_after_failover_equals_the_hand_merge() {
 }
 
 /// One `ingest` call longer than a protocol frame: the router splits it
-/// into `MAX_INGEST_FRAME` chunks, each sent to every node before any
-/// ack is read. Started at an odd phase (a short prefix frame first), so
-/// no chunk boundary lines up with the `mod N` deal; the merged view
-/// still equals the offline sharded run.
+/// into `MAX_INGEST_FRAME` chunks, one frame per node each, and leaves
+/// their acks owed. Started at an odd phase (a short prefix frame
+/// first), so no chunk boundary lines up with the `mod N` deal; the
+/// merged view still equals the offline sharded run.
 #[test]
 fn multi_frame_ingest_equals_offline_sharded_merge() {
     let (nodes, seed) = (3, 19);
@@ -317,6 +317,93 @@ fn frames_sent_equals_node_acked_high_water_mark() {
         router.ingest(frame).expect("cluster ingest");
     }
     for j in 0..3 {
+        let (_, _, hwm, _) = router
+            .node_epoch_state::<ReservoirSampler<u64>>(j)
+            .expect("node epoch state");
+        assert_eq!(hwm, router.frames_sent(j), "node {j}");
+    }
+}
+
+/// `ingest` leaves up to 16 acks owed per node, and every other call on a
+/// node reads past them to its own reply. Before each call below, 20
+/// single-frame `ingest`s leave every node owing the maximum; each call
+/// must still get its own typed reply. Then one `ingest` of more than 16
+/// frames per node (the router reads acks mid-call) still lands on the
+/// offline sharded run, and every node's high-water mark equals the
+/// frames the router sent it.
+#[test]
+fn owed_acks_are_never_misread() {
+    let (nodes, seed) = (2, 23);
+    let mut router = ClusterRouter::start(ClusterConfig {
+        nodes,
+        base_seed: seed,
+        epoch_every: 1,
+        cap: 32,
+        universe: 1 << 16,
+        workers: 1,
+        tenant_budget_bytes: Some(1 << 20),
+    })
+    .expect("start cluster");
+    let bulk = 16 * MAX_INGEST_FRAME * nodes + 3 * MAX_INGEST_FRAME + 5;
+    let stream = workload_stream(2, 9 * 20 * 37 + bulk, seed);
+    let mut offline = ShardedSummary::new(nodes, seed, |_, s| {
+        ReservoirSampler::<u64>::with_seed(32, s)
+    });
+    let mut small = stream.chunks(37);
+    let mut owe = |router: &mut ClusterRouter| {
+        for frame in small.by_ref().take(20) {
+            offline.ingest_batch(frame);
+            router.ingest(frame).expect("cluster ingest");
+        }
+    };
+    let tenant = 5;
+    owe(&mut router);
+    assert_eq!(
+        router
+            .tenant_ingest(tenant, &[10, 20, 30])
+            .expect("TINGEST"),
+        3
+    );
+    owe(&mut router);
+    assert_eq!(router.tenant_count(tenant, 20).expect("TQUERY COUNT"), 1.0);
+    owe(&mut router);
+    let median = router
+        .tenant_quantile(tenant, 0.5)
+        .expect("TQUERY QUANTILE");
+    assert!(matches!(median, Some(10 | 20 | 30)), "{median:?}");
+    owe(&mut router);
+    let (items, mut sample) = router.tenant_snapshot(tenant).expect("TSNAPSHOT");
+    sample.sort_unstable();
+    assert_eq!((items, sample), (3, vec![10, 20, 30]));
+    for j in 0..nodes {
+        owe(&mut router);
+        let (_, _, hwm, _) = router
+            .node_epoch_state::<ReservoirSampler<u64>>(j)
+            .expect("node epoch state");
+        assert_eq!(hwm, router.frames_sent(j), "node {j}");
+    }
+    owe(&mut router);
+    router.checkpoint_node(1).expect("checkpoint node");
+    owe(&mut router);
+    router.checkpoint_all().expect("checkpoint all");
+    owe(&mut router);
+    let view = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    assert!(equals_hand_merge(&view, &router));
+
+    let tail = &stream[9 * 20 * 37..];
+    assert!(tail.len() > 16 * MAX_INGEST_FRAME * nodes);
+    offline.ingest_batch(tail);
+    assert_eq!(router.ingest(tail).expect("cluster ingest"), stream.len());
+    let view = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    let merged = offline.into_merged();
+    assert_eq!(view.items(), stream.len());
+    assert_eq!(view.summary().sample(), merged.sample());
+    assert_eq!(view.summary().observed(), merged.observed());
+    for j in 0..nodes {
         let (_, _, hwm, _) = router
             .node_epoch_state::<ReservoirSampler<u64>>(j)
             .expect("node epoch state");
