@@ -22,10 +22,9 @@
 //!   p50/p99 latency from our own KLL sketch (ops/s), plus the same two
 //!   paths driven over the binary TCP wire through the event-loop server
 //!   (`serve-tcp-ingest-pipelined`, `serve-tcp-mixed-queries`), plus two
-//!   data-path gates: `serve-publish-stall` (per-publish ingest-loop
-//!   stall of off-path epoch publishing, verdict-pinned to ≥5x below the
-//!   synchronous clone-and-merge barrier it replaced) and
-//!   `serve-alloc-per-op` (the pooled binary-payload ingest path; with
+//!   data-path kernels: `serve-publish-stall` (frame ingestion with an
+//!   inline clone-and-merge publish every 8 frames, publishes/s) and
+//!   `serve-alloc-per-op` (the binary-payload ingest path; with
 //!   `--features count-alloc` a counting global allocator verdict-pins
 //!   it to zero steady-state allocations), plus the two multi-node
 //!   cluster kernels: `cluster-ingest` (frames dealt to real node
@@ -61,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Counting global allocator (only with `--features count-alloc`): the
-/// `serve-alloc-per-op` verdict reads it to prove the pooled ingest path
+/// `serve-alloc-per-op` verdict reads it to prove the ingest path
 /// is allocation-free in steady state. Plain builds leave the system
 /// allocator untouched and the verdict passes vacuously.
 #[cfg(feature = "count-alloc")]
@@ -109,8 +108,8 @@ mod alloc_counter {
     }
 }
 
-/// Set by the serve-area data-path verdicts (publish stall, alloc gate)
-/// when one fails; folded into the process exit code.
+/// Set by the serve-area alloc-gate verdict when it fails; folded into
+/// the process exit code.
 static SERVE_GATE_FAILED: AtomicBool = AtomicBool::new(false);
 
 /// Elements per serving frame (matches `loadgen`'s in-process mode).
@@ -385,102 +384,44 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
         });
     }
 
-    // Publish-stall kernel: how long the ingest loop pauses at a publish
-    // boundary. Two regimes over the same frame schedule — off-path
-    // cadence publishing every CADENCE frames (the shipping
-    // configuration, where the triggering frame only enqueues a capture
-    // request per shard) and a synchronous publish at the same cadence
-    // (the clone-and-merge barrier the off-path publisher replaced). The
-    // summary is a deliberately large reservoir (16K) so the barrier is
-    // genuinely O(total state) while the off-path trigger stays
-    // O(capture-enqueue). Each regime's stall is the median duration of
-    // its *boundary* frames minus the median duration of its ordinary
-    // frames in the same run — an in-run baseline, so scheduler noise
-    // and publisher CPU interference cancel instead of being mistaken
-    // for stall. The verdict pins the off-path stall at >=5x below the
-    // synchronous one. The persisted entry is the off-path regime
-    // (rate = publishes/s).
+    // Publish-rate kernel: frame ingestion with an epoch published every
+    // CADENCE frames, on a deliberately large reservoir (2×16K) so each
+    // publish clones and merges a real amount of state. The persisted
+    // entry is publishes/s over the whole run, with per-frame latency.
     {
         const CADENCE: usize = 8;
         let frames = shape.serve_frames;
         let publishes = frames / CADENCE;
         let xs = scrambled(frames * FRAME);
-        let median_us = |durs: &mut Vec<u64>| -> f64 {
-            durs.sort_unstable();
-            durs[durs.len() / 2] as f64 / 1e3
-        };
-        // Returns (stall_us_per_publish, total_secs), best-of reps on
-        // the stall (rep 0 is warmup).
-        let run_mode = |sync: bool, lat: &mut KllSketch| -> (f64, f64) {
-            let epoch_every = if sync { usize::MAX } else { CADENCE * FRAME };
-            let (mut best_stall, mut best_secs) = (f64::INFINITY, f64::INFINITY);
-            for rep in 0..=shape.reps {
-                let mut svc = SummaryService::start(2, 42, epoch_every, |_, s| {
-                    ReservoirSampler::with_seed(16_384, s)
-                });
-                let mut rep_lat = KllSketch::with_seed(256, 5);
-                let mut boundary = Vec::with_capacity(publishes);
-                let mut ordinary = Vec::with_capacity(frames - publishes);
-                let t = Instant::now();
-                for (i, f) in xs.chunks(FRAME).enumerate() {
-                    let t0 = Instant::now();
-                    svc.ingest_frame(f);
-                    if sync && (i + 1) % CADENCE == 0 {
-                        svc.publish();
-                    }
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    rep_lat.observe(ns);
-                    if (i + 1) % CADENCE == 0 {
-                        boundary.push(ns);
-                    } else {
-                        ordinary.push(ns);
-                    }
-                }
-                let secs = t.elapsed().as_secs_f64();
-                // Floored so noise cannot make the ratio degenerate.
-                let stall = (median_us(&mut boundary) - median_us(&mut ordinary)).max(0.05);
-                if rep > 0 && stall < best_stall {
-                    best_stall = stall;
-                    best_secs = secs;
-                    *lat = rep_lat;
-                }
-            }
-            (best_stall, best_secs)
-        };
         let mut lat = KllSketch::with_seed(256, 5);
-        let mut pass = false;
-        let (mut stall_async_us, mut stall_sync_us, mut t_async) = (0.0, 0.0, f64::INFINITY);
-        // A noise episode can swallow one two-regime comparison; a
-        // genuine stall regression survives every attempt.
-        for _attempt in 0..3 {
-            let mut scratch = KllSketch::with_seed(256, 5);
-            (stall_async_us, t_async) = run_mode(false, &mut lat);
-            (stall_sync_us, _) = run_mode(true, &mut scratch);
-            if stall_sync_us >= 5.0 * stall_async_us {
-                pass = true;
-                break;
+        let mut best = f64::INFINITY;
+        for rep in 0..=shape.reps {
+            let mut svc = SummaryService::start(2, 42, CADENCE * FRAME, |_, s| {
+                ReservoirSampler::with_seed(16_384, s)
+            });
+            let mut rep_lat = KllSketch::with_seed(256, 5);
+            let t = Instant::now();
+            for f in xs.chunks(FRAME) {
+                let t0 = Instant::now();
+                svc.ingest_frame(f);
+                rep_lat.observe(t0.elapsed().as_nanos() as u64);
             }
-        }
-        verdict(
-            "serve:publish-stall",
-            pass,
-            &format!(
-                "off-path {stall_async_us:.3}us vs sync {stall_sync_us:.3}us per publish (need >=5x)"
-            ),
-        );
-        if !pass {
-            SERVE_GATE_FAILED.store(true, Ordering::Relaxed);
+            let secs = t.elapsed().as_secs_f64();
+            if rep > 0 && secs < best {
+                best = secs;
+                lat = rep_lat;
+            }
         }
         entries.push(PerfEntry {
             kernel: "serve-publish-stall".to_string(),
             n: publishes as u64,
-            rate: publishes as f64 / t_async,
+            rate: publishes as f64 / best,
             p50_us: micros(&lat, 0.5),
             p99_us: micros(&lat, 0.99),
         });
     }
 
-    // Allocation-per-op kernel: the pooled binary-payload ingest path
+    // Allocation-per-op kernel: the binary-payload ingest path
     // (`ingest_frame_le`), with per-frame latency from a pre-reserved
     // vector so the measured window itself stays allocation-free. With
     // --features count-alloc the verdict pins steady-state allocations

@@ -46,28 +46,6 @@ pub trait MergeableSummary<T>: StreamSummary<T> {
     fn merge(&mut self, other: Self)
     where
         Self: Sized;
-
-    /// Capture this summary's full state into a reusable scratch slot —
-    /// the state-capture half of an off-thread merge pipeline (a shard
-    /// worker captures on publish cadence; a publisher thread merges the
-    /// captures in shard order while ingestion keeps running).
-    ///
-    /// An occupied slot is overwritten in place via [`Clone::clone_from`],
-    /// so implementors whose `clone_from` reuses heap buffers pay no
-    /// fresh allocation on recapture; an empty slot is filled with a
-    /// fresh clone. Either way the slot afterwards holds a state
-    /// bit-identical to `self` (same sample, same private RNG/gap state),
-    /// so merging captures is indistinguishable from merging the shards
-    /// themselves.
-    fn capture_into(&self, slot: &mut Option<Self>)
-    where
-        Self: Sized + Clone,
-    {
-        match slot {
-            Some(s) => s.clone_from(self),
-            None => *slot = Some(self.clone()),
-        }
-    }
 }
 
 /// Merge `shards` left-to-right in shard order — the one canonical merge
@@ -274,24 +252,6 @@ mod tests {
         assert_eq!(a.observed(), 80_000);
         let med = a.estimate_quantile(0.5).unwrap() as f64;
         assert!((med - 40_000.0).abs() < 0.1 * 80_000.0, "median {med}");
-    }
-
-    #[test]
-    fn capture_into_reuses_the_slot_and_is_bit_identical() {
-        let mut s = ReservoirSampler::with_seed(64, 9);
-        s.observe_batch(&(0..10_000u64).collect::<Vec<_>>());
-        let mut slot: Option<ReservoirSampler<u64>> = None;
-        MergeableSummary::<u64>::capture_into(&s, &mut slot);
-        assert_eq!(slot.as_ref().unwrap().sample(), s.sample());
-        // The capture carries the private RNG/gap state too: the capture
-        // and the original evolve identically from here.
-        s.observe_batch(&(10_000..20_000u64).collect::<Vec<_>>());
-        // Recapture overwrites the occupied slot in place.
-        MergeableSummary::<u64>::capture_into(&s, &mut slot);
-        let mut captured = slot.take().unwrap();
-        captured.observe_batch(&(20_000..30_000u64).collect::<Vec<_>>());
-        s.observe_batch(&(20_000..30_000u64).collect::<Vec<_>>());
-        assert_eq!(captured.sample(), s.sample());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! One cluster node process: a single-shard [`SummaryService`] behind
 //! an admin-enabled TCP endpoint.
 //!
-//! A one-shard service runs inline: the event-loop thread that decodes
+//! The service runs inline: the event-loop thread that decodes
 //! an `INGEST` frame also runs the sampler kernel and any due epoch
 //! publish before it writes the ack. So the process runs two threads
 //! (main, and one event loop that also accepts, with the default

@@ -1,8 +1,8 @@
 //! Multi-node cluster serving: replicated routing, coordinator merge,
 //! and checkpoint failover.
 //!
-//! One [`SummaryService`](crate::SummaryService) shards a stream across
-//! worker threads *inside* a process. This module scales the same
+//! One [`SummaryService`](crate::SummaryService) shards a stream
+//! *inside* a process, on the caller's thread. This module scales the same
 //! contract across **processes**: `N` independent node processes (the
 //! `cluster_node` binary, each one a single-shard service behind
 //! [`ServiceServer::spawn_admin`](crate::ServiceServer::spawn_admin))

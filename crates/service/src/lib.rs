@@ -8,11 +8,10 @@
 //! [`ExperimentEngine`] owns the whole stream and queries happen after
 //! the fact. This crate closes that gap:
 //!
-//! * [`SummaryService`] — `K` sharded ingest workers, or the caller's
-//!   own thread when `K = 1` (reusing the [`ShardedSummary`]
-//!   round-robin deal, so a served run is **bit-identical** to the
-//!   offline sharded run of the same frame schedule) publishing
-//!   **epoch snapshots**: merged, immutable
+//! * [`SummaryService`] — `K` shards ingested on the caller's own
+//!   thread (reusing the [`ShardedSummary`] round-robin deal, so a
+//!   served run is **bit-identical** to the offline sharded run of the
+//!   same frame schedule) publishing **epoch snapshots**: merged, immutable
 //!   summaries swapped behind an `Arc`. A query clones the snapshot
 //!   `Arc` under a read lock held only for the pointer copy (the epoch
 //!   swap's write lock is equally brief), so concurrent queries are

@@ -32,18 +32,17 @@
 //! `INGEST` payload takes the **zero-copy fast path**: the little-endian
 //! value slice, still borrowed from the connection's read buffer, goes
 //! straight to [`SummaryService::ingest_frame_le`] — no per-request
-//! allocation. A one-shard service (every cluster node) decodes it into
-//! its reused batch buffer and runs the kernel, and any due epoch
-//! publish, on this event-loop thread before the ack is written, so an
-//! `INGEST` ack means the frame has been applied. A multi-shard service
-//! deals it in place into its pooled shard buffers and acks once the
-//! strides are queued. Every query answers from the published
-//! epoch snapshot through a [`QueryHandle`] and serializes its response
-//! (including the `SNAPSHOT` sample, borrowed from the snapshot's
-//! cache) straight into the connection's out-buffer, so the read path
-//! never contends with ingestion and never copies the sample. Binding port 0 asks the OS
-//! for an ephemeral port ([`ServiceServer::port`] reports it), which is
-//! what CI and tests use to avoid bind collisions.
+//! allocation. The service decodes it into its reused batch buffer and
+//! runs the kernel, and any due epoch publish, on this event-loop thread
+//! before the ack is written, so for every shard count an `INGEST` ack
+//! means the frame has been applied. Every query answers from the
+//! published epoch snapshot through a [`QueryHandle`] and serializes its
+//! response (including the `SNAPSHOT` sample, borrowed from the
+//! snapshot's cache) straight into the connection's out-buffer, so the
+//! read path never contends with ingestion and never copies the sample.
+//! Binding port 0 asks the OS for an ephemeral port
+//! ([`ServiceServer::port`] reports it), which is what CI and tests use
+//! to avoid bind collisions.
 
 use crate::frame;
 use crate::protocol::{write_snapshot_line, Request, Response, ServiceStats, Wire};
@@ -96,7 +95,8 @@ type AdminHook<S> = fn(Request, &Shared<S>) -> Response;
 /// The [`AdminHook`] of a [`ServiceServer::spawn_admin`] endpoint.
 /// `RESTORE` swaps the service wholesale under the mutex and re-points
 /// query dispatch at the restored service's published snapshot before
-/// acknowledging, so no query window ever mixes old and new state.
+/// acknowledging, so no query window ever mixes old and new state. A
+/// checkpoint with a different shard count is rejected.
 fn answer_admin<S>(req: Request, shared: &Shared<S>) -> Response
 where
     S: ServableSummary + SnapshotCodec,
@@ -130,6 +130,14 @@ where
             Ok(restored) => {
                 let frames_acked = restored.frames_acked();
                 let mut service = lock();
+                // A node keeps its shard count: the cluster's bit-identity
+                // with the offline merge assumes one shard per node.
+                let (got, serving) = (restored.num_shards(), service.num_shards());
+                if got != serving {
+                    return Response::Err(format!(
+                        "restore rejected: checkpoint has {got} shards, this node serves {serving}"
+                    ));
+                }
                 let mut queries = shared.queries.write().expect("query handle poisoned");
                 *queries = restored.query_handle();
                 *service = restored;

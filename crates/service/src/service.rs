@@ -1,5 +1,5 @@
-//! [`SummaryService`]: concurrent sharded ingestion with epoch-snapshot
-//! queries and checkpoint/restore.
+//! [`SummaryService`]: sharded ingestion with epoch-snapshot queries and
+//! checkpoint/restore.
 //!
 //! ## Determinism contract
 //!
@@ -15,53 +15,27 @@
 //!
 //! ## Concurrency model
 //!
-//! The shard count picks one of two modes; there is no option for it.
+//! One writer, many readers. The service owns its `K` shards and does
+//! all ingest and publish work on the calling thread; it starts no
+//! thread. `ingest_frame` hands a one-shard frame straight to the batch
+//! kernel; with several shards it gathers each shard's stride into one
+//! reused buffer and runs that shard's kernel on it, shard by shard.
+//! `ingest_frame_le` decodes the wire payload into the same reused
+//! buffer (batch ≡ element-wise makes the two paths bit-identical). The
+//! steady-state ingest path is **allocation-free**: the buffer grows to
+//! one frame once and is reused from then on.
 //!
-//! **One shard runs inline.** With `K = 1` the service owns its shard
-//! and does all the work on the calling thread. `ingest_frame` hands the
-//! slice straight to the batch kernel; `ingest_frame_le` first decodes
-//! the payload into one reused buffer (batch ≡ element-wise makes the
-//! two bit-identical). When a publish comes due, the same call clones
-//! the shard into the next [`EpochSnapshot`], swaps it in and lands the
-//! epoch before it returns. So when an ingest call returns, its frame
-//! has been applied: a server's `INGEST` ack follows the kernel. The
-//! service starts no thread. This is the mode every cluster node runs —
-//! one shard has nothing to run in parallel, and a worker and publisher
-//! hop per frame cost more than the kernel work they hand off.
-//!
-//! **Several shards run threaded.** One writer, many readers, and a
-//! publisher off to the side. The owner thread deals frames to `K`
-//! worker threads over bounded FIFO queues (ingest is pipelined: dealing
-//! frame `t+1` overlaps shard work on frame `t`). The steady-state
-//! ingest path is **allocation-free**: the deal writes each shard's
-//! stride into a reusable per-shard buffer, full buffers are swapped
-//! against a free-list pool of drained ones, and workers return each
-//! batch buffer to the pool after ingesting it. The pool also bounds
-//! memory — a dealer that outruns the shards blocks on the free list
-//! instead of growing a queue without limit.
-//!
-//! Every `epoch_every` ingested elements a threaded service
-//! *publishes* — but the merge runs **off the ingest path**. The dealer
-//! only enqueues a capture request per worker (the request queues
-//! behind all pending batches on each FIFO, so the captured states form
-//! a consistent, frame-aligned cut); each worker clones its shard state
-//! ([`MergeableSummary::capture_into`]) and hands it to a dedicated
-//! publisher thread, which merges the captures in shard order, swaps the
-//! result behind an `Arc`, and marks the epoch landed — the same swap
-//! and land an inline publish does. The ingest stall per publish is the
-//! capture enqueue — O(K) — instead of a collect-clone-merge barrier,
-//! which would be O(total state).
+//! Every `epoch_every` ingested elements the same call *publishes*: it
+//! clones the shards, merges the clones in shard order into the next
+//! [`EpochSnapshot`] and swaps it in behind an `Arc` before returning.
+//! So when an ingest call returns, its frame has been applied and any
+//! epoch it completed is readable: a server's `INGEST` ack follows the
+//! kernel, and the next query sees the new epoch.
 //!
 //! Readers ([`QueryHandle`]) never observe a half-published epoch or a
-//! half-ingested frame: a query first waits (on a condvar gate) for the
-//! newest *triggered* epoch to land, then clones the published `Arc`
-//! and answers from an immutable [`EpochSnapshot`]. In threaded mode
-//! that wait gives read-your-ingest ordering — after `ingest_frame`
-//! crosses a cadence boundary, the very next query observes the new
-//! epoch — while leaving the ingest path free of merge work. In inline
-//! mode the epoch has already landed when the call returns. In the
-//! steady state the gate is one atomic load plus an uncontended mutex
-//! check.
+//! half-ingested frame: a query clones the published `Arc` under a read
+//! lock held only for the pointer copy and answers from an immutable
+//! [`EpochSnapshot`].
 
 use robust_sampling_core::attack::ObservableDefense;
 use robust_sampling_core::engine::snapshot::{
@@ -70,16 +44,13 @@ use robust_sampling_core::engine::snapshot::{
 use robust_sampling_core::engine::{
     merge_in_shard_order, MergeableSummary, ShardedSummary, StreamSummary,
 };
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// The capability bundle a summary needs to be served: engine ingestion,
-/// sound merging (for epoch publication), cloning (for shard-state
-/// capture), and thread mobility (`Send` to live on a worker, `Sync` so
-/// published snapshots can be read from many query threads).
-/// Blanket-implemented.
+/// sound merging and cloning (for epoch publication), and thread
+/// mobility (`Send` so a server's event-loop threads can share the
+/// service behind a mutex, `Sync` so published snapshots can be read
+/// from many query threads). Blanket-implemented.
 pub trait ServableSummary:
     StreamSummary<u64> + MergeableSummary<u64> + Clone + Send + Sync + 'static
 {
@@ -245,189 +216,30 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
     }
 }
 
-/// The publish gate: which epoch has been *triggered* (by the ingest
-/// call that crossed the cadence) and which has *landed* (swapped in,
-/// by that same call in inline mode or by the publisher thread in
-/// threaded mode). Queries wait for the newest triggered epoch to land
-/// before reading, so publishing off the ingest path never weakens
-/// read-your-ingest ordering.
-#[derive(Debug)]
-struct EpochGate {
-    triggered: AtomicU64,
-    landed: Mutex<u64>,
-    advanced: Condvar,
-}
-
-impl EpochGate {
-    fn new(epoch: u64) -> Self {
-        Self {
-            triggered: AtomicU64::new(epoch),
-            landed: Mutex::new(epoch),
-            advanced: Condvar::new(),
-        }
-    }
-
-    /// Record that `epoch`'s publish has started (ingest side).
-    fn trigger(&self, epoch: u64) {
-        self.triggered.store(epoch, Ordering::Release);
-    }
-
-    /// Record that `epoch` is swapped in and readable.
-    fn land(&self, epoch: u64) {
-        let mut landed = self.landed.lock().expect("epoch gate poisoned");
-        debug_assert!(*landed < epoch, "epochs land in order");
-        *landed = epoch;
-        drop(landed);
-        self.advanced.notify_all();
-    }
-
-    /// Block until `epoch` has landed.
-    fn wait_for(&self, epoch: u64) {
-        let mut landed = self.landed.lock().expect("epoch gate poisoned");
-        while *landed < epoch {
-            landed = self.advanced.wait(landed).expect("epoch gate poisoned");
-        }
-    }
-
-    /// Block until every epoch triggered so far has landed.
-    fn wait_latest(&self) {
-        self.wait_for(self.triggered.load(Ordering::Acquire));
-    }
-}
-
-/// A bounded FIFO over a pre-allocated ring: once constructed, `push`
-/// and `pop` never allocate. `pop` blocks on empty, `push` blocks on
-/// full — the latter is what bounds the dealer to the free-list pool
-/// instead of an unbounded channel.
-#[derive(Debug)]
-struct FifoQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-    cap: usize,
-    added: Condvar,
-    removed: Condvar,
-}
-
-impl<T> FifoQueue<T> {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            inner: Mutex::new(VecDeque::with_capacity(cap)),
-            cap,
-            added: Condvar::new(),
-            removed: Condvar::new(),
-        }
-    }
-
-    fn push(&self, value: T) {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        while q.len() == self.cap {
-            q = self.removed.wait(q).expect("queue poisoned");
-        }
-        q.push_back(value);
-        drop(q);
-        self.added.notify_one();
-    }
-
-    fn pop(&self) -> T {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(v) = q.pop_front() {
-                drop(q);
-                self.removed.notify_one();
-                return v;
-            }
-            q = self.added.wait(q).expect("queue poisoned");
-        }
-    }
-}
-
 /// A cloneable, read-only handle onto the service's published snapshot —
 /// what query threads (and the TCP server's query path) hold. Reading
-/// never touches the ingest path; it only waits, briefly, for any
-/// in-flight publish to land (see the epoch gate in the module docs).
+/// never touches the ingest path.
 #[derive(Debug)]
 pub struct QueryHandle<S> {
     published: Arc<RwLock<Arc<EpochSnapshot<S>>>>,
-    gate: Arc<EpochGate>,
 }
 
 impl<S> Clone for QueryHandle<S> {
     fn clone(&self) -> Self {
         Self {
             published: Arc::clone(&self.published),
-            gate: Arc::clone(&self.gate),
         }
     }
 }
 
 impl<S> QueryHandle<S> {
-    /// The current epoch snapshot — every epoch triggered before this
+    /// The current epoch snapshot — every epoch published before this
     /// call is visible in it. The returned `Arc` stays valid (and
     /// immutable) however many epochs are published after it.
     pub fn snapshot(&self) -> Arc<EpochSnapshot<S>> {
-        self.gate.wait_latest();
         Arc::clone(&self.published.read().expect("snapshot lock poisoned"))
     }
 }
-
-enum WorkerMsg<S> {
-    /// A dealt stride: ingest it, then return the drained buffer to the
-    /// free-list pool.
-    Batch(Vec<u64>),
-    /// Capture the shard state for epoch publication and hand it to the
-    /// publisher thread.
-    Capture {
-        epoch: u64,
-        items: usize,
-    },
-    State(mpsc::Sender<S>),
-    Stop,
-}
-
-enum PubMsg<S> {
-    Capture {
-        epoch: u64,
-        items: usize,
-        shard: usize,
-        state: S,
-    },
-    Stop,
-}
-
-struct Worker<S> {
-    queue: Arc<FifoQueue<WorkerMsg<S>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Where the shards live and who runs the kernel. The shard count picks
-/// the mode (see the module docs): one shard runs on the caller's
-/// thread, several run on worker threads.
-enum Mode<S> {
-    /// `K = 1`: the caller's thread ingests and publishes.
-    Inline {
-        shard: S,
-        /// Reused decode buffer for [`SummaryService::ingest_frame_le`].
-        buf: Vec<u64>,
-    },
-    /// `K > 1`: shard workers fed by the deal, plus a publisher thread.
-    Threaded {
-        workers: Vec<Worker<S>>,
-        /// Reusable per-shard stride buffers the deal writes into;
-        /// swapped against `pool` when dispatched.
-        deal: Vec<Vec<u64>>,
-        /// Free list of drained batch buffers (returned by the workers).
-        pool: Arc<FifoQueue<Vec<u64>>>,
-        pub_tx: mpsc::Sender<PubMsg<S>>,
-        publisher: Option<JoinHandle<()>>,
-    },
-}
-
-/// Batch buffers seeded into the free-list pool per shard. Eight frames
-/// of run-ahead per shard lets the dealer keep routing across an epoch
-/// capture burst (a worker cloning its state is briefly not draining
-/// batches) without letting it run away unboundedly — a dealer
-/// outpacing every worker blocks on the pool after eight frames' worth
-/// of strides per shard.
-const BUFS_PER_SHARD: usize = 8;
 
 /// Checkpoint envelope magic (`b"RSVC"` + format version 2; version 2
 /// added the frame high-water mark the cluster router's replay window
@@ -437,7 +249,11 @@ const CHECKPOINT_MAGIC: u64 = 0x5253_5643_0000_0002;
 /// A long-running, concurrently-queried summary service. See the module
 /// docs for the determinism and concurrency contracts.
 pub struct SummaryService<S: ServableSummary> {
-    mode: Mode<S>,
+    /// The `K` shard summaries, in shard order.
+    shards: Vec<S>,
+    /// Reused ingest buffer: one shard's gathered stride, or a one-shard
+    /// service's decoded wire payload.
+    stride: Vec<u64>,
     /// Elements dealt so far — the round-robin cursor (identical role to
     /// [`ShardedSummary`]'s).
     routed: usize,
@@ -449,12 +265,9 @@ pub struct SummaryService<S: ServableSummary> {
     frames_acked: FrameHwm,
     /// Publish an epoch every this many ingested elements.
     epoch_every: usize,
-    /// Epoch number of the most recently *triggered* publish (a threaded
-    /// service's publisher lands it asynchronously; the gate tracks both
-    /// sides).
+    /// Epoch number of the published snapshot.
     epoch: u64,
     published: Arc<RwLock<Arc<EpochSnapshot<S>>>>,
-    gate: Arc<EpochGate>,
 }
 
 impl<S: ServableSummary> std::fmt::Debug for SummaryService<S> {
@@ -475,9 +288,7 @@ impl<S: ServableSummary> SummaryService<S> {
     /// the offline sharded engine, so served and offline runs are
     /// comparable shard for shard. An epoch is published every
     /// `epoch_every` ingested elements (1 = publish after every frame,
-    /// what a remote adaptive duel needs). One shard runs on the
-    /// caller's thread; more shards get a worker thread each plus a
-    /// publisher thread (see the module docs).
+    /// what a remote adaptive duel needs).
     ///
     /// # Panics
     ///
@@ -502,7 +313,7 @@ impl<S: ServableSummary> SummaryService<S> {
     /// `None` and serves the merge of the initial shard states under
     /// epoch number `epoch`.
     fn from_parts(
-        mut shards: Vec<S>,
+        shards: Vec<S>,
         routed: usize,
         since_publish: usize,
         frames_acked: FrameHwm,
@@ -511,75 +322,24 @@ impl<S: ServableSummary> SummaryService<S> {
         published: Option<EpochSnapshot<S>>,
     ) -> Self {
         assert!(epoch_every > 0, "epoch_every must be positive");
-        let k = shards.len();
         let snapshot = published.unwrap_or_else(|| {
-            EpochSnapshot::new(epoch, routed, merge_in_shard_order(shards.clone()))
+            EpochSnapshot::new(epoch, routed, merge_in_shard_order(shards.iter().cloned()))
         });
-        let published = Arc::new(RwLock::new(Arc::new(snapshot)));
-        let gate = Arc::new(EpochGate::new(epoch));
-
-        let mode = if k == 1 {
-            Mode::Inline {
-                shard: shards.pop().expect("one shard"),
-                buf: Vec::new(),
-            }
-        } else {
-            // Buffers in circulation: the seeded free list plus the K
-            // deal slots that migrate through it. The pool capacity
-            // covers all of them, so a worker's return push never blocks.
-            let total_bufs = (BUFS_PER_SHARD + 1) * k + 1;
-            let pool = Arc::new(FifoQueue::with_capacity(total_bufs));
-            for _ in 0..BUFS_PER_SHARD * k {
-                pool.push(Vec::new());
-            }
-            let (pub_tx, pub_rx) = mpsc::channel();
-            let publisher = spawn_publisher(k, pub_rx, Arc::clone(&published), Arc::clone(&gate));
-            let workers = shards
-                .into_iter()
-                .enumerate()
-                .map(|(j, shard)| {
-                    // Worst case every circulating buffer queues on one
-                    // worker; leave slack for control messages.
-                    let queue = Arc::new(FifoQueue::with_capacity(total_bufs + 4));
-                    let handle = spawn_worker(
-                        shard,
-                        j,
-                        Arc::clone(&queue),
-                        Arc::clone(&pool),
-                        pub_tx.clone(),
-                    );
-                    Worker {
-                        queue,
-                        handle: Some(handle),
-                    }
-                })
-                .collect();
-            Mode::Threaded {
-                workers,
-                deal: (0..k).map(|_| Vec::new()).collect(),
-                pool,
-                pub_tx,
-                publisher: Some(publisher),
-            }
-        };
         Self {
-            mode,
+            shards,
+            stride: Vec::new(),
             routed,
             since_publish,
             frames_acked,
             epoch_every,
             epoch,
-            published,
-            gate,
+            published: Arc::new(RwLock::new(Arc::new(snapshot))),
         }
     }
 
     /// Number of ingest shards `K`.
     pub fn num_shards(&self) -> usize {
-        match &self.mode {
-            Mode::Inline { .. } => 1,
-            Mode::Threaded { workers, .. } => workers.len(),
-        }
+        self.shards.len()
     }
 
     /// Elements ingested so far.
@@ -603,7 +363,6 @@ impl<S: ServableSummary> SummaryService<S> {
     pub fn query_handle(&self) -> QueryHandle<S> {
         QueryHandle {
             published: Arc::clone(&self.published),
-            gate: Arc::clone(&self.gate),
         }
     }
 
@@ -614,29 +373,25 @@ impl<S: ServableSummary> SummaryService<S> {
     }
 
     /// Ingest one frame, then publish an epoch if the cadence came due.
-    /// Returns the new total item count. One shard ingests the slice on
-    /// this thread and lands any due epoch before returning; several
-    /// shards get the frame dealt round-robin to their workers and the
-    /// call returns as soon as the strides are queued. Steady-state
-    /// calls perform no heap allocation in either mode.
+    /// Returns the new total item count. One shard ingests the slice
+    /// directly; several shards each ingest their gathered stride. The
+    /// frame, and any epoch it completes, is applied before the call
+    /// returns. Steady-state calls perform no heap allocation.
     pub fn ingest_frame(&mut self, xs: &[u64]) -> usize {
-        match &mut self.mode {
-            Mode::Inline { shard, .. } => shard.ingest_batch(xs),
-            Mode::Threaded {
-                workers,
-                deal,
-                pool,
-                ..
-            } => {
+        match self.shards.as_mut_slice() {
+            [shard] => shard.ingest_batch(xs),
+            shards => {
                 // Shard j's stride starts at the first frame index i with
                 // (routed + i) % k == j — the ShardedSummary deal.
-                let k = workers.len();
+                let k = shards.len();
                 let offset = self.routed % k;
-                for (j, stride) in deal.iter_mut().enumerate() {
+                for (j, shard) in shards.iter_mut().enumerate() {
+                    self.stride.clear();
                     let start = (j + k - offset) % k;
-                    stride.extend(xs.iter().skip(start).step_by(k).copied());
+                    self.stride
+                        .extend(xs.iter().skip(start).step_by(k).copied());
+                    shard.ingest_batch(&self.stride);
                 }
-                dispatch_deal(workers, deal, pool);
             }
         }
         self.finish_frame(xs.len())
@@ -644,11 +399,9 @@ impl<S: ServableSummary> SummaryService<S> {
 
     /// Ingest one frame straight from its wire encoding: `payload` is
     /// the flat little-endian `u64` chunk of a binary `INGEST` frame.
-    /// One shard decodes it into a reused buffer and ingests that; with
-    /// several shards the round-robin deal runs **in place during
-    /// decode** — each shard's stride is decoded directly into its
-    /// reusable batch buffer. Either way the payload is never
-    /// materialized as a fresh `Vec<u64>`, and state evolution is
+    /// One shard decodes the whole payload into the reused buffer;
+    /// several shards each decode their stride into it. The payload is
+    /// never materialized as a fresh `Vec<u64>`, and state evolution is
     /// bit-identical to [`ingest_frame`](Self::ingest_frame) on the
     /// decoded values.
     ///
@@ -662,26 +415,18 @@ impl<S: ServableSummary> SummaryService<S> {
             "INGEST payload must be a multiple of 8 bytes"
         );
         let words = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-        match &mut self.mode {
-            Mode::Inline { shard, buf } => {
-                buf.clear();
-                extend_u64_run(buf, payload);
-                shard.ingest_batch(buf);
+        let k = self.shards.len();
+        let offset = self.routed % k;
+        for (j, shard) in self.shards.iter_mut().enumerate() {
+            self.stride.clear();
+            if k == 1 {
+                extend_u64_run(&mut self.stride, payload);
+            } else {
+                let start = (j + k - offset) % k;
+                self.stride
+                    .extend(payload.chunks_exact(8).skip(start).step_by(k).map(words));
             }
-            Mode::Threaded {
-                workers,
-                deal,
-                pool,
-                ..
-            } => {
-                let k = workers.len();
-                let offset = self.routed % k;
-                for (j, stride) in deal.iter_mut().enumerate() {
-                    let start = (j + k - offset) % k;
-                    stride.extend(payload.chunks_exact(8).skip(start).step_by(k).map(words));
-                }
-                dispatch_deal(workers, deal, pool);
-            }
+            shard.ingest_batch(&self.stride);
         }
         self.finish_frame(payload.len() / 8)
     }
@@ -691,74 +436,27 @@ impl<S: ServableSummary> SummaryService<S> {
         self.routed += n;
         self.since_publish += n;
         if self.since_publish >= self.epoch_every {
-            self.trigger_publish();
+            self.publish();
         }
         self.routed
     }
 
-    /// Start publishing a new epoch. One shard is cloned into the
-    /// snapshot and landed right here. Several shards get a capture
-    /// request queued behind every pending batch — the entire
-    /// ingest-path cost of a threaded publish; the publisher thread
-    /// merges the captures and lands the epoch asynchronously.
-    fn trigger_publish(&mut self) {
+    /// Publish a new epoch now (the `epoch_every` cadence calls the
+    /// same code): merge clones of the shards in shard order, swap the
+    /// result in, and return it.
+    pub fn publish(&mut self) -> Arc<EpochSnapshot<S>> {
         self.epoch += 1;
         self.since_publish = 0;
-        self.gate.trigger(self.epoch);
-        match &self.mode {
-            Mode::Inline { shard, .. } => swap_and_land(
-                &self.published,
-                &self.gate,
-                EpochSnapshot::new(self.epoch, self.routed, shard.clone()),
-            ),
-            Mode::Threaded { workers, .. } => {
-                for w in workers {
-                    w.queue.push(WorkerMsg::Capture {
-                        epoch: self.epoch,
-                        items: self.routed,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Publish a new epoch now (the `epoch_every` cadence triggers the
-    /// same machinery): trigger it, wait for it to land, and return the
-    /// snapshot.
-    pub fn publish(&mut self) -> Arc<EpochSnapshot<S>> {
-        self.trigger_publish();
-        self.wait_for_epoch(self.epoch)
-    }
-
-    /// Block until epoch `epoch` has been published, then return the
-    /// current snapshot. Useful for observing a cadence-triggered epoch
-    /// without forcing an extra one.
-    pub fn wait_for_epoch(&self, epoch: u64) -> Arc<EpochSnapshot<S>> {
-        self.gate.wait_for(epoch);
-        self.snapshot()
-    }
-
-    /// Copy the shard states, in shard order, as of every frame ingested
-    /// before this call — a consistent, frame-aligned cut. Shard workers
-    /// get the state request queued behind all their pending batches.
-    fn collect_states(&self) -> Vec<S> {
-        match &self.mode {
-            Mode::Inline { shard, .. } => vec![shard.clone()],
-            Mode::Threaded { workers, .. } => {
-                let replies: Vec<mpsc::Receiver<S>> = workers
-                    .iter()
-                    .map(|w| {
-                        let (tx, rx) = mpsc::channel();
-                        w.queue.push(WorkerMsg::State(tx));
-                        rx
-                    })
-                    .collect();
-                replies
-                    .into_iter()
-                    .map(|rx| rx.recv().expect("shard worker died"))
-                    .collect()
-            }
-        }
+        let merged = merge_in_shard_order(self.shards.iter().cloned());
+        let snap = Arc::new(EpochSnapshot::new(self.epoch, self.routed, merged));
+        let old = std::mem::replace(
+            &mut *self.published.write().expect("snapshot lock poisoned"),
+            Arc::clone(&snap),
+        );
+        // The retired epoch (if no reader still holds it) is freed
+        // outside the write lock.
+        drop(old);
+        snap
     }
 }
 
@@ -767,11 +465,8 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
     /// private RNG/gap state), round-robin cursor, the frame high-water
     /// mark ([`frames_acked`](Self::frames_acked), which a failover
     /// replay dedups against), publish cadence and phase, epoch counter,
-    /// **and the currently published snapshot** — as one byte string.
-    /// The cut is consistent and frame-aligned (shard workers answer
-    /// behind every pending batch; any in-flight cadence publish is
-    /// waited out first so the snapshot that rides along is the newest
-    /// one).
+    /// **and the currently published snapshot** — as one byte string,
+    /// cut at a frame boundary.
     ///
     /// [`restore`](Self::restore)-ing the bytes yields a service whose
     /// future ingestion, publication cadence, and query answers are
@@ -780,7 +475,6 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
     /// checkpoint taken mid-cadence serves exactly the epoch the
     /// uninterrupted service was serving, never a fresher recovery view.
     pub fn checkpoint(&self) -> Vec<u8> {
-        self.gate.wait_latest();
         let snap = self.snapshot();
         debug_assert_eq!(snap.epoch(), self.epoch, "published epoch out of sync");
         let mut out = Vec::new();
@@ -793,8 +487,8 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
         put_u64(&mut out, self.epoch);
         put_usize(&mut out, snap.items());
         snap.summary().save_into(&mut out);
-        for state in self.collect_states() {
-            state.save_into(&mut out);
+        for shard in &self.shards {
+            shard.save_into(&mut out);
         }
         out
     }
@@ -837,161 +531,6 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
             Some(EpochSnapshot::new(epoch, snap_items, snap_merged)),
         ))
     }
-}
-
-impl<S: ServableSummary> Drop for SummaryService<S> {
-    fn drop(&mut self) {
-        match &mut self.mode {
-            Mode::Inline { .. } => {}
-            Mode::Threaded {
-                workers,
-                pub_tx,
-                publisher,
-                ..
-            } => {
-                for w in workers.iter() {
-                    w.queue.push(WorkerMsg::Stop);
-                }
-                for w in workers.iter_mut() {
-                    if let Some(handle) = w.handle.take() {
-                        let _ = handle.join();
-                    }
-                }
-                // The workers are joined, so every capture they sent is
-                // already queued ahead of this Stop — the publisher lands
-                // all triggered epochs before exiting.
-                let _ = pub_tx.send(PubMsg::Stop);
-                if let Some(handle) = publisher.take() {
-                    let _ = handle.join();
-                }
-            }
-        }
-    }
-}
-
-/// Swap each non-empty deal buffer against a pooled one and queue it on
-/// its shard worker.
-fn dispatch_deal<S>(workers: &[Worker<S>], deal: &mut [Vec<u64>], pool: &FifoQueue<Vec<u64>>) {
-    for (w, stride) in workers.iter().zip(deal) {
-        if stride.is_empty() {
-            continue;
-        }
-        let fresh = pool.pop();
-        debug_assert!(fresh.is_empty(), "pooled buffers come back drained");
-        w.queue
-            .push(WorkerMsg::Batch(std::mem::replace(stride, fresh)));
-    }
-}
-
-/// The last step of every publish, inline or on the publisher thread:
-/// swap `snap` in as the published epoch, then mark it landed so
-/// waiting readers see it.
-fn swap_and_land<S>(
-    published: &RwLock<Arc<EpochSnapshot<S>>>,
-    gate: &EpochGate,
-    snap: EpochSnapshot<S>,
-) {
-    let epoch = snap.epoch;
-    let old = std::mem::replace(
-        &mut *published.write().expect("snapshot lock poisoned"),
-        Arc::new(snap),
-    );
-    gate.land(epoch);
-    // The retired epoch (if no reader still holds it) is freed outside
-    // the write lock.
-    drop(old);
-}
-
-fn spawn_worker<S: ServableSummary>(
-    mut shard: S,
-    shard_idx: usize,
-    queue: Arc<FifoQueue<WorkerMsg<S>>>,
-    pool: Arc<FifoQueue<Vec<u64>>>,
-    pub_tx: mpsc::Sender<PubMsg<S>>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut capture: Option<S> = None;
-        loop {
-            match queue.pop() {
-                WorkerMsg::Batch(mut xs) => {
-                    shard.ingest_batch(&xs);
-                    xs.clear();
-                    pool.push(xs);
-                }
-                WorkerMsg::Capture { epoch, items } => {
-                    shard.capture_into(&mut capture);
-                    let state = capture.take().expect("capture_into fills the slot");
-                    // The service may already be shutting down (it joins
-                    // workers before the publisher): ignore send failure.
-                    let _ = pub_tx.send(PubMsg::Capture {
-                        epoch,
-                        items,
-                        shard: shard_idx,
-                        state,
-                    });
-                }
-                WorkerMsg::State(reply) => {
-                    // The service may already have dropped the receiver
-                    // (shutdown race): ignore.
-                    let _ = reply.send(shard.clone());
-                }
-                WorkerMsg::Stop => break,
-            }
-        }
-    })
-}
-
-/// The publisher thread of a threaded service: collect per-shard
-/// captures per epoch, merge each completed epoch in shard order, and
-/// swap and land it. Workers enqueue captures in epoch order on FIFO
-/// channels and every worker contributes to every epoch, so epochs
-/// complete — and land — in order.
-fn spawn_publisher<S: ServableSummary>(
-    shards: usize,
-    rx: mpsc::Receiver<PubMsg<S>>,
-    published: Arc<RwLock<Arc<EpochSnapshot<S>>>>,
-    gate: Arc<EpochGate>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        struct Build<S> {
-            items: usize,
-            got: usize,
-            states: Vec<Option<S>>,
-        }
-        let mut pending: BTreeMap<u64, Build<S>> = BTreeMap::new();
-        while let Ok(msg) = rx.recv() {
-            let PubMsg::Capture {
-                epoch,
-                items,
-                shard,
-                state,
-            } = msg
-            else {
-                break;
-            };
-            let b = pending.entry(epoch).or_insert_with(|| Build {
-                items,
-                got: 0,
-                states: (0..shards).map(|_| None).collect(),
-            });
-            debug_assert!(b.states[shard].is_none(), "duplicate capture");
-            b.states[shard] = Some(state);
-            b.got += 1;
-            if b.got == shards {
-                let b = pending.remove(&epoch).expect("epoch under construction");
-                let merged = merge_in_shard_order(
-                    b.states
-                        .into_iter()
-                        .map(|s| s.expect("capture from every shard")),
-                );
-                swap_and_land(
-                    &published,
-                    &gate,
-                    EpochSnapshot::new(epoch, b.items, merged),
-                );
-            }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1051,26 +590,22 @@ mod tests {
 
     #[test]
     fn epochs_publish_on_cadence_and_are_immutable() {
-        for k in [1, 2] {
+        for k in [1, 2, 4] {
             let mut svc = service(k, 7, 1_000);
+            let handle = svc.query_handle();
             let pre = svc.snapshot();
             assert_eq!(pre.epoch(), 0);
             assert_eq!(pre.items(), 0);
             svc.ingest_frame(&(0..999).collect::<Vec<u64>>());
             assert_eq!(svc.snapshot().epoch(), 0, "cadence not due yet");
             svc.ingest_frame(&[999]);
-            if k == 1 {
-                // Inline mode lands the epoch before the crossing ingest
-                // returns: no wait is needed to see it.
-                let triggered = svc.gate.triggered.load(Ordering::Acquire);
-                assert_eq!(triggered, 1);
-                assert_eq!(*svc.gate.landed.lock().unwrap(), triggered);
-            }
-            // Threaded mode publishes off-path, but snapshot() waits for
-            // the triggered epoch to land — the new epoch is visible.
-            let snap = svc.snapshot();
-            assert_eq!(snap.epoch(), 1);
-            assert_eq!(snap.items(), 1_000);
+            // The crossing ingest published before returning: a handle
+            // cloned beforehand, read on another thread, sees the epoch.
+            let seen = std::thread::spawn(move || {
+                let snap = handle.snapshot();
+                (snap.epoch(), snap.items())
+            });
+            assert_eq!(seen.join().unwrap(), (1, 1_000));
             // The old Arc is still the old state.
             assert_eq!(pre.items(), 0);
         }
@@ -1130,7 +665,7 @@ mod tests {
     #[test]
     fn checkpoint_restore_resumes_bit_identically() {
         let stream: Vec<u64> = (0..30_000).rev().collect();
-        for k in [1, 3] {
+        for k in [1, 3, 4] {
             let mut whole = service(k, 11, 4_096);
             let mut half = service(k, 11, 4_096);
             for frame in stream.chunks(500) {

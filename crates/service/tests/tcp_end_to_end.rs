@@ -440,6 +440,27 @@ fn conditional_epoch_state_skips_the_state_only_while_the_epoch_is_current() {
 }
 
 #[test]
+fn restore_with_another_shard_count_is_rejected_and_the_node_keeps_serving() {
+    let start =
+        |k: usize| SummaryService::start(k, 5, 10, |_, s| ReservoirSampler::<u64>::with_seed(8, s));
+    let server = ServiceServer::spawn_admin(start(1), ServiceConfig::default())
+        .expect("bind ephemeral port");
+    let client = ServiceClient::connect_binary(server.addr()).unwrap();
+    client.ingest(&(0..25).collect::<Vec<u64>>()).unwrap();
+    let before = client.epoch_state(None).unwrap();
+    let err = client
+        .restore(&start(2).checkpoint())
+        .expect_err("a two-shard checkpoint on a one-shard node");
+    assert!(err.to_string().contains("restore rejected"), "{err}");
+    // The node's state is untouched and the connection keeps serving.
+    assert_eq!(client.epoch_state(None).unwrap(), before);
+    client.ingest(&[7; 10]).unwrap();
+    assert_eq!(client.stats().unwrap().items, 35);
+    client.quit().unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn over_cap_responses_are_service_errors_and_the_connection_keeps_serving() {
     // One shard, so the published sample is the whole reservoir.
     let serve_k = |k: usize| {

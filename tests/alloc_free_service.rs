@@ -1,14 +1,14 @@
 //! Allocation gate for the serving data path: after warmup, the ingest
 //! path — both the slice form (`ingest_frame`) and the wire form
 //! (`ingest_frame_le`) — performs **zero heap allocations** per frame,
-//! for a one-shard service (inline on the caller's thread) and for a
-//! four-shard one (pooled deal to shard workers).
+//! for a one-shard service and for a four-shard one (each shard's stride
+//! gathered into the service's one reused buffer). Both run on the
+//! caller's thread.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this
-//! test binary (the counter covers every thread, so the shard workers
-//! and the free-list pool are measured too, not just the dealer). The
-//! warmup phase grows every reused buffer to full size and fills the
-//! shard reservoirs, so all capacities stabilize; the measured window
+//! test binary (the counter covers every thread). The warmup phase grows
+//! the reused buffer to full size and fills the shard reservoirs, so all
+//! capacities stabilize; the measured window
 //! then asserts the allocation counter does not move at all across
 //! hundreds of frames.
 //!
@@ -58,19 +58,18 @@ fn steady_state_ingest_performs_zero_heap_allocations() {
         payload.extend_from_slice(&v.to_le_bytes());
     }
 
-    // K = 1 runs inline on this thread (every cluster node's shape);
-    // K = 4 runs the pooled deal to shard workers.
+    // K = 1 is every cluster node's shape; K = 4 gathers strides.
     for shards in [1, 4] {
         // Cadence effectively off: the measured window isolates the pure
-        // ingest path (epoch captures are a per-publish cost by design).
+        // ingest path (a publish clones the shards: a per-publish cost
+        // by design).
         let mut svc = SummaryService::start(shards, 42, usize::MAX, |_, s| {
             ReservoirSampler::with_seed(256, s)
         });
 
-        // Warmup: grow every reused buffer to full frame or stride size
-        // and fill the reservoirs, then quiesce any workers behind a
-        // publish barrier so no warmup growth bleeds into the measured
-        // window.
+        // Warmup: grow the reused buffer to full frame size and fill the
+        // reservoirs, and publish once, so no warmup growth bleeds into
+        // the measured window.
         for _ in 0..256 {
             svc.ingest_frame(&frame);
             svc.ingest_frame_le(&payload);
