@@ -1,32 +1,25 @@
-//! CLUSTER: the multi-node serving benchmark and CI gate.
+//! CLUSTER: the cluster as rows of the attack × defense matrix, and
+//! its CI gate.
 //!
-//! Three legs, each ending in a PASS/FAIL verdict (nonzero exit on any
-//! FAIL):
+//! Every registered attack plays its adaptive duel across the cluster
+//! boundary (real `cluster_node` processes behind the
+//! [`ClusterRouter`]), each cell judged by [`prefix_discrepancy`]
+//! exactly like the matrix's sample rows. Two verdicts (nonzero exit on
+//! any FAIL):
 //!
-//! 1. **determinism** — an `N`-node cluster (real `cluster_node`
-//!    processes behind the [`ClusterRouter`]) fed awkward frame
-//!    schedules of registry workloads must answer **bit-identically**
-//!    to the offline [`ShardedSummary`] run with `K = N` shards and the
-//!    same base seed: the distributed boundary adds no randomness.
-//! 2. **failover drill** — the headline contract: checkpoint the
-//!    cluster mid-schedule, `SIGKILL` a node later, restore it from its
-//!    checkpoint envelope on a fresh ephemeral port, replay the
-//!    retained frame window — and the coordinator's merged view after
-//!    **every** subsequent frame must equal the uninterrupted run's,
-//!    bit for bit.
-//! 3. **robustness rows** — the cluster as a row of the attack ×
-//!    defense matrix: every registered attack plays its adaptive duel
-//!    across the cluster boundary, each cell judged by
-//!    [`prefix_discrepancy`] exactly like the matrix's sample rows.
-//!    Each break-scale cell must be **identical** — same adaptive
-//!    stream, same final sample, same error — to the in-process
-//!    [`SummaryService`] mirror of the same shape (the adversary
-//!    cannot tell the cluster from the local service), and the
-//!    theorem-sized row must stay within [`ROBUST_EPS`] against the
-//!    whole registry.
+//! * each break-scale cell is **identical** — same adaptive stream, same
+//!   final sample, same error — to the in-process [`SummaryService`]
+//!   mirror of the same shape (the adversary cannot tell the cluster
+//!   from the local service);
+//! * the theorem-sized row stays within [`ROBUST_EPS`] against the whole
+//!   registry.
+//!
+//! Cluster ≡ offline sharded merge and checkpoint failover are property
+//! tests (`tests/cluster_determinism.rs`,
+//! `crates/service/tests/cluster_failover.rs`).
 //!
 //! ```text
-//! cluster --quick              # CI gate: all three legs, seconds
+//! cluster --quick              # CI gate, seconds
 //! cluster --nodes 5            # wider cluster
 //! ```
 
@@ -37,56 +30,15 @@ use robust_sampling_core::attack::{
     registry as attack_registry, AttackSpec, Duel, ObservableDefense, StateOracle,
 };
 use robust_sampling_core::bounds;
-use robust_sampling_core::engine::{ExperimentEngine, ShardedSummary, StreamSummary};
-use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
+use robust_sampling_core::engine::{ExperimentEngine, StreamSummary};
+use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_service::{ClusterConfig, ClusterDefense, ClusterRouter, SummaryService};
-use robust_sampling_streamgen as streamgen;
-use std::time::Instant;
 
-/// Per-node reservoir capacity for the determinism and failover legs.
-const CAP: usize = 128;
 /// Break-scale per-node capacity for the matrix rows (the matrix's
 /// `SMALL_K`), so the adaptivity premium stays visible.
 const SMALL_K: usize = 32;
 /// Confidence the theorem-sized row is built for (the matrix's delta).
 const ROBUST_DELTA: f64 = 0.1;
-/// Awkward frame sizes (cycled) so split points exercise the deal.
-const SCHEDULE: [usize; 5] = [997, 64, 513, 1, 130];
-
-/// Split `stream` into frames whose sizes cycle through [`SCHEDULE`].
-fn frames(stream: &[u64]) -> Vec<&[u64]> {
-    let mut rest = stream;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while !rest.is_empty() {
-        let take = SCHEDULE[i % SCHEDULE.len()].min(rest.len());
-        out.push(&rest[..take]);
-        rest = &rest[take..];
-        i += 1;
-    }
-    out
-}
-
-fn cluster(nodes: usize, base_seed: u64, epoch_every: usize, cap: usize) -> ClusterRouter {
-    ClusterRouter::start(ClusterConfig {
-        nodes,
-        base_seed,
-        epoch_every,
-        cap,
-        universe: 1 << 16,
-        workers: 1,
-        tenant_budget_bytes: None,
-    })
-    .expect("start cluster")
-}
-
-/// One coordinator view, reduced to comparable parts.
-fn view_of(router: &ClusterRouter) -> (u64, usize, Vec<u64>) {
-    let view = router
-        .global_view::<ReservoirSampler<u64>>()
-        .expect("global view");
-    (view.epoch(), view.items(), view.visible_ref().to_vec())
-}
 
 // ---------------------------------------------------------------------------
 // The in-process mirror of the cluster's observable surface.
@@ -161,7 +113,16 @@ fn cluster_cell(
     attack_seed: u64,
 ) -> (f64, Vec<u64>, Vec<u64>) {
     let defense_seed = ExperimentEngine::sampler_seed(attack_seed);
-    let router = cluster(nodes, defense_seed, 1, cap);
+    let router = ClusterRouter::start(ClusterConfig {
+        nodes,
+        base_seed: defense_seed,
+        epoch_every: 1,
+        cap,
+        universe,
+        workers: 1,
+        tenant_budget_bytes: None,
+    })
+    .expect("start cluster");
     let mut defense = ClusterDefense::<ReservoirSampler<u64>>::new(router);
     let mut strategy = spec.build(n, universe, attack_seed);
     let outcome = Duel::new(n, universe).run(&mut defense, &mut strategy);
@@ -176,113 +137,12 @@ fn main() {
     let universe = 1u64 << 16;
     banner(
         "CLUSTER",
-        "multi-node serving: replicated routing, coordinator merge, failover",
-        "cluster == offline sharded merge bit-identically; a killed node restored \
-         from checkpoint changes no view; every matrix cell at the cluster \
-         boundary identical to the in-process mirror",
+        "the cluster as rows of the attack x defense matrix",
+        "every matrix cell at the cluster boundary identical to the in-process \
+         mirror; the theorem-sized cluster row holds against the whole registry",
     );
-    println!("\nnodes = {nodes}, per-node k = {CAP} (serving legs) / {SMALL_K} (matrix rows)");
+    println!("\nnodes = {nodes}, per-node k = {SMALL_K} (break-scale rows)");
 
-    // ---- leg 1: cluster vs offline sharded-merge determinism -----------
-    let n_det = if quick { 30_000 } else { 300_000 };
-    let workloads = streamgen::registry();
-    let n_workloads = if quick { 3 } else { workloads.len() };
-    let mut det_table = Table::new(&["workload", "frames", "elements", "secs", "identical"]);
-    let mut det_ok = true;
-    for (wi, w) in workloads.iter().take(n_workloads).enumerate() {
-        let stream = w.materialize(n_det, universe, 17 + wi as u64);
-        let mut offline =
-            ShardedSummary::new(nodes, 42, |_, s| ReservoirSampler::<u64>::with_seed(CAP, s));
-        let mut router = cluster(nodes, 42, 1, CAP);
-        let schedule = frames(&stream);
-        let t0 = Instant::now();
-        for frame in &schedule {
-            offline.ingest_batch(frame);
-            router.ingest(frame).expect("cluster ingest");
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let view = router
-            .global_view::<ReservoirSampler<u64>>()
-            .expect("global view");
-        let merged = offline.merged();
-        let identical = view.summary().sample() == merged.sample() && view.items() == stream.len();
-        det_ok &= identical;
-        det_table.row(&[
-            w.name.to_string(),
-            schedule.len().to_string(),
-            stream.len().to_string(),
-            f(secs),
-            identical.to_string(),
-        ]);
-    }
-    println!();
-    det_table.emit("cluster", "determinism");
-
-    // ---- leg 2: the failover drill -------------------------------------
-    let n_fail = if quick { 8_000 } else { 60_000 };
-    let epoch_every = 8;
-    let victim = 1 % nodes;
-    let stream = workloads[0].materialize(n_fail, universe, 29);
-    let schedule = frames(&stream);
-    // Uninterrupted baseline: the view after every frame.
-    let mut baseline_router = cluster(nodes, 7, epoch_every, CAP);
-    let baseline: Vec<_> = schedule
-        .iter()
-        .map(|frame| {
-            baseline_router.ingest(frame).expect("baseline ingest");
-            view_of(&baseline_router)
-        })
-        .collect();
-    let baseline_final = baseline_router
-        .global_view::<ReservoirSampler<u64>>()
-        .expect("baseline view");
-    drop(baseline_router);
-    // Faulted run: checkpoint at a third, kill + restore at two thirds.
-    let c = schedule.len() / 3;
-    let d = 2 * schedule.len() / 3;
-    let mut router = cluster(nodes, 7, epoch_every, CAP);
-    let mut failover_ok = true;
-    let mut restore_secs = 0.0;
-    let mut replayed = 0u64;
-    let t0 = Instant::now();
-    for (i, frame) in schedule.iter().enumerate() {
-        router.ingest(frame).expect("faulted ingest");
-        if i == c {
-            router.checkpoint_all().expect("checkpoint");
-        }
-        if i == d {
-            let sent = router.frames_sent(victim);
-            router.kill_node(victim);
-            let r0 = Instant::now();
-            router.restore_node(victim).expect("restore");
-            restore_secs = r0.elapsed().as_secs_f64();
-            let (_, _, hwm, _) = router
-                .node_epoch_state::<ReservoirSampler<u64>>(victim)
-                .expect("restored node state");
-            failover_ok &= hwm == sent;
-            replayed = sent;
-        }
-        failover_ok &= view_of(&router) == baseline[i];
-    }
-    let fail_secs = t0.elapsed().as_secs_f64();
-    // Full query equality at the end, every query family.
-    let final_view = router
-        .global_view::<ReservoirSampler<u64>>()
-        .expect("faulted view");
-    failover_ok &= final_view.quantile(0.5) == baseline_final.quantile(0.5)
-        && final_view.count(stream[0]) == baseline_final.count(stream[0])
-        && final_view.heavy(0.01) == baseline_final.heavy(0.01)
-        && final_view.ks_uniform(universe) == baseline_final.ks_uniform(universe);
-    drop(router);
-    println!(
-        "\nfailover drill: {} frames, checkpoint @ {c}, SIGKILL node {victim} @ {d}, \
-         restore + replay to frame {replayed} in {}s ({}s total)",
-        schedule.len(),
-        f(restore_secs),
-        f(fail_secs)
-    );
-
-    // ---- leg 3: the cluster as robustness-matrix rows -------------------
     let p_n = if quick { 400 } else { 1_000 };
     let attack_seed = 3;
     let k_robust = bounds::reservoir_k_robust((universe as f64).ln(), ROBUST_EPS, ROBUST_DELTA);
@@ -324,19 +184,6 @@ fn main() {
     // ---- verdicts ------------------------------------------------------
     println!();
     verdict(
-        "cluster bit-identical to the offline sharded merge on every workload",
-        det_ok,
-        &format!("{n_workloads} workloads x {n_det} elements, {nodes} nodes, awkward frames"),
-    );
-    verdict(
-        "failover: killed node restored from checkpoint changes no view",
-        failover_ok,
-        &format!(
-            "checkpoint @ frame {c}, SIGKILL + restore @ frame {d}, every later view \
-             + quantile/count/hh/ks identical"
-        ),
-    );
-    verdict(
         "every cluster matrix cell identical to the in-process service mirror",
         cells_identical,
         &format!(
@@ -349,7 +196,7 @@ fn main() {
         robust_ok,
         &format!("per-node k = {k_robust}, every cell <= eps = {ROBUST_EPS}"),
     );
-    if !(det_ok && failover_ok && cells_identical && robust_ok) {
+    if !(cells_identical && robust_ok) {
         std::process::exit(1);
     }
 }

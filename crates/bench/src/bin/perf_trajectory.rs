@@ -17,8 +17,8 @@
 //!   table/inversion generators (elem/s);
 //! * **stream** — the lazy constant-memory pipeline: scenario-registry
 //!   source → frame loop → summary (elem/s);
-//! * **serve** — the epoch-snapshot service: frame ingestion and the
-//!   mixed query rotation of `loadgen`'s in-process mode, with per-op
+//! * **serve** — the epoch-snapshot service: frame ingestion and a
+//!   mixed query rotation (quantile 0.5 / 0.99, count, KS), with per-op
 //!   p50/p99 latency from our own KLL sketch (ops/s), plus the same two
 //!   paths driven over the binary TCP wire through the event-loop server
 //!   (`serve-tcp-ingest-pipelined`, `serve-tcp-mixed-queries`), plus two
@@ -112,7 +112,7 @@ mod alloc_counter {
 /// the process exit code.
 static SERVE_GATE_FAILED: AtomicBool = AtomicBool::new(false);
 
-/// Elements per serving frame (matches `loadgen`'s in-process mode).
+/// Elements per serving frame (the in-process gate of `tests/serving_gates.rs`).
 const FRAME: usize = 256;
 
 struct Shape {
@@ -335,8 +335,9 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
         });
     }
 
-    // The mixed query rotation of loadgen's in-process mode, against a
-    // service pre-loaded with one batch of frames.
+    // The mixed query rotation (quantile 0.5 / 0.99, count, KS; the
+    // rotation `tests/serving_gates.rs` times under concurrent ingest),
+    // against a service pre-loaded with one batch of frames.
     {
         let queries = shape.serve_queries;
         let mut svc =

@@ -17,18 +17,8 @@
 //! * `--n <len>` — override the stream length ([`stream_len`]);
 //! * `--list-workloads` / `--list-attacks` — print the scenario or
 //!   attack registry and exit (handled by [`init_cli`]);
-//! * `--clients <n>` / `--duration <secs>` / `--port <p>` — the serving
-//!   knobs used by the `loadgen` binary ([`clients`], [`duration_secs`],
-//!   [`port`]); `--port 0` (the default) binds an OS-assigned ephemeral
-//!   port so CI can never flake on bind collisions;
-//! * `--tcp` / `--soak-clients <n>` — switch `loadgen` to its TCP soak
-//!   suite ([`is_tcp`], [`soak_clients`]): the many-connection
-//!   event-loop soak over the binary frame protocol, plus the
-//!   binary-vs-text throughput and served-determinism verdicts;
-//! * `--cluster` / `--nodes <n>` — switch the serving binaries to the
-//!   multi-node cluster boundary ([`is_cluster`], [`cluster_nodes`]):
-//!   real node processes behind the router/coordinator instead of a
-//!   single in-process server;
+//! * `--nodes <n>` — the node-process count of the `cluster` binary
+//!   ([`cluster_nodes`]);
 //! * `--bench-out <dir>` / `--check <dir>` / `--label <name>` — the perf
 //!   trajectory knobs used by the `perf_trajectory` binary ([`bench_out`],
 //!   [`check_dir`], [`bench_label`]): append this run's measurements to
@@ -46,21 +36,6 @@ use robust_sampling_streamgen::{registry, WorkloadSpec};
 /// Whether `--quick` was passed (CI-sized sweeps).
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Whether `--tcp` was passed (loadgen: run the TCP soak suite — the
-/// many-connection event-loop soak over the binary frame protocol —
-/// instead of the default four modes).
-pub fn is_tcp() -> bool {
-    std::env::args().any(|a| a == "--tcp")
-}
-
-/// Whether `--cluster` was passed (loadgen: drive the multi-node
-/// cluster — router, coordinator merge, node processes — instead of a
-/// single in-process server; the full attack registry duels the
-/// cluster boundary).
-pub fn is_cluster() -> bool {
-    std::env::args().any(|a| a == "--cluster")
 }
 
 /// The `--nodes <n>` setting (cluster binaries: node-process count);
@@ -160,97 +135,6 @@ pub fn stream_len(default: usize) -> usize {
     .unwrap_or(default)
 }
 
-/// The `--clients <n>` setting (loadgen client threads); `default` when
-/// absent.
-///
-/// Exits with status 2 on a malformed or zero value.
-pub fn clients(default: usize) -> usize {
-    parsed_flag(
-        "--clients",
-        "--clients needs a positive integer argument",
-        |v| v.parse::<usize>().ok().filter(|&c| c > 0),
-    )
-    .unwrap_or(default)
-}
-
-/// The `--duration <secs>` setting (loadgen measurement window, fractional
-/// seconds allowed); `default` when absent.
-///
-/// Exits with status 2 on a malformed, non-finite, or non-positive value.
-pub fn duration_secs(default: f64) -> f64 {
-    parsed_flag(
-        "--duration",
-        "--duration needs a positive number of seconds",
-        |v| v.parse::<f64>().ok().filter(|d| d.is_finite() && *d > 0.0),
-    )
-    .unwrap_or(default)
-}
-
-/// The `--soak-clients <n>` setting (loadgen `--tcp`): how many
-/// concurrent TCP connections the soak establishes; `default` when
-/// absent (a few hundred under `--quick`, ten thousand otherwise).
-///
-/// Exits with status 2 on a malformed or zero value.
-pub fn soak_clients(default: usize) -> usize {
-    parsed_flag(
-        "--soak-clients",
-        "--soak-clients needs a positive integer argument",
-        |v| v.replace('_', "").parse::<usize>().ok().filter(|&c| c > 0),
-    )
-    .unwrap_or(default)
-}
-
-/// The `--tenants <n>` setting (loadgen: run the multi-tenant arena
-/// soak with this many distinct tenant keys instead of the default
-/// modes). `None` when the flag is absent.
-///
-/// Exits with status 2 on a malformed or zero value.
-pub fn tenants() -> Option<u64> {
-    parsed_flag(
-        "--tenants",
-        "--tenants needs a positive tenant count (underscores ok)",
-        |v| v.replace('_', "").parse::<u64>().ok().filter(|&t| t > 0),
-    )
-}
-
-/// The `--tenant-workload <name>` keyed-registry entry, if passed.
-///
-/// Exits with status 2 (after printing the keyed registry) on an
-/// unknown name.
-pub fn tenant_workload() -> Option<&'static robust_sampling_streamgen::KeyedWorkloadSpec> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--tenant-workload")?;
-    match args.get(i + 1) {
-        Some(name) => match robust_sampling_streamgen::keyed_workload(name) {
-            Some(w) => Some(w),
-            None => {
-                eprintln!("unknown tenant workload {name:?}; registered keyed workloads:");
-                for w in robust_sampling_streamgen::keyed_registry() {
-                    eprintln!("  {:<16} {}", w.name, w.shape);
-                }
-                std::process::exit(2);
-            }
-        },
-        None => {
-            eprintln!("--tenant-workload needs a keyed-registry name argument");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The `--port <p>` setting; 0 (= bind an OS-assigned ephemeral port)
-/// when absent, so concurrent CI jobs can never collide on a bind.
-///
-/// Exits with status 2 on a malformed value (anything outside `u16`).
-pub fn port() -> u16 {
-    parsed_flag(
-        "--port",
-        "--port needs a port number in 0..=65535 (0 = ephemeral)",
-        |v| v.parse::<u16>().ok(),
-    )
-    .unwrap_or(0)
-}
-
 /// Parse a `--flag <path>` pair whose value must not itself be a flag
 /// (catches `--bench-out --check`, where the directory was forgotten).
 fn path_flag(name: &str, usage: &str) -> Option<std::path::PathBuf> {
@@ -303,23 +187,8 @@ const HELP_TEXT: &str = "shared experiment flags:\n\
          \x20 --attack <name>      pull an attack-registry adversary (--list-attacks)\n\
          \x20 --list-workloads     print the scenario registry and exit\n\
          \x20 --list-attacks       print the attack registry and exit\n\
-         serving flags (loadgen):\n\
-         \x20 --clients <n>        number of concurrent client threads\n\
-         \x20 --duration <secs>    measurement window per mode (fractional ok)\n\
-         \x20 --port <p>           TCP port; 0 = OS-assigned ephemeral (default,\n\
-         \x20                      collision-proof in CI)\n\
-         \x20 --tcp                run the TCP soak suite (binary frame protocol,\n\
-         \x20                      many-connection event-loop soak) instead of the\n\
-         \x20                      default modes\n\
-         \x20 --soak-clients <n>   concurrent soak connections (default: 400 quick,\n\
-         \x20                      10000 full)\n\
-         \x20 --cluster            drive a multi-node cluster (node processes behind\n\
-         \x20                      the router/coordinator) instead of one server\n\
+         cluster flags (cluster):\n\
          \x20 --nodes <n>          cluster node-process count (default: 3)\n\
-         \x20 --tenants <n>        run the multi-tenant arena soak with n tenant keys\n\
-         \x20                      (budgeted eviction + per-tenant bit-identity audit)\n\
-         \x20 --tenant-workload <name>  keyed workload for the tenant soak\n\
-         \x20                      (tenant-zipf | tenant-diurnal | tenant-flash)\n\
          perf-trajectory flags (perf_trajectory):\n\
          \x20 --bench-out <dir>    append this run to the BENCH_*.json files in <dir>\n\
          \x20 --check <dir>        compare against the trajectory in <dir>; exit 1 on\n\
@@ -391,10 +260,6 @@ pub fn init_cli() {
     let _ = workload();
     let _ = attack();
     let _ = stream_len(1);
-    let _ = clients(1);
-    let _ = duration_secs(1.0);
-    let _ = port();
-    let _ = soak_clients(1);
     let _ = cluster_nodes(1);
     let _ = bench_out();
     let _ = check_dir();
@@ -427,13 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_flags_default_when_absent() {
-        assert_eq!(clients(8), 8);
-        assert_eq!(duration_secs(2.5), 2.5);
-        assert_eq!(port(), 0, "default port must be ephemeral");
-        assert!(!is_tcp(), "the soak suite must be opt-in");
-        assert_eq!(soak_clients(400), 400);
-        assert!(!is_cluster(), "the cluster path must be opt-in");
+    fn nodes_flag_defaults_when_absent() {
         assert_eq!(cluster_nodes(3), 3);
     }
 
@@ -454,9 +313,6 @@ mod tests {
             "--quick",
             "--threads",
             "--workload",
-            "--tcp",
-            "--soak-clients",
-            "--cluster",
             "--nodes",
         ] {
             assert!(HELP_TEXT.contains(flag), "help text missing {flag}");

@@ -38,9 +38,8 @@ pub mod matrix;
 pub mod perf;
 
 pub use cli::{
-    attack, bench_label, bench_out, check_dir, clients, cluster_nodes, duration_secs, engine,
-    init_cli, is_cluster, is_quick, is_tcp, port, soak_clients, stream_len, tenant_workload,
-    tenants, threads, workload,
+    attack, bench_label, bench_out, check_dir, cluster_nodes, engine, init_cli, is_quick,
+    stream_len, threads, workload,
 };
 pub use robust_sampling_core::engine::report::Table;
 use robust_sampling_sketches::kll::KllSketch;

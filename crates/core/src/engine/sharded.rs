@@ -344,6 +344,41 @@ mod tests {
         assert_eq!(resumed.items_seen(), whole.items_seen());
     }
 
+    /// Forged sharded checkpoints: every truncation, a shard count of 0,
+    /// `u64::MAX` or one more than encoded, and trailing bytes each end in
+    /// a typed error, never a panic or an abort.
+    #[test]
+    fn forged_checkpoints_are_typed_errors() {
+        type Sharded = ShardedSummary<ReservoirSampler<u64>>;
+        let stream: Vec<u64> = (0..1_000).collect();
+        let mut s = sharded_reservoir(3);
+        s.ingest_batch(&stream);
+        let bytes = s.save();
+        assert!(Sharded::restore(&bytes).is_ok());
+        for len in 0..bytes.len() {
+            assert_eq!(
+                Sharded::restore(&bytes[..len]).err(),
+                Some(SnapshotError::UnexpectedEof),
+                "truncated to {len} bytes"
+            );
+        }
+        // The shard count is the checkpoint's first word.
+        let with_count = |k: u64| {
+            let mut forged = bytes.clone();
+            forged[..8].copy_from_slice(&k.to_le_bytes());
+            Sharded::restore(&forged).err()
+        };
+        assert!(matches!(with_count(0), Some(SnapshotError::Corrupt(_))));
+        assert_eq!(with_count(u64::MAX), Some(SnapshotError::UnexpectedEof));
+        assert_eq!(with_count(4), Some(SnapshotError::UnexpectedEof));
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(&[0; 5]);
+        assert_eq!(
+            Sharded::restore(&trailing).err(),
+            Some(SnapshotError::TrailingBytes(5))
+        );
+    }
+
     #[test]
     fn merged_reservoir_covers_the_whole_stream() {
         let stream: Vec<u64> = (0..100_000).collect();

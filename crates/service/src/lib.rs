@@ -43,8 +43,10 @@
 //!   retained frame window — zero query-visible difference, per seed
 //!   (fault-injected in `tests/cluster_failover.rs`).
 //!
-//! The `loadgen` binary in the bench crate drives all of this under
-//! concurrent load and reports throughput plus p50/p99/p999 latency.
+//! `tests/serving_gates.rs` drives the server under load in release
+//! builds: in-process ingest + query throughput, a 400-connection soak,
+//! binary vs text wire throughput and a 50K-tenant arena soak, each
+//! against a fixed bound.
 //!
 //! [`ExperimentEngine`]: robust_sampling_core::engine::ExperimentEngine
 //! [`ShardedSummary`]: robust_sampling_core::engine::ShardedSummary

@@ -86,6 +86,40 @@ fn baseline_views(
         .collect()
 }
 
+/// Run `schedule` with a checkpoint after frame `c` and a kill + restore
+/// of `victim` after frame `d`: the view after every frame equals the
+/// uninterrupted run's, and the restored node's acked frames catch back
+/// up to the router's ledger, so the replay was exact.
+fn check_single_fault(
+    nodes: usize,
+    epoch_every: usize,
+    seed: u64,
+    schedule: &[&[u64]],
+    victim: usize,
+    c: usize,
+    d: usize,
+) -> Result<(), String> {
+    let baseline = baseline_views(nodes, seed, epoch_every, schedule);
+    let mut router = cluster(nodes, seed, epoch_every);
+    for (i, frame) in schedule.iter().enumerate() {
+        router.ingest(frame).expect("cluster ingest");
+        if i == c {
+            router.checkpoint_all().expect("checkpoint");
+        }
+        if i == d {
+            router.kill_node(victim);
+            router.restore_node(victim).expect("restore");
+        }
+        let got = view_of(&router);
+        prop_assert_eq!(&got, &baseline[i], "frame {}", i);
+    }
+    let (_, _, hwm, _) = router
+        .node_epoch_state::<ReservoirSampler<u64>>(victim)
+        .expect("node epoch state");
+    prop_assert_eq!(hwm, router.frames_sent(victim));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -108,27 +142,7 @@ proptest! {
         let c = ((schedule.len() as f64 * cut) as usize).min(schedule.len() - 1);
         let d = c + ((schedule.len() - c) as f64 * gap) as usize;
         let d = d.min(schedule.len() - 1);
-        let baseline = baseline_views(nodes, seed, epoch_every, &schedule);
-
-        let mut router = cluster(nodes, seed, epoch_every);
-        for (i, frame) in schedule.iter().enumerate() {
-            router.ingest(frame).expect("cluster ingest");
-            if i == c {
-                router.checkpoint_all().expect("checkpoint");
-            }
-            if i == d {
-                router.kill_node(victim);
-                router.restore_node(victim).expect("restore");
-            }
-            let got = view_of(&router);
-            prop_assert_eq!(&got, &baseline[i], "frame {}", i);
-        }
-        // The restored node's acked frames caught back up to the
-        // router's ledger — the replay really was exact.
-        let (_, _, hwm, _) = router
-            .node_epoch_state::<ReservoirSampler<u64>>(victim)
-            .expect("node epoch state");
-        prop_assert_eq!(hwm, router.frames_sent(victim));
+        check_single_fault(nodes, epoch_every, seed, &schedule, victim, c, d)?;
     }
 
     /// Double fault: the restored node dies again (same checkpoint,
@@ -200,6 +214,18 @@ proptest! {
     }
 }
 
+/// A single fault on a long schedule, beyond the proptest's ranges:
+/// 8,000 elements in frames cycling 997, 64, 513, 1 and 130 elements on
+/// three nodes with `E = 8`; checkpoint a third of the way in, node 1
+/// killed and restored two thirds of the way in.
+#[test]
+fn single_fault_on_a_long_schedule_changes_no_view() {
+    let data = stream(8_000, 29);
+    let schedule = frames(&data, &[997, 64, 513, 1, 130]);
+    let (c, d) = (schedule.len() / 3, 2 * schedule.len() / 3);
+    check_single_fault(3, 8, 7, &schedule, 1, c, d).expect("failover changes no view");
+}
+
 /// Deterministic pin: kill exactly at a cadence boundary (the frame
 /// that triggered a publish) and mid-window, on a 3-node cluster with a
 /// lockstep-aligned schedule — the two named cut flavors, nailed down
@@ -225,10 +251,10 @@ fn boundary_and_mid_window_kills_are_both_transparent() {
                 router.checkpoint_all().expect("checkpoint");
             }
             if i == 2 {
-                // Kill immediately after the frame landed (at the
-                // boundary for the aligned schedule, mid-window for the
-                // misaligned one) — possibly while the node's publisher
-                // is still landing the epoch.
+                // Kill immediately after the frame landed: at a publish
+                // boundary for the aligned schedule (the node published
+                // inline while ingesting the frame), mid-window for the
+                // misaligned one.
                 router.kill_node(1);
                 router.restore_node(1).expect("restore");
             }

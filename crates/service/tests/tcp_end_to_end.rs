@@ -131,8 +131,27 @@ fn concurrent_clients_ingest_and_query_without_torn_state() {
         }
         client.quit().unwrap();
     });
+    // A registry attack plays its adaptive duel against the same server,
+    // one ingested element per round, while the writer and reader run.
+    let duel_rounds = 128;
+    let duel = std::thread::spawn(move || {
+        let mut client = ServiceClient::connect(addr).unwrap();
+        let mut atk = attack("median-hunt")
+            .unwrap()
+            .build(duel_rounds, 1 << 16, 9);
+        let out = Duel::new(duel_rounds, 1 << 16).run(&mut client, &mut atk);
+        client.quit().unwrap();
+        out.stream.len()
+    });
     writer.join().unwrap();
     reader.join().unwrap();
+    assert_eq!(duel.join().unwrap(), duel_rounds);
+    // Every element any client ingested is accounted for exactly once.
+    let client = ServiceClient::connect(addr).unwrap();
+    assert_eq!(client.stats().unwrap().items, 40_000 + duel_rounds);
+    let (_, _, sample) = client.snapshot().unwrap();
+    assert!(sample.len() <= 64);
+    client.quit().unwrap();
     server.shutdown();
 }
 

@@ -8,22 +8,14 @@
 //! against isolated per-tenant summaries and compared exactly (the
 //! tenant-isolation suite does exactly this).
 //!
-//! Three shapes, mirroring how multi-tenant traffic actually skews:
-//!
-//! * **`tenant-zipf`** — *zipf of zipfs*: tenant popularity is
-//!   Zipf(1.2) over tenant ranks, and each tenant's values are
-//!   Zipf(1.1) over a tenant-private permutation of the universe, so
-//!   hot tenants dominate traffic while no two tenants share a hot set.
-//! * **`tenant-diurnal`** — a hot *window* of tenants owns 90% of the
-//!   traffic and the window rotates through the tenant space over the
-//!   stream (the "follow the sun" shape that churns the arena LRU).
-//! * **`tenant-flash`** — uniform background until mid-stream, then one
-//!   seed-chosen tenant abruptly takes 80% of the traffic with a
-//!   16-value hot set (the flash-crowd shape the eviction budget must
-//!   absorb without starving everyone else).
+//! One shape is registered, **`tenant-zipf`** — *zipf of zipfs*:
+//! tenant popularity is Zipf(1.2) over tenant ranks, and each tenant's
+//! values are Zipf(1.1) over a tenant-private permutation of the
+//! universe, so hot tenants dominate traffic while no two tenants share
+//! a hot set.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::generators::{splitmix, ZipfTable};
 
@@ -34,12 +26,6 @@ pub enum KeyedSpec {
     /// Zipf(1.2) tenant popularity × per-tenant Zipf(1.1) values over a
     /// tenant-private permutation of the universe.
     ZipfOfZipfs,
-    /// A rotating hot window of `max(1, tenants/16)` tenants holds 90%
-    /// of the traffic; the window advances 8 times over the stream.
-    DiurnalDrift,
-    /// Uniform background; from `n/2` for `n/10` elements one tenant
-    /// takes 80% of the traffic concentrated on 16 hot values.
-    FlashCrowd,
 }
 
 impl KeyedSpec {
@@ -59,8 +45,6 @@ impl KeyedSpec {
         assert!(universe > 0, "universe must be non-empty");
         match self {
             KeyedSpec::ZipfOfZipfs => zipf_of_zipfs(n, tenants, universe, seed),
-            KeyedSpec::DiurnalDrift => diurnal_drift(n, tenants, universe, seed),
-            KeyedSpec::FlashCrowd => flash_crowd(n, tenants, universe, seed),
         }
     }
 }
@@ -86,48 +70,10 @@ fn zipf_of_zipfs(n: usize, tenants: u64, universe: u64, seed: u64) -> Vec<(u64, 
         .collect()
 }
 
-fn diurnal_drift(n: usize, tenants: u64, universe: u64, seed: u64) -> Vec<(u64, u64)> {
-    /// The stream crosses this many hot-window positions end to end.
-    const DAYS: usize = 8;
-    let width = (tenants / 16).max(1);
-    let period = (n / DAYS).max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let phase = (i / period) as u64 * width % tenants;
-            let t = if rng.random::<f64>() < 0.9 {
-                (phase + rng.random_range(0..width)) % tenants
-            } else {
-                rng.random_range(0..tenants)
-            };
-            (t, rng.random_range(0..universe))
-        })
-        .collect()
-}
-
-fn flash_crowd(n: usize, tenants: u64, universe: u64, seed: u64) -> Vec<(u64, u64)> {
-    let flash_tenant = splitmix(seed ^ 0xF1A5_4C20) % tenants;
-    let hot: Vec<u64> = (0..16u64)
-        .map(|j| splitmix(seed ^ (0x407 + j)) % universe)
-        .collect();
-    let start = n / 2;
-    let end = start + (n / 10).max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            if (start..end).contains(&i) && rng.random::<f64>() < 0.8 {
-                (flash_tenant, hot[rng.random_range(0..hot.len())])
-            } else {
-                (rng.random_range(0..tenants), rng.random_range(0..universe))
-            }
-        })
-        .collect()
-}
-
 /// One registered keyed workload: name, shape line, defaults, spec.
 #[derive(Debug, Clone)]
 pub struct KeyedWorkloadSpec {
-    /// Report/CLI name (`--tenant-workload <name>`).
+    /// Registry name, as passed to [`keyed_workload`].
     pub name: &'static str,
     /// One-line shape description.
     pub shape: &'static str,
@@ -138,26 +84,12 @@ pub struct KeyedWorkloadSpec {
 }
 
 /// The keyed registry table. One row per workload; names are unique.
-static KEYED_REGISTRY: &[KeyedWorkloadSpec] = &[
-    KeyedWorkloadSpec {
-        name: "tenant-zipf",
-        shape: "Zipf tenant popularity x per-tenant Zipf values (private hot sets)",
-        params: "tenant s = 1.2, value s = 1.1",
-        spec: KeyedSpec::ZipfOfZipfs,
-    },
-    KeyedWorkloadSpec {
-        name: "tenant-diurnal",
-        shape: "rotating hot window of tenants holds 90% of traffic",
-        params: "width = tenants/16, 8 rotations",
-        spec: KeyedSpec::DiurnalDrift,
-    },
-    KeyedWorkloadSpec {
-        name: "tenant-flash",
-        shape: "uniform background, then one tenant takes 80% mid-stream",
-        params: "flash = [n/2, n/2 + n/10), 16 hot values",
-        spec: KeyedSpec::FlashCrowd,
-    },
-];
+static KEYED_REGISTRY: &[KeyedWorkloadSpec] = &[KeyedWorkloadSpec {
+    name: "tenant-zipf",
+    shape: "Zipf tenant popularity x per-tenant Zipf values (private hot sets)",
+    params: "tenant s = 1.2, value s = 1.1",
+    spec: KeyedSpec::ZipfOfZipfs,
+}];
 
 /// All registered keyed workloads, in table order.
 pub fn keyed_registry() -> &'static [KeyedWorkloadSpec] {
@@ -236,50 +168,5 @@ mod tests {
             counts.into_iter().max_by_key(|&(_, c)| c).expect("seen").0
         };
         assert_ne!(modal(0), modal(1), "tenant hot sets must not be shared");
-    }
-
-    #[test]
-    fn diurnal_window_rotates_across_the_stream() {
-        let n = 40_000;
-        let tenants = 160u64;
-        let xs = KeyedSpec::DiurnalDrift.generate(n, tenants, 1 << 16, 7);
-        // The modal tenant of the first eighth and the last eighth live in
-        // different windows (phase 0 vs phase 7*width, both mod tenants).
-        let modal = |slice: &[(u64, u64)]| -> u64 {
-            let mut counts = std::collections::HashMap::new();
-            for &(t, _) in slice {
-                *counts.entry(t).or_insert(0usize) += 1;
-            }
-            counts.into_iter().max_by_key(|&(_, c)| c).expect("seen").0
-        };
-        let first = modal(&xs[..n / 8]);
-        let last = modal(&xs[n - n / 8..]);
-        let width = tenants / 16;
-        assert!(first < width, "early traffic sits in the phase-0 window");
-        assert!(
-            last >= 7 * width % tenants && last < (7 * width % tenants) + width,
-            "late traffic sits in the rotated window (modal tenant {last})"
-        );
-    }
-
-    #[test]
-    fn flash_crowd_dominates_only_its_window() {
-        let n = 50_000;
-        let xs = KeyedSpec::FlashCrowd.generate(n, 1_000, 1 << 16, 5);
-        let flash = splitmix(5 ^ 0xF1A5_4C20) % 1_000;
-        let in_window = xs[n / 2..n / 2 + n / 10]
-            .iter()
-            .filter(|&&(t, _)| t == flash)
-            .count();
-        let before = xs[..n / 2].iter().filter(|&&(t, _)| t == flash).count();
-        assert!(
-            in_window * 10 >= (n / 10) * 7,
-            "flash tenant owns most of its window ({in_window}/{})",
-            n / 10
-        );
-        assert!(
-            before < n / 2 / 100,
-            "flash tenant is background noise before the flash ({before})"
-        );
     }
 }

@@ -15,6 +15,10 @@
 //!    was built from — also when the coordinator reuses its cached view
 //!    because no node has published since the last one.
 //!
+//! 3. **The tenant deal relocates no sample** — tenant `t` lives on node
+//!    `t mod N`, and every node's arena is seeded with the cluster's base
+//!    seed, so each tenant answers exactly like an isolated reservoir.
+//!
 //! Node processes are real: each case spawns `cluster_node` binaries on
 //! ephemeral ports and speaks the binary admin protocol.
 
@@ -23,7 +27,10 @@ use robust_sampling::core::engine::{merge_in_shard_order, ShardedSummary, Stream
 use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::service::cluster::{ClusterConfig, ClusterRouter};
 use robust_sampling::service::protocol::MAX_INGEST_FRAME;
-use robust_sampling::service::{EpochSnapshot, SummaryService};
+use robust_sampling::service::tenant::tenant_seed;
+use robust_sampling::service::{
+    EpochSnapshot, ServiceClient, SummaryService, TenantArena, TenantArenaConfig,
+};
 use robust_sampling::streamgen;
 use std::sync::Arc;
 
@@ -90,14 +97,50 @@ fn equals_hand_merge(view: &EpochSnapshot<ReservoirSampler<u64>>, router: &Clust
         && view.items() == items
 }
 
+/// After `stream` is ingested in `splits` frames, a `nodes`-node
+/// cluster's merged view is bit-identical to the offline sharded run —
+/// same sample, same item counts — and every query kind
+/// (COUNT/QUANTILE/HH/KS) answers exactly as a local in-process service
+/// of the same shape does.
+fn check_cluster_equals_offline(
+    stream: &[u64],
+    nodes: usize,
+    cap: usize,
+    seed: u64,
+    splits: &[usize],
+) -> Result<(), String> {
+    let mut offline = ShardedSummary::new(nodes, seed, |_, s| {
+        ReservoirSampler::<u64>::with_seed(cap, s)
+    });
+    let mut local = SummaryService::start(nodes, seed, 1, |_, s| {
+        ReservoirSampler::<u64>::with_seed(cap, s)
+    });
+    let mut router = cluster(nodes, seed, 1, cap);
+    for frame in frames(stream, splits) {
+        offline.ingest_batch(frame);
+        local.ingest_frame(frame);
+        router.ingest(frame).expect("cluster ingest");
+    }
+    let view = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    let merged = offline.merged();
+    prop_assert_eq!(view.items(), stream.len());
+    prop_assert_eq!(view.summary().sample(), merged.sample());
+    prop_assert_eq!(view.summary().observed(), stream.len());
+    let snap = local.snapshot();
+    prop_assert_eq!(view.quantile(0.5), snap.quantile(0.5));
+    prop_assert_eq!(view.count(stream[0]), snap.count(stream[0]));
+    prop_assert_eq!(view.heavy(0.05), snap.heavy(0.05));
+    prop_assert_eq!(view.ks_uniform(1 << 16), snap.ks_uniform(1 << 16));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Fresh-view cadence (`E = 1`): after any frame schedule the
-    /// coordinator's merged view is bit-identical to the offline
-    /// sharded run — same sample, same item counts — and every query
-    /// kind (COUNT/QUANTILE/HH/KS) answers exactly as a local
-    /// in-process service of the same shape does.
+    /// Fresh-view cadence (`E = 1`): any frame schedule of any registry
+    /// workload, any cluster width and capacity.
     #[test]
     fn cluster_ingest_equals_offline_sharded_merge(
         which in 0usize..16,
@@ -108,29 +151,7 @@ proptest! {
         splits in proptest::collection::vec(1usize..700, 0..6),
     ) {
         let stream = workload_stream(which, n, seed.wrapping_add(11));
-        let mut offline = ShardedSummary::new(nodes, seed, |_, s| {
-            ReservoirSampler::<u64>::with_seed(cap, s)
-        });
-        let mut local = SummaryService::start(nodes, seed, 1, |_, s| {
-            ReservoirSampler::<u64>::with_seed(cap, s)
-        });
-        let mut router = cluster(nodes, seed, 1, cap);
-        for frame in frames(&stream, &splits) {
-            offline.ingest_batch(frame);
-            local.ingest_frame(frame);
-            router.ingest(frame).expect("cluster ingest");
-        }
-        let view = router.global_view::<ReservoirSampler<u64>>().expect("global view");
-        let merged = offline.merged();
-        prop_assert_eq!(view.items(), stream.len());
-        prop_assert_eq!(view.summary().sample(), merged.sample());
-        prop_assert_eq!(view.summary().observed(), stream.len());
-        // Every query kind answers like the equivalent local service.
-        let snap = local.snapshot();
-        prop_assert_eq!(view.quantile(0.5), snap.quantile(0.5));
-        prop_assert_eq!(view.count(stream[0]), snap.count(stream[0]));
-        prop_assert_eq!(view.heavy(0.05), snap.heavy(0.05));
-        prop_assert_eq!(view.ks_uniform(1 << 16), snap.ks_uniform(1 << 16));
+        check_cluster_equals_offline(&stream, nodes, cap, seed, &splits)?;
     }
 
     /// Aligned cadence (frames of exactly `N * E` elements): *every*
@@ -231,6 +252,19 @@ proptest! {
             }
             last = Some((first, epochs));
         }
+    }
+}
+
+/// The same law on inputs beyond the proptest's ranges: 30,000 elements
+/// of each of the first three registry workloads (uniform, zipf,
+/// sorted), three nodes of per-node k = 128, frames cycling 997, 64,
+/// 513, 1 and 130 elements.
+#[test]
+fn cluster_equals_offline_sharded_merge_on_long_streams() {
+    for which in 0..3 {
+        let stream = workload_stream(which, 30_000, 17 + which as u64);
+        check_cluster_equals_offline(&stream, 3, 128, 42, &[997, 64, 513, 1, 130])
+            .expect("cluster == offline sharded merge");
     }
 }
 
@@ -408,5 +442,74 @@ fn owed_acks_are_never_misread() {
             .node_epoch_state::<ReservoirSampler<u64>>(j)
             .expect("node epoch state");
         assert_eq!(hwm, router.frames_sent(j), "node {j}");
+    }
+}
+
+/// The tenant deal: on a 3-node cluster whose arenas hold two slots each,
+/// twelve tenants (four per residue) are interleaved in frames of 1 to
+/// 200 elements. Through the router, every tenant's item count and sample
+/// equal an isolated reservoir's, seeded `tenant_seed(base_seed, t)` and
+/// fed only that tenant's substream. Read from each node directly, tenant
+/// `t` has items on node `t mod 3` and on no other node.
+#[test]
+fn cluster_tenant_deal_preserves_every_tenant() {
+    let (nodes, seed, tenants) = (3usize, 42u64, 12u64);
+    // The arena sizing a node applies (its default ε = 0.15, δ = 0.1).
+    let arena = TenantArena::new(TenantArenaConfig {
+        universe: 1 << 16,
+        eps: 0.15,
+        delta: 0.1,
+        budget_bytes: 1,
+        base_seed: seed,
+        robust: true,
+    });
+    let router = ClusterRouter::start(ClusterConfig {
+        nodes,
+        base_seed: seed,
+        epoch_every: 1,
+        cap: 32,
+        universe: 1 << 16,
+        workers: 1,
+        tenant_budget_bytes: Some(2 * arena.slot_bytes()),
+    })
+    .expect("start cluster");
+    let mut isolated: Vec<ReservoirSampler<u64>> = (0..tenants)
+        .map(|t| ReservoirSampler::with_seed(arena.reservoir_k(), tenant_seed(seed, t)))
+        .collect();
+    let mut x = 0u64;
+    for round in 0..30u64 {
+        for t in 0..tenants {
+            let len = 1 + (round * 7 + t * 13) % 200;
+            let frame: Vec<u64> = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 33) % (1 << 16)
+                })
+                .collect();
+            router.tenant_ingest(t, &frame).expect("TINGEST");
+            isolated[t as usize].observe_batch(&frame);
+        }
+    }
+    for (t, iso) in (0..tenants).zip(&isolated) {
+        assert!(
+            iso.observed() > arena.reservoir_k(),
+            "tenant {t} never fills"
+        );
+        let (items, sample) = router.tenant_snapshot(t).expect("TSNAPSHOT");
+        assert_eq!(items, iso.observed(), "tenant {t} items");
+        assert_eq!(sample, iso.sample(), "tenant {t} sample");
+    }
+    for j in 0..nodes {
+        let node = ServiceClient::connect_binary(router.node_addr(j)).expect("connect node");
+        for (t, iso) in (0..tenants).zip(&isolated) {
+            let (items, _) = node.tenant_snapshot(t).expect("TSNAPSHOT");
+            let owned = t % nodes as u64 == j as u64;
+            assert_eq!(
+                items,
+                if owned { iso.observed() } else { 0 },
+                "tenant {t} on node {j}"
+            );
+        }
+        node.quit().expect("QUIT");
     }
 }

@@ -9,9 +9,9 @@
 //!    indistinguishable from the uninterrupted run, per seed, at the
 //!    codec level (every [`SnapshotCodec`] summary) and at the service
 //!    level (checkpoint taken at an arbitrary frame boundary).
-//! 3. **Off-path publishing is bit-exact and read-your-writes** — epochs
-//!    are merged on the publisher thread, concurrently with later
-//!    frames, yet every cadence-triggered snapshot equals the offline
+//! 3. **Inline publishing is bit-exact and read-your-writes** — an epoch
+//!    is merged inside the `ingest_frame` call whose frame crosses the
+//!    cadence, so every cadence-triggered snapshot equals the offline
 //!    sharded prefix merge at exactly that frame boundary, and is
 //!    visible to the very next query after the triggering frame.
 
@@ -81,12 +81,12 @@ proptest! {
     }
 
     /// Publish-during-ingest at an arbitrary cadence: every epoch the
-    /// service triggers mid-schedule is merged off the ingest path,
-    /// racing the frames that follow it — yet the snapshot the next
-    /// query observes is bit-identical to the offline sharded prefix
-    /// merge at exactly the triggering frame's boundary. Non-triggering
-    /// frames are deliberately not queried, so captures genuinely
-    /// overlap subsequent batch ingestion.
+    /// service triggers mid-schedule is published inline by the frame
+    /// that crosses the cadence, and the snapshot the next query
+    /// observes is bit-identical to the offline sharded prefix merge at
+    /// exactly that frame's boundary. Non-triggering frames are not
+    /// queried, so a snapshot that lagged or ran ahead of its boundary
+    /// would show at the next trigger.
     #[test]
     fn cadence_publishes_during_ingest_match_offline_prefixes(
         which in 0usize..16,

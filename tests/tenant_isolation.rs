@@ -15,8 +15,11 @@
 //!   unobservable;
 //! * **over the wire** — the same contract holds through the binary TCP
 //!   protocol (`TINGEST`/`TSNAP`/`TQUANTILE`/`TCOUNT` frames against a
-//!   live [`ServiceServer`]), with running-total acks and real arena
-//!   eviction churn under a three-slot budget.
+//!   live [`ServiceServer`]), with running-total acks, real arena
+//!   eviction churn under a three-slot budget, and `STATS` arena
+//!   counters equal to an offline arena fed the same frames.
+//!
+//! In process, resident bytes stay within the budget after every frame.
 //!
 //! [`TenantArena`]: robust_sampling::service::tenant::TenantArena
 //! [`ServiceServer`]: robust_sampling::service::ServiceServer
@@ -109,8 +112,10 @@ proptest! {
         split in 1usize..64,
     ) {
         let mut arena = squeezed(budget_slots, robust, base_seed);
+        let budget = budget_slots * arena.slot_bytes();
         for_each_run(&pairs, split, |t, frame| {
             arena.ingest(t, frame);
+            assert!(arena.resident_bytes() <= budget, "resident bytes over budget");
         });
         let iso = isolated(&pairs, arena.reservoir_k(), base_seed);
         if iso.len() > arena.max_resident() {
@@ -156,6 +161,7 @@ proptest! {
         for_each_run(&pairs, split, |t, frame| {
             tight.ingest(t, frame);
             loose.ingest(t, frame);
+            assert!(tight.resident_bytes() <= tight.slot_bytes(), "one-slot arena over budget");
         });
         prop_assert_eq!(loose.counters().evictions, 0);
         let tenants: std::collections::BTreeSet<u64> = pairs.iter().map(|&(t, _)| t).collect();
@@ -215,12 +221,22 @@ fn wire_protocol_preserves_tenant_isolation() {
         }
     }
     let mut sent: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut offline = TenantArena::new(tenants_cfg);
     for_each_run(&pairs, 16, |t, frame| {
         let acked = client.tenant_ingest(t, frame).expect("TINGEST frame");
         let total = sent.entry(t).or_insert(0);
         *total += frame.len();
         assert_eq!(acked, *total, "ack is the tenant's running item total");
+        offline.ingest(t, frame);
     });
+
+    // The server's arena took the same frames as `offline`, so its STATS
+    // arena counters are `offline`'s, and its bytes are within budget.
+    let stats = client.stats().expect("STATS");
+    assert_eq!(stats.arena_tenants, offline.known_tenants());
+    assert_eq!(stats.arena_bytes, offline.resident_bytes());
+    assert_eq!(stats.arena_evictions, offline.counters().evictions);
+    assert!(stats.arena_bytes <= tenants_cfg.budget_bytes);
 
     let iso = isolated(&pairs, k, BASE_SEED);
     for (&t, sampler) in &iso {
