@@ -853,10 +853,10 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn all_requests() -> Vec<Request> {
+    pub(crate) fn all_requests() -> Vec<Request> {
         vec![
             Request::Ingest(vec![0, 1, u64::MAX]),
             Request::QueryCount(u64::MAX),
@@ -886,7 +886,7 @@ mod tests {
         ]
     }
 
-    fn all_responses() -> Vec<Response> {
+    pub(crate) fn all_responses() -> Vec<Response> {
         vec![
             Response::Ingested(usize::MAX >> 1),
             Response::Count(1234.5678),
@@ -938,7 +938,7 @@ mod tests {
     }
 
     /// FNV-1a over one frame: a compact pin for exact wire bytes.
-    fn fnv1a(bytes: &[u8]) -> u64 {
+    pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         })

@@ -649,6 +649,56 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::tests::{all_requests, all_responses, fnv1a};
+
+    /// The text counterpart of `every_encoder_writes_the_pinned_bytes`:
+    /// (length, FNV-1a) of the line every request and every response of
+    /// the frame module's lists writes, in that order. The admin requests
+    /// write their bare verb and the admin replies an `ERR` line.
+    #[test]
+    fn every_text_line_is_pinned() {
+        let pins: [(usize, u64); 32] = [
+            (31, 0x973b_2f67_5548_cc57),
+            (32, 0xfa05_2e4f_053a_7a71),
+            (20, 0xf6ef_112b_17cb_392b),
+            (10, 0xe930_4be1_fe7b_3b29),
+            (8, 0x0a5d_9ef3_579e_6fff),
+            (8, 0x1173_8c87_4cab_f4ad),
+            (35, 0xb35f_b904_9484_3876),
+            (35, 0xf365_0771_0bdb_be1b),
+            (22, 0x3501_43ac_10c0_3641),
+            (11, 0x7d01_89d3_406a_9aa0),
+            (5, 0x9a0b_c308_546c_8c6c),
+            (4, 0x3206_6213_15ca_57b6),
+            (11, 0x0f12_8f3e_d3dc_63d7),
+            (11, 0x0f12_8f3e_d3dc_63d7),
+            (11, 0x0f12_8f3e_d3dc_63d7),
+            (10, 0x7333_dfd1_cf3b_a95f),
+            (7, 0x0e9f_0608_5f84_dbd1),
+            (31, 0xfa1c_9b10_ba77_9348),
+            (18, 0x1ad5_ab16_d47e_3786),
+            (16, 0x4c04_6f58_ebbe_9316),
+            (14, 0xdabb_ce1b_b5e3_62c6),
+            (33, 0xabf4_5b44_47d0_58e2),
+            (23, 0xf01e_b53f_cf41_d485),
+            (29, 0x650d_f69f_d7c8_a313),
+            (23, 0x377e_e50a_48c5_4332),
+            (134, 0x511e_9a32_a55a_7587),
+            (6, 0x419b_08cb_b44a_c9db),
+            (19, 0xf2b6_26eb_c1eb_3830),
+            (35, 0x996d_dfc4_c8e1_774d),
+            (35, 0x996d_dfc4_c8e1_774d),
+            (35, 0x996d_dfc4_c8e1_774d),
+            (35, 0x996d_dfc4_c8e1_774d),
+        ];
+        let got: Vec<(usize, u64)> = all_requests()
+            .iter()
+            .map(Request::encode)
+            .chain(all_responses().iter().map(Response::encode))
+            .map(|line| (line.len(), fnv1a(line.as_bytes())))
+            .collect();
+        assert_eq!(got, pins);
+    }
 
     #[test]
     fn requests_round_trip() {
