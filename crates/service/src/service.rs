@@ -521,6 +521,22 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
         if r.remaining() != 0 {
             return Err(SnapshotError::TrailingBytes(r.remaining()));
         }
+        // The invariants `finish_frame` and `publish` keep between calls:
+        // a forged envelope breaking one would serve a false boundary or
+        // overflow a counter on the next frame.
+        if snap_items.checked_add(since_publish) != Some(routed) {
+            return Err(SnapshotError::Corrupt(
+                "checkpoint snapshot items plus pending items differ from routed",
+            ));
+        }
+        if since_publish >= epoch_every {
+            return Err(SnapshotError::Corrupt(
+                "checkpoint pending items reach epoch_every",
+            ));
+        }
+        if epoch == u64::MAX || frames_acked.frames() == u64::MAX {
+            return Err(SnapshotError::Corrupt("checkpoint counter at u64::MAX"));
+        }
         Ok(Self::from_parts(
             states,
             routed,
@@ -724,5 +740,29 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(9);
         assert!(SummaryService::<ReservoirSampler<u64>>::restore(&trailing).is_err());
+        // Header words after the magic: shards, routed, since_publish,
+        // frames_acked, epoch_every, epoch, snapshot items.
+        let mut svc = service(1, 1, 10);
+        svc.ingest_frame(&[1, 2, 3]);
+        let bytes = svc.checkpoint();
+        assert!(SummaryService::<ReservoirSampler<u64>>::restore(&bytes).is_ok());
+        let forged = |word: usize, v: u64| {
+            let mut b = bytes.clone();
+            b[8 * word..8 * word + 8].copy_from_slice(&v.to_le_bytes());
+            SummaryService::<ReservoirSampler<u64>>::restore(&b)
+        };
+        for (word, v) in [
+            (2, 999),      // routed over 3 ingested items
+            (3, 2),        // since_publish disagrees with routed
+            (4, u64::MAX), // frames_acked: the next frame would overflow
+            (5, 3),        // since_publish == epoch_every
+            (6, u64::MAX), // epoch: the next publish would overflow
+            (7, 1),        // snapshot items disagree with routed
+        ] {
+            assert!(
+                matches!(forged(word, v), Err(SnapshotError::Corrupt(_))),
+                "word {word} = {v}"
+            );
+        }
     }
 }

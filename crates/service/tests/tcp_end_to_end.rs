@@ -480,6 +480,30 @@ fn restore_with_another_shard_count_is_rejected_and_the_node_keeps_serving() {
 }
 
 #[test]
+fn restore_of_a_forged_envelope_is_rejected_and_the_node_keeps_serving() {
+    let service = SummaryService::start(1, 5, 10, |_, s| ReservoirSampler::<u64>::with_seed(8, s));
+    let server =
+        ServiceServer::spawn_admin(service, ServiceConfig::default()).expect("bind ephemeral port");
+    let admin = ServiceClient::connect_binary(server.addr()).unwrap();
+    admin.ingest(&[1, 2, 3]).unwrap();
+    let (_, envelope) = admin.checkpoint().unwrap();
+    // Header words after the magic: shards, routed, since_publish,
+    // frames_acked, ...
+    for (word, v) in [(4, u64::MAX), (2, 999)] {
+        let mut forged = envelope.clone();
+        forged[8 * word..8 * word + 8].copy_from_slice(&v.to_le_bytes());
+        let err = admin.restore(&forged).expect_err("a forged envelope");
+        assert!(err.to_string().contains("restore rejected"), "{err}");
+    }
+    // Another connection (another worker's view of the shared service)
+    // still ingests: the service lock was never poisoned.
+    let other = ServiceClient::connect_binary(server.addr()).unwrap();
+    assert_eq!(other.ingest(&[4, 5]).unwrap(), 5);
+    assert_eq!(admin.stats().unwrap().items, 5);
+    server.shutdown();
+}
+
+#[test]
 fn over_cap_responses_are_service_errors_and_the_connection_keeps_serving() {
     // One shard, so the published sample is the whole reservoir.
     let serve_k = |k: usize| {
