@@ -46,22 +46,20 @@
 //! failed experiment, not a recoverable condition; the inherent methods
 //! return `io::Result` for callers that want to handle failure.
 
-use crate::frame::{self, MAX_FRAME_PAYLOAD};
-use crate::protocol::{
-    write_ingest_line, write_tenant_ingest_line, Request, Response, ServiceStats, Wire,
-    MAX_INGEST_FRAME,
-};
+use crate::frame::MAX_FRAME_PAYLOAD;
+use crate::protocol::{put_ingest, Request, Response, ServiceStats, Wire, MAX_INGEST_FRAME};
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::engine::StreamSummary;
 use std::cell::{Cell, RefCell};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 struct Conn {
-    reader: BufReader<TcpStream>,
+    /// The connection's one socket: written through the buffer (every
+    /// send flushes), read through [`BufWriter::get_ref`] into `rbuf`.
     writer: BufWriter<TcpStream>,
     wire: Wire,
-    /// Bytes read past the last decoded binary frame.
+    /// Bytes read past the last decoded reply.
     rbuf: Vec<u8>,
     /// Reusable serialization scratch: every outgoing request is encoded
     /// into this buffer, so steady-state sends allocate nothing.
@@ -118,13 +116,7 @@ impl Conn {
         }
         for req in reqs {
             self.wbuf.clear();
-            match self.wire {
-                Wire::Text => {
-                    req.write_line(&mut self.wbuf);
-                    self.wbuf.push(b'\n');
-                }
-                Wire::Binary => frame::encode_request(req, &mut self.wbuf),
-            }
+            self.wire.put(&mut self.wbuf, |w| req.put(w));
             self.writer.write_all(&self.wbuf)?;
         }
         Ok(())
@@ -135,44 +127,34 @@ impl Conn {
     /// is ever built on the ingest path.
     fn send_ingest(&mut self, tenant: Option<u64>, chunk: &[u64]) -> std::io::Result<()> {
         self.wbuf.clear();
-        match (self.wire, tenant) {
-            (Wire::Text, None) => write_ingest_line(chunk, &mut self.wbuf),
-            (Wire::Text, Some(t)) => write_tenant_ingest_line(t, chunk, &mut self.wbuf),
-            (Wire::Binary, None) => frame::encode_ingest_slice(chunk, &mut self.wbuf),
-            (Wire::Binary, Some(t)) => frame::encode_tenant_ingest_slice(t, chunk, &mut self.wbuf),
-        }
-        if self.wire == Wire::Text {
-            self.wbuf.push(b'\n');
-        }
+        self.wire
+            .put(&mut self.wbuf, |w| put_ingest(w, tenant, chunk));
         self.writer.write_all(&self.wbuf)
     }
 
     /// The one receive path: read the next reply in this wire's format.
+    /// Each read asks for at least 8 KiB, and for as much as is already
+    /// buffered once a reply outgrows that, so a long reply costs a
+    /// linear number of bytes scanned.
     fn receive(&mut self) -> std::io::Result<Response> {
-        if self.wire == Wire::Text {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(closed());
-            }
-            return Response::parse(line.trim_end_matches(['\r', '\n']))
-                .map_err(|msg| std::io::Error::other(format!("protocol error: {msg}")));
-        }
         loop {
-            match frame::decode_response(&self.rbuf) {
-                Ok(Some((resp, consumed))) => {
-                    self.rbuf.drain(..consumed);
-                    return Ok(resp);
-                }
-                Ok(None) => {
-                    let chunk = self.reader.fill_buf()?;
-                    if chunk.is_empty() {
-                        return Err(closed());
-                    }
-                    let n = chunk.len();
-                    self.rbuf.extend_from_slice(chunk);
-                    self.reader.consume(n);
-                }
-                Err(e) => return Err(std::io::Error::other(format!("frame error: {e}"))),
+            if let Some((resp, consumed)) = self
+                .wire
+                .take_response(&self.rbuf)
+                .map_err(std::io::Error::other)?
+            {
+                self.rbuf.drain(..consumed);
+                return Ok(resp);
+            }
+            let filled = self.rbuf.len();
+            self.rbuf.resize(filled + filled.max(8 << 10), 0);
+            let read = self.writer.get_ref().read(&mut self.rbuf[filled..]);
+            self.rbuf.truncate(filled + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) => return Err(closed()),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -253,7 +235,6 @@ impl ServiceClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             conn: RefCell::new(Conn {
-                reader: BufReader::new(stream.try_clone()?),
                 writer: BufWriter::new(stream),
                 wire,
                 rbuf: Vec::new(),

@@ -1,6 +1,6 @@
 //! The length-prefixed **binary frame protocol** — the serving path's
-//! fast wire format, with the text line protocol of [`crate::protocol`]
-//! kept as the debug front-end behind the same dispatch.
+//! fast wire format, beside the text line protocol the server keeps as
+//! its debug front-end behind the same dispatch.
 //!
 //! Every frame is an 8-byte envelope followed by a payload:
 //!
@@ -15,61 +15,15 @@
 //! 8       len   payload (opcode-specific, little-endian throughout)
 //! ```
 //!
-//! Request opcodes (`0x01`–`0x0F`) and response opcodes (`0x81`–`0x8C`,
-//! plus `0xC0` = ERR) encode the one [`Request`]/[`Response`] vocabulary
-//! the text grammar of [`crate::protocol`] also carries, so the server's
-//! dispatch and the client's API are format-agnostic:
-//!
-//! ```text
-//! opcode  request            payload
-//! 0x01    INGEST             count × u64   (count = len / 8)
-//! 0x02    QUERY COUNT        u64 item
-//! 0x03    QUERY QUANTILE     f64 rank bits
-//! 0x04    QUERY HH           f64 threshold bits
-//! 0x05    QUERY KS           (empty)
-//! 0x06    SNAPSHOT           (empty)
-//! 0x07    STATS              (empty)
-//! 0x08    QUIT               (empty)
-//! 0x09    EPOCH STATE        (empty) or u64 since epoch  [admin]
-//! 0x0A    CHECKPOINT         (empty)                     [admin]
-//! 0x0B    RESTORE            checkpoint envelope bytes   [admin]
-//! 0x0C    TINGEST            u64 tenant, then count × u64
-//! 0x0D    TQUERY COUNT       u64 tenant, u64 item
-//! 0x0E    TQUERY QUANTILE    u64 tenant, f64 rank bits
-//! 0x0F    TSNAPSHOT          u64 tenant
-//!
-//! opcode  response           payload
-//! 0x81    INGESTED           u64 total items
-//! 0x82    COUNT              f64 estimate bits
-//! 0x83    QUANTILE           u8 tag (0 = NONE) [+ u64 value]
-//! 0x84    HH                 u32 count, then count × (u64 item, f64 density)
-//! 0x85    KS                 f64 distance bits
-//! 0x86    SNAPSHOT           u64 epoch, u64 items, u32 k, then k × u64
-//! 0x87    STATS              9 × u64 (items, epoch, shards, space,
-//!                            snapshot_items, shard_bytes, arena_tenants,
-//!                            arena_bytes, arena_evictions)
-//! 0x88    BYE                (empty)
-//! 0x89    EPOCH STATE        u64 epoch, u64 items, u64 frames acked,
-//!                            then the published summary's codec bytes
-//!                            (none when the epoch equals `since`)
-//! 0x8A    CHECKPOINT         u64 frames acked, then envelope bytes
-//! 0x8B    RESTORED           u64 frames acked
-//! 0x8C    TSNAPSHOT          u64 tenant, u64 items, u32 k, then k × u64
-//! 0xC0    ERR                UTF-8 message bytes
-//! ```
-//!
-//! The `[admin]` opcodes are the **cluster control plane**: the
-//! binary-only variants [`Request::EpochState`], [`Request::Checkpoint`]
-//! and [`Request::Restore`] (no text grammar) a coordinator or failover
-//! router exchanges with a cluster node. `EPOCH STATE` pulls the node's
-//! published epoch snapshot for the coordinator's shard-order merge
-//! (given a `since` epoch, a node still at that epoch answers with the
-//! 24-byte header alone; no summary codec writes zero bytes, so the
-//! empty state is unambiguous), `CHECKPOINT` pulls the node's full
-//! checkpoint envelope, and `RESTORE` seeds a fresh node with one. They
-//! share the codec, the decoders and the `ERR` reply with every other
-//! request; a server that has not enabled admin dispatch answers them
-//! with `ERR`.
+//! The opcodes and payloads are the one table of [`crate::protocol`]:
+//! each [`Request`]/[`Response`] variant has one opcode, one text verb
+//! and one field list, written by one encoder and read by one decoder
+//! for both wires. This module is the binary half of that codec — the
+//! envelope, a field writer that appends a frame's payload and a field
+//! reader that walks one — so the server's dispatch and the client's
+//! API are format-agnostic. The cluster admin opcodes (`0x09`–`0x0B`,
+//! `0x89`–`0x8B`) travel only here; a server that has not enabled admin
+//! dispatch answers them with `ERR`.
 //!
 //! A response whose payload would pass [`MAX_FRAME_PAYLOAD`] (a
 //! `SNAPSHOT`, `HH`, `EPOCH STATE` or `CHECKPOINT` of a very large
@@ -79,16 +33,19 @@
 //! Floats travel as raw bit patterns (`f64::to_bits`), so — like the
 //! text protocol's shortest-round-trip decimals — every value survives
 //! the wire exactly. An `INGEST` frame carries up to
-//! [`MAX_INGEST_FRAME`] values as one flat `u64` chunk: the server
-//! routes the decoded slice straight into the service's sharded ingest
-//! channels with **no per-element parsing**, which is where the binary
-//! protocol's throughput over the text front-end comes from. Frames are
-//! independent, so a client may **pipeline**: write any number of
-//! request frames before reading, and the server answers each in order.
-//! Every run of `u64` values (`INGEST`/`TINGEST` payloads, `SNAPSHOT`/
-//! `TSNAPSHOT` samples) is written and read by the checkpoint codec's
-//! [`put_u64_run`] and [`extend_u64_run`], so frames and checkpoints
-//! share one u64-run codec.
+//! [`MAX_INGEST_FRAME`] values as one flat `u64` chunk: the server hands
+//! the payload, still borrowed from its read buffer, straight to the
+//! service's in-place round-robin deal with **no per-element parsing**,
+//! which is where the binary protocol's throughput over the text
+//! front-end comes from. Frames are independent, so a client may
+//! **pipeline**: write any number of request frames before reading, and
+//! the server answers each in order. Every run of `u64` values
+//! (`INGEST`/`TINGEST` payloads, `SNAPSHOT`/`TSNAPSHOT` samples) is
+//! written and read by the checkpoint codec's [`put_u64_run`] and
+//! [`extend_u64_run`], so frames and checkpoints share one u64-run
+//! codec.
+//!
+//! [`extend_u64_run`]: robust_sampling_core::engine::snapshot::extend_u64_run
 //!
 //! Decoding is incremental ([`decode_request`] / [`decode_response`]
 //! return `Ok(None)` on a truncated buffer) and every structural
@@ -96,9 +53,13 @@
 //! mis-sized payload, out-of-range rank — is a typed [`FrameError`]
 //! raised *before* any payload is buffered past [`MAX_FRAME_PAYLOAD`].
 
-use crate::protocol::{Request, Response, ServiceStats, MAX_INGEST_FRAME};
-use bytes::{Buf, BufMut};
-use robust_sampling_core::engine::snapshot::{extend_u64_run, put_u64_run};
+use crate::protocol::{
+    le_u64s, opcode, put_ingest, put_sample, read_request, read_response, verb, Field, FieldReader,
+    FieldWriter, Request, Response, Wire, MAX_INGEST_FRAME,
+};
+use bytes::BufMut;
+use robust_sampling_core::engine::snapshot::put_u64_run;
+use std::borrow::Cow;
 use std::fmt;
 
 /// The two magic bytes opening every binary frame. `0xB5` is not valid
@@ -118,47 +79,6 @@ pub const HEADER_BYTES: usize = 8;
 /// rejected from the 8-byte header alone — the oversized payload is
 /// never buffered.
 pub const MAX_FRAME_PAYLOAD: usize = 8 * MAX_INGEST_FRAME + 64;
-
-mod opcode {
-    pub const INGEST: u8 = 0x01;
-    pub const QUERY_COUNT: u8 = 0x02;
-    pub const QUERY_QUANTILE: u8 = 0x03;
-    pub const QUERY_HH: u8 = 0x04;
-    pub const QUERY_KS: u8 = 0x05;
-    pub const SNAPSHOT: u8 = 0x06;
-    pub const STATS: u8 = 0x07;
-    pub const QUIT: u8 = 0x08;
-
-    // Cluster administration requests (binary-only; no text form).
-    pub const EPOCH_STATE: u8 = 0x09;
-    pub const CHECKPOINT: u8 = 0x0A;
-    pub const RESTORE: u8 = 0x0B;
-
-    // Tenant-arena requests (text forms TINGEST/TQUERY/TSNAPSHOT).
-    pub const TENANT_INGEST: u8 = 0x0C;
-    pub const TENANT_QUERY_COUNT: u8 = 0x0D;
-    pub const TENANT_QUERY_QUANTILE: u8 = 0x0E;
-    pub const TENANT_SNAPSHOT: u8 = 0x0F;
-
-    pub const INGESTED: u8 = 0x81;
-    pub const COUNT: u8 = 0x82;
-    pub const QUANTILE: u8 = 0x83;
-    pub const HH: u8 = 0x84;
-    pub const KS: u8 = 0x85;
-    pub const R_SNAPSHOT: u8 = 0x86;
-    pub const R_STATS: u8 = 0x87;
-    pub const BYE: u8 = 0x88;
-
-    // Cluster administration responses.
-    pub const R_EPOCH_STATE: u8 = 0x89;
-    pub const R_CHECKPOINT: u8 = 0x8A;
-    pub const RESTORED: u8 = 0x8B;
-
-    // Tenant-arena responses.
-    pub const R_TENANT_SNAPSHOT: u8 = 0x8C;
-
-    pub const ERR: u8 = 0xC0;
-}
 
 /// A structural violation of the binary framing. Unlike a truncated
 /// buffer (which just needs more bytes), a `FrameError` means the byte
@@ -212,28 +132,10 @@ pub fn is_frame_start(first: u8) -> bool {
 }
 
 fn put_header(out: &mut Vec<u8>, op: u8, payload_len: usize) {
-    debug_assert!(payload_len <= MAX_FRAME_PAYLOAD, "payload over cap");
     out.put_slice(&FRAME_MAGIC);
     out.put_u8(FRAME_VERSION);
     out.put_u8(op);
     out.put_u32_le(payload_len as u32);
-}
-
-/// Open a response frame of `len` payload bytes and return `true` — or,
-/// when `len` is over [`MAX_FRAME_PAYLOAD`], write an `ERR` naming the
-/// `what` response and its size instead and return `false`, so the
-/// caller skips the payload and the peer stays in sync.
-fn open_response(out: &mut Vec<u8>, op: u8, what: &str, len: usize) -> bool {
-    if len > MAX_FRAME_PAYLOAD {
-        let msg = format!(
-            "{what} response ({op:#04x}) needs {len} payload bytes, over the \
-             {MAX_FRAME_PAYLOAD}-byte frame cap"
-        );
-        encode_response(&Response::Err(msg), out);
-        return false;
-    }
-    put_header(out, op, len);
-    true
 }
 
 /// Append an `INGEST` frame carrying `vs` to `out` — the slice-based
@@ -245,13 +147,7 @@ fn open_response(out: &mut Vec<u8>, op: u8, what: &str, len: usize) -> bool {
 /// Panics if `vs` exceeds [`MAX_INGEST_FRAME`] values or is empty — the
 /// caller chunks batches, exactly as on the text path.
 pub fn encode_ingest_slice(vs: &[u64], out: &mut Vec<u8>) {
-    assert!(
-        !vs.is_empty() && vs.len() <= MAX_INGEST_FRAME,
-        "INGEST frame must carry 1..={MAX_INGEST_FRAME} values, got {}",
-        vs.len()
-    );
-    put_header(out, opcode::INGEST, 8 * vs.len());
-    put_u64_run(out, vs);
+    encode_tenant_ingest(None, vs, out);
 }
 
 /// Append a `TINGEST` frame carrying `vs` for `tenant` to `out` — the
@@ -262,98 +158,39 @@ pub fn encode_ingest_slice(vs: &[u64], out: &mut Vec<u8>) {
 ///
 /// Panics if `vs` exceeds [`MAX_INGEST_FRAME`] values or is empty.
 pub fn encode_tenant_ingest_slice(tenant: u64, vs: &[u64], out: &mut Vec<u8>) {
+    encode_tenant_ingest(Some(tenant), vs, out);
+}
+
+fn encode_tenant_ingest(tenant: Option<u64>, vs: &[u64], out: &mut Vec<u8>) {
     assert!(
-        !vs.is_empty() && vs.len() <= MAX_INGEST_FRAME,
-        "TINGEST frame must carry 1..={MAX_INGEST_FRAME} values, got {}",
+        (1..=MAX_INGEST_FRAME).contains(&vs.len()),
+        "an ingest frame must carry 1..={MAX_INGEST_FRAME} values, got {}",
         vs.len()
     );
-    put_header(out, opcode::TENANT_INGEST, 8 + 8 * vs.len());
-    out.put_u64_le(tenant);
-    put_u64_run(out, vs);
+    put_frame(out, |w| put_ingest(w, tenant, vs));
 }
 
 /// Append a `SNAPSHOT` response frame to `out` straight from a borrowed
 /// sample slice — the server serializes [`EpochSnapshot::visible_ref`]
-/// directly into the connection's out-buffer through this, never
-/// materializing an owned copy of the sample. A sample too large for one
-/// frame is written as an `ERR` (see the module docs).
+/// directly into the connection's out-buffer through the same fields,
+/// never materializing an owned copy of the sample. A sample too large
+/// for one frame is written as an `ERR` (see the module docs).
 ///
 /// [`EpochSnapshot::visible_ref`]: crate::EpochSnapshot::visible_ref
 pub fn encode_snapshot_slice(epoch: u64, items: usize, sample: &[u64], out: &mut Vec<u8>) {
-    put_sampled(out, opcode::R_SNAPSHOT, "SNAPSHOT", epoch, items, sample);
+    put_frame(out, |w| put_sample(w, "OK SNAPSHOT", epoch, items, sample));
 }
 
-/// The payload `SNAPSHOT` and `TSNAPSHOT` share: `head` (epoch or
-/// tenant), items, `k`, then the `k` sample values.
-fn put_sampled(out: &mut Vec<u8>, op: u8, what: &str, head: u64, items: usize, sample: &[u64]) {
-    if open_response(out, op, what, 20 + 8 * sample.len()) {
-        out.put_u64_le(head);
-        out.put_u64_le(items as u64);
-        out.put_u32_le(sample.len() as u32);
-        put_u64_run(out, sample);
-    }
-}
-
-/// Append `req` to `out` as one binary frame.
+/// Append `req` to `out` as one binary frame. An ingest request should
+/// carry 1..=[`MAX_INGEST_FRAME`] values and a `Restore` envelope should
+/// be non-empty; the peer rejects others, and the client checks both
+/// before encoding.
 ///
 /// # Panics
 ///
-/// Panics if an `Ingest`/`TenantIngest` frame exceeds
-/// [`MAX_INGEST_FRAME`] values or is empty, or a `Restore` envelope is
-/// empty or exceeds [`MAX_FRAME_PAYLOAD`] bytes — the client checks both
-/// before encoding, and chunks batches exactly as on the text path.
+/// Panics if the request's payload passes [`MAX_FRAME_PAYLOAD`].
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    match req {
-        Request::Ingest(vs) => encode_ingest_slice(vs, out),
-        Request::QueryCount(x) => {
-            put_header(out, opcode::QUERY_COUNT, 8);
-            out.put_u64_le(*x);
-        }
-        Request::QueryQuantile(q) => {
-            put_header(out, opcode::QUERY_QUANTILE, 8);
-            out.put_f64_le(*q);
-        }
-        Request::QueryHeavy(t) => {
-            put_header(out, opcode::QUERY_HH, 8);
-            out.put_f64_le(*t);
-        }
-        Request::QueryKs => put_header(out, opcode::QUERY_KS, 0),
-        Request::Snapshot => put_header(out, opcode::SNAPSHOT, 0),
-        Request::TenantIngest { tenant, values } => {
-            encode_tenant_ingest_slice(*tenant, values, out)
-        }
-        Request::TenantQueryCount { tenant, x } => {
-            put_header(out, opcode::TENANT_QUERY_COUNT, 16);
-            out.put_u64_le(*tenant);
-            out.put_u64_le(*x);
-        }
-        Request::TenantQueryQuantile { tenant, q } => {
-            put_header(out, opcode::TENANT_QUERY_QUANTILE, 16);
-            out.put_u64_le(*tenant);
-            out.put_f64_le(*q);
-        }
-        Request::TenantSnapshot { tenant } => {
-            put_header(out, opcode::TENANT_SNAPSHOT, 8);
-            out.put_u64_le(*tenant);
-        }
-        Request::Stats => put_header(out, opcode::STATS, 0),
-        Request::Quit => put_header(out, opcode::QUIT, 0),
-        Request::EpochState { since: None } => put_header(out, opcode::EPOCH_STATE, 0),
-        Request::EpochState { since: Some(e) } => {
-            put_header(out, opcode::EPOCH_STATE, 8);
-            out.put_u64_le(*e);
-        }
-        Request::Checkpoint => put_header(out, opcode::CHECKPOINT, 0),
-        Request::Restore(bytes) => {
-            assert!(
-                !bytes.is_empty() && bytes.len() <= MAX_FRAME_PAYLOAD,
-                "RESTORE envelope must be 1..={MAX_FRAME_PAYLOAD} bytes, got {}",
-                bytes.len()
-            );
-            put_header(out, opcode::RESTORE, bytes.len());
-            out.put_slice(bytes);
-        }
-    }
+    Wire::Binary.put(out, |w| req.put(w));
 }
 
 /// Append `resp` to `out` as one binary frame. A pathological ERR
@@ -366,170 +203,83 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
 /// Panics if an `EpochState` carries `Some` empty state, which would
 /// decode as `None` (no summary codec writes zero bytes).
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
-    match resp {
-        Response::Ingested(n) => {
-            put_header(out, opcode::INGESTED, 8);
-            out.put_u64_le(*n as u64);
-        }
-        Response::Count(c) => {
-            put_header(out, opcode::COUNT, 8);
-            out.put_f64_le(*c);
-        }
-        Response::Quantile(None) => {
-            put_header(out, opcode::QUANTILE, 1);
-            out.put_u8(0);
-        }
-        Response::Quantile(Some(v)) => {
-            put_header(out, opcode::QUANTILE, 9);
-            out.put_u8(1);
-            out.put_u64_le(*v);
-        }
-        Response::Heavy(items) => {
-            if open_response(out, opcode::HH, "HH", 4 + 16 * items.len()) {
-                out.put_u32_le(items.len() as u32);
-                for &(v, d) in items {
-                    out.put_u64_le(v);
-                    out.put_f64_le(d);
-                }
-            }
-        }
-        Response::Ks(d) => {
-            put_header(out, opcode::KS, 8);
-            out.put_f64_le(*d);
-        }
-        Response::Snapshot {
-            epoch,
-            items,
-            sample,
-        } => encode_snapshot_slice(*epoch, *items, sample, out),
-        Response::TenantSnapshot {
-            tenant,
-            items,
-            sample,
-        } => put_sampled(
-            out,
-            opcode::R_TENANT_SNAPSHOT,
-            "TSNAPSHOT",
-            *tenant,
-            *items,
-            sample,
-        ),
-        Response::Stats(st) => {
-            put_header(out, opcode::R_STATS, 72);
-            out.put_u64_le(st.items as u64);
-            out.put_u64_le(st.epoch);
-            out.put_u64_le(st.shards as u64);
-            out.put_u64_le(st.space as u64);
-            out.put_u64_le(st.snapshot_items as u64);
-            out.put_u64_le(st.shard_bytes as u64);
-            out.put_u64_le(st.arena_tenants as u64);
-            out.put_u64_le(st.arena_bytes as u64);
-            out.put_u64_le(st.arena_evictions);
-        }
-        Response::Bye => put_header(out, opcode::BYE, 0),
-        Response::Err(msg) => {
-            let bytes = msg.as_bytes();
-            let take = floor_char_boundary(msg, bytes.len().min(MAX_FRAME_PAYLOAD));
-            put_header(out, opcode::ERR, take);
-            out.put_slice(&bytes[..take]);
-        }
-        Response::EpochState {
-            epoch,
-            items,
-            frames_acked,
-            state,
-        } => {
-            let state: &[u8] = match state {
-                Some(bytes) => {
-                    assert!(
-                        !bytes.is_empty(),
-                        "an EPOCH STATE summary state is never empty"
-                    );
-                    bytes
-                }
-                None => &[],
-            };
-            let len = 24 + state.len();
-            if open_response(out, opcode::R_EPOCH_STATE, "EPOCH STATE", len) {
-                out.put_u64_le(*epoch);
-                out.put_u64_le(*items);
-                out.put_u64_le(*frames_acked);
-                out.put_slice(state);
-            }
-        }
-        Response::Checkpoint {
-            frames_acked,
-            bytes,
-        } => {
-            if open_response(out, opcode::R_CHECKPOINT, "CHECKPOINT", 8 + bytes.len()) {
-                out.put_u64_le(*frames_acked);
-                out.put_slice(bytes);
-            }
-        }
-        Response::Restored { frames_acked } => {
-            put_header(out, opcode::RESTORED, 8);
-            out.put_u64_le(*frames_acked);
-        }
-    }
+    Wire::Binary.put(out, |w| resp.put(w));
 }
 
-/// Largest `i <= at` that is a char boundary of `s` (stable stand-in for
-/// the unstable `str::floor_char_boundary`).
-fn floor_char_boundary(s: &str, at: usize) -> usize {
-    let mut i = at;
-    while !s.is_char_boundary(i) {
-        i -= 1;
+/// Append one frame to `out`, `put` writing its fields: the header goes
+/// out with a zero length, which is patched in once the payload is
+/// written. A response whose payload passed [`MAX_FRAME_PAYLOAD`] is
+/// replaced by an `ERR` naming it and its size.
+pub(crate) fn put_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut dyn FieldWriter)) {
+    let start = out.len();
+    put(&mut Frame(out));
+    let (op, len) = (out[start + 3], out.len() - start - HEADER_BYTES);
+    if len > MAX_FRAME_PAYLOAD {
+        assert!(op >= 0x80, "a request payload passes the frame cap");
+        out.truncate(start);
+        let name = verb(op, true).unwrap_or("?").trim_start_matches("OK ");
+        let msg = format!(
+            "{name} response ({op:#04x}) needs {len} payload bytes, over the \
+             {MAX_FRAME_PAYLOAD}-byte frame cap"
+        );
+        return encode_response(&Response::Err(msg), out);
     }
-    i
+    out[start + 4..start + HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// The binary wire's field writer: appends one frame to its buffer.
+struct Frame<'a>(&'a mut Vec<u8>);
+
+impl FieldWriter for Frame<'_> {
+    fn write(&mut self, verb: &'static str, fields: &[Field<'_>]) {
+        let out = &mut *self.0;
+        put_header(out, opcode(verb), 0);
+        for field in fields {
+            match *field {
+                Field::U64(v) | Field::Kv(_, v) => out.put_u64_le(v),
+                Field::F64(v) => out.put_f64_le(v),
+                Field::Opt(None) => out.put_u8(0),
+                Field::Opt(Some(v)) => {
+                    out.put_u8(1);
+                    out.put_u64_le(v);
+                }
+                Field::Count(n) => out.put_u32_le(n as u32),
+                Field::Pairs(pairs) => pairs.iter().for_each(|&(v, d)| {
+                    out.put_u64_le(v);
+                    out.put_f64_le(d);
+                }),
+                Field::Run(vs) => put_u64_run(out, vs),
+                Field::Bytes(b) => out.put_slice(b),
+                Field::Msg(m) => {
+                    out.put_slice(&m.as_bytes()[..m.floor_char_boundary(MAX_FRAME_PAYLOAD)])
+                }
+            }
+        }
+    }
 }
 
 /// The envelope, validated progressively: magic and version are checked
 /// from the very first bytes (so garbage fails fast, without waiting for
-/// a full header), the payload cap from the header alone.
-fn decode_header(buf: &[u8]) -> Result<Option<(u8, usize)>, FrameError> {
-    if let Some(&b0) = buf.first() {
-        if b0 != FRAME_MAGIC[0] {
-            return Err(FrameError::BadMagic([b0, *buf.get(1).unwrap_or(&0)]));
-        }
+/// a full header), the payload cap from the header alone. Once the whole
+/// frame is in `buf`, its opcode and payload.
+fn decode_header(buf: &[u8]) -> Result<Option<(u8, &[u8])>, FrameError> {
+    if buf.iter().zip(FRAME_MAGIC).any(|(&b, m)| b != m) {
+        return Err(FrameError::BadMagic([buf[0], *buf.get(1).unwrap_or(&0)]));
     }
-    if let Some(&b1) = buf.get(1) {
-        if b1 != FRAME_MAGIC[1] {
-            return Err(FrameError::BadMagic([buf[0], b1]));
-        }
+    if let Some(&v) = buf.get(2).filter(|&&v| v != FRAME_VERSION) {
+        return Err(FrameError::BadVersion(v));
     }
-    if let Some(&v) = buf.get(2) {
-        if v != FRAME_VERSION {
-            return Err(FrameError::BadVersion(v));
-        }
-    }
-    if buf.len() < HEADER_BYTES {
+    let Some(&[_, _, _, op, l0, l1, l2, l3]) = buf.first_chunk::<HEADER_BYTES>() else {
         return Ok(None);
-    }
-    let mut h = &buf[3..HEADER_BYTES];
-    let op = h.get_u8();
-    let len = h.get_u32_le() as usize;
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(FrameError::Oversized {
             opcode: op,
             len: len as u64,
         });
     }
-    Ok(Some((op, len)))
-}
-
-fn expect_len(payload: &[u8], want: usize, what: &'static str) -> Result<(), FrameError> {
-    if payload.len() != want {
-        return Err(FrameError::Malformed(what));
-    }
-    Ok(())
-}
-
-fn unit_f64(bits_src: &mut &[u8], what: &'static str) -> Result<f64, FrameError> {
-    let v = bits_src.get_f64_le();
-    if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-        return Err(FrameError::Malformed(what));
-    }
-    Ok(v)
+    Ok(buf[HEADER_BYTES..].get(..len).map(|payload| (op, payload)))
 }
 
 /// A decoded request frame whose bulk payload stays **borrowed** from
@@ -581,111 +331,22 @@ impl RequestFrame<'_> {
 /// `Ok(None)` when `buf` holds only a prefix (read more and retry), and
 /// `Err` on a structural violation (close the connection).
 pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usize)>, FrameError> {
-    let Some((op, len)) = decode_header(buf)? else {
+    decode(buf, false, |verb, payload| read_request(verb, payload))
+}
+
+/// Decode the frame at the front of `buf` with `read`, given the verb of
+/// its request (or, with `response`, response) opcode.
+fn decode<'a, T>(
+    buf: &'a [u8],
+    response: bool,
+    read: impl FnOnce(&str, &mut Payload<'a>) -> Result<T, &'static str>,
+) -> Result<Option<(T, usize)>, FrameError> {
+    let Some((op, payload)) = decode_header(buf)? else {
         return Ok(None);
     };
-    if buf.len() < HEADER_BYTES + len {
-        return Ok(None);
-    }
-    let mut payload = &buf[HEADER_BYTES..HEADER_BYTES + len];
-    let consumed = HEADER_BYTES + len;
-    let req = match op {
-        opcode::INGEST => {
-            if len == 0 || len % 8 != 0 {
-                return Err(FrameError::Malformed(
-                    "INGEST payload must be a non-empty multiple of 8 bytes",
-                ));
-            }
-            return Ok(Some((RequestFrame::IngestLe(payload), consumed)));
-        }
-        opcode::QUERY_COUNT => {
-            expect_len(payload, 8, "COUNT payload must be one u64")?;
-            Request::QueryCount(payload.get_u64_le())
-        }
-        opcode::QUERY_QUANTILE => {
-            expect_len(payload, 8, "QUANTILE payload must be one f64")?;
-            Request::QueryQuantile(unit_f64(&mut payload, "QUANTILE rank must be in [0,1]")?)
-        }
-        opcode::QUERY_HH => {
-            expect_len(payload, 8, "HH payload must be one f64")?;
-            Request::QueryHeavy(unit_f64(&mut payload, "HH threshold must be in [0,1]")?)
-        }
-        opcode::QUERY_KS => {
-            expect_len(payload, 0, "KS carries no payload")?;
-            Request::QueryKs
-        }
-        opcode::SNAPSHOT => {
-            expect_len(payload, 0, "SNAPSHOT carries no payload")?;
-            Request::Snapshot
-        }
-        opcode::STATS => {
-            expect_len(payload, 0, "STATS carries no payload")?;
-            Request::Stats
-        }
-        opcode::QUIT => {
-            expect_len(payload, 0, "QUIT carries no payload")?;
-            Request::Quit
-        }
-        opcode::TENANT_INGEST => {
-            if len < 16 || (len - 8) % 8 != 0 {
-                return Err(FrameError::Malformed(
-                    "TINGEST payload must be a tenant key plus a non-empty \
-                     multiple of 8 bytes",
-                ));
-            }
-            let tenant = payload.get_u64_le();
-            return Ok(Some((
-                RequestFrame::TenantIngestLe { tenant, payload },
-                consumed,
-            )));
-        }
-        opcode::TENANT_QUERY_COUNT => {
-            expect_len(payload, 16, "TQUERY COUNT payload must be two u64 words")?;
-            Request::TenantQueryCount {
-                tenant: payload.get_u64_le(),
-                x: payload.get_u64_le(),
-            }
-        }
-        opcode::TENANT_QUERY_QUANTILE => {
-            expect_len(payload, 16, "TQUERY QUANTILE payload must be u64 + f64")?;
-            let tenant = payload.get_u64_le();
-            Request::TenantQueryQuantile {
-                tenant,
-                q: unit_f64(&mut payload, "TQUERY QUANTILE rank must be in [0,1]")?,
-            }
-        }
-        opcode::TENANT_SNAPSHOT => {
-            expect_len(payload, 8, "TSNAPSHOT payload must be one u64")?;
-            Request::TenantSnapshot {
-                tenant: payload.get_u64_le(),
-            }
-        }
-        opcode::EPOCH_STATE => Request::EpochState {
-            since: match len {
-                0 => None,
-                8 => Some(payload.get_u64_le()),
-                _ => {
-                    return Err(FrameError::Malformed(
-                        "EPOCH STATE payload must be empty or one u64",
-                    ))
-                }
-            },
-        },
-        opcode::CHECKPOINT => {
-            expect_len(payload, 0, "CHECKPOINT carries no payload")?;
-            Request::Checkpoint
-        }
-        opcode::RESTORE => {
-            if len == 0 {
-                return Err(FrameError::Malformed(
-                    "RESTORE payload must carry a checkpoint envelope",
-                ));
-            }
-            Request::Restore(payload.to_vec())
-        }
-        other => return Err(FrameError::BadOpcode(other)),
-    };
-    Ok(Some((RequestFrame::Owned(req), consumed)))
+    let verb = verb(op, response).ok_or(FrameError::BadOpcode(op))?;
+    let decoded = read(verb, &mut Payload(payload)).map_err(FrameError::Malformed)?;
+    Ok(Some((decoded, HEADER_BYTES + payload.len())))
 }
 
 /// Decode one request frame from the front of `buf` into its owned form.
@@ -699,162 +360,80 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
     Ok(decode_request_frame(buf)?.map(|(frame, consumed)| (frame.into_owned(), consumed)))
 }
 
-/// The little-endian `u64` values of `bytes` (a multiple of 8 long).
-fn le_u64s(bytes: &[u8]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    extend_u64_run(&mut out, bytes);
-    out
-}
-
-/// Decode the payload `SNAPSHOT` and `TSNAPSHOT` share: a leading u64
-/// (epoch or tenant), u64 items, u32 `k`, then `k` × u64.
-fn get_sampled(
-    mut payload: &[u8],
-    what: &'static str,
-) -> Result<(u64, usize, Vec<u64>), FrameError> {
-    if payload.len() < 20 {
-        return Err(FrameError::Malformed(what));
-    }
-    let head = payload.get_u64_le();
-    let items = payload.get_u64_le() as usize;
-    let k = payload.get_u32_le() as usize;
-    if payload.remaining() != 8 * k {
-        return Err(FrameError::Malformed(what));
-    }
-    Ok((head, items, le_u64s(payload)))
-}
-
 /// Decode one response frame from the front of `buf`. Same contract as
 /// [`decode_request`].
 pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameError> {
-    let Some((op, len)) = decode_header(buf)? else {
-        return Ok(None);
-    };
-    if buf.len() < HEADER_BYTES + len {
-        return Ok(None);
+    decode(buf, true, |verb, payload| read_response(verb, payload))
+}
+
+/// The binary wire's field reader: the unread rest of one frame's
+/// payload.
+struct Payload<'a>(&'a [u8]);
+
+impl Payload<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], &'static str> {
+        let (field, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or("payload ends inside a field")?;
+        self.0 = rest;
+        Ok(*field)
     }
-    let mut payload = &buf[HEADER_BYTES..HEADER_BYTES + len];
-    let consumed = HEADER_BYTES + len;
-    let resp = match op {
-        opcode::INGESTED => {
-            expect_len(payload, 8, "INGESTED payload must be one u64")?;
-            Response::Ingested(payload.get_u64_le() as usize)
+}
+
+impl<'a> FieldReader<'a> for Payload<'a> {
+    fn u64(&mut self) -> Result<u64, &'static str> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, &'static str> {
+        self.take().map(f64::from_le_bytes)
+    }
+
+    fn kv(&mut self, _: &str) -> Result<u64, &'static str> {
+        self.u64()
+    }
+
+    fn opt_u64(&mut self) -> Result<Option<u64>, &'static str> {
+        match self.take()? {
+            [0] => Ok(None),
+            [1] => self.u64().map(Some),
+            _ => Err("QUANTILE tag must be 0 or 1"),
         }
-        opcode::COUNT => {
-            expect_len(payload, 8, "COUNT payload must be one f64")?;
-            Response::Count(payload.get_f64_le())
+    }
+
+    fn count(&mut self, width: usize) -> Result<usize, &'static str> {
+        let n = u32::from_le_bytes(self.take()?) as usize;
+        if self.0.len() != width * n {
+            return Err("count disagrees with the payload size");
         }
-        opcode::QUANTILE => match payload.first() {
-            Some(0) => {
-                expect_len(payload, 1, "QUANTILE NONE carries only its tag")?;
-                Response::Quantile(None)
-            }
-            Some(1) => {
-                expect_len(payload, 9, "QUANTILE value payload must be tag + u64")?;
-                payload.get_u8();
-                Response::Quantile(Some(payload.get_u64_le()))
-            }
-            _ => return Err(FrameError::Malformed("QUANTILE tag must be 0 or 1")),
-        },
-        opcode::HH => {
-            if len < 4 {
-                return Err(FrameError::Malformed("HH payload missing its count"));
-            }
-            let count = payload.get_u32_le() as usize;
-            if payload.remaining() != 16 * count {
-                return Err(FrameError::Malformed(
-                    "HH count disagrees with payload size",
-                ));
-            }
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                let v = payload.get_u64_le();
-                let d = payload.get_f64_le();
-                items.push((v, d));
-            }
-            Response::Heavy(items)
+        Ok(n)
+    }
+
+    fn pair(&mut self) -> Result<(u64, f64), &'static str> {
+        Ok((self.u64()?, self.f64()?))
+    }
+
+    fn run(&mut self) -> Result<Cow<'a, [u8]>, &'static str> {
+        if !self.0.len().is_multiple_of(8) {
+            return Err("u64 run is not a multiple of 8 bytes");
         }
-        opcode::KS => {
-            expect_len(payload, 8, "KS payload must be one f64")?;
-            Response::Ks(payload.get_f64_le())
-        }
-        opcode::R_SNAPSHOT => {
-            let (epoch, items, sample) = get_sampled(payload, "SNAPSHOT")?;
-            Response::Snapshot {
-                epoch,
-                items,
-                sample,
-            }
-        }
-        opcode::R_TENANT_SNAPSHOT => {
-            let (tenant, items, sample) = get_sampled(payload, "TSNAPSHOT")?;
-            Response::TenantSnapshot {
-                tenant,
-                items,
-                sample,
-            }
-        }
-        opcode::R_STATS => {
-            expect_len(payload, 72, "STATS payload must be nine u64 words")?;
-            Response::Stats(ServiceStats {
-                items: payload.get_u64_le() as usize,
-                epoch: payload.get_u64_le(),
-                shards: payload.get_u64_le() as usize,
-                space: payload.get_u64_le() as usize,
-                snapshot_items: payload.get_u64_le() as usize,
-                shard_bytes: payload.get_u64_le() as usize,
-                arena_tenants: payload.get_u64_le() as usize,
-                arena_bytes: payload.get_u64_le() as usize,
-                arena_evictions: payload.get_u64_le(),
-            })
-        }
-        opcode::BYE => {
-            expect_len(payload, 0, "BYE carries no payload")?;
-            Response::Bye
-        }
-        opcode::ERR => {
-            let msg = std::str::from_utf8(payload)
-                .map_err(|_| FrameError::Malformed("ERR message must be UTF-8"))?;
-            Response::Err(msg.to_string())
-        }
-        opcode::R_EPOCH_STATE => {
-            if len < 24 {
-                return Err(FrameError::Malformed(
-                    "EPOCH STATE payload missing its header",
-                ));
-            }
-            Response::EpochState {
-                epoch: payload.get_u64_le(),
-                items: payload.get_u64_le(),
-                frames_acked: payload.get_u64_le(),
-                state: (!payload.is_empty()).then(|| payload.to_vec()),
-            }
-        }
-        opcode::R_CHECKPOINT => {
-            if len < 8 {
-                return Err(FrameError::Malformed(
-                    "CHECKPOINT payload missing its high-water mark",
-                ));
-            }
-            Response::Checkpoint {
-                frames_acked: payload.get_u64_le(),
-                bytes: payload.to_vec(),
-            }
-        }
-        opcode::RESTORED => {
-            expect_len(payload, 8, "RESTORED payload must be one u64")?;
-            Response::Restored {
-                frames_acked: payload.get_u64_le(),
-            }
-        }
-        other => return Err(FrameError::BadOpcode(other)),
-    };
-    Ok(Some((resp, consumed)))
+        self.bytes().map(Cow::Borrowed)
+    }
+
+    fn bytes(&mut self) -> Result<&'a [u8], &'static str> {
+        Ok(std::mem::take(&mut self.0))
+    }
+
+    fn more(&self) -> bool {
+        !self.0.is_empty()
+    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::protocol::ServiceStats;
 
     pub(crate) fn all_requests() -> Vec<Request> {
         vec![
@@ -1131,7 +710,7 @@ pub(crate) mod tests {
             FRAME_MAGIC[0],
             FRAME_MAGIC[1],
             FRAME_VERSION,
-            opcode::INGEST,
+            opcode("INGEST"),
         ];
         over.put_u32_le((MAX_FRAME_PAYLOAD + 8) as u32);
         assert!(matches!(
@@ -1172,7 +751,7 @@ pub(crate) mod tests {
     fn missized_payloads_are_malformed() {
         // KS with a stray payload byte.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::QUERY_KS, 1);
+        put_header(&mut buf, opcode("QUERY KS"), 1);
         buf.push(0);
         assert!(matches!(
             decode_request(&buf),
@@ -1180,7 +759,7 @@ pub(crate) mod tests {
         ));
         // INGEST with a ragged (non-multiple-of-8) payload.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::INGEST, 7);
+        put_header(&mut buf, opcode("INGEST"), 7);
         buf.extend_from_slice(&[0; 7]);
         assert!(matches!(
             decode_request(&buf),
@@ -1188,7 +767,7 @@ pub(crate) mod tests {
         ));
         // HH whose count disagrees with its payload size.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::HH, 4);
+        put_header(&mut buf, opcode("OK HH"), 4);
         buf.put_u32_le(3);
         assert!(matches!(
             decode_response(&buf),
@@ -1196,7 +775,7 @@ pub(crate) mod tests {
         ));
         // Out-of-range quantile rank.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::QUERY_QUANTILE, 8);
+        put_header(&mut buf, opcode("QUERY QUANTILE"), 8);
         buf.put_f64_le(1.5);
         assert!(matches!(
             decode_request(&buf),
@@ -1204,7 +783,7 @@ pub(crate) mod tests {
         ));
         // TINGEST with only a tenant key and no values.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::TENANT_INGEST, 8);
+        put_header(&mut buf, opcode("TINGEST"), 8);
         buf.put_u64_le(3);
         assert!(matches!(
             decode_request(&buf),
@@ -1212,7 +791,7 @@ pub(crate) mod tests {
         ));
         // TINGEST with a ragged value chunk.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::TENANT_INGEST, 15);
+        put_header(&mut buf, opcode("TINGEST"), 15);
         buf.extend_from_slice(&[0; 15]);
         assert!(matches!(
             decode_request(&buf),
@@ -1220,7 +799,7 @@ pub(crate) mod tests {
         ));
         // TQUERY QUANTILE with an out-of-range rank.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::TENANT_QUERY_QUANTILE, 16);
+        put_header(&mut buf, opcode("TQUERY QUANTILE"), 16);
         buf.put_u64_le(3);
         buf.put_f64_le(-0.5);
         assert!(matches!(
@@ -1229,7 +808,7 @@ pub(crate) mod tests {
         ));
         // TSNAPSHOT response whose sample length disagrees with the size.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::R_TENANT_SNAPSHOT, 20);
+        put_header(&mut buf, opcode("OK TSNAPSHOT"), 20);
         buf.put_u64_le(1);
         buf.put_u64_le(5);
         buf.put_u32_le(2);
@@ -1272,7 +851,7 @@ pub(crate) mod tests {
         // EPOCH STATE requests whose payload is neither empty nor one u64.
         for len in [1, 7, 9, 16] {
             let mut buf = Vec::new();
-            put_header(&mut buf, opcode::EPOCH_STATE, len);
+            put_header(&mut buf, opcode("EPOCH STATE"), len);
             buf.resize(HEADER_BYTES + len, 0);
             assert!(
                 matches!(decode_request_frame(&buf), Err(FrameError::Malformed(_))),
@@ -1281,14 +860,14 @@ pub(crate) mod tests {
         }
         // RESTORE with an empty envelope.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::RESTORE, 0);
+        put_header(&mut buf, opcode("RESTORE"), 0);
         assert!(matches!(
             decode_request_frame(&buf),
             Err(FrameError::Malformed(_))
         ));
         // EPOCH STATE response shorter than its fixed header.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::R_EPOCH_STATE, 16);
+        put_header(&mut buf, opcode("OK EPOCH STATE"), 16);
         buf.extend_from_slice(&[0; 16]);
         assert!(matches!(
             decode_response(&buf),
@@ -1296,7 +875,7 @@ pub(crate) mod tests {
         ));
         // CHECKPOINT response missing its high-water mark.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::R_CHECKPOINT, 4);
+        put_header(&mut buf, opcode("OK CHECKPOINT"), 4);
         buf.extend_from_slice(&[0; 4]);
         assert!(matches!(
             decode_response(&buf),
@@ -1304,7 +883,7 @@ pub(crate) mod tests {
         ));
         // RESTORED with a missized payload.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode::RESTORED, 9);
+        put_header(&mut buf, opcode("OK RESTORED"), 9);
         buf.extend_from_slice(&[0; 9]);
         assert!(matches!(
             decode_response(&buf),

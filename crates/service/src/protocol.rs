@@ -1,46 +1,79 @@
 //! The request vocabulary — [`Request`] and [`Response`], the one set of
-//! enums both wire formats carry — and its text line form, the
-//! dependency-free debug front-end the service speaks over TCP beside
-//! the binary frames of [`crate::frame`].
+//! enums both wire formats carry — and its one codec: an opcode table,
+//! one encoder and one decoder per enum, and a field writer and reader
+//! with two implementations, the binary frame payload of
+//! [`crate::frame`] and the text line of this module.
 //!
-//! One request per line, one response line per request, ASCII throughout
-//! (`u64` values in decimal, `f64` in Rust's shortest-round-trip decimal
-//! form, so floats survive the wire exactly). The grammar:
+//! Every variant has one row in the table: its binary opcode, its text
+//! verb and its fields, in one order. The encoders ([`Request::put`],
+//! [`Response::put`]) write those fields through a [`FieldWriter`], the
+//! decoders ([`read_request`], [`read_response`]) read them back through
+//! a [`FieldReader`] and make the checks once for both wires: a rank or
+//! threshold in `[0, 1]`, an ingest of `1..=`[`MAX_INGEST_FRAME`] values,
+//! and no field left over. On the text wire a field is one token:
+//! decimal `u64`s, `f64`s in Rust's shortest-round-trip form (so floats
+//! survive exactly), `key=value` for the `STATS` counters and
+//! `item:density` for `HH` pairs. The binary wire is little-endian
+//! throughout and floats travel as their bits.
 //!
 //! ```text
-//! INGEST <v> <v> ...          -> OK INGESTED <total items>
-//! QUERY COUNT <x>             -> OK COUNT <estimate>
-//! QUERY QUANTILE <q>          -> OK QUANTILE <value> | OK QUANTILE NONE
-//! QUERY HH <threshold>        -> OK HH <item>:<density> ...
-//! QUERY KS                    -> OK KS <distance>
-//! SNAPSHOT                    -> OK SNAPSHOT <epoch> <items> <v> ...
-//! TINGEST <t> <v> <v> ...     -> OK INGESTED <tenant items>
-//! TQUERY COUNT <t> <x>        -> OK COUNT <estimate>
-//! TQUERY QUANTILE <t> <q>     -> OK QUANTILE <value> | OK QUANTILE NONE
-//! TSNAPSHOT <t>               -> OK TSNAPSHOT <t> <items> <v> ...
-//! STATS                       -> OK STATS items=<n> epoch=<e> shards=<k>
-//!                                         space=<s> snapshot_items=<m>
-//!                                         shard_bytes=<b> arena_tenants=<t>
-//!                                         arena_bytes=<b> arena_evictions=<e>
-//! QUIT                        -> OK BYE
-//! anything else               -> ERR <reason>
+//! opcode  request                      binary payload
+//! 0x01    INGEST <v> <v> ...           count × u64 (count = len / 8)
+//! 0x02    QUERY COUNT <x>              u64 item
+//! 0x03    QUERY QUANTILE <q>           f64 rank
+//! 0x04    QUERY HH <threshold>         f64 threshold
+//! 0x05    QUERY KS                     (empty)
+//! 0x06    SNAPSHOT                     (empty)
+//! 0x07    STATS                        (empty)
+//! 0x08    QUIT                         (empty)
+//! 0x09    EPOCH STATE          [admin] (empty) or u64 since epoch
+//! 0x0A    CHECKPOINT           [admin] (empty)
+//! 0x0B    RESTORE              [admin] checkpoint envelope bytes
+//! 0x0C    TINGEST <t> <v> ...          u64 tenant, then count × u64
+//! 0x0D    TQUERY COUNT <t> <x>         u64 tenant, u64 item
+//! 0x0E    TQUERY QUANTILE <t> <q>      u64 tenant, f64 rank
+//! 0x0F    TSNAPSHOT <t>                u64 tenant
+//!
+//! opcode  response                     binary payload
+//! 0x81    OK INGESTED <n>              u64 total items
+//! 0x82    OK COUNT <estimate>          f64 estimate
+//! 0x83    OK QUANTILE <v> | NONE       u8 tag (0 = NONE) [+ u64 value]
+//! 0x84    OK HH <item>:<density> ...   u32 count, then count × (u64, f64)
+//! 0x85    OK KS <distance>             f64 distance
+//! 0x86    OK SNAPSHOT <e> <n> <v> ...  u64 epoch, u64 items, u32 k, k × u64
+//! 0x87    OK STATS items=<n> epoch=<e> shards=<k> space=<s>
+//!         snapshot_items=<m> shard_bytes=<b> arena_tenants=<t>
+//!         arena_bytes=<b> arena_evictions=<e>
+//!                                      9 × u64, in that order
+//! 0x88    OK BYE                       (empty)
+//! 0x89    OK EPOCH STATE       [admin] u64 epoch, u64 items, u64 frames
+//!                                      acked, then the summary's codec
+//!                                      bytes (none when the epoch
+//!                                      equals `since`)
+//! 0x8A    OK CHECKPOINT        [admin] u64 frames acked, envelope bytes
+//! 0x8B    OK RESTORED          [admin] u64 frames acked
+//! 0x8C    OK TSNAPSHOT <t> <n> <v> ... u64 tenant, u64 items, u32 k, k × u64
+//! 0xC0    ERR <reason>                 UTF-8 message bytes
 //! ```
 //!
-//! The `T*` commands address one tenant of the server's
+//! A text request is one line, answered by one line; `TINGEST` answers
+//! `OK INGESTED` with the tenant's item count, `TQUERY` answers
+//! `OK COUNT`/`OK QUANTILE`, and anything the grammar rejects answers
+//! `ERR <reason>`. The `T*` commands address one tenant of the server's
 //! [`TenantArena`](crate::tenant::TenantArena); on a server spawned
 //! without an arena they answer `ERR`.
 //!
-//! The cluster admin variants — [`Request::EpochState`],
+//! The `[admin]` variants — [`Request::EpochState`],
 //! [`Request::Checkpoint`], [`Request::Restore`] and their replies — are
-//! **binary-only**: the grammar above has no line for them,
-//! [`Request::parse`] rejects their verbs, and the client refuses to send
-//! them on a text connection ([`Request::is_admin`]).
-//!
-//! [`Request`] and [`Response`] each encode to and parse from a line, and
-//! both directions are round-trip tested — the server and the blocking
-//! client share this one grammar definition.
+//! the cluster control plane and **binary-only**: on the text wire a
+//! request writes its bare verb, which [`Request::parse`] rejects, a
+//! reply writes an `ERR` line, and the client refuses to send them on a
+//! text connection ([`Request::is_admin`]).
 
-use std::fmt::Write as _;
+use crate::frame::{self, RequestFrame};
+use robust_sampling_core::engine::snapshot::extend_u64_run;
+use std::borrow::Cow;
+use std::io::Write as _;
 
 /// Which wire format a request arrived in or a connection speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +84,39 @@ pub(crate) enum Wire {
     Binary,
 }
 
-/// Cap on values per `INGEST` line (keeps a hostile line from ballooning
-/// server memory; the client chunks longer batches).
+impl Wire {
+    /// Append one message to `out` in this wire's form, `put` writing
+    /// it: a binary frame, or a text line and its newline.
+    pub(crate) fn put(self, out: &mut Vec<u8>, put: impl FnOnce(&mut dyn FieldWriter)) {
+        match self {
+            Wire::Binary => frame::put_frame(out, put),
+            Wire::Text => {
+                put(&mut Line(out));
+                out.push(b'\n');
+            }
+        }
+    }
+
+    /// Decode the reply at the front of `buf`: `Ok(Some((reply,
+    /// consumed)))` once it is complete (a text reply ends at its
+    /// newline), `Ok(None)` while it is not.
+    pub(crate) fn take_response(self, buf: &[u8]) -> Result<Option<(Response, usize)>, String> {
+        if self == Wire::Binary {
+            return frame::decode_response(buf).map_err(|e| format!("frame error: {e}"));
+        }
+        let Some(end) = buf.iter().position(|&b| b == b'\n') else {
+            return Ok(None);
+        };
+        let line = std::str::from_utf8(&buf[..end]).map_err(|_| "reply line is not UTF-8")?;
+        let resp = Response::parse(line.trim_end_matches('\r'));
+        resp.map(|r| Some((r, end + 1)))
+            .map_err(|msg| format!("protocol error: {msg}"))
+    }
+}
+
+/// Cap on values per `INGEST`/`TINGEST` request on either wire (keeps a
+/// hostile request from ballooning server memory; the client chunks
+/// longer batches).
 pub const MAX_INGEST_FRAME: usize = 65_536;
 
 /// A client→server request.
@@ -213,24 +277,168 @@ pub enum Response {
     },
 }
 
-fn parse_u64(tok: &str, what: &'static str) -> Result<u64, String> {
-    tok.parse::<u64>()
-        .map_err(|_| format!("bad {what}: {tok:?}"))
+/// The opcode table: every variant's binary opcode and text verb.
+/// Requests take `0x01`–`0x0F`, responses `0x81`–`0x8C` and `ERR`
+/// `0xC0`; the admin rows (`0x09`–`0x0B`, `0x89`–`0x8B`) name variants
+/// the text wire does not carry.
+const OPCODES: [(u8, &str); 28] = [
+    (0x01, "INGEST"),
+    (0x02, "QUERY COUNT"),
+    (0x03, "QUERY QUANTILE"),
+    (0x04, "QUERY HH"),
+    (0x05, "QUERY KS"),
+    (0x06, "SNAPSHOT"),
+    (0x07, "STATS"),
+    (0x08, "QUIT"),
+    (0x09, "EPOCH STATE"),
+    (0x0A, "CHECKPOINT"),
+    (0x0B, "RESTORE"),
+    (0x0C, "TINGEST"),
+    (0x0D, "TQUERY COUNT"),
+    (0x0E, "TQUERY QUANTILE"),
+    (0x0F, "TSNAPSHOT"),
+    (0x81, "OK INGESTED"),
+    (0x82, "OK COUNT"),
+    (0x83, "OK QUANTILE"),
+    (0x84, "OK HH"),
+    (0x85, "OK KS"),
+    (0x86, "OK SNAPSHOT"),
+    (0x87, "OK STATS"),
+    (0x88, "OK BYE"),
+    (0x89, "OK EPOCH STATE"),
+    (0x8A, "OK CHECKPOINT"),
+    (0x8B, "OK RESTORED"),
+    (0x8C, "OK TSNAPSHOT"),
+    (0xC0, "ERR"),
+];
+
+/// The opcode of `verb`.
+pub(crate) fn opcode(verb: &str) -> u8 {
+    OPCODES
+        .iter()
+        .find(|&&(_, v)| v == verb)
+        .expect("every verb is in the opcode table")
+        .0
 }
 
-fn parse_f64(tok: &str, what: &'static str) -> Result<f64, String> {
-    match tok.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        _ => Err(format!("bad {what}: {tok:?}")),
+/// The verb of request (or, with `response`, response) opcode `op`.
+pub(crate) fn verb(op: u8, response: bool) -> Option<&'static str> {
+    OPCODES
+        .iter()
+        .find(|&&(o, _)| o == op && (o >= 0x80) == response)
+        .map(|&(_, v)| v)
+}
+
+/// Whether `op` is a binary-only cluster admin opcode.
+fn binary_only(op: u8) -> bool {
+    matches!(op & 0x7F, 0x09..=0x0B)
+}
+
+/// One field of a message, as an encoder hands it to a [`FieldWriter`].
+pub(crate) enum Field<'x> {
+    /// One `u64`.
+    U64(u64),
+    /// One `f64`, exact on both wires.
+    F64(f64),
+    /// One named `u64` (`key=v` on the text wire).
+    Kv(&'x str, u64),
+    /// One optional `u64` (a tag byte, or `NONE` on the text wire).
+    Opt(Option<u64>),
+    /// The length of the run that follows (implied on the text wire).
+    Count(usize),
+    /// `(item, density)` pairs (`item:density` tokens on the text wire).
+    Pairs(&'x [(u64, f64)]),
+    /// The message's closing run of `u64` values.
+    Run(&'x [u64]),
+    /// The message's closing bytes (admin messages only).
+    Bytes(&'x [u8]),
+    /// The message's closing error text.
+    Msg(&'x str),
+}
+
+/// Where an encoder writes a message: a binary frame (see
+/// [`crate::frame`]) or a text line.
+pub(crate) trait FieldWriter {
+    /// Write the message `verb` names — its frame header or its text
+    /// verb — and then its `fields`.
+    fn write(&mut self, verb: &'static str, fields: &[Field<'_>]);
+}
+
+/// Where a decoder reads a message's fields back from, one method per
+/// kind of [`Field`]. An error names the malformed field.
+pub(crate) trait FieldReader<'a> {
+    /// One `u64`.
+    fn u64(&mut self) -> Result<u64, &'static str>;
+    /// One `f64` (finite on the text wire).
+    fn f64(&mut self) -> Result<f64, &'static str>;
+    /// One `u64` named `key`.
+    fn kv(&mut self, key: &str) -> Result<u64, &'static str>;
+    /// One optional `u64`.
+    fn opt_u64(&mut self) -> Result<Option<u64>, &'static str>;
+    /// The length of the run that follows, whose elements take `width`
+    /// bytes each on the binary wire.
+    fn count(&mut self, width: usize) -> Result<usize, &'static str>;
+    /// One `(item, density)` pair.
+    fn pair(&mut self) -> Result<(u64, f64), &'static str>;
+    /// The message's closing run of `u64` values as little-endian words:
+    /// still borrowed from a binary frame, parsed from a text line.
+    fn run(&mut self) -> Result<Cow<'a, [u8]>, &'static str>;
+    /// The message's closing bytes (the rest of a text line).
+    fn bytes(&mut self) -> Result<&'a [u8], &'static str>;
+    /// Whether any field is left.
+    fn more(&self) -> bool;
+
+    /// The message's closing error text.
+    fn msg(&mut self) -> Result<&'a str, &'static str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| "ERR message must be UTF-8")
     }
 }
 
-fn parse_unit(tok: &str, what: &'static str) -> Result<f64, String> {
-    let v = parse_f64(tok, what)?;
-    if !(0.0..=1.0).contains(&v) {
-        return Err(format!("{what} must be in [0,1], got {tok}"));
+/// The values of a run of little-endian `u64` words.
+pub(crate) fn le_u64s(words: &[u8]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(words.len() / 8);
+    extend_u64_run(&mut out, words);
+    out
+}
+
+/// Write an `INGEST` of `vs`, or with a tenant a `TINGEST` — the one
+/// encoding of both, which the client also writes straight from a
+/// borrowed slice.
+pub(crate) fn put_ingest(w: &mut dyn FieldWriter, tenant: Option<u64>, vs: &[u64]) {
+    match tenant {
+        None => w.write("INGEST", &[Field::Run(vs)]),
+        Some(t) => w.write("TINGEST", &[Field::U64(t), Field::Run(vs)]),
     }
-    Ok(v)
+}
+
+/// Write the fields `OK SNAPSHOT` and `OK TSNAPSHOT` share: `head`
+/// (epoch or tenant), items, then the sample — which the server also
+/// writes straight from a snapshot's borrowed sample.
+pub(crate) fn put_sample(
+    w: &mut dyn FieldWriter,
+    verb: &'static str,
+    head: u64,
+    items: usize,
+    sample: &[u64],
+) {
+    use Field::*;
+    w.write(
+        verb,
+        &[
+            U64(head),
+            U64(items as u64),
+            Count(sample.len()),
+            Run(sample),
+        ],
+    );
+}
+
+/// One message as a text line, without its newline.
+fn text_line(put: impl FnOnce(&mut dyn FieldWriter)) -> String {
+    let mut out = Vec::new();
+    Wire::Text.put(&mut out, put);
+    out.pop();
+    String::from_utf8(out).expect("protocol lines are UTF-8")
 }
 
 impl Request {
@@ -243,406 +451,383 @@ impl Request {
         )
     }
 
-    /// Parse one request line (without its trailing newline).
-    pub fn parse(line: &str) -> Result<Self, String> {
-        let mut toks = line.split_ascii_whitespace();
-        match toks.next() {
-            Some("INGEST") => {
-                let vs: Vec<u64> = toks
-                    .map(|t| parse_u64(t, "INGEST value"))
-                    .collect::<Result<_, _>>()?;
-                if vs.is_empty() {
-                    return Err("INGEST needs at least one value".into());
-                }
-                if vs.len() > MAX_INGEST_FRAME {
-                    return Err(format!("INGEST frame exceeds {MAX_INGEST_FRAME} values"));
-                }
-                Ok(Request::Ingest(vs))
-            }
-            Some("QUERY") => match toks.next() {
-                Some("COUNT") => match (toks.next(), toks.next()) {
-                    (Some(x), None) => Ok(Request::QueryCount(parse_u64(x, "COUNT item")?)),
-                    _ => Err("usage: QUERY COUNT <item>".into()),
-                },
-                Some("QUANTILE") => match (toks.next(), toks.next()) {
-                    (Some(q), None) => Ok(Request::QueryQuantile(parse_unit(q, "QUANTILE rank")?)),
-                    _ => Err("usage: QUERY QUANTILE <q>".into()),
-                },
-                Some("HH") => match (toks.next(), toks.next()) {
-                    (Some(t), None) => Ok(Request::QueryHeavy(parse_unit(t, "HH threshold")?)),
-                    _ => Err("usage: QUERY HH <threshold>".into()),
-                },
-                Some("KS") => match toks.next() {
-                    None => Ok(Request::QueryKs),
-                    Some(_) => Err("usage: QUERY KS".into()),
-                },
-                other => Err(format!(
-                    "unknown query {other:?}; expected COUNT|QUANTILE|HH|KS"
-                )),
-            },
-            Some("SNAPSHOT") => match toks.next() {
-                None => Ok(Request::Snapshot),
-                Some(_) => Err("usage: SNAPSHOT".into()),
-            },
-            Some("TINGEST") => {
-                let tenant = parse_u64(
-                    toks.next().ok_or("TINGEST needs a tenant key")?,
-                    "TINGEST tenant",
-                )?;
-                let values: Vec<u64> = toks
-                    .map(|t| parse_u64(t, "TINGEST value"))
-                    .collect::<Result<_, _>>()?;
-                if values.is_empty() {
-                    return Err("TINGEST needs at least one value".into());
-                }
-                if values.len() > MAX_INGEST_FRAME {
-                    return Err(format!("TINGEST frame exceeds {MAX_INGEST_FRAME} values"));
-                }
-                Ok(Request::TenantIngest { tenant, values })
-            }
-            Some("TQUERY") => match toks.next() {
-                Some("COUNT") => match (toks.next(), toks.next(), toks.next()) {
-                    (Some(t), Some(x), None) => Ok(Request::TenantQueryCount {
-                        tenant: parse_u64(t, "TQUERY tenant")?,
-                        x: parse_u64(x, "COUNT item")?,
-                    }),
-                    _ => Err("usage: TQUERY COUNT <tenant> <item>".into()),
-                },
-                Some("QUANTILE") => match (toks.next(), toks.next(), toks.next()) {
-                    (Some(t), Some(q), None) => Ok(Request::TenantQueryQuantile {
-                        tenant: parse_u64(t, "TQUERY tenant")?,
-                        q: parse_unit(q, "QUANTILE rank")?,
-                    }),
-                    _ => Err("usage: TQUERY QUANTILE <tenant> <q>".into()),
-                },
-                other => Err(format!(
-                    "unknown tenant query {other:?}; expected COUNT|QUANTILE"
-                )),
-            },
-            Some("TSNAPSHOT") => match (toks.next(), toks.next()) {
-                (Some(t), None) => Ok(Request::TenantSnapshot {
-                    tenant: parse_u64(t, "TSNAPSHOT tenant")?,
-                }),
-                _ => Err("usage: TSNAPSHOT <tenant>".into()),
-            },
-            Some("STATS") => match toks.next() {
-                None => Ok(Request::Stats),
-                Some(_) => Err("usage: STATS".into()),
-            },
-            Some("QUIT") => match toks.next() {
-                None => Ok(Request::Quit),
-                Some(_) => Err("usage: QUIT".into()),
-            },
-            Some(other) => Err(format!("unknown command {other:?}")),
-            None => Err("empty request".into()),
-        }
-    }
-
-    /// Encode as one line (without trailing newline).
-    pub fn encode(&self) -> String {
-        let mut out = Vec::new();
-        self.write_line(&mut out);
-        String::from_utf8(out).expect("protocol lines are UTF-8")
-    }
-
-    /// Append the encoded line (without trailing newline) directly to a
-    /// byte buffer — the client's reusable-scratch send path; same
-    /// grammar as [`encode`](Self::encode) (which delegates here). An
-    /// admin request has no line: it writes its bare verb, which
-    /// [`parse`](Self::parse) rejects.
-    pub fn write_line(&self, out: &mut Vec<u8>) {
-        if let Request::Ingest(vs) = self {
-            return write_ingest_line(vs, out);
-        }
-        if let Request::TenantIngest { tenant, values } = self {
-            return write_tenant_ingest_line(*tenant, values, out);
-        }
-        let mut w = ByteLine(out);
+    /// The one request encoder: write this request through `w`.
+    pub(crate) fn put(&self, w: &mut dyn FieldWriter) {
+        use Field::*;
         match self {
-            Request::Ingest(_) | Request::TenantIngest { .. } => unreachable!("handled above"),
-            Request::QueryCount(x) => {
-                let _ = write!(w, "QUERY COUNT {x}");
-            }
-            Request::QueryQuantile(q) => {
-                let _ = write!(w, "QUERY QUANTILE {q}");
-            }
-            Request::QueryHeavy(t) => {
-                let _ = write!(w, "QUERY HH {t}");
-            }
-            Request::QueryKs => {
-                let _ = w.write_str("QUERY KS");
-            }
-            Request::Snapshot => {
-                let _ = w.write_str("SNAPSHOT");
-            }
+            Request::Ingest(vs) => put_ingest(w, None, vs),
+            Request::TenantIngest { tenant, values } => put_ingest(w, Some(*tenant), values),
+            Request::QueryCount(x) => w.write("QUERY COUNT", &[U64(*x)]),
+            Request::QueryQuantile(q) => w.write("QUERY QUANTILE", &[F64(*q)]),
+            Request::QueryHeavy(t) => w.write("QUERY HH", &[F64(*t)]),
+            Request::QueryKs => w.write("QUERY KS", &[]),
+            Request::Snapshot => w.write("SNAPSHOT", &[]),
             Request::TenantQueryCount { tenant, x } => {
-                let _ = write!(w, "TQUERY COUNT {tenant} {x}");
+                w.write("TQUERY COUNT", &[U64(*tenant), U64(*x)])
             }
             Request::TenantQueryQuantile { tenant, q } => {
-                let _ = write!(w, "TQUERY QUANTILE {tenant} {q}");
+                w.write("TQUERY QUANTILE", &[U64(*tenant), F64(*q)])
             }
-            Request::TenantSnapshot { tenant } => {
-                let _ = write!(w, "TSNAPSHOT {tenant}");
-            }
-            Request::Stats => {
-                let _ = w.write_str("STATS");
-            }
-            Request::Quit => {
-                let _ = w.write_str("QUIT");
-            }
-            Request::EpochState { .. } => {
-                let _ = w.write_str("EPOCH STATE");
-            }
-            Request::Checkpoint => {
-                let _ = w.write_str("CHECKPOINT");
-            }
-            Request::Restore(_) => {
-                let _ = w.write_str("RESTORE");
-            }
+            Request::TenantSnapshot { tenant } => w.write("TSNAPSHOT", &[U64(*tenant)]),
+            Request::Stats => w.write("STATS", &[]),
+            Request::Quit => w.write("QUIT", &[]),
+            Request::EpochState { since } => w.write("EPOCH STATE", since.map(U64).as_slice()),
+            Request::Checkpoint => w.write("CHECKPOINT", &[]),
+            Request::Restore(bytes) => w.write("RESTORE", &[Bytes(bytes)]),
         }
     }
-}
 
-/// Append the `INGEST …` line for a **borrowed** value slice directly to
-/// `out` (no trailing newline) — the client's text ingest path encodes
-/// straight from the caller's slice through this, never building an
-/// owned `Request::Ingest`.
-pub fn write_ingest_line(vs: &[u64], out: &mut Vec<u8>) {
-    let mut w = ByteLine(out);
-    let _ = w.write_str("INGEST");
-    for v in vs {
-        let _ = write!(w, " {v}");
+    /// Encode as one text line (without its newline). An admin request
+    /// writes its bare verb, which [`parse`](Self::parse) rejects.
+    pub fn encode(&self) -> String {
+        text_line(|w| self.put(w))
     }
-}
 
-/// Append the `TINGEST …` line for a **borrowed** value slice directly
-/// to `out` (no trailing newline) — the tenant analogue of
-/// [`write_ingest_line`].
-pub fn write_tenant_ingest_line(tenant: u64, vs: &[u64], out: &mut Vec<u8>) {
-    let mut w = ByteLine(out);
-    let _ = write!(w, "TINGEST {tenant}");
-    for v in vs {
-        let _ = write!(w, " {v}");
-    }
-}
-
-/// `fmt::Write` adapter appending UTF-8 straight into a byte buffer —
-/// lets the borrowed line writers reuse the `write!` grammar without an
-/// intermediate `String`.
-struct ByteLine<'a>(&'a mut Vec<u8>);
-
-impl std::fmt::Write for ByteLine<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Append the `OK SNAPSHOT …` line for a **borrowed** sample slice
-/// directly to `out` (no trailing newline) — the server's text path
-/// serializes `EpochSnapshot::visible_ref` through this without
-/// materializing an owned sample or an intermediate `String`.
-pub fn write_snapshot_line(epoch: u64, items: usize, sample: &[u64], out: &mut Vec<u8>) {
-    let mut w = ByteLine(out);
-    let _ = write!(w, "OK SNAPSHOT {epoch} {items}");
-    for v in sample {
-        let _ = write!(w, " {v}");
-    }
-}
-
-fn parse_kv(tok: Option<&str>, key: &'static str) -> Result<u64, String> {
-    let tok = tok.ok_or_else(|| format!("STATS missing {key}"))?;
-    match tok.strip_prefix(key).and_then(|r| r.strip_prefix('=')) {
-        Some(v) => parse_u64(v, key),
-        None => Err(format!("expected {key}=<n>, got {tok:?}")),
+    /// Parse one text request line (without its newline).
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let mut tokens = Tokens(line);
+        let verb = tokens.verb(false)?;
+        Ok(read_request(verb, &mut tokens)?.into_owned())
     }
 }
 
 impl Response {
-    /// Encode as one line (without trailing newline).
-    pub fn encode(&self) -> String {
-        let mut out = Vec::new();
-        self.write_into(&mut out);
-        String::from_utf8(out).expect("protocol lines are UTF-8")
-    }
-
-    /// Append the encoded line (without trailing newline) directly to a
-    /// byte buffer — the path the server uses to serialize responses
-    /// straight into a connection's out-buffer, with no intermediate
-    /// `String`. The grammar is identical to [`encode`](Self::encode)
-    /// (which delegates here). An admin reply has no line and writes an
-    /// `ERR` instead.
-    pub fn write_into(&self, out: &mut Vec<u8>) {
-        if let Response::Snapshot {
-            epoch,
-            items,
-            sample,
-        } = self
-        {
-            return write_snapshot_line(*epoch, *items, sample, out);
-        }
-        let mut w = ByteLine(out);
+    /// The one response encoder: write this response through `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `EpochState` carries `Some` empty state, which would
+    /// decode as `None` (no summary codec writes zero bytes).
+    pub(crate) fn put(&self, w: &mut dyn FieldWriter) {
+        use Field::*;
         match self {
-            Response::Ingested(n) => {
-                let _ = write!(w, "OK INGESTED {n}");
-            }
-            Response::Count(c) => {
-                let _ = write!(w, "OK COUNT {c}");
-            }
-            Response::Quantile(None) => {
-                let _ = w.write_str("OK QUANTILE NONE");
-            }
-            Response::Quantile(Some(v)) => {
-                let _ = write!(w, "OK QUANTILE {v}");
-            }
-            Response::Heavy(items) => {
-                let _ = w.write_str("OK HH");
-                for (v, d) in items {
-                    let _ = write!(w, " {v}:{d}");
-                }
-            }
-            Response::Ks(d) => {
-                let _ = write!(w, "OK KS {d}");
-            }
-            Response::Snapshot { .. } => unreachable!("handled above"),
+            Response::Ingested(n) => w.write("OK INGESTED", &[U64(*n as u64)]),
+            Response::Count(c) => w.write("OK COUNT", &[F64(*c)]),
+            Response::Quantile(v) => w.write("OK QUANTILE", &[Opt(*v)]),
+            Response::Heavy(items) => w.write("OK HH", &[Count(items.len()), Pairs(items)]),
+            Response::Ks(d) => w.write("OK KS", &[F64(*d)]),
+            Response::Snapshot {
+                epoch,
+                items,
+                sample,
+            } => put_sample(w, "OK SNAPSHOT", *epoch, *items, sample),
             Response::TenantSnapshot {
                 tenant,
                 items,
                 sample,
+            } => put_sample(w, "OK TSNAPSHOT", *tenant, *items, sample),
+            Response::Stats(st) => w.write(
+                "OK STATS",
+                &[
+                    Kv("items", st.items as u64),
+                    Kv("epoch", st.epoch),
+                    Kv("shards", st.shards as u64),
+                    Kv("space", st.space as u64),
+                    Kv("snapshot_items", st.snapshot_items as u64),
+                    Kv("shard_bytes", st.shard_bytes as u64),
+                    Kv("arena_tenants", st.arena_tenants as u64),
+                    Kv("arena_bytes", st.arena_bytes as u64),
+                    Kv("arena_evictions", st.arena_evictions),
+                ],
+            ),
+            Response::Bye => w.write("OK BYE", &[]),
+            Response::Err(msg) => w.write("ERR", &[Msg(msg)]),
+            Response::EpochState {
+                epoch,
+                items,
+                frames_acked,
+                state,
             } => {
-                let _ = write!(w, "OK TSNAPSHOT {tenant} {items}");
-                for v in sample {
-                    let _ = write!(w, " {v}");
-                }
-            }
-            Response::Stats(st) => {
-                let _ = write!(
-                    w,
-                    "OK STATS items={} epoch={} shards={} space={} snapshot_items={} \
-                     shard_bytes={} arena_tenants={} arena_bytes={} arena_evictions={}",
-                    st.items,
-                    st.epoch,
-                    st.shards,
-                    st.space,
-                    st.snapshot_items,
-                    st.shard_bytes,
-                    st.arena_tenants,
-                    st.arena_bytes,
-                    st.arena_evictions
+                assert!(
+                    state.as_ref().is_none_or(|s| !s.is_empty()),
+                    "an EPOCH STATE summary state is never empty"
                 );
+                let state = Bytes(state.as_deref().unwrap_or_default());
+                w.write(
+                    "OK EPOCH STATE",
+                    &[U64(*epoch), U64(*items), U64(*frames_acked), state],
+                )
             }
-            Response::Bye => {
-                let _ = w.write_str("OK BYE");
-            }
-            Response::Err(msg) => {
-                let _ = write!(w, "ERR {}", msg.replace(['\r', '\n'], " "));
-            }
-            Response::EpochState { .. }
-            | Response::Checkpoint { .. }
-            | Response::Restored { .. } => {
-                let _ = w.write_str("ERR admin replies have no text form");
-            }
+            Response::Checkpoint {
+                frames_acked,
+                bytes,
+            } => w.write("OK CHECKPOINT", &[U64(*frames_acked), Bytes(bytes)]),
+            Response::Restored { frames_acked } => w.write("OK RESTORED", &[U64(*frames_acked)]),
         }
     }
 
-    /// Parse one response line (without its trailing newline).
+    /// Encode as one text line (without its newline). An admin reply
+    /// writes an `ERR` line.
+    pub fn encode(&self) -> String {
+        text_line(|w| self.put(w))
+    }
+
+    /// Parse one text reply line (without its newline).
     pub fn parse(line: &str) -> Result<Self, String> {
-        if let Some(msg) = line.strip_prefix("ERR ") {
-            return Ok(Response::Err(msg.to_string()));
-        }
-        let mut toks = line.split_ascii_whitespace();
-        if toks.next() != Some("OK") {
-            return Err(format!("malformed response {line:?}"));
-        }
-        match toks.next() {
-            Some("INGESTED") => match (toks.next(), toks.next()) {
-                (Some(n), None) => Ok(Response::Ingested(parse_u64(n, "INGESTED count")? as usize)),
-                _ => Err("malformed INGESTED response".into()),
-            },
-            Some("COUNT") => match (toks.next(), toks.next()) {
-                (Some(c), None) => Ok(Response::Count(parse_f64(c, "COUNT estimate")?)),
-                _ => Err("malformed COUNT response".into()),
-            },
-            Some("QUANTILE") => match (toks.next(), toks.next()) {
-                (Some("NONE"), None) => Ok(Response::Quantile(None)),
-                (Some(v), None) => Ok(Response::Quantile(Some(parse_u64(v, "QUANTILE value")?))),
-                _ => Err("malformed QUANTILE response".into()),
-            },
-            Some("HH") => {
-                let mut items = Vec::new();
-                for tok in toks {
-                    let (v, d) = tok
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad HH pair {tok:?}"))?;
-                    items.push((parse_u64(v, "HH item")?, parse_f64(d, "HH density")?));
+        let mut tokens = Tokens(line);
+        let verb = tokens.verb(true)?;
+        Ok(read_response(verb, &mut tokens)?)
+    }
+}
+
+/// `v` if it is a rank or threshold in `[0, 1]`.
+fn unit(v: f64) -> Result<f64, &'static str> {
+    let in_range = (0.0..=1.0).contains(&v);
+    in_range
+        .then_some(v)
+        .ok_or("rank or threshold must be in [0,1]")
+}
+
+/// The one request decoder: read the fields of the request `verb` names
+/// from `r` and check them. An `INGEST`/`TINGEST` read from a binary
+/// payload stays borrowed (see [`RequestFrame`]).
+pub(crate) fn read_request<'a>(
+    verb: &str,
+    r: &mut dyn FieldReader<'a>,
+) -> Result<RequestFrame<'a>, &'static str> {
+    let req = match verb {
+        "INGEST" | "TINGEST" => {
+            let tenant = (verb == "TINGEST").then(|| r.u64()).transpose()?;
+            let run = r.run()?;
+            if !(1..=MAX_INGEST_FRAME).contains(&(run.len() / 8)) {
+                return Err("ingest value count outside 1..=MAX_INGEST_FRAME");
+            }
+            return Ok(match (tenant, run) {
+                (None, Cow::Borrowed(payload)) => RequestFrame::IngestLe(payload),
+                (Some(tenant), Cow::Borrowed(payload)) => {
+                    RequestFrame::TenantIngestLe { tenant, payload }
                 }
-                Ok(Response::Heavy(items))
-            }
-            Some("KS") => match (toks.next(), toks.next()) {
-                (Some(d), None) => Ok(Response::Ks(parse_f64(d, "KS distance")?)),
-                _ => Err("malformed KS response".into()),
-            },
-            Some("SNAPSHOT") => {
-                let epoch = parse_u64(
-                    toks.next().ok_or("SNAPSHOT missing epoch")?,
-                    "SNAPSHOT epoch",
-                )?;
-                let items = parse_u64(
-                    toks.next().ok_or("SNAPSHOT missing items")?,
-                    "SNAPSHOT items",
-                )? as usize;
-                let sample: Vec<u64> = toks
-                    .map(|t| parse_u64(t, "SNAPSHOT value"))
-                    .collect::<Result<_, _>>()?;
-                Ok(Response::Snapshot {
-                    epoch,
-                    items,
-                    sample,
-                })
-            }
-            Some("TSNAPSHOT") => {
-                let tenant = parse_u64(
-                    toks.next().ok_or("TSNAPSHOT missing tenant")?,
-                    "TSNAPSHOT tenant",
-                )?;
-                let items = parse_u64(
-                    toks.next().ok_or("TSNAPSHOT missing items")?,
-                    "TSNAPSHOT items",
-                )? as usize;
-                let sample: Vec<u64> = toks
-                    .map(|t| parse_u64(t, "TSNAPSHOT value"))
-                    .collect::<Result<_, _>>()?;
-                Ok(Response::TenantSnapshot {
+                (None, run) => RequestFrame::Owned(Request::Ingest(le_u64s(&run))),
+                (Some(tenant), run) => RequestFrame::Owned(Request::TenantIngest {
                     tenant,
-                    items,
-                    sample,
-                })
-            }
-            Some("STATS") => {
-                let items = parse_kv(toks.next(), "items")? as usize;
-                let epoch = parse_kv(toks.next(), "epoch")?;
-                let shards = parse_kv(toks.next(), "shards")? as usize;
-                let space = parse_kv(toks.next(), "space")? as usize;
-                let snapshot_items = parse_kv(toks.next(), "snapshot_items")? as usize;
-                let shard_bytes = parse_kv(toks.next(), "shard_bytes")? as usize;
-                let arena_tenants = parse_kv(toks.next(), "arena_tenants")? as usize;
-                let arena_bytes = parse_kv(toks.next(), "arena_bytes")? as usize;
-                let arena_evictions = parse_kv(toks.next(), "arena_evictions")?;
-                Ok(Response::Stats(ServiceStats {
-                    items,
-                    epoch,
-                    shards,
-                    space,
-                    snapshot_items,
-                    shard_bytes,
-                    arena_tenants,
-                    arena_bytes,
-                    arena_evictions,
-                }))
-            }
-            Some("BYE") => Ok(Response::Bye),
-            other => Err(format!("unknown response kind {other:?}")),
+                    values: le_u64s(&run),
+                }),
+            });
         }
+        "QUERY COUNT" => Request::QueryCount(r.u64()?),
+        "QUERY QUANTILE" => Request::QueryQuantile(unit(r.f64()?)?),
+        "QUERY HH" => Request::QueryHeavy(unit(r.f64()?)?),
+        "QUERY KS" => Request::QueryKs,
+        "SNAPSHOT" => Request::Snapshot,
+        "TQUERY COUNT" => Request::TenantQueryCount {
+            tenant: r.u64()?,
+            x: r.u64()?,
+        },
+        "TQUERY QUANTILE" => Request::TenantQueryQuantile {
+            tenant: r.u64()?,
+            q: unit(r.f64()?)?,
+        },
+        "TSNAPSHOT" => Request::TenantSnapshot { tenant: r.u64()? },
+        "STATS" => Request::Stats,
+        "QUIT" => Request::Quit,
+        "EPOCH STATE" => Request::EpochState {
+            since: if r.more() { Some(r.u64()?) } else { None },
+        },
+        "CHECKPOINT" => Request::Checkpoint,
+        "RESTORE" => match r.bytes()? {
+            [] => return Err("RESTORE carries a checkpoint envelope"),
+            envelope => Request::Restore(envelope.to_vec()),
+        },
+        _ => return Err("not a request"),
+    };
+    if r.more() {
+        return Err("fields left over after the request");
+    }
+    Ok(RequestFrame::Owned(req))
+}
+
+/// The one response decoder: read the fields of the response `verb`
+/// names from `r` and check them.
+pub(crate) fn read_response<'a>(
+    verb: &str,
+    r: &mut dyn FieldReader<'a>,
+) -> Result<Response, &'static str> {
+    let resp = match verb {
+        "OK INGESTED" => Response::Ingested(r.u64()? as usize),
+        "OK COUNT" => Response::Count(r.f64()?),
+        "OK QUANTILE" => Response::Quantile(r.opt_u64()?),
+        "OK HH" => {
+            let n = r.count(16)?;
+            Response::Heavy((0..n).map(|_| r.pair()).collect::<Result<_, _>>()?)
+        }
+        "OK KS" => Response::Ks(r.f64()?),
+        "OK SNAPSHOT" => Response::Snapshot {
+            epoch: r.u64()?,
+            items: r.u64()? as usize,
+            sample: read_sample(r)?,
+        },
+        "OK TSNAPSHOT" => Response::TenantSnapshot {
+            tenant: r.u64()?,
+            items: r.u64()? as usize,
+            sample: read_sample(r)?,
+        },
+        "OK STATS" => Response::Stats(ServiceStats {
+            items: r.kv("items")? as usize,
+            epoch: r.kv("epoch")?,
+            shards: r.kv("shards")? as usize,
+            space: r.kv("space")? as usize,
+            snapshot_items: r.kv("snapshot_items")? as usize,
+            shard_bytes: r.kv("shard_bytes")? as usize,
+            arena_tenants: r.kv("arena_tenants")? as usize,
+            arena_bytes: r.kv("arena_bytes")? as usize,
+            arena_evictions: r.kv("arena_evictions")?,
+        }),
+        "OK BYE" => Response::Bye,
+        "ERR" => Response::Err(r.msg()?.to_string()),
+        "OK EPOCH STATE" => Response::EpochState {
+            epoch: r.u64()?,
+            items: r.u64()?,
+            frames_acked: r.u64()?,
+            state: r
+                .more()
+                .then(|| r.bytes().map(<[u8]>::to_vec))
+                .transpose()?,
+        },
+        "OK CHECKPOINT" => Response::Checkpoint {
+            frames_acked: r.u64()?,
+            bytes: r.bytes()?.to_vec(),
+        },
+        "OK RESTORED" => Response::Restored {
+            frames_acked: r.u64()?,
+        },
+        _ => return Err("not a response"),
+    };
+    if r.more() {
+        return Err("fields left over after the response");
+    }
+    Ok(resp)
+}
+
+/// A sample run: its length, then its values.
+fn read_sample(r: &mut dyn FieldReader<'_>) -> Result<Vec<u64>, &'static str> {
+    r.count(8)?;
+    Ok(le_u64s(&r.run()?))
+}
+
+/// The text wire's field writer: a line of space-separated tokens.
+struct Line<'a>(&'a mut Vec<u8>);
+
+impl FieldWriter for Line<'_> {
+    fn write(&mut self, verb: &'static str, fields: &[Field<'_>]) {
+        let (op, out) = (opcode(verb), &mut *self.0);
+        if binary_only(op) {
+            // An admin message has no line: a request writes its bare
+            // verb, which the parser rejects, and a reply an `ERR`.
+            let line = if op >= 0x80 {
+                "ERR admin replies have no text form"
+            } else {
+                verb
+            };
+            return out.extend_from_slice(line.as_bytes());
+        }
+        out.extend_from_slice(verb.as_bytes());
+        for field in fields {
+            let _ = match *field {
+                Field::U64(v) | Field::Opt(Some(v)) => write!(out, " {v}"),
+                Field::F64(v) => write!(out, " {v}"),
+                Field::Kv(key, v) => write!(out, " {key}={v}"),
+                Field::Opt(None) => write!(out, " NONE"),
+                Field::Pairs(pairs) => pairs.iter().try_for_each(|(v, d)| write!(out, " {v}:{d}")),
+                Field::Run(vs) => vs.iter().try_for_each(|v| write!(out, " {v}")),
+                Field::Msg(m) => write!(out, " {}", m.replace(['\r', '\n'], " ")),
+                Field::Count(_) | Field::Bytes(_) => Ok(()),
+            };
+        }
+    }
+}
+
+/// The text wire's field reader: the rest of one line, a token per field
+/// (an `ERR` reply's message is the whole rest).
+struct Tokens<'a>(&'a str);
+
+impl<'a> Tokens<'a> {
+    fn next(&mut self) -> Result<&'a str, &'static str> {
+        let s = self.0.trim_ascii_start();
+        let end = s.find(|c: char| c.is_ascii_whitespace()).unwrap_or(s.len());
+        self.0 = &s[end..];
+        (end > 0).then(|| &s[..end]).ok_or("missing field")
+    }
+
+    /// Consume the verb opening the line: the request (or, with
+    /// `response`, the response) verb whose words come first.
+    fn verb(&mut self, response: bool) -> Result<&'static str, String> {
+        for &(op, verb) in &OPCODES {
+            let mut rest = Tokens(self.0);
+            if (op >= 0x80) == response && verb.split(' ').all(|w| rest.next() == Ok(w)) {
+                if binary_only(op) {
+                    return Err(format!("{verb} is binary-only"));
+                }
+                self.0 = rest.0;
+                return Ok(verb);
+            }
+        }
+        let tok = Tokens(self.0).next().unwrap_or_default();
+        Err(format!("unknown verb {tok:?}"))
+    }
+}
+
+fn parse_u64(tok: &str) -> Result<u64, &'static str> {
+    tok.parse().map_err(|_| "bad u64 field")
+}
+
+fn parse_f64(tok: &str) -> Result<f64, &'static str> {
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err("bad f64 field"),
+    }
+}
+
+impl<'a> FieldReader<'a> for Tokens<'a> {
+    fn u64(&mut self) -> Result<u64, &'static str> {
+        parse_u64(self.next()?)
+    }
+
+    fn f64(&mut self) -> Result<f64, &'static str> {
+        parse_f64(self.next()?)
+    }
+
+    fn kv(&mut self, key: &str) -> Result<u64, &'static str> {
+        let tok = self.next()?;
+        match tok.strip_prefix(key).and_then(|v| v.strip_prefix('=')) {
+            Some(v) => parse_u64(v),
+            None => Err("missing key=value field"),
+        }
+    }
+
+    fn opt_u64(&mut self) -> Result<Option<u64>, &'static str> {
+        match self.next()? {
+            "NONE" => Ok(None),
+            tok => parse_u64(tok).map(Some),
+        }
+    }
+
+    fn count(&mut self, _: usize) -> Result<usize, &'static str> {
+        Ok(self.0.split_ascii_whitespace().count())
+    }
+
+    fn pair(&mut self) -> Result<(u64, f64), &'static str> {
+        let (v, d) = self
+            .next()?
+            .split_once(':')
+            .ok_or("bad item:density pair")?;
+        Ok((parse_u64(v)?, parse_f64(d)?))
+    }
+
+    fn run(&mut self) -> Result<Cow<'a, [u8]>, &'static str> {
+        let mut words = Vec::new();
+        for tok in std::mem::take(&mut self.0).split_ascii_whitespace() {
+            words.extend_from_slice(&parse_u64(tok)?.to_le_bytes());
+        }
+        Ok(Cow::Owned(words))
+    }
+
+    fn bytes(&mut self) -> Result<&'a [u8], &'static str> {
+        let rest = std::mem::take(&mut self.0);
+        Ok(rest.strip_prefix(' ').unwrap_or(rest).as_bytes())
+    }
+
+    fn more(&self) -> bool {
+        !self.0.trim_ascii().is_empty()
     }
 }
 
@@ -764,10 +949,6 @@ mod tests {
         for resp in cases {
             let line = resp.encode();
             assert_eq!(Response::parse(&line), Ok(resp.clone()), "line {line:?}");
-            // The byte writer is the same grammar.
-            let mut bytes = Vec::new();
-            resp.write_into(&mut bytes);
-            assert_eq!(bytes, line.as_bytes(), "write_into of {resp:?}");
         }
     }
 
@@ -775,23 +956,25 @@ mod tests {
     fn borrowed_snapshot_line_matches_the_owned_encoder() {
         let sample = vec![9u64, 2, 6];
         let mut borrowed = Vec::new();
-        write_snapshot_line(4, 300, &sample, &mut borrowed);
+        Wire::Text.put(&mut borrowed, |w| {
+            put_sample(w, "OK SNAPSHOT", 4, 300, &sample)
+        });
         let owned = Response::Snapshot {
             epoch: 4,
             items: 300,
             sample,
         }
         .encode();
-        assert_eq!(borrowed, owned.as_bytes());
+        assert_eq!(borrowed, format!("{owned}\n").as_bytes());
     }
 
     #[test]
     fn borrowed_tenant_ingest_line_matches_the_owned_encoder() {
         let values = vec![5u64, 0, 12];
         let mut borrowed = Vec::new();
-        write_tenant_ingest_line(8, &values, &mut borrowed);
+        Wire::Text.put(&mut borrowed, |w| put_ingest(w, Some(8), &values));
         let owned = Request::TenantIngest { tenant: 8, values }.encode();
-        assert_eq!(borrowed, owned.as_bytes());
+        assert_eq!(borrowed, format!("{owned}\n").as_bytes());
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! to avoid bind collisions.
 
 use crate::frame;
-use crate::protocol::{write_snapshot_line, Request, Response, ServiceStats, Wire};
+use crate::protocol::{put_sample, Request, Response, ServiceStats, Wire};
 use crate::service::{EpochSnapshot, QueryHandle, ServableSummary, SummaryService};
 use crate::tenant::{TenantArena, TenantArenaConfig};
 use polling::{Event, Poller};
@@ -566,9 +566,8 @@ impl Conn {
 
     /// Answer one request — or the error that stood in for it — and
     /// write the response to the out-buffer in the request's own wire
-    /// format. `SNAPSHOT` serializes the sample straight from the
-    /// snapshot's cached slice, with no owned copy and no intermediate
-    /// [`Response`].
+    /// format. `SNAPSHOT` writes the sample straight from the snapshot's
+    /// cached slice, with no owned copy and no intermediate [`Response`].
     fn respond<S>(&mut self, req: Result<Request, String>, wire: Wire, shared: &Shared<S>)
     where
         S: ServableSummary + ObservableDefense,
@@ -577,16 +576,9 @@ impl Conn {
             Ok(Request::Snapshot) => {
                 let snap = shared.snapshot();
                 let (epoch, items, sample) = (snap.epoch(), snap.items(), snap.visible_ref());
-                match wire {
-                    Wire::Binary => {
-                        frame::encode_snapshot_slice(epoch, items, sample, &mut self.outbuf)
-                    }
-                    Wire::Text => {
-                        write_snapshot_line(epoch, items, sample, &mut self.outbuf);
-                        self.outbuf.push(b'\n');
-                    }
-                }
-                return;
+                return wire.put(&mut self.outbuf, |w| {
+                    put_sample(w, "OK SNAPSHOT", epoch, items, sample)
+                });
             }
             Ok(Request::Quit) => {
                 self.closing = true;
@@ -595,13 +587,7 @@ impl Conn {
             Ok(req) => answer(req, shared),
             Err(msg) => Response::Err(msg),
         };
-        match wire {
-            Wire::Binary => frame::encode_response(&resp, &mut self.outbuf),
-            Wire::Text => {
-                resp.write_into(&mut self.outbuf);
-                self.outbuf.push(b'\n');
-            }
-        }
+        wire.put(&mut self.outbuf, |w| resp.put(w));
     }
 
     /// Write until `WouldBlock` or the buffer empties. Returns `false`
