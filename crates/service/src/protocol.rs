@@ -989,6 +989,46 @@ mod tests {
     }
 
     #[test]
+    fn malformed_responses_are_rejected() {
+        let stats = "OK STATS items=1 epoch=0 shards=1 space=1 snapshot_items=0 \
+                     shard_bytes=8 arena_tenants=0 arena_bytes=0 arena_evictions=0";
+        assert!(Response::parse(stats).is_ok());
+        for line in [
+            "",
+            "OK",
+            "NOPE",
+            "OK NOPE",
+            "OK BYE x",
+            &format!("{stats} junk"),
+            "OK STATS items=1",
+            "OK STATS epoch=0 items=1 shards=1 space=1 snapshot_items=0 shard_bytes=8 \
+             arena_tenants=0 arena_bytes=0 arena_evictions=0",
+            "OK INGESTED",
+            "OK INGESTED 3 4",
+            "OK INGESTED -3",
+            "OK COUNT inf",
+            "OK COUNT 1 2",
+            "OK QUANTILE",
+            "OK QUANTILE NONE 4",
+            "OK QUANTILE x",
+            "OK HH 7",
+            "OK HH 7:x",
+            "OK HH 7:0.5 junk",
+            "OK KS",
+            "OK KS 0.1 x",
+            "OK SNAPSHOT 5",
+            "OK SNAPSHOT 5 10 x",
+            "OK TSNAPSHOT 9",
+            // The admin replies have no text form.
+            "OK EPOCH STATE 1 2 3",
+            "OK CHECKPOINT 3",
+            "OK RESTORED 3",
+        ] {
+            assert!(Response::parse(line).is_err(), "accepted {line:?}");
+        }
+    }
+
+    #[test]
     fn malformed_requests_are_rejected() {
         for line in [
             "",

@@ -268,3 +268,167 @@ proptest! {
         }
     }
 }
+
+// ---- The text wire ----------------------------------------------------
+
+/// `parse ∘ encode ≡ id` on the text wire, bit-exact: the parsed request
+/// re-encodes to the same binary frame, which carries every float's bits.
+fn assert_text_request_roundtrip(req: Request) {
+    let line = req.encode();
+    let back = Request::parse(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    encode_request(&req, &mut want);
+    encode_request(&back, &mut got);
+    assert_eq!(got, want, "line {line:?}");
+}
+
+/// The response analogue of [`assert_text_request_roundtrip`].
+fn assert_text_response_roundtrip(resp: Response) {
+    let line = resp.encode();
+    let back = Response::parse(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    encode_response(&resp, &mut want);
+    encode_response(&back, &mut got);
+    assert_eq!(got, want, "line {line:?}");
+}
+
+/// A finite float from arbitrary bits: the bits themselves when they are
+/// finite, else a subnormal made from their low 52.
+fn finite(bits: u64) -> f64 {
+    let v = f64::from_bits(bits);
+    if v.is_finite() {
+        v
+    } else {
+        f64::from_bits(bits >> 12)
+    }
+}
+
+/// A word for a generated text line: a verb word, a field in one of the
+/// grammar's shapes, or a stray token.
+fn word(kind: u32, x: u64) -> String {
+    const WORDS: [&str; 24] = [
+        "INGEST",
+        "QUERY",
+        "COUNT",
+        "QUANTILE",
+        "HH",
+        "KS",
+        "SNAPSHOT",
+        "STATS",
+        "QUIT",
+        "EPOCH",
+        "STATE",
+        "CHECKPOINT",
+        "RESTORE",
+        "TINGEST",
+        "TQUERY",
+        "TSNAPSHOT",
+        "OK",
+        "INGESTED",
+        "BYE",
+        "RESTORED",
+        "ERR",
+        "NONE",
+        "nan",
+        "-inf",
+    ];
+    match kind % 8 {
+        0..=2 => WORDS[(x % WORDS.len() as u64) as usize].to_string(),
+        3 => x.to_string(),
+        4 => finite(x).to_string(),
+        5 => format!("items={}", x % 7),
+        6 => format!("{}:{}", x % 5, finite(x)),
+        _ => char::from_u32((x % 0x11_0000) as u32).map_or_else(|| "\t".to_string(), String::from),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every request the text grammar carries round-trips through its
+    /// line, floats bit-exact.
+    #[test]
+    fn text_requests_round_trip(
+        vs in proptest::collection::vec(any::<u64>(), 1..200),
+        x in any::<u64>(),
+        tenant in any::<u64>(),
+        q in 0.0f64..=1.0,
+    ) {
+        for req in [
+            Request::Ingest(vs.clone()),
+            Request::TenantIngest { tenant, values: vs },
+            Request::QueryCount(x),
+            Request::QueryQuantile(q),
+            Request::QueryHeavy(q),
+            Request::QueryKs,
+            Request::Snapshot,
+            Request::TenantQueryCount { tenant, x },
+            Request::TenantQueryQuantile { tenant, q },
+            Request::TenantSnapshot { tenant },
+            Request::Stats,
+            Request::Quit,
+        ] {
+            assert_text_request_roundtrip(req);
+        }
+    }
+
+    /// Every response the text grammar carries round-trips through its
+    /// line, floats bit-exact and `ERR` messages verbatim.
+    #[test]
+    fn text_responses_round_trip(
+        n in any::<u64>(),
+        bits in any::<u64>(),
+        heavy in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..48),
+        sample in proptest::collection::vec(any::<u64>(), 0..128),
+        msg in proptest::collection::vec(any::<u32>(), 0..24),
+    ) {
+        let msg: String = msg
+            .iter()
+            .filter_map(|&c| char::from_u32(c % 0x11_0000))
+            .filter(|c| !matches!(c, '\r' | '\n'))
+            .collect();
+        for resp in [
+            Response::Ingested(n as usize),
+            Response::Count(finite(bits)),
+            Response::Quantile(None),
+            Response::Quantile(Some(n)),
+            Response::Heavy(heavy.iter().map(|&(v, d)| (v, finite(d))).collect()),
+            Response::Ks(finite(bits)),
+            Response::Snapshot { epoch: bits, items: n as usize, sample: sample.clone() },
+            Response::TenantSnapshot { tenant: bits, items: n as usize, sample },
+            Response::Stats(ServiceStats {
+                items: n as usize,
+                epoch: bits,
+                shards: (bits % 64) as usize,
+                space: (n % 4096) as usize,
+                snapshot_items: (bits >> 7) as usize,
+                shard_bytes: (n >> 3) as usize,
+                arena_tenants: (bits % 10_000) as usize,
+                arena_bytes: (n % (1 << 20)) as usize,
+                arena_evictions: n ^ bits,
+            }),
+            Response::Bye,
+            Response::Err(msg),
+        ] {
+            assert_text_response_roundtrip(resp);
+        }
+    }
+
+    /// Arbitrary lines — grammar words and field shapes in any order,
+    /// stray characters, runs of whitespace — never panic either text
+    /// parser: each line parses or is an error.
+    #[test]
+    fn arbitrary_lines_never_panic_the_text_parsers(
+        words in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..12),
+        chars in proptest::collection::vec(any::<u32>(), 0..48),
+        sep in 0u32..3,
+    ) {
+        let sep = [" ", "  ", "\t"][sep as usize];
+        let line = words.iter().map(|&(k, x)| word(k, x)).collect::<Vec<_>>().join(sep);
+        let raw: String = chars.iter().filter_map(|&c| char::from_u32(c % 0x11_0000)).collect();
+        for line in [line.as_str(), raw.as_str()] {
+            let _ = Request::parse(line);
+            let _ = Response::parse(line);
+        }
+    }
+}
