@@ -5,10 +5,10 @@
 //! [`crate::frame`] and the text line of this module.
 //!
 //! Every variant has one row in the table: its binary opcode, its text
-//! verb and its fields, in one order. The encoders ([`Request::put`],
-//! [`Response::put`]) write those fields through a [`FieldWriter`], the
-//! decoders ([`read_request`], [`read_response`]) read them back through
-//! a [`FieldReader`] and make the checks once for both wires: a rank or
+//! verb and its fields, in one order. The encoders (`Request::put`,
+//! `Response::put`) write those fields through a field writer, the
+//! decoders (`read_request`, `read_response`) read them back through a
+//! field reader and make the checks once for both wires: a rank or
 //! threshold in `[0, 1]`, an ingest of `1..=`[`MAX_INGEST_FRAME`] values,
 //! and no field left over. On the text wire a field is one token:
 //! decimal `u64`s, `f64`s in Rust's shortest-round-trip form (so floats
