@@ -41,7 +41,11 @@
 //!
 //! The trait impls take `&self`/`&mut self` but must do socket I/O, so
 //! the connection lives in a `RefCell`; the client is single-threaded by
-//! construction (one connection per client, one client per thread).
+//! construction (one connection per client, one client per thread). A
+//! connection is one socket: requests are written through its buffered
+//! writer, and replies of either wire are read straight from it into one
+//! buffer and cut there — a frame at its length, a text reply at its
+//! newline.
 //! Trait-path I/O errors panic — in the harness a dead service run is a
 //! failed experiment, not a recoverable condition; the inherent methods
 //! return `io::Result` for callers that want to handle failure.
@@ -133,9 +137,9 @@ impl Conn {
     }
 
     /// The one receive path: read the next reply in this wire's format.
-    /// Each read asks for at least 8 KiB, and for as much as is already
-    /// buffered once a reply outgrows that, so a long reply costs a
-    /// linear number of bytes scanned.
+    /// Each read asks the socket for at least 8 KiB, as `BufReader`
+    /// would, and for as much again as is buffered once a reply outgrows
+    /// that, so a long reply takes few reads.
     fn receive(&mut self) -> std::io::Result<Response> {
         loop {
             if let Some((resp, consumed)) = self

@@ -18,10 +18,12 @@
 //!   effectively constant-time, mutually consistent, never contend with
 //!   ingestion, and never observe a half-ingested frame.
 //! * [`protocol`] — the one [`Request`]/[`Response`] vocabulary and its
+//!   one codec: an opcode table (opcode ↔ text verb per variant), one
+//!   encoder and one decoder per enum, written once for the
 //!   dependency-free text line form (`INGEST` /
-//!   `QUERY COUNT|QUANTILE|HH|KS` / `SNAPSHOT` / `STATS`) spoken over
-//!   `std::net::TcpStream`; [`frame`] is its binary form, which alone
-//!   also carries the cluster admin requests.
+//!   `QUERY COUNT|QUANTILE|HH|KS` / `SNAPSHOT` / `STATS`) and for
+//!   [`frame`], the binary form, which alone also carries the cluster
+//!   admin requests.
 //! * [`ServiceServer`] / [`ServiceClient`] — a threaded TCP server and a
 //!   blocking client. The client implements the core engine and attack
 //!   traits ([`StreamSummary`], [`StateOracle`], [`ObservableDefense`]),

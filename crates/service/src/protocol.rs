@@ -749,20 +749,27 @@ impl<'a> Tokens<'a> {
     }
 
     /// Consume the verb opening the line: the request (or, with
-    /// `response`, the response) verb whose words come first.
+    /// `response`, the response) verb whose words come first. The line's
+    /// first words are split once, so a long token is scanned once, not
+    /// once per table row.
     fn verb(&mut self, response: bool) -> Result<&'static str, String> {
+        let mut rest = Tokens(self.0);
+        let words: [Option<(&str, &str)>; 3] =
+            std::array::from_fn(|_| rest.next().ok().map(|word| (word, rest.0)));
         for &(op, verb) in &OPCODES {
-            let mut rest = Tokens(self.0);
-            if (op >= 0x80) == response && verb.split(' ').all(|w| rest.next() == Ok(w)) {
+            let mut heads = verb.split(' ').zip(&words);
+            if (op >= 0x80) == response && heads.all(|(v, w)| w.is_some_and(|(w, _)| w == v)) {
                 if binary_only(op) {
                     return Err(format!("{verb} is binary-only"));
                 }
-                self.0 = rest.0;
+                self.0 = words[verb.split(' ').count() - 1].map_or("", |(_, rest)| rest);
                 return Ok(verb);
             }
         }
-        let tok = Tokens(self.0).next().unwrap_or_default();
-        Err(format!("unknown verb {tok:?}"))
+        Err(format!(
+            "unknown verb {:?}",
+            words[0].map_or("", |(w, _)| w)
+        ))
     }
 }
 
