@@ -63,8 +63,10 @@ struct Conn {
     /// send flushes), read through [`BufWriter::get_ref`] into `rbuf`.
     writer: BufWriter<TcpStream>,
     wire: Wire,
-    /// Bytes read past the last decoded reply.
+    /// Read buffer: `rbuf[..filled]` holds the bytes read past the last
+    /// decoded reply. It only grows, so a read does not zero it again.
     rbuf: Vec<u8>,
+    filled: usize,
     /// Reusable serialization scratch: every outgoing request is encoded
     /// into this buffer, so steady-state sends allocate nothing.
     wbuf: Vec<u8>,
@@ -142,21 +144,23 @@ impl Conn {
     /// that, so a long reply takes few reads.
     fn receive(&mut self) -> std::io::Result<Response> {
         loop {
+            let buffered = &self.rbuf[..self.filled];
             if let Some((resp, consumed)) = self
                 .wire
-                .take_response(&self.rbuf)
+                .take_response(buffered)
                 .map_err(std::io::Error::other)?
             {
-                self.rbuf.drain(..consumed);
+                self.rbuf.copy_within(consumed..self.filled, 0);
+                self.filled -= consumed;
                 return Ok(resp);
             }
-            let filled = self.rbuf.len();
-            self.rbuf.resize(filled + filled.max(8 << 10), 0);
-            let read = self.writer.get_ref().read(&mut self.rbuf[filled..]);
-            self.rbuf.truncate(filled + *read.as_ref().unwrap_or(&0));
-            match read {
+            let want = self.filled + self.filled.max(8 << 10);
+            if self.rbuf.len() < want {
+                self.rbuf.resize(want, 0);
+            }
+            match self.writer.get_ref().read(&mut self.rbuf[self.filled..]) {
                 Ok(0) => return Err(closed()),
-                Ok(_) => {}
+                Ok(n) => self.filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -242,6 +246,7 @@ impl ServiceClient {
                 writer: BufWriter::new(stream),
                 wire,
                 rbuf: Vec::new(),
+                filled: 0,
                 wbuf: Vec::new(),
                 owed: 0,
             }),
