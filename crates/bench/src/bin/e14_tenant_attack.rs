@@ -1,7 +1,7 @@
 //! E14 — tenant-targeting attack: one victim hidden in aggregate traffic.
 //!
 //! The multi-tenant arena holds millions of per-key reservoirs under one
-//! memory budget, evicting cold tenants to checkpoints and reviving them
+//! memory budget, evicting idle tenants to a cold tier and reviving them
 //! on demand. This experiment asks the adversarial question the paper
 //! asks of a single summary, per tenant: can an adaptive adversary that
 //! funnels its entire effort into **one** tenant — while decoy traffic
@@ -13,8 +13,8 @@
 //! 1. **Transparency.** A duel played through the arena (four resident
 //!    slots, eight decoy tenants forcing evict/revive cycles every
 //!    round) is **bit-identical** to the same duel against an isolated
-//!    reservoir seeded with the victim's arena seed: checkpoint-on-evict
-//!    restores the full private sampler state, so eviction is neither a
+//!    reservoir seeded with the victim's arena seed: eviction keeps the
+//!    full private sampler state, so eviction is neither a
 //!    side channel nor a robustness loss.
 //! 2. **Robust sizing holds.** At the Theorem 1.2 per-tenant sizing
 //!    (`k = ⌈2(ln|U| + ln(2/δ))/ε²⌉`), every registered attack stays
@@ -51,7 +51,7 @@ const DELTA: f64 = 0.1;
 const BASE_SEED: u64 = 42;
 
 /// An arena squeezed to four resident slots around its victim view, so
-/// the victim is evicted (checkpointed) and revived continuously.
+/// the victim is evicted and revived continuously.
 fn squeezed_victim(config: TenantArenaConfig) -> VictimTenantView {
     let mut config = config;
     config.budget_bytes = 4 * (8 * config.reservoir_k() + SLOT_OVERHEAD_BYTES);
@@ -119,7 +119,7 @@ fn main() {
             revivals = revivals.max(d.arena().counters().revivals);
             churned &= d.arena().counters().evictions > 0;
             // …must replay the *identical* duel as an isolated reservoir
-            // seeded with the victim's arena seed (checkpoint-on-evict
+            // seeded with the victim's arena seed (evict/revive
             // transparency: the adversary cannot even tell).
             let mut iso = ReservoirSampler::<u64>::with_seed(
                 robust_cfg.reservoir_k(),

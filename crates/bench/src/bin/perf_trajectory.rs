@@ -33,8 +33,8 @@
 //!   of one node, replayed-frames/s), plus the two multi-tenant arena
 //!   kernels: `tenant-ingest` (the keyed hot path — tenant-zipf stream
 //!   into a resident arena, elem/s) and `tenant-evict-revive` (a
-//!   slot-squeezed arena where every touch is a checkpoint-evict plus a
-//!   cold revival, touches/s).
+//!   slot-squeezed arena where every touch is an eviction plus a cold
+//!   revival, touches/s).
 //!
 //! Every scenario is timed as a best-of-N minimum after a warm-up
 //! ([`perf::best_of`]) — the statistic least sensitive to neighbours on
@@ -711,8 +711,8 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
 
     // The eviction churn path: an arena squeezed to 8 resident slots
     // touched round-robin across 32 tenants, so in steady state every
-    // touch checkpoints the LRU victim (full SnapshotCodec envelope)
-    // and revives the toucher from its cold bytes. One op = one touch
+    // touch moves the LRU victim's sampler to the cold tier and
+    // revives the toucher's from it. One op = one touch
     // (a 4-element ingest), latency per touch.
     {
         let touches = shape.serve_frames * 8;

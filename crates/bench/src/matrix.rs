@@ -316,9 +316,9 @@ fn cell_chain_window(a: &AttackSpec, p: &MatrixParams) -> f64 {
 /// adversary duels a [`VictimTenantView`] — every attack element lands in
 /// the victim's summary, but eight decoy tenants inject traffic each
 /// round under an arena budget of **four** resident slots, so the victim
-/// is repeatedly evicted (checkpointed) and revived mid-duel. The judge
-/// is the victim's own prefix discrepancy: checkpoint-on-evict makes the
-/// evictions invisible, so the robust sizing must hold exactly as it
+/// is repeatedly evicted and revived mid-duel. The judge is the
+/// victim's own prefix discrepancy: exact revival makes the evictions
+/// invisible, so the robust sizing must hold exactly as it
 /// does for a standalone reservoir, and the static VC sizing must break
 /// exactly as `reservoir` at break-scale does.
 fn cell_tenant_victim(a: &AttackSpec, p: &MatrixParams, robust: bool) -> f64 {
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn tenant_victim_robust_row_holds_under_eviction_churn() {
         // The victim is evicted and revived throughout every duel (four
-        // resident slots, eight decoy tenants); checkpoint-on-evict must
+        // resident slots, eight decoy tenants); exact revival must
         // keep the Theorem 1.2 guarantee intact per tenant.
         let row = defense("tenant-victim-robust").unwrap();
         for spec in registry() {

@@ -19,10 +19,7 @@
 //! through one writer, [`put_u64_run`], and one decoder,
 //! [`extend_u64_run`]: each is a single resize or reserve and a
 //! fixed-stride copy, so a checkpoint's cost is a memory copy of its
-//! sample. [`SnapshotReader::u64_seq_into`] decodes a sequence into a
-//! buffer the caller already owns, which is how the tenant arena revives
-//! a checkpointed tenant into the reservoir of the tenant it just
-//! evicted.
+//! sample.
 //!
 //! Implemented by the summaries the serving layer checkpoints:
 //! [`BernoulliSampler<u64>`](crate::sampler::BernoulliSampler),
@@ -95,7 +92,7 @@ pub fn put_u64_run(out: &mut Vec<u8>, vs: &[u64]) {
 /// Append the little-endian `u64` words of `bytes` to `out`; a tail
 /// shorter than one word is ignored.
 ///
-/// The one u64-run decoder behind [`SnapshotReader::u64_seq_into`] and
+/// The one u64-run decoder behind [`SnapshotReader::u64_seq`] and
 /// the service crate's binary frames. Callers pass a range they have
 /// already length-checked, so the loop has no error path: one `reserve`
 /// of `out`, then one 8-byte load per word.
@@ -170,33 +167,19 @@ impl<'a> SnapshotReader<'a> {
         usize::try_from(v).map_err(|_| SnapshotError::Corrupt("usize overflow"))
     }
 
-    /// The next length-prefixed `u64` sequence.
+    /// The next length-prefixed `u64` sequence. The length prefix is
+    /// checked against the bytes left before anything is allocated, so a
+    /// forged length cannot make it allocate.
     pub fn u64_seq(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let mut out = Vec::new();
-        self.u64_seq_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// The next length-prefixed `u64` sequence, decoded into `out` in
-    /// place of its previous contents.
-    ///
-    /// `out` is cleared and keeps its allocation, so a caller that holds
-    /// a buffer of the sequence's size (a recycled reservoir) decodes
-    /// without allocating; a smaller buffer grows to exactly the
-    /// sequence's length. The length prefix is checked against the bytes
-    /// left before `out` is touched, so a forged length cannot make it
-    /// allocate, and on an error `out` is left as it was.
-    pub fn u64_seq_into(&mut self, out: &mut Vec<u64>) -> Result<(), SnapshotError> {
         let len = self.usize()?;
         if len.saturating_mul(8) > self.remaining() {
             return Err(SnapshotError::UnexpectedEof);
         }
         let end = self.pos + 8 * len;
-        out.clear();
-        out.reserve_exact(len);
-        extend_u64_run(out, &self.buf[self.pos..end]);
+        let mut out = Vec::with_capacity(len);
+        extend_u64_run(&mut out, &self.buf[self.pos..end]);
         self.pos = end;
-        Ok(())
+        Ok(out)
     }
 }
 

@@ -679,9 +679,8 @@ impl ClusterRouter {
     /// Send a keyed ingest frame to the node that owns `tenant` (the
     /// [`ClusterConfig::tenant_node`] deal). Tenant frames ride the same
     /// connections as the main stream but are **not** retained in the
-    /// replay window: tenant durability is the arena's
-    /// checkpoint-on-evict story inside each node, not the router's
-    /// frame-replay failover.
+    /// replay window: tenants live in each node's arena (and its cold
+    /// tier), not in the router's frame-replay failover.
     pub fn tenant_ingest(&self, tenant: u64, xs: &[u64]) -> std::io::Result<usize> {
         self.nodes[self.cfg.tenant_node(tenant)]
             .client

@@ -54,8 +54,8 @@
 //! raised *before* any payload is buffered past [`MAX_FRAME_PAYLOAD`].
 
 use crate::protocol::{
-    le_u64s, opcode, put_ingest, put_sample, read_request, read_response, verb, Field, FieldReader,
-    FieldWriter, Request, Response, Wire, MAX_INGEST_FRAME,
+    le_u64s, put_ingest, put_sample, read_request, read_response, Field, FieldReader, FieldWriter,
+    Op, Request, Response, Wire, MAX_INGEST_FRAME,
 };
 use bytes::BufMut;
 use robust_sampling_core::engine::snapshot::put_u64_run;
@@ -178,7 +178,7 @@ fn encode_tenant_ingest(tenant: Option<u64>, vs: &[u64], out: &mut Vec<u8>) {
 ///
 /// [`EpochSnapshot::visible_ref`]: crate::EpochSnapshot::visible_ref
 pub fn encode_snapshot_slice(epoch: u64, items: usize, sample: &[u64], out: &mut Vec<u8>) {
-    put_frame(out, |w| put_sample(w, "OK SNAPSHOT", epoch, items, sample));
+    put_frame(out, |w| put_sample(w, Op::OkSnapshot, epoch, items, sample));
 }
 
 /// Append `req` to `out` as one binary frame. An ingest request should
@@ -217,7 +217,9 @@ pub(crate) fn put_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut dyn FieldWriter
     if len > MAX_FRAME_PAYLOAD {
         assert!(op >= 0x80, "a request payload passes the frame cap");
         out.truncate(start);
-        let name = verb(op, true).unwrap_or("?").trim_start_matches("OK ");
+        let name = Op::from_code(op, true)
+            .map_or("?", Op::verb)
+            .trim_start_matches("OK ");
         let msg = format!(
             "{name} response ({op:#04x}) needs {len} payload bytes, over the \
              {MAX_FRAME_PAYLOAD}-byte frame cap"
@@ -231,9 +233,9 @@ pub(crate) fn put_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut dyn FieldWriter
 struct Frame<'a>(&'a mut Vec<u8>);
 
 impl FieldWriter for Frame<'_> {
-    fn write(&mut self, verb: &'static str, fields: &[Field<'_>]) {
+    fn write(&mut self, op: Op, fields: &[Field<'_>]) {
         let out = &mut *self.0;
-        put_header(out, opcode(verb), 0);
+        put_header(out, op.code(), 0);
         for field in fields {
             match *field {
                 Field::U64(v) | Field::Kv(_, v) => out.put_u64_le(v),
@@ -331,21 +333,21 @@ impl RequestFrame<'_> {
 /// `Ok(None)` when `buf` holds only a prefix (read more and retry), and
 /// `Err` on a structural violation (close the connection).
 pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestFrame<'_>, usize)>, FrameError> {
-    decode(buf, false, |verb, payload| read_request(verb, payload))
+    decode(buf, false, |op, payload| read_request(op, payload))
 }
 
-/// Decode the frame at the front of `buf` with `read`, given the verb of
-/// its request (or, with `response`, response) opcode.
+/// Decode the frame at the front of `buf` with `read`, given the table
+/// row of its request (or, with `response`, response) opcode.
 fn decode<'a, T>(
     buf: &'a [u8],
     response: bool,
-    read: impl FnOnce(&str, &mut Payload<'a>) -> Result<T, &'static str>,
+    read: impl FnOnce(Op, &mut Payload<'a>) -> Result<T, &'static str>,
 ) -> Result<Option<(T, usize)>, FrameError> {
-    let Some((op, payload)) = decode_header(buf)? else {
+    let Some((code, payload)) = decode_header(buf)? else {
         return Ok(None);
     };
-    let verb = verb(op, response).ok_or(FrameError::BadOpcode(op))?;
-    let decoded = read(verb, &mut Payload(payload)).map_err(FrameError::Malformed)?;
+    let op = Op::from_code(code, response).ok_or(FrameError::BadOpcode(code))?;
+    let decoded = read(op, &mut Payload(payload)).map_err(FrameError::Malformed)?;
     Ok(Some((decoded, HEADER_BYTES + payload.len())))
 }
 
@@ -363,7 +365,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
 /// Decode one response frame from the front of `buf`. Same contract as
 /// [`decode_request`].
 pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameError> {
-    decode(buf, true, |verb, payload| read_response(verb, payload))
+    decode(buf, true, |op, payload| read_response(op, payload))
 }
 
 /// The binary wire's field reader: the unread rest of one frame's
@@ -710,7 +712,7 @@ pub(crate) mod tests {
             FRAME_MAGIC[0],
             FRAME_MAGIC[1],
             FRAME_VERSION,
-            opcode("INGEST"),
+            Op::Ingest.code(),
         ];
         over.put_u32_le((MAX_FRAME_PAYLOAD + 8) as u32);
         assert!(matches!(
@@ -751,7 +753,7 @@ pub(crate) mod tests {
     fn missized_payloads_are_malformed() {
         // KS with a stray payload byte.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("QUERY KS"), 1);
+        put_header(&mut buf, Op::QueryKs.code(), 1);
         buf.push(0);
         assert!(matches!(
             decode_request(&buf),
@@ -759,7 +761,7 @@ pub(crate) mod tests {
         ));
         // INGEST with a ragged (non-multiple-of-8) payload.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("INGEST"), 7);
+        put_header(&mut buf, Op::Ingest.code(), 7);
         buf.extend_from_slice(&[0; 7]);
         assert!(matches!(
             decode_request(&buf),
@@ -767,7 +769,7 @@ pub(crate) mod tests {
         ));
         // HH whose count disagrees with its payload size.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("OK HH"), 4);
+        put_header(&mut buf, Op::OkHeavy.code(), 4);
         buf.put_u32_le(3);
         assert!(matches!(
             decode_response(&buf),
@@ -775,7 +777,7 @@ pub(crate) mod tests {
         ));
         // Out-of-range quantile rank.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("QUERY QUANTILE"), 8);
+        put_header(&mut buf, Op::QueryQuantile.code(), 8);
         buf.put_f64_le(1.5);
         assert!(matches!(
             decode_request(&buf),
@@ -783,7 +785,7 @@ pub(crate) mod tests {
         ));
         // TINGEST with only a tenant key and no values.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("TINGEST"), 8);
+        put_header(&mut buf, Op::TenantIngest.code(), 8);
         buf.put_u64_le(3);
         assert!(matches!(
             decode_request(&buf),
@@ -791,7 +793,7 @@ pub(crate) mod tests {
         ));
         // TINGEST with a ragged value chunk.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("TINGEST"), 15);
+        put_header(&mut buf, Op::TenantIngest.code(), 15);
         buf.extend_from_slice(&[0; 15]);
         assert!(matches!(
             decode_request(&buf),
@@ -799,7 +801,7 @@ pub(crate) mod tests {
         ));
         // TQUERY QUANTILE with an out-of-range rank.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("TQUERY QUANTILE"), 16);
+        put_header(&mut buf, Op::TenantQueryQuantile.code(), 16);
         buf.put_u64_le(3);
         buf.put_f64_le(-0.5);
         assert!(matches!(
@@ -808,7 +810,7 @@ pub(crate) mod tests {
         ));
         // TSNAPSHOT response whose sample length disagrees with the size.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("OK TSNAPSHOT"), 20);
+        put_header(&mut buf, Op::OkTenantSnapshot.code(), 20);
         buf.put_u64_le(1);
         buf.put_u64_le(5);
         buf.put_u32_le(2);
@@ -851,7 +853,7 @@ pub(crate) mod tests {
         // EPOCH STATE requests whose payload is neither empty nor one u64.
         for len in [1, 7, 9, 16] {
             let mut buf = Vec::new();
-            put_header(&mut buf, opcode("EPOCH STATE"), len);
+            put_header(&mut buf, Op::EpochState.code(), len);
             buf.resize(HEADER_BYTES + len, 0);
             assert!(
                 matches!(decode_request_frame(&buf), Err(FrameError::Malformed(_))),
@@ -860,14 +862,14 @@ pub(crate) mod tests {
         }
         // RESTORE with an empty envelope.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("RESTORE"), 0);
+        put_header(&mut buf, Op::Restore.code(), 0);
         assert!(matches!(
             decode_request_frame(&buf),
             Err(FrameError::Malformed(_))
         ));
         // EPOCH STATE response shorter than its fixed header.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("OK EPOCH STATE"), 16);
+        put_header(&mut buf, Op::OkEpochState.code(), 16);
         buf.extend_from_slice(&[0; 16]);
         assert!(matches!(
             decode_response(&buf),
@@ -875,7 +877,7 @@ pub(crate) mod tests {
         ));
         // CHECKPOINT response missing its high-water mark.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("OK CHECKPOINT"), 4);
+        put_header(&mut buf, Op::OkCheckpoint.code(), 4);
         buf.extend_from_slice(&[0; 4]);
         assert!(matches!(
             decode_response(&buf),
@@ -883,7 +885,7 @@ pub(crate) mod tests {
         ));
         // RESTORED with a missized payload.
         let mut buf = Vec::new();
-        put_header(&mut buf, opcode("OK RESTORED"), 9);
+        put_header(&mut buf, Op::OkRestored.code(), 9);
         buf.extend_from_slice(&[0; 9]);
         assert!(matches!(
             decode_response(&buf),

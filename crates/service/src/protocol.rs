@@ -196,12 +196,12 @@ pub struct ServiceStats {
     /// Estimated resident bytes of the sharded summary (retained units
     /// × 8, the memory-accounting view of `space`).
     pub shard_bytes: usize,
-    /// Tenants known to the arena (resident + checkpointed); 0 when the
+    /// Tenants known to the arena (resident + cold); 0 when the
     /// server has no arena.
     pub arena_tenants: usize,
     /// Bytes of resident arena state charged against the budget.
     pub arena_bytes: usize,
-    /// Checkpoint-on-evict events since the arena was created.
+    /// Evictions into the arena's cold tier since it was created.
     pub arena_evictions: u64,
 }
 
@@ -277,61 +277,98 @@ pub enum Response {
     },
 }
 
-/// The opcode table: every variant's binary opcode and text verb.
-/// Requests take `0x01`–`0x0F`, responses `0x81`–`0x8C` and `ERR`
-/// `0xC0`; the admin rows (`0x09`–`0x0B`, `0x89`–`0x8B`) name variants
-/// the text wire does not carry.
-const OPCODES: [(u8, &str); 28] = [
-    (0x01, "INGEST"),
-    (0x02, "QUERY COUNT"),
-    (0x03, "QUERY QUANTILE"),
-    (0x04, "QUERY HH"),
-    (0x05, "QUERY KS"),
-    (0x06, "SNAPSHOT"),
-    (0x07, "STATS"),
-    (0x08, "QUIT"),
-    (0x09, "EPOCH STATE"),
-    (0x0A, "CHECKPOINT"),
-    (0x0B, "RESTORE"),
-    (0x0C, "TINGEST"),
-    (0x0D, "TQUERY COUNT"),
-    (0x0E, "TQUERY QUANTILE"),
-    (0x0F, "TSNAPSHOT"),
-    (0x81, "OK INGESTED"),
-    (0x82, "OK COUNT"),
-    (0x83, "OK QUANTILE"),
-    (0x84, "OK HH"),
-    (0x85, "OK KS"),
-    (0x86, "OK SNAPSHOT"),
-    (0x87, "OK STATS"),
-    (0x88, "OK BYE"),
-    (0x89, "OK EPOCH STATE"),
-    (0x8A, "OK CHECKPOINT"),
-    (0x8B, "OK RESTORED"),
-    (0x8C, "OK TSNAPSHOT"),
-    (0xC0, "ERR"),
-];
+/// Declares [`Op`] and [`OPCODES`] from one list of rows.
+macro_rules! opcode_table {
+    ($($op:ident = $code:literal, $verb:literal;)*) => {
+        /// One row of the opcode table, naming a [`Request`] or
+        /// [`Response`] variant: its discriminant is the binary opcode
+        /// and [`Op::verb`] its text verb. Encoders name their row and
+        /// the binary decoders find it from the opcode byte by index, so
+        /// only the text reader ever compares a verb.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub(crate) enum Op {
+            $(
+                #[doc = $verb]
+                $op = $code,
+            )*
+        }
 
-/// The opcode of `verb`.
-pub(crate) fn opcode(verb: &str) -> u8 {
-    OPCODES
-        .iter()
-        .find(|&&(_, v)| v == verb)
-        .expect("every verb is in the opcode table")
-        .0
+        /// Every row with its text verb, in opcode order (see
+        /// [`Op::index`]).
+        const OPCODES: [(Op, &str); 28] = [$((Op::$op, $verb)),*];
+    };
 }
 
-/// The verb of request (or, with `response`, response) opcode `op`.
-pub(crate) fn verb(op: u8, response: bool) -> Option<&'static str> {
-    OPCODES
-        .iter()
-        .find(|&&(o, _)| o == op && (o >= 0x80) == response)
-        .map(|&(_, v)| v)
+// The opcode table. Requests take `0x01`–`0x0F`, responses `0x81`–`0x8C`
+// and `ERR` `0xC0`; the admin rows (`0x09`–`0x0B`, `0x89`–`0x8B`) name
+// variants the text wire does not carry.
+opcode_table! {
+    Ingest =              0x01, "INGEST";
+    QueryCount =          0x02, "QUERY COUNT";
+    QueryQuantile =       0x03, "QUERY QUANTILE";
+    QueryHeavy =          0x04, "QUERY HH";
+    QueryKs =             0x05, "QUERY KS";
+    Snapshot =            0x06, "SNAPSHOT";
+    Stats =               0x07, "STATS";
+    Quit =                0x08, "QUIT";
+    EpochState =          0x09, "EPOCH STATE";
+    Checkpoint =          0x0A, "CHECKPOINT";
+    Restore =             0x0B, "RESTORE";
+    TenantIngest =        0x0C, "TINGEST";
+    TenantQueryCount =    0x0D, "TQUERY COUNT";
+    TenantQueryQuantile = 0x0E, "TQUERY QUANTILE";
+    TenantSnapshot =      0x0F, "TSNAPSHOT";
+    OkIngested =          0x81, "OK INGESTED";
+    OkCount =             0x82, "OK COUNT";
+    OkQuantile =          0x83, "OK QUANTILE";
+    OkHeavy =             0x84, "OK HH";
+    OkKs =                0x85, "OK KS";
+    OkSnapshot =          0x86, "OK SNAPSHOT";
+    OkStats =             0x87, "OK STATS";
+    OkBye =               0x88, "OK BYE";
+    OkEpochState =        0x89, "OK EPOCH STATE";
+    OkCheckpoint =        0x8A, "OK CHECKPOINT";
+    OkRestored =          0x8B, "OK RESTORED";
+    OkTenantSnapshot =    0x8C, "OK TSNAPSHOT";
+    Err =                 0xC0, "ERR";
 }
 
-/// Whether `op` is a binary-only cluster admin opcode.
-fn binary_only(op: u8) -> bool {
-    matches!(op & 0x7F, 0x09..=0x0B)
+impl Op {
+    /// The position of opcode `code`'s row in [`OPCODES`].
+    fn index(code: u8) -> Option<usize> {
+        match code {
+            0x01..=0x0F => Some(usize::from(code - 0x01)),
+            0x81..=0x8C => Some(usize::from(code - 0x81) + 15),
+            0xC0 => Some(27),
+            _ => None,
+        }
+    }
+
+    /// The row of request (or, with `response`, response) opcode `code`.
+    pub(crate) fn from_code(code: u8, response: bool) -> Option<Op> {
+        let row = OPCODES[Self::index(code)?].0;
+        (row.is_response() == response).then_some(row)
+    }
+
+    /// The binary opcode.
+    pub(crate) fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The text verb.
+    pub(crate) fn verb(self) -> &'static str {
+        OPCODES[Self::index(self.code()).expect("every row is in the table")].1
+    }
+
+    fn is_response(self) -> bool {
+        self.code() >= 0x80
+    }
+
+    /// Whether this is a binary-only cluster admin row.
+    fn binary_only(self) -> bool {
+        matches!(self.code() & 0x7F, 0x09..=0x0B)
+    }
 }
 
 /// One field of a message, as an encoder hands it to a [`FieldWriter`].
@@ -359,9 +396,9 @@ pub(crate) enum Field<'x> {
 /// Where an encoder writes a message: a binary frame (see
 /// [`crate::frame`]) or a text line.
 pub(crate) trait FieldWriter {
-    /// Write the message `verb` names — its frame header or its text
+    /// Write the message `op` names — its frame header or its text
     /// verb — and then its `fields`.
-    fn write(&mut self, verb: &'static str, fields: &[Field<'_>]);
+    fn write(&mut self, op: Op, fields: &[Field<'_>]);
 }
 
 /// Where a decoder reads a message's fields back from, one method per
@@ -406,24 +443,18 @@ pub(crate) fn le_u64s(words: &[u8]) -> Vec<u64> {
 /// borrowed slice.
 pub(crate) fn put_ingest(w: &mut dyn FieldWriter, tenant: Option<u64>, vs: &[u64]) {
     match tenant {
-        None => w.write("INGEST", &[Field::Run(vs)]),
-        Some(t) => w.write("TINGEST", &[Field::U64(t), Field::Run(vs)]),
+        None => w.write(Op::Ingest, &[Field::Run(vs)]),
+        Some(t) => w.write(Op::TenantIngest, &[Field::U64(t), Field::Run(vs)]),
     }
 }
 
 /// Write the fields `OK SNAPSHOT` and `OK TSNAPSHOT` share: `head`
 /// (epoch or tenant), items, then the sample — which the server also
 /// writes straight from a snapshot's borrowed sample.
-pub(crate) fn put_sample(
-    w: &mut dyn FieldWriter,
-    verb: &'static str,
-    head: u64,
-    items: usize,
-    sample: &[u64],
-) {
+pub(crate) fn put_sample(w: &mut dyn FieldWriter, op: Op, head: u64, items: usize, sample: &[u64]) {
     use Field::*;
     w.write(
-        verb,
+        op,
         &[
             U64(head),
             U64(items as u64),
@@ -457,23 +488,23 @@ impl Request {
         match self {
             Request::Ingest(vs) => put_ingest(w, None, vs),
             Request::TenantIngest { tenant, values } => put_ingest(w, Some(*tenant), values),
-            Request::QueryCount(x) => w.write("QUERY COUNT", &[U64(*x)]),
-            Request::QueryQuantile(q) => w.write("QUERY QUANTILE", &[F64(*q)]),
-            Request::QueryHeavy(t) => w.write("QUERY HH", &[F64(*t)]),
-            Request::QueryKs => w.write("QUERY KS", &[]),
-            Request::Snapshot => w.write("SNAPSHOT", &[]),
+            Request::QueryCount(x) => w.write(Op::QueryCount, &[U64(*x)]),
+            Request::QueryQuantile(q) => w.write(Op::QueryQuantile, &[F64(*q)]),
+            Request::QueryHeavy(t) => w.write(Op::QueryHeavy, &[F64(*t)]),
+            Request::QueryKs => w.write(Op::QueryKs, &[]),
+            Request::Snapshot => w.write(Op::Snapshot, &[]),
             Request::TenantQueryCount { tenant, x } => {
-                w.write("TQUERY COUNT", &[U64(*tenant), U64(*x)])
+                w.write(Op::TenantQueryCount, &[U64(*tenant), U64(*x)])
             }
             Request::TenantQueryQuantile { tenant, q } => {
-                w.write("TQUERY QUANTILE", &[U64(*tenant), F64(*q)])
+                w.write(Op::TenantQueryQuantile, &[U64(*tenant), F64(*q)])
             }
-            Request::TenantSnapshot { tenant } => w.write("TSNAPSHOT", &[U64(*tenant)]),
-            Request::Stats => w.write("STATS", &[]),
-            Request::Quit => w.write("QUIT", &[]),
-            Request::EpochState { since } => w.write("EPOCH STATE", since.map(U64).as_slice()),
-            Request::Checkpoint => w.write("CHECKPOINT", &[]),
-            Request::Restore(bytes) => w.write("RESTORE", &[Bytes(bytes)]),
+            Request::TenantSnapshot { tenant } => w.write(Op::TenantSnapshot, &[U64(*tenant)]),
+            Request::Stats => w.write(Op::Stats, &[]),
+            Request::Quit => w.write(Op::Quit, &[]),
+            Request::EpochState { since } => w.write(Op::EpochState, since.map(U64).as_slice()),
+            Request::Checkpoint => w.write(Op::Checkpoint, &[]),
+            Request::Restore(bytes) => w.write(Op::Restore, &[Bytes(bytes)]),
         }
     }
 
@@ -486,8 +517,8 @@ impl Request {
     /// Parse one text request line (without its newline).
     pub fn parse(line: &str) -> Result<Self, String> {
         let mut tokens = Tokens(line);
-        let verb = tokens.verb(false)?;
-        Ok(read_request(verb, &mut tokens)?.into_owned())
+        let op = tokens.verb(false)?;
+        Ok(read_request(op, &mut tokens)?.into_owned())
     }
 }
 
@@ -501,23 +532,23 @@ impl Response {
     pub(crate) fn put(&self, w: &mut dyn FieldWriter) {
         use Field::*;
         match self {
-            Response::Ingested(n) => w.write("OK INGESTED", &[U64(*n as u64)]),
-            Response::Count(c) => w.write("OK COUNT", &[F64(*c)]),
-            Response::Quantile(v) => w.write("OK QUANTILE", &[Opt(*v)]),
-            Response::Heavy(items) => w.write("OK HH", &[Count(items.len()), Pairs(items)]),
-            Response::Ks(d) => w.write("OK KS", &[F64(*d)]),
+            Response::Ingested(n) => w.write(Op::OkIngested, &[U64(*n as u64)]),
+            Response::Count(c) => w.write(Op::OkCount, &[F64(*c)]),
+            Response::Quantile(v) => w.write(Op::OkQuantile, &[Opt(*v)]),
+            Response::Heavy(items) => w.write(Op::OkHeavy, &[Count(items.len()), Pairs(items)]),
+            Response::Ks(d) => w.write(Op::OkKs, &[F64(*d)]),
             Response::Snapshot {
                 epoch,
                 items,
                 sample,
-            } => put_sample(w, "OK SNAPSHOT", *epoch, *items, sample),
+            } => put_sample(w, Op::OkSnapshot, *epoch, *items, sample),
             Response::TenantSnapshot {
                 tenant,
                 items,
                 sample,
-            } => put_sample(w, "OK TSNAPSHOT", *tenant, *items, sample),
+            } => put_sample(w, Op::OkTenantSnapshot, *tenant, *items, sample),
             Response::Stats(st) => w.write(
-                "OK STATS",
+                Op::OkStats,
                 &[
                     Kv("items", st.items as u64),
                     Kv("epoch", st.epoch),
@@ -530,8 +561,8 @@ impl Response {
                     Kv("arena_evictions", st.arena_evictions),
                 ],
             ),
-            Response::Bye => w.write("OK BYE", &[]),
-            Response::Err(msg) => w.write("ERR", &[Msg(msg)]),
+            Response::Bye => w.write(Op::OkBye, &[]),
+            Response::Err(msg) => w.write(Op::Err, &[Msg(msg)]),
             Response::EpochState {
                 epoch,
                 items,
@@ -544,15 +575,15 @@ impl Response {
                 );
                 let state = Bytes(state.as_deref().unwrap_or_default());
                 w.write(
-                    "OK EPOCH STATE",
+                    Op::OkEpochState,
                     &[U64(*epoch), U64(*items), U64(*frames_acked), state],
                 )
             }
             Response::Checkpoint {
                 frames_acked,
                 bytes,
-            } => w.write("OK CHECKPOINT", &[U64(*frames_acked), Bytes(bytes)]),
-            Response::Restored { frames_acked } => w.write("OK RESTORED", &[U64(*frames_acked)]),
+            } => w.write(Op::OkCheckpoint, &[U64(*frames_acked), Bytes(bytes)]),
+            Response::Restored { frames_acked } => w.write(Op::OkRestored, &[U64(*frames_acked)]),
         }
     }
 
@@ -565,8 +596,8 @@ impl Response {
     /// Parse one text reply line (without its newline).
     pub fn parse(line: &str) -> Result<Self, String> {
         let mut tokens = Tokens(line);
-        let verb = tokens.verb(true)?;
-        Ok(read_response(verb, &mut tokens)?)
+        let op = tokens.verb(true)?;
+        Ok(read_response(op, &mut tokens)?)
     }
 }
 
@@ -578,16 +609,16 @@ fn unit(v: f64) -> Result<f64, &'static str> {
         .ok_or("rank or threshold must be in [0,1]")
 }
 
-/// The one request decoder: read the fields of the request `verb` names
+/// The one request decoder: read the fields of the request `op` names
 /// from `r` and check them. An `INGEST`/`TINGEST` read from a binary
 /// payload stays borrowed (see [`RequestFrame`]).
 pub(crate) fn read_request<'a>(
-    verb: &str,
+    op: Op,
     r: &mut dyn FieldReader<'a>,
 ) -> Result<RequestFrame<'a>, &'static str> {
-    let req = match verb {
-        "INGEST" | "TINGEST" => {
-            let tenant = (verb == "TINGEST").then(|| r.u64()).transpose()?;
+    let req = match op {
+        Op::Ingest | Op::TenantIngest => {
+            let tenant = (op == Op::TenantIngest).then(|| r.u64()).transpose()?;
             let run = r.run()?;
             if !(1..=MAX_INGEST_FRAME).contains(&(run.len() / 8)) {
                 return Err("ingest value count outside 1..=MAX_INGEST_FRAME");
@@ -604,27 +635,27 @@ pub(crate) fn read_request<'a>(
                 }),
             });
         }
-        "QUERY COUNT" => Request::QueryCount(r.u64()?),
-        "QUERY QUANTILE" => Request::QueryQuantile(unit(r.f64()?)?),
-        "QUERY HH" => Request::QueryHeavy(unit(r.f64()?)?),
-        "QUERY KS" => Request::QueryKs,
-        "SNAPSHOT" => Request::Snapshot,
-        "TQUERY COUNT" => Request::TenantQueryCount {
+        Op::QueryCount => Request::QueryCount(r.u64()?),
+        Op::QueryQuantile => Request::QueryQuantile(unit(r.f64()?)?),
+        Op::QueryHeavy => Request::QueryHeavy(unit(r.f64()?)?),
+        Op::QueryKs => Request::QueryKs,
+        Op::Snapshot => Request::Snapshot,
+        Op::TenantQueryCount => Request::TenantQueryCount {
             tenant: r.u64()?,
             x: r.u64()?,
         },
-        "TQUERY QUANTILE" => Request::TenantQueryQuantile {
+        Op::TenantQueryQuantile => Request::TenantQueryQuantile {
             tenant: r.u64()?,
             q: unit(r.f64()?)?,
         },
-        "TSNAPSHOT" => Request::TenantSnapshot { tenant: r.u64()? },
-        "STATS" => Request::Stats,
-        "QUIT" => Request::Quit,
-        "EPOCH STATE" => Request::EpochState {
+        Op::TenantSnapshot => Request::TenantSnapshot { tenant: r.u64()? },
+        Op::Stats => Request::Stats,
+        Op::Quit => Request::Quit,
+        Op::EpochState => Request::EpochState {
             since: if r.more() { Some(r.u64()?) } else { None },
         },
-        "CHECKPOINT" => Request::Checkpoint,
-        "RESTORE" => match r.bytes()? {
+        Op::Checkpoint => Request::Checkpoint,
+        Op::Restore => match r.bytes()? {
             [] => return Err("RESTORE carries a checkpoint envelope"),
             envelope => Request::Restore(envelope.to_vec()),
         },
@@ -636,32 +667,32 @@ pub(crate) fn read_request<'a>(
     Ok(RequestFrame::Owned(req))
 }
 
-/// The one response decoder: read the fields of the response `verb`
-/// names from `r` and check them.
+/// The one response decoder: read the fields of the response `op` names
+/// from `r` and check them.
 pub(crate) fn read_response<'a>(
-    verb: &str,
+    op: Op,
     r: &mut dyn FieldReader<'a>,
 ) -> Result<Response, &'static str> {
-    let resp = match verb {
-        "OK INGESTED" => Response::Ingested(r.u64()? as usize),
-        "OK COUNT" => Response::Count(r.f64()?),
-        "OK QUANTILE" => Response::Quantile(r.opt_u64()?),
-        "OK HH" => {
+    let resp = match op {
+        Op::OkIngested => Response::Ingested(r.u64()? as usize),
+        Op::OkCount => Response::Count(r.f64()?),
+        Op::OkQuantile => Response::Quantile(r.opt_u64()?),
+        Op::OkHeavy => {
             let n = r.count(16)?;
             Response::Heavy((0..n).map(|_| r.pair()).collect::<Result<_, _>>()?)
         }
-        "OK KS" => Response::Ks(r.f64()?),
-        "OK SNAPSHOT" => Response::Snapshot {
+        Op::OkKs => Response::Ks(r.f64()?),
+        Op::OkSnapshot => Response::Snapshot {
             epoch: r.u64()?,
             items: r.u64()? as usize,
             sample: read_sample(r)?,
         },
-        "OK TSNAPSHOT" => Response::TenantSnapshot {
+        Op::OkTenantSnapshot => Response::TenantSnapshot {
             tenant: r.u64()?,
             items: r.u64()? as usize,
             sample: read_sample(r)?,
         },
-        "OK STATS" => Response::Stats(ServiceStats {
+        Op::OkStats => Response::Stats(ServiceStats {
             items: r.kv("items")? as usize,
             epoch: r.kv("epoch")?,
             shards: r.kv("shards")? as usize,
@@ -672,9 +703,9 @@ pub(crate) fn read_response<'a>(
             arena_bytes: r.kv("arena_bytes")? as usize,
             arena_evictions: r.kv("arena_evictions")?,
         }),
-        "OK BYE" => Response::Bye,
-        "ERR" => Response::Err(r.msg()?.to_string()),
-        "OK EPOCH STATE" => Response::EpochState {
+        Op::OkBye => Response::Bye,
+        Op::Err => Response::Err(r.msg()?.to_string()),
+        Op::OkEpochState => Response::EpochState {
             epoch: r.u64()?,
             items: r.u64()?,
             frames_acked: r.u64()?,
@@ -683,11 +714,11 @@ pub(crate) fn read_response<'a>(
                 .then(|| r.bytes().map(<[u8]>::to_vec))
                 .transpose()?,
         },
-        "OK CHECKPOINT" => Response::Checkpoint {
+        Op::OkCheckpoint => Response::Checkpoint {
             frames_acked: r.u64()?,
             bytes: r.bytes()?.to_vec(),
         },
-        "OK RESTORED" => Response::Restored {
+        Op::OkRestored => Response::Restored {
             frames_acked: r.u64()?,
         },
         _ => return Err("not a response"),
@@ -708,19 +739,19 @@ fn read_sample(r: &mut dyn FieldReader<'_>) -> Result<Vec<u64>, &'static str> {
 struct Line<'a>(&'a mut Vec<u8>);
 
 impl FieldWriter for Line<'_> {
-    fn write(&mut self, verb: &'static str, fields: &[Field<'_>]) {
-        let (op, out) = (opcode(verb), &mut *self.0);
-        if binary_only(op) {
+    fn write(&mut self, op: Op, fields: &[Field<'_>]) {
+        let out = &mut *self.0;
+        if op.binary_only() {
             // An admin message has no line: a request writes its bare
             // verb, which the parser rejects, and a reply an `ERR`.
-            let line = if op >= 0x80 {
+            let line = if op.is_response() {
                 "ERR admin replies have no text form"
             } else {
-                verb
+                op.verb()
             };
             return out.extend_from_slice(line.as_bytes());
         }
-        out.extend_from_slice(verb.as_bytes());
+        out.extend_from_slice(op.verb().as_bytes());
         for field in fields {
             let _ = match *field {
                 Field::U64(v) | Field::Opt(Some(v)) => write!(out, " {v}"),
@@ -752,18 +783,18 @@ impl<'a> Tokens<'a> {
     /// `response`, the response) verb whose words come first. The line's
     /// first words are split once, so a long token is scanned once, not
     /// once per table row.
-    fn verb(&mut self, response: bool) -> Result<&'static str, String> {
+    fn verb(&mut self, response: bool) -> Result<Op, String> {
         let mut rest = Tokens(self.0);
         let words: [Option<(&str, &str)>; 3] =
             std::array::from_fn(|_| rest.next().ok().map(|word| (word, rest.0)));
         for &(op, verb) in &OPCODES {
             let mut heads = verb.split(' ').zip(&words);
-            if (op >= 0x80) == response && heads.all(|(v, w)| w.is_some_and(|(w, _)| w == v)) {
-                if binary_only(op) {
+            if op.is_response() == response && heads.all(|(v, w)| w.is_some_and(|(w, _)| w == v)) {
+                if op.binary_only() {
                     return Err(format!("{verb} is binary-only"));
                 }
                 self.0 = words[verb.split(' ').count() - 1].map_or("", |(_, rest)| rest);
-                return Ok(verb);
+                return Ok(op);
             }
         }
         Err(format!(
@@ -893,6 +924,19 @@ mod tests {
     }
 
     #[test]
+    fn opcode_table_rows_sit_at_their_index() {
+        for (i, &(op, verb)) in OPCODES.iter().enumerate() {
+            assert_eq!(Op::index(op.code()), Some(i), "{verb}");
+            assert_eq!(op.verb(), verb);
+            assert_eq!(Op::from_code(op.code(), op.is_response()), Some(op));
+            assert_eq!(Op::from_code(op.code(), !op.is_response()), None);
+            assert_eq!(OPCODES.iter().filter(|&&(_, v)| v == verb).count(), 1);
+        }
+        let known = (0..=u8::MAX).filter(|&c| Op::index(c).is_some()).count();
+        assert_eq!(known, OPCODES.len());
+    }
+
+    #[test]
     fn requests_round_trip() {
         let cases = vec![
             Request::Ingest(vec![1, 2, u64::MAX]),
@@ -964,7 +1008,7 @@ mod tests {
         let sample = vec![9u64, 2, 6];
         let mut borrowed = Vec::new();
         Wire::Text.put(&mut borrowed, |w| {
-            put_sample(w, "OK SNAPSHOT", 4, 300, &sample)
+            put_sample(w, Op::OkSnapshot, 4, 300, &sample)
         });
         let owned = Response::Snapshot {
             epoch: 4,

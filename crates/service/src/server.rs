@@ -45,7 +45,7 @@
 //! to avoid bind collisions.
 
 use crate::frame;
-use crate::protocol::{put_sample, Request, Response, ServiceStats, Wire};
+use crate::protocol::{put_sample, Op, Request, Response, ServiceStats, Wire};
 use crate::service::{EpochSnapshot, QueryHandle, ServableSummary, SummaryService};
 use crate::tenant::{TenantArena, TenantArenaConfig};
 use polling::{Event, Poller};
@@ -566,8 +566,9 @@ impl Conn {
 
     /// Answer one request — or the error that stood in for it — and
     /// write the response to the out-buffer in the request's own wire
-    /// format. `SNAPSHOT` writes the sample straight from the snapshot's
-    /// cached slice, with no owned copy and no intermediate [`Response`].
+    /// format. `SNAPSHOT` and `TSNAPSHOT` write the sample straight from
+    /// the snapshot's cached slice or the tenant's reservoir, with no
+    /// owned copy and no intermediate [`Response`].
     fn respond<S>(&mut self, req: Result<Request, String>, wire: Wire, shared: &Shared<S>)
     where
         S: ServableSummary + ObservableDefense,
@@ -577,7 +578,14 @@ impl Conn {
                 let snap = shared.snapshot();
                 let (epoch, items, sample) = (snap.epoch(), snap.items(), snap.visible_ref());
                 return wire.put(&mut self.outbuf, |w| {
-                    put_sample(w, "OK SNAPSHOT", epoch, items, sample)
+                    put_sample(w, Op::OkSnapshot, epoch, items, sample)
+                });
+            }
+            Ok(Request::TenantSnapshot { tenant }) if let Some(arena) = &shared.arena => {
+                let mut arena = arena.lock().expect("arena lock poisoned");
+                let (items, sample) = arena.snapshot(tenant);
+                return wire.put(&mut self.outbuf, |w| {
+                    put_sample(w, Op::OkTenantSnapshot, tenant, items, sample)
                 });
             }
             Ok(Request::Quit) => {
@@ -675,11 +683,7 @@ where
             Request::TenantQueryQuantile { tenant, q } => {
                 Response::Quantile(arena.quantile(tenant, q))
             }
-            Request::TenantSnapshot { tenant } => Response::TenantSnapshot {
-                tenant,
-                items: arena.items(tenant),
-                sample: arena.sample(tenant),
-            },
+            Request::TenantSnapshot { .. } => unreachable!("answered by `Conn::respond`"),
             _ => unreachable!("matched tenant requests above"),
         };
     }

@@ -16,24 +16,22 @@
 //! * **A global memory budget** — at most `budget_bytes / slot_bytes`
 //!   samplers are resident at once. The arena never allocates past the
 //!   budget no matter how many tenants exist.
-//! * **Deterministic LRU eviction with checkpoint-on-evict** — the
-//!   least-recently-touched resident tenant is serialized through the
-//!   engine's [`SnapshotCodec`] (full private state: Algorithm L
-//!   threshold, pending gap, raw RNG words) into the cold store. A later
-//!   touch **revives** it: the restored sampler continues the identical
-//!   acceptance stream, so an evicted-and-revived tenant answers every
-//!   query bit-identically to one that was never evicted
-//!   (property-tested in `tests/tenant_isolation.rs`).
-//! * **Recycled buffers** — a miss in a full arena evicts first, then
-//!   revives into what the eviction freed: the revived tenant's sample
-//!   is decoded into the victim's reservoir, and the victim's checkpoint
-//!   is written into the byte buffer the previous revival emptied. In
-//!   the steady state of a full arena of full tenants a miss therefore
-//!   allocates no checkpoint- or reservoir-sized buffer
-//!   (`tests/alloc_free_tenant.rs`). Every resident reservoir has
-//!   capacity exactly `k`, so a slot never holds more than the
-//!   `slot_bytes` the budget charges for it. The checkpoint format is
-//!   the codec's, unchanged.
+//! * **Deterministic LRU eviction into a cold tier** — the
+//!   least-recently-touched resident tenant's sampler moves, whole, into
+//!   the cold map (full private state: Algorithm L threshold, pending
+//!   gap, RNG). A later touch **revives** it by moving it back, so it
+//!   continues the identical acceptance stream and answers every query
+//!   bit-identically to a tenant that was never evicted (property-tested
+//!   in `tests/tenant_isolation.rs`). Nothing is encoded or decoded.
+//! * **Moved buffers** — a full tenant's `k`-word reservoir moves to
+//!   the cold map as it is. A partial tenant's sample is copied into an
+//!   exact-length buffer, so cold tenants stay right-sized, and the
+//!   `k`-word buffer it leaves goes to the tenant being revived if that
+//!   one was parked right-sized. In the steady state of a full arena of
+//!   full tenants a miss therefore copies and allocates no
+//!   reservoir-sized buffer (`tests/alloc_free_tenant.rs`). Every
+//!   resident reservoir has capacity exactly `k`, so a slot never holds
+//!   more than the `slot_bytes` the budget charges for it.
 //!
 //! Queries mirror the [`EpochSnapshot`](crate::EpochSnapshot)
 //! conventions: `count` scales sample occurrences by `items / k`,
@@ -46,7 +44,6 @@
 //! gains nothing from eviction pressure, because revival is exact).
 //!
 //! [`ReservoirSampler`]: robust_sampling_core::sampler::ReservoirSampler
-//! [`SnapshotCodec`]: robust_sampling_core::engine::SnapshotCodec
 //! [`AttackStrategy`]: robust_sampling_core::attack::AttackStrategy
 //! [`ObservableDefense`]: robust_sampling_core::attack::ObservableDefense
 
@@ -54,24 +51,22 @@ use std::collections::{BTreeMap, HashMap};
 
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::bounds;
-use robust_sampling_core::engine::{QuantileSummary, SnapshotCodec, SnapshotReader, StreamSummary};
+use robust_sampling_core::engine::{QuantileSummary, StreamSummary};
 use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
 
-/// Fixed per-slot overhead charged on top of the reservoir payload:
-/// counts, Algorithm L threshold, pending gap, RNG state, and the
-/// resident-map/LRU-index entries. Matches the [`SnapshotCodec`]
-/// envelope within a few words.
-///
-/// [`SnapshotCodec`]: robust_sampling_core::engine::SnapshotCodec
+/// Fixed per-slot overhead charged on top of the `8·k` reservoir
+/// words: the sampler's counts, Algorithm L threshold, pending gap and
+/// RNG state, and the resident-map/LRU-index entries.
 pub const SLOT_OVERHEAD_BYTES: usize = 96;
 
-/// [`SnapshotCodec`] envelope bytes around a reservoir's sample words:
-/// `k`, `observed`, `total_stored`, the sequence length prefix, the
-/// Algorithm L threshold and gap, and four raw RNG words. Used to
-/// right-size checkpoint buffers.
+/// Bytes [`TenantArena::cold_bytes`] charges per cold tenant on top of
+/// its sample words: the [`SnapshotCodec`] envelope of a reservoir
+/// (`k`, `observed`, `total_stored`, the sequence length prefix, the
+/// Algorithm L threshold and gap, and four RNG words), so the cold tier
+/// is accounted at the size of its checkpoints.
 ///
 /// [`SnapshotCodec`]: robust_sampling_core::engine::SnapshotCodec
-const CHECKPOINT_ENVELOPE_BYTES: usize = 80;
+const COLD_ENVELOPE_BYTES: usize = 80;
 
 /// A keyed splitmix finalizer as the arena maps' hasher. Tenant ids hit
 /// the resident map once per element — the million-tenant soak's hot
@@ -156,9 +151,9 @@ struct Slot {
 pub struct ArenaCounters {
     /// Samplers created (first-ever ingest for a tenant id).
     pub created: u64,
-    /// Checkpoint-on-evict events.
+    /// Evictions into the cold tier.
     pub evictions: u64,
-    /// Cold-store revivals (restore + continue).
+    /// Revivals from the cold tier.
     pub revivals: u64,
 }
 
@@ -176,14 +171,12 @@ pub struct TenantArena {
     /// (one monotonic clock tick per touch), so the map is a total order
     /// and eviction — `pop_first` — is deterministic.
     lru: BTreeMap<u64, u64>,
-    /// Checkpointed evictees: `tenant → SnapshotCodec bytes`.
-    cold: TenantMap<Vec<u8>>,
-    /// Total checkpoint payload bytes in `cold` (kept incrementally).
+    /// Evicted tenants' samplers. A full one keeps its `k`-word
+    /// reservoir; a partial one holds its sample in an exact-length
+    /// buffer.
+    cold: TenantMap<ReservoirSampler<u64>>,
+    /// [`cold_bytes`](Self::cold_bytes), kept incrementally.
     cold_bytes: usize,
-    /// The last revived tenant's checkpoint buffer. The next eviction
-    /// clears it and writes into it when its checkpoint has exactly this
-    /// capacity (always, between full tenants).
-    spare: Vec<u8>,
     /// `quantile`'s working copy of a sample: selection reorders it,
     /// never the reservoir itself (its order steers replacements).
     select: Vec<u64>,
@@ -229,7 +222,6 @@ impl TenantArena {
             lru: BTreeMap::new(),
             cold: HashMap::with_hasher(hasher),
             cold_bytes: 0,
-            spare: Vec::new(),
             select: Vec::new(),
             clock: 0,
             counters: ArenaCounters::default(),
@@ -256,7 +248,7 @@ impl TenantArena {
         self.resident.len()
     }
 
-    /// Tenants ever seen (resident + checkpointed).
+    /// Tenants ever seen (resident + cold).
     pub fn known_tenants(&self) -> usize {
         self.resident.len() + self.cold.len()
     }
@@ -266,16 +258,17 @@ impl TenantArena {
         self.resident.len() * self.slot_bytes
     }
 
-    /// Total checkpoint payload bytes held in the cold store. A tenant
-    /// that has seen `m < k` elements checkpoints in `O(m)` bytes, so
-    /// this is far below `cold tenants × slot_bytes` for long-tail
-    /// traffic — the quantity the soak's RSS verdict accounts against.
+    /// The cold tier's size, charged as its checkpoints would be:
+    /// 80 bytes plus 8 per sample word for each cold tenant. A tenant
+    /// that has seen `m < k` elements is parked in `O(m)` bytes, so this
+    /// is far below `cold tenants × slot_bytes` for long-tail traffic —
+    /// the quantity the soak's RSS verdict accounts against.
     pub fn cold_bytes(&self) -> usize {
         self.cold_bytes
     }
 
     /// Whether `tenant` currently occupies a resident slot (`false` for
-    /// both checkpointed and never-seen tenants).
+    /// both cold and never-seen tenants).
     pub fn is_resident(&self, tenant: u64) -> bool {
         self.resident.contains_key(&tenant)
     }
@@ -295,38 +288,30 @@ impl TenantArena {
         self.clock
     }
 
-    /// Evict the least-recently-touched resident tenant into the cold
-    /// store (checkpoint-on-evict) and hand back its reservoir buffer
-    /// (capacity `k`) for the tenant taking its slot. `None` when
-    /// nothing is resident.
+    /// Move the least-recently-touched resident tenant to the cold tier
+    /// and hand back the `k`-word buffer that frees: a partial tenant's
+    /// sample moves into an exact-length copy, a full tenant keeps its
+    /// reservoir (`None`, as when nothing is resident).
     fn evict_lru(&mut self) -> Option<Vec<u64>> {
         let (_, victim) = self.lru.pop_first()?;
-        let slot = self
+        let mut sampler = self
             .resident
             .remove(&victim)
-            .expect("LRU index out of sync with resident map");
-        // Checkpoints are right-sized, not slot-sized: a million cold
-        // long-tail tenants must not each pin a full slot's capacity.
-        // The spare buffer is reused only when it is exactly that size.
-        let len = CHECKPOINT_ENVELOPE_BYTES + 8 * slot.sampler.sample().len();
-        let mut bytes = std::mem::take(&mut self.spare);
-        bytes.clear();
-        if bytes.capacity() != len {
-            bytes = Vec::with_capacity(len);
-        }
-        slot.sampler.save_into(&mut bytes);
-        debug_assert_eq!(bytes.len(), len, "checkpoint envelope size");
-        self.cold_bytes += bytes.len();
-        self.cold.insert(victim, bytes);
+            .expect("LRU index out of sync with resident map")
+            .sampler;
+        let len = sampler.sample().len();
+        let freed = (len < self.k).then(|| sampler.swap_buffer(Vec::with_capacity(len)));
+        self.cold_bytes += COLD_ENVELOPE_BYTES + 8 * len;
+        self.cold.insert(victim, sampler);
         self.counters.evictions += 1;
-        Some(slot.sampler.into_sample())
+        freed
     }
 
     /// The tenant's live sampler, reviving or creating as needed and
     /// stamping recency. At most one eviction happens per call: on a
-    /// miss in a full arena the LRU victim is evicted first, a revival
-    /// decodes into the victim's reservoir, and the revived checkpoint's
-    /// bytes become the next eviction's spare.
+    /// miss in a full arena the LRU victim is evicted first, and a
+    /// revived tenant parked right-sized gets back `k` words — the
+    /// buffer the eviction freed, or a new one.
     fn slot(&mut self, tenant: u64) -> &mut ReservoirSampler<u64> {
         // Resident fast path: one probe of a hot bucket, then the LRU
         // index is only churned when the recency order actually changes
@@ -348,15 +333,13 @@ impl TenantArena {
             None
         };
         let sampler = match self.cold.remove(&tenant) {
-            Some(bytes) => {
+            Some(mut sampler) => {
                 self.counters.revivals += 1;
-                self.cold_bytes -= bytes.len();
-                let reservoir = freed.unwrap_or_else(|| Vec::with_capacity(self.k));
-                let sampler = SnapshotReader::decode_all(&bytes, |r| {
-                    ReservoirSampler::restore_from_reusing(r, reservoir)
-                })
-                .expect("cold-store snapshot written by evict_lru must decode");
-                self.spare = bytes;
+                let len = sampler.sample().len();
+                self.cold_bytes -= COLD_ENVELOPE_BYTES + 8 * len;
+                if len < self.k {
+                    sampler.swap_buffer(freed.unwrap_or_else(|| Vec::with_capacity(self.k)));
+                }
                 sampler
             }
             None => {
@@ -403,7 +386,7 @@ impl TenantArena {
         sampler.observed()
     }
 
-    /// Items this tenant has streamed (reviving it if checkpointed).
+    /// Items this tenant has streamed (reviving it if cold).
     pub fn items(&mut self, tenant: u64) -> usize {
         self.slot(tenant).observed()
     }
@@ -443,9 +426,16 @@ impl TenantArena {
         answer
     }
 
-    /// The tenant's current sample (reviving it if checkpointed).
+    /// The tenant's item count and current sample, borrowed (reviving
+    /// it if cold).
+    pub fn snapshot(&mut self, tenant: u64) -> (usize, &[u64]) {
+        let sampler = self.slot(tenant);
+        (sampler.observed(), sampler.sample())
+    }
+
+    /// The tenant's current sample (reviving it if cold).
     pub fn sample(&mut self, tenant: u64) -> Vec<u64> {
-        self.slot(tenant).sample().to_vec()
+        self.snapshot(tenant).1.to_vec()
     }
 }
 
@@ -461,7 +451,7 @@ impl TenantArena {
 /// rotating band of decoy tenants. Size the arena budget below
 /// `decoy_tenants + 1` slots and the victim is forced through
 /// evict/revive cycles *mid-duel* — the setting where a leaky
-/// checkpoint would hand the adversary free wins. The adversary sees
+/// eviction would hand the adversary free wins. The adversary sees
 /// exactly what the paper's model grants: the victim's sample.
 ///
 /// [`ObservableDefense`]: robust_sampling_core::attack::ObservableDefense
@@ -539,19 +529,19 @@ impl StreamSummary<u64> for VictimTenantView {
 }
 
 impl VictimTenantView {
-    /// Read-only access to the victim's sampler, resident or cold. The
-    /// victim may be checkpointed right now; the adversary still sees
-    /// its state — eviction must not be a side channel *or* a blindfold.
+    /// Read-only access to the victim's sampler, resident or cold, in
+    /// place: reading a cold victim neither revives nor copies it. The
+    /// adversary still sees its state — eviction must not be a side
+    /// channel *or* a blindfold.
     fn with_victim_sampler<R>(&self, read: impl FnOnce(&ReservoirSampler<u64>) -> R) -> Option<R> {
-        if let Some(slot) = self.arena.resident.get(&self.victim) {
-            Some(read(&slot.sampler))
-        } else {
-            self.arena.cold.get(&self.victim).map(|bytes| {
-                let sampler = ReservoirSampler::restore(bytes)
-                    .expect("cold-store snapshot written by evict_lru must decode");
-                read(&sampler)
-            })
-        }
+        let resident = self
+            .arena
+            .resident
+            .get(&self.victim)
+            .map(|slot| &slot.sampler);
+        resident
+            .or_else(|| self.arena.cold.get(&self.victim))
+            .map(read)
     }
 }
 
@@ -650,11 +640,12 @@ mod tests {
         assert!(arena.is_resident(1));
         arena.ingest(2, &[20]); // evicts 1
         assert!(!arena.is_resident(1));
-        assert!(arena.cold_bytes() > 0);
-        // A 3-element tenant checkpoints in O(3) bytes, not O(k).
+        // A 3-element tenant is charged its checkpoint size, O(3) bytes,
+        // not O(k).
+        assert_eq!(arena.cold_bytes(), 80 + 8 * 3);
         assert!(
             arena.cold_bytes() < arena.slot_bytes() / 4,
-            "cold checkpoint {} bytes vs slot {}",
+            "cold tenant {} bytes vs slot {}",
             arena.cold_bytes(),
             arena.slot_bytes()
         );
@@ -713,7 +704,7 @@ mod tests {
 
     #[test]
     fn quantile_selection_matches_the_sorted_reference() {
-        // Four tenants in two slots, so they cycle through the cold store.
+        // Four tenants in two slots, so they cycle through the cold tier.
         let mut arena = small_arena(2, true);
         let k = arena.reservoir_k() as u64;
         let lens = [0, 1, 37, 5 * k]; // empty, partial ×2, full
@@ -768,7 +759,7 @@ mod tests {
             view.ingest(x % 100);
         }
         // Decoys fill both slots between victim touches, so the victim
-        // cycles through the cold store every round.
+        // cycles through the cold tier every round.
         assert!(view.arena().counters().revivals > 100, "victim must churn");
         assert_eq!(view.items_seen(), 200);
         // Push the victim cold, then check it is still observable.
@@ -778,7 +769,7 @@ mod tests {
         assert_eq!(view.items_seen(), 200, "a cold victim still counts");
         let visible = view.visible();
         assert!(!visible.is_empty(), "cold victim must still be observable");
-        // Revive and compare: the cold bytes and live sampler agree.
+        // Revive and compare: the cold and the revived sampler agree.
         let mut arena = view.arena;
         assert_eq!(arena.sample(0), visible);
         assert_eq!(arena.items(0), 200);

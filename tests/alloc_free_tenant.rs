@@ -1,19 +1,20 @@
 //! Allocation gate for the tenant arena's evict/revive cycle: a miss in
-//! a full arena recycles the buffers the eviction freed instead of
-//! allocating checkpoint- and reservoir-sized ones.
+//! a full arena moves reservoirs between the resident and the cold tier
+//! instead of allocating reservoir-sized buffers.
 //!
 //! * Steady state: over 1,000 misses on a full arena of full tenants
-//!   (k = 1,499, a 12,072-byte checkpoint each), the allocator hands out
-//!   under 1 KiB per miss. A revival decodes into the victim's
-//!   reservoir, and the victim's checkpoint goes into the byte buffer
-//!   the previous revival emptied; what remains is the LRU index's node
-//!   churn.
+//!   (k = 1,499, an 11,992-byte reservoir each), the allocator hands out
+//!   under 1 KiB per miss and no single block of 8·k bytes or more. The
+//!   victim's sampler moves to the cold map with its reservoir, and the
+//!   revived one moves back with its own; what remains is the LRU
+//!   index's node churn.
 //! * Quantile on a resident tenant: after the first call sizes the
 //!   arena's selection buffer, a `quantile` allocates nothing.
 //! * Fill after revival: a partial tenant revived and then filled to k
-//!   allocates at most 8·k bytes in all, the victim's small checkpoint
-//!   included. Its revived reservoir already has capacity k, so filling
-//!   it never grows the buffer past k by doubling. (A tenant is only
+//!   allocates at most 8·k bytes in all, the victim's exact-length copy
+//!   of its small sample included. The revived tenant takes the
+//!   victim's k-word buffer, so filling it never grows the buffer past
+//!   k by doubling. (A tenant is only
 //!   ever cold in a full arena: residents leave by eviction alone.)
 //!
 //! A byte-counting `#[global_allocator]` wraps the system allocator for
@@ -32,9 +33,18 @@ struct CountingAlloc;
 /// new size.
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// The largest single block handed out (allocation or reallocation)
+/// since it was last reset.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -43,12 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -90,7 +100,7 @@ fn evict_revive_recycles_the_victims_buffers() {
     assert_eq!(k, 1_499, "perfbench's tenant-churn sizing");
     let frame = values(2 * k, 1);
     // Warmup: every tenant full, every tenant evicted and revived at
-    // least once, so the maps and the spare buffer have their final size.
+    // least once, so the maps have their final size.
     for round in 0..3 {
         for t in 0..TENANTS {
             full.ingest(t, &frame[..if round == 0 { 2 * k } else { 8 }]);
@@ -101,18 +111,24 @@ fn evict_revive_recycles_the_victims_buffers() {
     const MISSES: u64 = 1_000;
     let before_counters = full.counters();
     let before = BYTES.load(Ordering::SeqCst);
+    LARGEST.store(0, Ordering::SeqCst);
     for i in 0..MISSES {
         full.ingest(i % TENANTS, &frame[..8]);
     }
     let bytes = BYTES.load(Ordering::SeqCst) - before;
+    let largest = LARGEST.load(Ordering::SeqCst);
     let after_counters = full.counters();
     assert_eq!(after_counters.revivals - before_counters.revivals, MISSES);
     assert_eq!(after_counters.evictions - before_counters.evictions, MISSES);
     let per_miss = bytes as f64 / MISSES as f64;
     assert!(
         per_miss < 1024.0,
-        "a steady-state miss allocated {per_miss:.0} B (checkpoint is {} B)",
-        80 + 8 * k
+        "a steady-state miss allocated {per_miss:.0} B (a reservoir is {} B)",
+        8 * k
+    );
+    assert!(
+        largest < 8 * k as u64,
+        "a steady-state miss allocated a {largest} B block; reservoirs must move, not be copied"
     );
 
     // ---- Quantiles on a resident full tenant select in place.

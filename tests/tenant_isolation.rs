@@ -2,17 +2,22 @@
 //! observationally equivalent to `K` fully isolated per-tenant
 //! summaries — one `ReservoirSampler` per tenant, seeded
 //! `tenant_seed(base_seed, t)` — no matter how tenants interleave, how
-//! traffic is framed, or how often the budget forces checkpoint-evict /
-//! revive cycles. Three layers:
+//! traffic is framed, or how often the budget forces evict / revive
+//! cycles. Four layers:
 //!
 //! * **arena ≡ isolated summaries** — arbitrary interleavings, frame
 //!   sizes, budgets, and robust/break-scale sizing: every touched
 //!   tenant's sample, item count, quantiles, and count estimates are
 //!   bit-identical to its private sampler;
 //! * **eviction transparency** — the same stream through a one-slot
-//!   arena (every switch checkpoints) and a never-evicting arena leaves
+//!   arena (every switch evicts) and a never-evicting arena leaves
 //!   every tenant bit-identical, so the eviction *schedule* is
 //!   unobservable;
+//! * **tenants that cross k** — with a small static `k`, tenants fill
+//!   mid-run, so full and partial tenants are evicted and revived in
+//!   every combination; after every frame the touched tenant matches its
+//!   private sampler and the cold tier is charged exactly its
+//!   checkpoint size;
 //! * **over the wire** — the same contract holds through the binary TCP
 //!   protocol (`TINGEST`/`TSNAP`/`TQUANTILE`/`TCOUNT` frames against a
 //!   live [`ServiceServer`]), with running-total acks, real arena
@@ -28,7 +33,7 @@ use proptest::prelude::*;
 use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::service::tenant::{tenant_seed, TenantArena, TenantArenaConfig};
 use robust_sampling::service::{ServiceClient, ServiceConfig, ServiceServer, SummaryService};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const UNIVERSE: u64 = 1 << 16;
 const BASE_SEED: u64 = 42;
@@ -96,13 +101,119 @@ fn sample_quantile(sample: &[u64], q: f64) -> Option<u64> {
     Some(sorted[target - 1])
 }
 
+/// An arena with the static sizing at ε = 0.5, so `k` = 32 and a few
+/// frames fill a tenant, holding exactly `budget_slots` tenants.
+fn small_k(budget_slots: usize, base_seed: u64) -> TenantArena {
+    let cfg = TenantArenaConfig {
+        universe: UNIVERSE,
+        eps: 0.5,
+        delta: 0.1,
+        budget_bytes: 1, // clamped to one slot; replaced below
+        base_seed,
+        robust: false,
+    };
+    let slot = TenantArena::new(cfg).slot_bytes();
+    TenantArena::new(TenantArenaConfig {
+        budget_bytes: budget_slots * slot,
+        ..cfg
+    })
+}
+
+/// Misses seen by [`churn_across_k`], indexed `[victim full][revived
+/// full]`: an eviction and a revival in the same frame.
+type Crossings = [[usize; 2]; 2];
+
+/// Feed `frames` of `(tenant, length)` into `arena` and into one isolated
+/// sampler per tenant. After every frame: the tenant's sample, items and
+/// quantiles equal its sampler's, resident bytes are within the budget,
+/// and `cold_bytes()` is Σ over cold tenants of 80 + 8·|sample|.
+fn churn_across_k(arena: &mut TenantArena, frames: &[(u64, usize)]) -> Crossings {
+    let (k, base_seed) = (arena.reservoir_k(), arena.config().base_seed);
+    let budget = arena.config().budget_bytes;
+    let mut iso: BTreeMap<u64, ReservoirSampler<u64>> = BTreeMap::new();
+    let mut crossings = [[0; 2]; 2];
+    let mut x = base_seed;
+    for &(t, len) in frames {
+        let resident: BTreeSet<u64> = iso
+            .keys()
+            .copied()
+            .filter(|&u| arena.is_resident(u))
+            .collect();
+        let revived_full =
+            (iso.contains_key(&t) && !resident.contains(&t)).then(|| iso[&t].sample().len() == k);
+        let frame: Vec<u64> = (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 33) % UNIVERSE
+            })
+            .collect();
+        arena.ingest(t, &frame);
+        let sampler = iso
+            .entry(t)
+            .or_insert_with(|| ReservoirSampler::with_seed(k, tenant_seed(base_seed, t)));
+        for &v in &frame {
+            sampler.observe(v);
+        }
+
+        let victim = resident.iter().find(|&&u| u != t && !arena.is_resident(u));
+        if let (Some(v), Some(revived_full)) = (victim, revived_full) {
+            crossings[usize::from(iso[v].sample().len() == k)][usize::from(revived_full)] += 1;
+        }
+        let sampler = &iso[&t];
+        assert_eq!(arena.sample(t), sampler.sample(), "tenant {t} sample");
+        assert_eq!(arena.items(t), sampler.observed(), "tenant {t} items");
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(arena.quantile(t, q), sample_quantile(sampler.sample(), q));
+        }
+        assert!(
+            arena.resident_bytes() <= budget,
+            "resident bytes over budget"
+        );
+        let cold: usize = iso
+            .iter()
+            .filter(|&(&u, _)| !arena.is_resident(u))
+            .map(|(_, s)| 80 + 8 * s.sample().len())
+            .sum();
+        assert_eq!(arena.cold_bytes(), cold, "cold bytes after tenant {t}");
+    }
+    crossings
+}
+
+/// A fixed schedule through [`churn_across_k`] that goes through every
+/// evict/revive combination of full and partial tenants at least once.
+#[test]
+fn full_and_partial_tenants_cross_in_every_combination() {
+    let mut arena = small_k(2, BASE_SEED);
+    assert_eq!(arena.reservoir_k(), 32);
+    let mut x = 7u64;
+    let frames: Vec<(u64, usize)> = (0..200)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((x >> 40) % 5, 1 + (x >> 20) as usize % 12)
+        })
+        .collect();
+    let crossings = churn_across_k(&mut arena, &frames);
+    for (victim_full, row) in crossings.iter().enumerate() {
+        for (revived_full, &n) in row.iter().enumerate() {
+            assert!(
+                n > 0,
+                "no miss evicted a {} tenant and revived a {} one: {crossings:?}",
+                ["partial", "full"][victim_full],
+                ["partial", "full"][revived_full]
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The arena is `K` isolated summaries: for any interleaving, frame
     /// schedule, budget, and sizing mode, every touched tenant's whole
     /// observable surface matches its private sampler bit-for-bit —
-    /// including tenants that are checkpointed cold when queried.
+    /// including tenants that are cold when queried.
     #[test]
     fn arena_matches_isolated_summaries(
         budget_slots in 1usize..6,
@@ -145,8 +256,19 @@ proptest! {
         }
     }
 
+    /// Tenants that pass `k` mid-run stay isolated through every evict
+    /// and revive, full or partial (see [`churn_across_k`]).
+    #[test]
+    fn tenants_crossing_k_stay_isolated(
+        budget_slots in 1usize..4,
+        base_seed in 0u64..10_000,
+        frames in proptest::collection::vec((0u64..6, 1usize..16), 1..80),
+    ) {
+        churn_across_k(&mut small_k(budget_slots, base_seed), &frames);
+    }
+
     /// The eviction schedule is unobservable: the same stream through a
-    /// one-slot arena (every tenant switch is a checkpoint-evict plus a
+    /// one-slot arena (every tenant switch is an eviction plus a
     /// revival) and through a never-evicting arena leaves every tenant
     /// in the identical state.
     #[test]
