@@ -1611,12 +1611,42 @@ mod tests {
     #[test]
     fn snapshot_rejects_corrupt_bytes() {
         use crate::engine::snapshot::SnapshotCodec;
-        let s = ReservoirSampler::<u64>::with_seed(8, 1);
-        let bytes = s.save();
-        assert!(ReservoirSampler::<u64>::restore(&bytes[..bytes.len() - 3]).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(ReservoirSampler::<u64>::restore(&trailing).is_err());
+        // Real checkpoints of an empty, a partial, a full and a merged
+        // sampler (the merge's threshold re-draw still pending): every
+        // strict prefix and every trailing-byte variant is refused, and
+        // the untouched bytes restore a sampler that continues the
+        // original's stream bit for bit.
+        let stream: Vec<u64> = (0..30_000u64).map(|i| i * 7 % 5_003).collect();
+        let mut partial = ReservoirSampler::<u64>::with_seed(64, 1);
+        partial.observe_batch(&stream[..40]);
+        let mut full = ReservoirSampler::<u64>::with_seed(64, 2);
+        full.observe_batch(&stream[..9_000]);
+        let mut merged = full.clone();
+        merged.merge(partial.clone());
+        for original in [
+            ReservoirSampler::<u64>::with_seed(64, 3),
+            partial,
+            full,
+            merged,
+        ] {
+            let bytes = original.save();
+            for cut in 0..bytes.len() {
+                assert!(ReservoirSampler::<u64>::restore(&bytes[..cut]).is_err());
+            }
+            for extra in [1, 8] {
+                let mut trailing = bytes.clone();
+                trailing.resize(bytes.len() + extra, 0xA5);
+                assert!(ReservoirSampler::<u64>::restore(&trailing).is_err());
+            }
+            let mut restored = ReservoirSampler::<u64>::restore(&bytes).unwrap();
+            assert_eq!(restored.save(), bytes);
+            assert_eq!(restored.sample(), original.sample());
+            let mut original = original;
+            original.observe_batch(&stream[..10_000]);
+            restored.observe_batch(&stream[..10_000]);
+            assert_eq!(restored.save(), original.save());
+            assert_eq!(restored.sample(), original.sample());
+        }
         // Well-framed bytes whose counts or threshold contradict the
         // reservoir (merging such a state would panic mid-draw).
         use crate::engine::snapshot::{put_f64, put_u64, put_u64_seq, put_usize};
@@ -1636,6 +1666,9 @@ mod tests {
         let ok = |b: &[u8]| ReservoirSampler::<u64>::restore(b).is_ok();
         assert!(ok(&forge(8, 3, &[1, 2, 3], 1.0)));
         assert!(ok(&forge(4, 90, &[1, 2, 3, 4], 0.25)));
+        let mut bogus_len = forge(8, 3, &[1, 2, 3], 1.0);
+        bogus_len[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(ReservoirSampler::<u64>::restore(&bogus_len).is_err());
         for bad in [
             forge(0, 0, &[], 1.0),           // capacity zero
             forge(2, 5, &[1, 2, 3], 1.0),    // overfull

@@ -277,78 +277,84 @@ pub enum Response {
     },
 }
 
-/// Declares [`Op`] and [`OPCODES`] from one list of rows.
-macro_rules! opcode_table {
-    ($($op:ident = $code:literal, $verb:literal;)*) => {
-        /// One row of the opcode table, naming a [`Request`] or
-        /// [`Response`] variant: its discriminant is the binary opcode
-        /// and [`Op::verb`] its text verb. Encoders name their row and
-        /// the binary decoders find it from the opcode byte by index, so
-        /// only the text reader ever compares a verb.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        #[repr(u8)]
-        pub(crate) enum Op {
-            $(
-                #[doc = $verb]
-                $op = $code,
-            )*
-        }
-
-        /// Every row with its text verb, in opcode order (see
-        /// [`Op::index`]).
-        const OPCODES: [(Op, &str); 28] = [$((Op::$op, $verb)),*];
-    };
+/// One row of the opcode table, naming a [`Request`] or [`Response`]
+/// variant: its discriminant is the binary opcode and [`Op::verb`] its
+/// text verb. Encoders name their row, so no writer looks a verb up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Op {
+    Ingest = 0x01,
+    QueryCount = 0x02,
+    QueryQuantile = 0x03,
+    QueryHeavy = 0x04,
+    QueryKs = 0x05,
+    Snapshot = 0x06,
+    Stats = 0x07,
+    Quit = 0x08,
+    EpochState = 0x09,
+    Checkpoint = 0x0A,
+    Restore = 0x0B,
+    TenantIngest = 0x0C,
+    TenantQueryCount = 0x0D,
+    TenantQueryQuantile = 0x0E,
+    TenantSnapshot = 0x0F,
+    OkIngested = 0x81,
+    OkCount = 0x82,
+    OkQuantile = 0x83,
+    OkHeavy = 0x84,
+    OkKs = 0x85,
+    OkSnapshot = 0x86,
+    OkStats = 0x87,
+    OkBye = 0x88,
+    OkEpochState = 0x89,
+    OkCheckpoint = 0x8A,
+    OkRestored = 0x8B,
+    OkTenantSnapshot = 0x8C,
+    Err = 0xC0,
 }
 
-// The opcode table. Requests take `0x01`–`0x0F`, responses `0x81`–`0x8C`
-// and `ERR` `0xC0`; the admin rows (`0x09`–`0x0B`, `0x89`–`0x8B`) name
-// variants the text wire does not carry.
-opcode_table! {
-    Ingest =              0x01, "INGEST";
-    QueryCount =          0x02, "QUERY COUNT";
-    QueryQuantile =       0x03, "QUERY QUANTILE";
-    QueryHeavy =          0x04, "QUERY HH";
-    QueryKs =             0x05, "QUERY KS";
-    Snapshot =            0x06, "SNAPSHOT";
-    Stats =               0x07, "STATS";
-    Quit =                0x08, "QUIT";
-    EpochState =          0x09, "EPOCH STATE";
-    Checkpoint =          0x0A, "CHECKPOINT";
-    Restore =             0x0B, "RESTORE";
-    TenantIngest =        0x0C, "TINGEST";
-    TenantQueryCount =    0x0D, "TQUERY COUNT";
-    TenantQueryQuantile = 0x0E, "TQUERY QUANTILE";
-    TenantSnapshot =      0x0F, "TSNAPSHOT";
-    OkIngested =          0x81, "OK INGESTED";
-    OkCount =             0x82, "OK COUNT";
-    OkQuantile =          0x83, "OK QUANTILE";
-    OkHeavy =             0x84, "OK HH";
-    OkKs =                0x85, "OK KS";
-    OkSnapshot =          0x86, "OK SNAPSHOT";
-    OkStats =             0x87, "OK STATS";
-    OkBye =               0x88, "OK BYE";
-    OkEpochState =        0x89, "OK EPOCH STATE";
-    OkCheckpoint =        0x8A, "OK CHECKPOINT";
-    OkRestored =          0x8B, "OK RESTORED";
-    OkTenantSnapshot =    0x8C, "OK TSNAPSHOT";
-    Err =                 0xC0, "ERR";
-}
+/// The opcode table: every row with its text verb. Requests take
+/// `0x01`–`0x0F`, responses `0x81`–`0x8C` and `ERR` `0xC0`; the admin rows
+/// (`0x09`–`0x0B`, `0x89`–`0x8B`) name variants the text wire does not
+/// carry.
+const OPCODES: [(Op, &str); 28] = [
+    (Op::Ingest, "INGEST"),
+    (Op::QueryCount, "QUERY COUNT"),
+    (Op::QueryQuantile, "QUERY QUANTILE"),
+    (Op::QueryHeavy, "QUERY HH"),
+    (Op::QueryKs, "QUERY KS"),
+    (Op::Snapshot, "SNAPSHOT"),
+    (Op::Stats, "STATS"),
+    (Op::Quit, "QUIT"),
+    (Op::EpochState, "EPOCH STATE"),
+    (Op::Checkpoint, "CHECKPOINT"),
+    (Op::Restore, "RESTORE"),
+    (Op::TenantIngest, "TINGEST"),
+    (Op::TenantQueryCount, "TQUERY COUNT"),
+    (Op::TenantQueryQuantile, "TQUERY QUANTILE"),
+    (Op::TenantSnapshot, "TSNAPSHOT"),
+    (Op::OkIngested, "OK INGESTED"),
+    (Op::OkCount, "OK COUNT"),
+    (Op::OkQuantile, "OK QUANTILE"),
+    (Op::OkHeavy, "OK HH"),
+    (Op::OkKs, "OK KS"),
+    (Op::OkSnapshot, "OK SNAPSHOT"),
+    (Op::OkStats, "OK STATS"),
+    (Op::OkBye, "OK BYE"),
+    (Op::OkEpochState, "OK EPOCH STATE"),
+    (Op::OkCheckpoint, "OK CHECKPOINT"),
+    (Op::OkRestored, "OK RESTORED"),
+    (Op::OkTenantSnapshot, "OK TSNAPSHOT"),
+    (Op::Err, "ERR"),
+];
 
 impl Op {
-    /// The position of opcode `code`'s row in [`OPCODES`].
-    fn index(code: u8) -> Option<usize> {
-        match code {
-            0x01..=0x0F => Some(usize::from(code - 0x01)),
-            0x81..=0x8C => Some(usize::from(code - 0x81) + 15),
-            0xC0 => Some(27),
-            _ => None,
-        }
-    }
-
     /// The row of request (or, with `response`, response) opcode `code`.
     pub(crate) fn from_code(code: u8, response: bool) -> Option<Op> {
-        let row = OPCODES[Self::index(code)?].0;
-        (row.is_response() == response).then_some(row)
+        OPCODES
+            .iter()
+            .map(|&(op, _)| op)
+            .find(|&op| op.code() == code && op.is_response() == response)
     }
 
     /// The binary opcode.
@@ -358,7 +364,11 @@ impl Op {
 
     /// The text verb.
     pub(crate) fn verb(self) -> &'static str {
-        OPCODES[Self::index(self.code()).expect("every row is in the table")].1
+        OPCODES
+            .iter()
+            .find(|&&(op, _)| op == self)
+            .expect("every row is in the table")
+            .1
     }
 
     fn is_response(self) -> bool {
@@ -921,19 +931,6 @@ mod tests {
             .map(|line| (line.len(), fnv1a(line.as_bytes())))
             .collect();
         assert_eq!(got, pins);
-    }
-
-    #[test]
-    fn opcode_table_rows_sit_at_their_index() {
-        for (i, &(op, verb)) in OPCODES.iter().enumerate() {
-            assert_eq!(Op::index(op.code()), Some(i), "{verb}");
-            assert_eq!(op.verb(), verb);
-            assert_eq!(Op::from_code(op.code(), op.is_response()), Some(op));
-            assert_eq!(Op::from_code(op.code(), !op.is_response()), None);
-            assert_eq!(OPCODES.iter().filter(|&&(_, v)| v == verb).count(), 1);
-        }
-        let known = (0..=u8::MAX).filter(|&c| Op::index(c).is_some()).count();
-        assert_eq!(known, OPCODES.len());
     }
 
     #[test]

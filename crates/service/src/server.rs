@@ -584,8 +584,18 @@ impl Conn {
             Ok(Request::TenantSnapshot { tenant }) if let Some(arena) = &shared.arena => {
                 let mut arena = arena.lock().expect("arena lock poisoned");
                 let (items, sample) = arena.snapshot(tenant);
+                // A binary sample is one copy, made under the lock; text
+                // formats k decimals, so it copies the sample and formats
+                // it with the lock released.
+                if wire == Wire::Binary {
+                    return wire.put(&mut self.outbuf, |w| {
+                        put_sample(w, Op::OkTenantSnapshot, tenant, items, sample)
+                    });
+                }
+                let sample = sample.to_vec();
+                drop(arena);
                 return wire.put(&mut self.outbuf, |w| {
-                    put_sample(w, Op::OkTenantSnapshot, tenant, items, sample)
+                    put_sample(w, Op::OkTenantSnapshot, tenant, items, &sample)
                 });
             }
             Ok(Request::Quit) => {
@@ -664,6 +674,9 @@ fn answer<S>(req: Request, shared: &Shared<S>) -> Response
 where
     S: ServableSummary + ObservableDefense,
 {
+    // `TenantSnapshot` gets here only on a server without an arena, for
+    // the `NO_ARENA` error; with one, `Conn::respond` answers it from the
+    // borrowed sample.
     if matches!(
         req,
         Request::TenantIngest { .. }
@@ -683,7 +696,6 @@ where
             Request::TenantQueryQuantile { tenant, q } => {
                 Response::Quantile(arena.quantile(tenant, q))
             }
-            Request::TenantSnapshot { .. } => unreachable!("answered by `Conn::respond`"),
             _ => unreachable!("matched tenant requests above"),
         };
     }

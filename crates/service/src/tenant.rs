@@ -171,10 +171,11 @@ pub struct TenantArena {
     /// (one monotonic clock tick per touch), so the map is a total order
     /// and eviction — `pop_first` — is deterministic.
     lru: BTreeMap<u64, u64>,
-    /// Evicted tenants' samplers. A full one keeps its `k`-word
-    /// reservoir; a partial one holds its sample in an exact-length
-    /// buffer.
-    cold: TenantMap<ReservoirSampler<u64>>,
+    /// Evicted tenants' samplers, boxed so a map bucket is two words
+    /// however large the sampler's fixed state. A full one keeps its
+    /// `k`-word reservoir; a partial one holds its sample in an
+    /// exact-length buffer.
+    cold: TenantMap<Box<ReservoirSampler<u64>>>,
     /// [`cold_bytes`](Self::cold_bytes), kept incrementally.
     cold_bytes: usize,
     /// `quantile`'s working copy of a sample: selection reorders it,
@@ -258,11 +259,18 @@ impl TenantArena {
         self.resident.len() * self.slot_bytes
     }
 
-    /// The cold tier's size, charged as its checkpoints would be:
-    /// 80 bytes plus 8 per sample word for each cold tenant. A tenant
-    /// that has seen `m < k` elements is parked in `O(m)` bytes, so this
-    /// is far below `cold tenants × slot_bytes` for long-tail traffic —
-    /// the quantity the soak's RSS verdict accounts against.
+    /// The cold tier's charge, as its checkpoints would be sized: 80
+    /// bytes plus 8 per sample word for each cold tenant. A tenant that
+    /// has seen `m < k` elements is parked in `O(m)` bytes, so this is
+    /// far below `cold tenants × slot_bytes` for long-tail traffic — the
+    /// quantity the soak's RSS verdict accounts against.
+    ///
+    /// It is a charge, not the resident size: a cold tenant also holds
+    /// its map bucket (two words, plus the map's empty buckets), the
+    /// boxed sampler's fixed state and the allocator's headers. For a
+    /// long tail of 3-word tenants the charge is 104 bytes and the
+    /// process grows by about 150–200 bytes per cold tenant, depending
+    /// on how full the map's table is.
     pub fn cold_bytes(&self) -> usize {
         self.cold_bytes
     }
@@ -302,7 +310,7 @@ impl TenantArena {
         let len = sampler.sample().len();
         let freed = (len < self.k).then(|| sampler.swap_buffer(Vec::with_capacity(len)));
         self.cold_bytes += COLD_ENVELOPE_BYTES + 8 * len;
-        self.cold.insert(victim, sampler);
+        self.cold.insert(victim, Box::new(sampler));
         self.counters.evictions += 1;
         freed
     }
@@ -333,7 +341,8 @@ impl TenantArena {
             None
         };
         let sampler = match self.cold.remove(&tenant) {
-            Some(mut sampler) => {
+            Some(parked) => {
+                let mut sampler = *parked;
                 self.counters.revivals += 1;
                 let len = sampler.sample().len();
                 self.cold_bytes -= COLD_ENVELOPE_BYTES + 8 * len;
@@ -540,7 +549,7 @@ impl VictimTenantView {
             .get(&self.victim)
             .map(|slot| &slot.sampler);
         resident
-            .or_else(|| self.arena.cold.get(&self.victim))
+            .or_else(|| self.arena.cold.get(&self.victim).map(|b| &**b))
             .map(read)
     }
 }

@@ -6,16 +6,17 @@
 //!   (k = 1,499, an 11,992-byte reservoir each), the allocator hands out
 //!   under 1 KiB per miss and no single block of 8·k bytes or more. The
 //!   victim's sampler moves to the cold map with its reservoir, and the
-//!   revived one moves back with its own; what remains is the LRU
+//!   revived one moves back with its own; what remains is the box that
+//!   holds the victim's fixed sampler state in the cold map and the LRU
 //!   index's node churn.
 //! * Quantile on a resident tenant: after the first call sizes the
 //!   arena's selection buffer, a `quantile` allocates nothing.
 //! * Fill after revival: a partial tenant revived and then filled to k
 //!   allocates at most 8·k bytes in all, the victim's exact-length copy
-//!   of its small sample included. The revived tenant takes the
-//!   victim's k-word buffer, so filling it never grows the buffer past
-//!   k by doubling. (A tenant is only
-//!   ever cold in a full arena: residents leave by eviction alone.)
+//!   of its small sample and its cold box included. The revived tenant
+//!   takes the victim's k-word buffer, so filling it never grows the
+//!   buffer past k by doubling. (A tenant is only ever cold in a full
+//!   arena: residents leave by eviction alone.)
 //!
 //! A byte-counting `#[global_allocator]` wraps the system allocator for
 //! this test binary. This file holds exactly one test: the counter is
