@@ -568,7 +568,8 @@ impl Conn {
     /// write the response to the out-buffer in the request's own wire
     /// format. `SNAPSHOT` and `TSNAPSHOT` write the sample straight from
     /// the snapshot's cached slice or the tenant's reservoir, with no
-    /// owned copy and no intermediate [`Response`].
+    /// intermediate [`Response`] (a text `TSNAPSHOT` copies the sample
+    /// first, to format it outside the arena lock).
     fn respond<S>(&mut self, req: Result<Request, String>, wire: Wire, shared: &Shared<S>)
     where
         S: ServableSummary + ObservableDefense,

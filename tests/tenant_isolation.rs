@@ -22,7 +22,8 @@
 //!   protocol (`TINGEST`/`TSNAP`/`TQUANTILE`/`TCOUNT` frames against a
 //!   live [`ServiceServer`]), with running-total acks, real arena
 //!   eviction churn under a three-slot budget, and `STATS` arena
-//!   counters equal to an offline arena fed the same frames.
+//!   counters equal to an offline arena fed the same frames; each
+//!   tenant's `TSNAPSHOT` reads the same over the text protocol.
 //!
 //! In process, resident bytes stay within the budget after every frame.
 //!
@@ -298,7 +299,8 @@ proptest! {
 /// tenant frames against a live server whose arena holds three slots
 /// (so the eight tenants churn through real evict/revive cycles), with
 /// every ack checked as a running per-tenant total and every query
-/// answer compared to the tenant's private sampler.
+/// answer compared to the tenant's private sampler. A text client's
+/// `TSNAPSHOT` of each tenant equals the binary one.
 #[test]
 fn wire_protocol_preserves_tenant_isolation() {
     let tenants_cfg = TenantArenaConfig {
@@ -360,11 +362,17 @@ fn wire_protocol_preserves_tenant_isolation() {
     assert_eq!(stats.arena_evictions, offline.counters().evictions);
     assert!(stats.arena_bytes <= tenants_cfg.budget_bytes);
 
+    let text = ServiceClient::connect(server.addr()).expect("connect text client");
     let iso = isolated(&pairs, k, BASE_SEED);
     for (&t, sampler) in &iso {
         let (items, sample) = client.tenant_snapshot(t).expect("TSNAP");
         assert_eq!(items, sampler.observed(), "tenant {t} item count");
         assert_eq!(sample, sampler.sample(), "tenant {t} sample");
+        assert_eq!(
+            text.tenant_snapshot(t).expect("text TSNAPSHOT"),
+            (items, sample.clone()),
+            "tenant {t} text snapshot"
+        );
         assert_eq!(
             client.tenant_quantile(t, 0.5).expect("TQUANTILE"),
             sample_quantile(sampler.sample(), 0.5),
