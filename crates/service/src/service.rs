@@ -732,6 +732,28 @@ mod tests {
         assert_eq!(restored.items_routed(), 1_500);
     }
 
+    /// A K = 3 checkpoint taken mid-cadence (published epoch behind the
+    /// routed count, the round-robin cursor off a multiple of 3), pinned
+    /// as (length, FNV-1a digest): the envelope's words and their order
+    /// do not move when the shard storage behind them changes.
+    #[test]
+    fn k3_mid_cadence_checkpoint_envelope_is_pinned() {
+        let stream: Vec<u64> = (0..10_000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40)
+            .collect();
+        let mut svc = service(3, 29, 4_000);
+        for frame in stream.chunks(1_000) {
+            svc.ingest_frame(frame);
+        }
+        svc.ingest_frame(&stream[..517]);
+        assert_eq!((svc.snapshot().epoch(), svc.items_routed()), (2, 10_517));
+        let bytes = svc.checkpoint();
+        assert_eq!(
+            (bytes.len(), crate::frame::tests::fnv1a(&bytes)),
+            (2_432, 0x0345_7666_866f_389a)
+        );
+    }
+
     #[test]
     fn restore_rejects_corrupt_envelopes() {
         let svc = service(2, 1, 64);
