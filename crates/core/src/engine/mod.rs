@@ -7,9 +7,10 @@
 //! [`StreamSummary`] interface with a
 //! batched ingestion hot path:
 //!
-//! * [`StreamSummary`] — `ingest` / `ingest_batch` / introspection. The
-//!   default `ingest_batch` loops over `ingest`; summaries with a faster
-//!   bulk path override it. [`crate::sampler::BernoulliSampler`]
+//! * [`StreamSummary`] — `ingest` / `ingest_batch` / `ingest_by` (a
+//!   batch given as an indexed view: a slice, a stride, wire words) /
+//!   introspection. The default `ingest_batch` loops over `ingest`;
+//!   summaries with a faster bulk path override it. [`crate::sampler::BernoulliSampler`]
 //!   (geometric skip-sampling) and [`crate::sampler::ReservoirSampler`]
 //!   (Algorithm L gap skipping) do `O(stored)` instead of `Θ(n)` work per
 //!   batch — and produce **identical samples** to element-wise ingestion
@@ -25,9 +26,10 @@
 //! * [`MergeableSummary`] — the composition capability: summaries whose
 //!   guarantees survive merging, which is what sharding a stream across
 //!   cores or sites and reassembling the pieces requires.
-//! * [`ShardedSummary`] — data-parallel ingestion built on the two:
-//!   round-robin routing to `K` deterministically-seeded shards, batched
-//!   fan-out across scoped threads, queries merged on demand.
+//! * [`ShardedSummary`] — sharded ingestion built on the two:
+//!   round-robin routing to `K` deterministically-seeded shards, each
+//!   reading its stride of a batch in place through
+//!   [`StreamSummary::ingest_by`], queries merged on demand.
 //! * [`SnapshotCodec`] — the persistence capability: summaries that can
 //!   checkpoint their **full** state (retained elements *and* private RNG
 //!   / gap state) and resume with behaviour bit-identical to an
@@ -53,7 +55,7 @@ pub mod weighted;
 
 pub use experiment::{ExperimentEngine, RunStats, SOURCE_FRAME};
 pub use merge::{merge_in_shard_order, MergeableSummary};
-pub use sharded::ShardedSummary;
+pub use sharded::{stride_start, ShardedSummary};
 pub use snapshot::{FrameHwm, SnapshotCodec, SnapshotError, SnapshotReader};
 pub use summary::{FrequencySummary, QuantileSummary, StreamSummary};
 pub use weighted::WeightedSummary;

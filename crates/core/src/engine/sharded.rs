@@ -1,21 +1,23 @@
-//! [`ShardedSummary`]: data-parallel ingestion over `K` independent
-//! shards of any [`StreamSummary`], reassembled on demand through
+//! [`ShardedSummary`]: ingestion over `K` independent shards of any
+//! [`StreamSummary`], reassembled on demand through
 //! [`MergeableSummary`].
 //!
 //! Elements are dealt to shards **round-robin by arrival index** — shard
 //! `j` sees the subsequence at positions `≡ j (mod K)`. That routing rule
-//! is what keeps the engine contract intact: `ingest_batch` hands each
-//! shard exactly the per-shard subsequence that element-wise `ingest`
-//! calls would, so batched and element-wise ingestion stay
-//! state-identical, and batch split points never change the result.
+//! ([`stride_start`]) is what keeps the engine contract intact:
+//! `ingest_batch` hands each shard exactly the per-shard subsequence that
+//! element-wise `ingest` calls would, so batched and element-wise
+//! ingestion stay state-identical, and batch split points never change
+//! the result. The served path (`SummaryService` in the `service` crate)
+//! and the cluster router deal by the same rule.
 //!
-//! Above a size threshold, `ingest_batch` fans the shards out across a
-//! `std::thread::scope` — each worker gathers its own stride of the batch
-//! and drives its shard's batched hot path, giving near-linear scaling
-//! for summaries with `Θ(n)` ingestion cost (deterministic sketches,
-//! Count-Min, KLL). Summaries with sublinear batch paths (the gap-skipping
-//! samplers) are already effectively free to ingest; sharding them is
-//! about merge topology, not throughput.
+//! Each shard reads its stride of a batch in place, through
+//! [`StreamSummary::ingest_by`] with the view `i ↦ xs[start + i·K]`:
+//! nothing is gathered, so the gap-skipping samplers read only the
+//! elements they store, and a little-endian wire payload is dealt the
+//! same way without being decoded first. Shards run one after another on
+//! the calling thread; sharding is about merge topology and per-shard
+//! state, not about threads.
 //!
 //! Shard seeds are derived deterministically from one base seed
 //! ([`ShardedSummary::shard_seed`]), so a sharded run is exactly
@@ -29,10 +31,20 @@ use crate::engine::snapshot::{self, SnapshotCodec, SnapshotError, SnapshotReader
 use crate::engine::summary::{FrequencySummary, QuantileSummary, StreamSummary};
 use robust_sampling_streamgen::source::{for_each_chunk, StreamSource};
 
-/// Batch length at or above which `ingest_batch` uses scoped worker
-/// threads (one per shard). Below it, the per-shard strides are ingested
-/// on the calling thread — spawning costs more than it saves.
-const PARALLEL_BATCH_THRESHOLD: usize = 1 << 14;
+/// The checkpoint's third word. It held a batch length for a
+/// scoped-thread fan-out that no longer exists; it is still written, as
+/// the old default, so checkpoint bytes stay what they were, and it is
+/// ignored on restore.
+const RETIRED_CHECKPOINT_WORD: usize = 1 << 14;
+
+/// The round-robin deal: the first index of a batch that shard `shard`
+/// of `shards` owns, when the batch's first element has global arrival
+/// index `routed`. Global index `i` goes to shard `i mod shards`, so the
+/// shard's stride is `start, start + shards, …` — empty when `start` is
+/// past the batch end.
+pub fn stride_start(routed: usize, shards: usize, shard: usize) -> usize {
+    (shard + shards - routed % shards) % shards
+}
 
 /// `K` independent summaries fed round-robin, merged on demand.
 #[derive(Debug, Clone)]
@@ -40,8 +52,6 @@ pub struct ShardedSummary<S> {
     shards: Vec<S>,
     /// Elements routed so far — the round-robin cursor.
     routed: usize,
-    /// Minimum batch length for the scoped-thread fan-out.
-    parallel_threshold: usize,
 }
 
 impl<S> ShardedSummary<S> {
@@ -58,13 +68,24 @@ impl<S> ShardedSummary<S> {
     /// Panics if `shards == 0`.
     pub fn new(shards: usize, base_seed: u64, mut factory: impl FnMut(usize, u64) -> S) -> Self {
         assert!(shards > 0, "need at least one shard");
-        Self {
-            shards: (0..shards)
+        Self::from_shards(
+            (0..shards)
                 .map(|j| factory(j, Self::shard_seed(base_seed, j)))
                 .collect(),
-            routed: 0,
-            parallel_threshold: PARALLEL_BATCH_THRESHOLD,
-        }
+            0,
+        )
+    }
+
+    /// Reassemble a sharded summary from its shard states, in shard order,
+    /// and the number of elements already routed to them (what a
+    /// checkpoint stores).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty.
+    pub fn from_shards(shards: Vec<S>, routed: usize) -> Self {
+        assert!(!shards.is_empty(), "need at least one shard");
+        Self { shards, routed }
     }
 
     /// Deterministic per-shard seed: SplitMix-style mix of the base seed
@@ -77,13 +98,6 @@ impl<S> ShardedSummary<S> {
         z ^ (z >> 31)
     }
 
-    /// Override the batch length at which ingestion fans out to worker
-    /// threads (tests use this to force both paths).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
-    }
-
     /// Number of shards `K`.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -94,10 +108,15 @@ impl<S> ShardedSummary<S> {
         &self.shards
     }
 
+    /// Elements routed so far: the round-robin cursor.
+    pub fn routed(&self) -> usize {
+        self.routed
+    }
+
     /// Pull a lazy [`StreamSource`] dry in `frame`-sized frames through
     /// [`StreamSummary::ingest_batch`], returning the number of elements
     /// ingested. Memory is one frame plus the shards, never the stream —
-    /// the fan-out path for 100M+-element sharded runs.
+    /// the path for 100M+-element sharded runs.
     ///
     /// # Panics
     ///
@@ -108,8 +127,8 @@ impl<S> ShardedSummary<S> {
         frame: usize,
     ) -> usize
     where
-        T: Clone + Sync,
-        S: StreamSummary<T> + Send,
+        T: Clone,
+        S: StreamSummary<T>,
     {
         for_each_chunk(source, frame, |chunk| self.ingest_batch(chunk))
     }
@@ -133,14 +152,14 @@ impl<S> ShardedSummary<S> {
     }
 }
 
-/// Checkpoint = shard count, round-robin cursor, fan-out threshold, and
+/// Checkpoint = shard count, round-robin cursor, one retired word, and
 /// every shard's own codec in shard order — a restored sharded summary
 /// keeps dealing and ingesting bit-identically.
 impl<S: SnapshotCodec> SnapshotCodec for ShardedSummary<S> {
     fn save_into(&self, out: &mut Vec<u8>) {
         snapshot::put_usize(out, self.shards.len());
         snapshot::put_usize(out, self.routed);
-        snapshot::put_usize(out, self.parallel_threshold);
+        snapshot::put_usize(out, RETIRED_CHECKPOINT_WORD);
         for shard in &self.shards {
             shard.save_into(out);
         }
@@ -152,23 +171,15 @@ impl<S: SnapshotCodec> SnapshotCodec for ShardedSummary<S> {
             return Err(SnapshotError::Corrupt("sharded summary with no shards"));
         }
         let routed = r.usize()?;
-        let parallel_threshold = r.usize()?;
+        r.usize()?; // RETIRED_CHECKPOINT_WORD
         let shards = (0..k)
             .map(|_| S::restore_from(r))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            shards,
-            routed,
-            parallel_threshold,
-        })
+        Ok(Self::from_shards(shards, routed))
     }
 }
 
-impl<T, S> StreamSummary<T> for ShardedSummary<S>
-where
-    T: Clone + Sync,
-    S: StreamSummary<T> + Send,
-{
+impl<T: Clone, S: StreamSummary<T>> StreamSummary<T> for ShardedSummary<S> {
     fn ingest(&mut self, x: T) {
         let k = self.shards.len();
         self.shards[self.routed % k].ingest(x);
@@ -176,32 +187,27 @@ where
     }
 
     fn ingest_batch(&mut self, xs: &[T]) {
+        self.ingest_by(xs.len(), move |i| xs[i].clone());
+    }
+
+    /// Deal the view: shard `j` ingests its stride `at(start + i·K)` in
+    /// place, with `start` from [`stride_start`].
+    fn ingest_by(&mut self, n: usize, at: impl Fn(usize) -> T) {
         let k = self.shards.len();
-        if k == 1 {
-            self.shards[0].ingest_batch(xs);
-            self.routed += xs.len();
-            return;
-        }
-        // Shard j's stride starts at the first batch index i with
-        // (routed + i) % k == j.
-        let first = |j: usize| (j + k - self.routed % k) % k;
-        if xs.len() >= self.parallel_threshold {
-            std::thread::scope(|scope| {
-                for (j, shard) in self.shards.iter_mut().enumerate() {
-                    let start = first(j);
-                    scope.spawn(move || {
-                        let mine: Vec<T> = xs.iter().skip(start).step_by(k).cloned().collect();
-                        shard.ingest_batch(&mine);
-                    });
-                }
-            });
+        if let [shard] = &mut self.shards[..] {
+            // One shard owns the whole view: no integer divisions, which
+            // a skip kernel that stores nothing in most frames would feel.
+            shard.ingest_by(n, at);
         } else {
+            let at = &at;
             for (j, shard) in self.shards.iter_mut().enumerate() {
-                let mine: Vec<T> = xs.iter().skip(first(j)).step_by(k).cloned().collect();
-                shard.ingest_batch(&mine);
+                let start = stride_start(self.routed, k, j);
+                shard.ingest_by(n.saturating_sub(start).div_ceil(k), move |i| {
+                    at(start + i * k)
+                });
             }
         }
-        self.routed += xs.len();
+        self.routed += n;
     }
 
     fn items_seen(&self) -> usize {
@@ -220,8 +226,8 @@ where
 /// Quantile queries answer from the on-demand merge of all shards.
 impl<T, S> QuantileSummary<T> for ShardedSummary<S>
 where
-    T: Clone + Sync,
-    S: QuantileSummary<T> + MergeableSummary<T> + Clone + Send,
+    T: Clone,
+    S: QuantileSummary<T> + MergeableSummary<T> + Clone,
 {
     fn estimate_quantile(&self, q: f64) -> Option<T> {
         self.merged().estimate_quantile(q)
@@ -235,8 +241,8 @@ where
 /// Frequency queries answer from the on-demand merge of all shards.
 impl<T, S> FrequencySummary<T> for ShardedSummary<S>
 where
-    T: Clone + Sync,
-    S: FrequencySummary<T> + MergeableSummary<T> + Clone + Send,
+    T: Clone,
+    S: FrequencySummary<T> + MergeableSummary<T> + Clone,
 {
     fn estimate_count(&self, x: &T) -> f64 {
         self.merged().estimate_count(x)
@@ -259,8 +265,8 @@ mod tests {
     #[test]
     fn batch_and_elementwise_ingest_are_state_identical() {
         let stream: Vec<u64> = (0..50_000).collect();
-        let mut a = sharded_reservoir(4).with_parallel_threshold(usize::MAX);
-        let mut b = sharded_reservoir(4); // parallel path
+        let mut a = sharded_reservoir(4);
+        let mut b = sharded_reservoir(4);
         for &x in &stream {
             a.ingest(x);
         }
@@ -278,7 +284,7 @@ mod tests {
         let stream: Vec<u64> = (0..30_000).rev().collect();
         let mut whole = sharded_reservoir(3);
         whole.ingest_batch(&stream);
-        let mut pieces = sharded_reservoir(3).with_parallel_threshold(usize::MAX);
+        let mut pieces = sharded_reservoir(3);
         let mut rest: &[u64] = &stream;
         let mut chunk = 1usize;
         while !rest.is_empty() {

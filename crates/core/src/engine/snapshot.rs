@@ -104,6 +104,19 @@ pub fn extend_u64_run(out: &mut Vec<u64>, bytes: &[u8]) {
     );
 }
 
+/// The `i`-th little-endian `u64` word of `bytes`: the indexed view a
+/// wire payload is ingested through (see
+/// [`StreamSummary::ingest_by`](crate::engine::StreamSummary::ingest_by)),
+/// so a skip kernel decodes only the words it stores.
+///
+/// # Panics
+///
+/// Panics if `bytes` holds fewer than `i + 1` whole words.
+#[inline]
+pub fn le_word(bytes: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+}
+
 /// Append a length-prefixed `u64` sequence.
 pub fn put_u64_seq(out: &mut Vec<u8>, vs: &[u64]) {
     put_usize(out, vs.len());
@@ -303,6 +316,32 @@ mod tests {
             FrameHwm::restore(&bytes[..7]),
             Err(SnapshotError::UnexpectedEof)
         );
+    }
+
+    /// Forged high-water marks: every truncation and any trailing bytes
+    /// are typed errors; any full word is a mark (the service envelope
+    /// rejects `u64::MAX` itself, since its next frame would overflow).
+    #[test]
+    fn forged_frame_hwm_is_a_typed_error() {
+        let bytes = FrameHwm(0x0123_4567_89ab_cdef).save();
+        for len in 0..bytes.len() {
+            assert_eq!(
+                FrameHwm::restore(&bytes[..len]),
+                Err(SnapshotError::UnexpectedEof),
+                "truncated to {len} bytes"
+            );
+        }
+        for extra in 1..=9 {
+            let mut trailing = bytes.clone();
+            trailing.resize(bytes.len() + extra, 0xA5);
+            assert_eq!(
+                FrameHwm::restore(&trailing),
+                Err(SnapshotError::TrailingBytes(extra))
+            );
+        }
+        for mark in [0, 1, u64::MAX] {
+            assert_eq!(FrameHwm::restore(&mark.to_le_bytes()), Ok(FrameHwm(mark)));
+        }
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {

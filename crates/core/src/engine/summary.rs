@@ -17,7 +17,9 @@ use crate::window::ChainSampler;
 /// [`ingest_batch`](Self::ingest_batch) is strict equivalence:
 /// `s.ingest_batch(xs)` must leave the summary in **exactly** the state
 /// that `for x in xs { s.ingest(x) }` would (same retained elements, same
-/// RNG stream) — overriding it buys speed, never different answers.
+/// RNG stream) — overriding it buys speed, never different answers. The
+/// same holds for [`ingest_by`](Self::ingest_by) and the gathered copy of
+/// its view.
 pub trait StreamSummary<T> {
     /// Process one stream element.
     fn ingest(&mut self, x: T);
@@ -31,6 +33,32 @@ pub trait StreamSummary<T> {
     {
         for x in xs {
             self.ingest(x.clone());
+        }
+    }
+
+    /// Process the `n` elements of an indexed view, `at(0), …, at(n−1)`:
+    /// equivalent, state-for-state, to [`ingest_batch`](Self::ingest_batch)
+    /// over the gathered copy. The view may be a slice, one shard's stride
+    /// of a larger batch (`at(i) = xs[start + i·K]`) or the words of a
+    /// little-endian payload ([`le_word`](crate::engine::snapshot::le_word)),
+    /// so nothing has to be copied out before the summary runs. The skip
+    /// samplers override this to read only the elements they store; the
+    /// default hands fixed-size stack chunks to `ingest_batch` and
+    /// ingests the tail element-wise, so it never allocates.
+    fn ingest_by(&mut self, n: usize, at: impl Fn(usize) -> T)
+    where
+        Self: Sized,
+        T: Clone,
+    {
+        const CHUNK: usize = 256;
+        let mut base = 0;
+        while n - base >= CHUNK {
+            let chunk: [T; CHUNK] = std::array::from_fn(|j| at(base + j));
+            self.ingest_batch(&chunk);
+            base += CHUNK;
+        }
+        for i in base..n {
+            self.ingest(at(i));
         }
     }
 
@@ -76,8 +104,12 @@ impl<T: Clone> StreamSummary<T> for BernoulliSampler<T> {
     }
 
     fn ingest_batch(&mut self, xs: &[T]) {
-        // Geometric skip-sampling: O(p·|xs|) expected work.
         self.observe_batch(xs);
+    }
+
+    fn ingest_by(&mut self, n: usize, at: impl Fn(usize) -> T) {
+        // Geometric skip-sampling: O(p·n) expected work.
+        self.observe_by(n, at);
     }
 
     fn items_seen(&self) -> usize {
@@ -99,8 +131,12 @@ impl<T: Clone> StreamSummary<T> for ReservoirSampler<T> {
     }
 
     fn ingest_batch(&mut self, xs: &[T]) {
-        // Algorithm L gap skipping: O(k·ln(|xs|/k)) expected work.
         self.observe_batch(xs);
+    }
+
+    fn ingest_by(&mut self, n: usize, at: impl Fn(usize) -> T) {
+        // Algorithm L gap skipping: O(k·ln(n/k)) expected work.
+        self.observe_by(n, at);
     }
 
     fn items_seen(&self) -> usize {

@@ -260,7 +260,14 @@ impl<T> BernoulliSampler<T> {
     where
         T: Clone,
     {
-        let n = xs.len();
+        self.observe_by(xs.len(), move |i| xs[i].clone());
+    }
+
+    /// [`observe_batch`](Self::observe_batch) over an indexed view: the
+    /// `n` elements are `at(0), …, at(n−1)`, and `at` is called only for
+    /// the elements the sampler stores — a strided or encoded view is
+    /// never gathered.
+    pub fn observe_by(&mut self, n: usize, at: impl Fn(usize) -> T) {
         self.observed += n;
         let Some(mut skip) = self.skip else {
             return;
@@ -268,11 +275,11 @@ impl<T> BernoulliSampler<T> {
         if self.p >= 1.0 {
             // Every drawn gap is 0 and drawing one consumes no
             // randomness: after any pending skip runs out, storing the
-            // rest of the batch is a single slice copy.
+            // rest of the batch is one extend.
             if skip >= n as u64 {
                 self.skip = Some(skip - n as u64);
             } else {
-                self.sample.extend_from_slice(&xs[skip as usize..]);
+                self.sample.extend((skip as usize..n).map(at));
                 self.skip = Some(0);
             }
             return;
@@ -286,7 +293,7 @@ impl<T> BernoulliSampler<T> {
         // so the compiler can keep them in registers. Each iteration
         // copies one confirmed store and draws the *next* gap; the gap's
         // `ln` depends only on the RNG recurrence — never on loaded data —
-        // so the strided `xs` read overlaps the FPU work, and consecutive
+        // so the strided read overlaps the FPU work, and consecutive
         // iterations' `ln` calls pipeline. Exactly one RNG word is
         // consumed per stored element, in stream order — identical to the
         // element-wise path.
@@ -296,7 +303,7 @@ impl<T> BernoulliSampler<T> {
             let mut pos = skip as usize;
             loop {
                 skip = bernoulli_gap(&mut rng, p, ln_q);
-                self.sample.push(xs[pos].clone());
+                self.sample.push(at(pos));
                 // Elements of this batch after `pos`; the new gap either
                 // lands in them or carries past the batch end.
                 let after = (n - pos - 1) as u64;
@@ -691,14 +698,21 @@ impl<T> ReservoirSampler<T> {
     where
         T: Clone,
     {
+        self.observe_by(xs.len(), move |i| xs[i].clone());
+    }
+
+    /// [`observe_batch`](Self::observe_batch) over an indexed view: the
+    /// `n` elements are `at(0), …, at(n−1)`, and `at` is called only for
+    /// the elements the reservoir stores — a strided or encoded view is
+    /// never gathered.
+    pub fn observe_by(&mut self, n: usize, at: impl Fn(usize) -> T) {
         self.settle();
         let mut i = 0usize;
-        let n = xs.len();
         // Fill phase: the first k elements are stored unconditionally and
-        // consume no randomness, so the fill is a single slice copy.
+        // consume no randomness.
         if self.reservoir.len() < self.k {
             let take = (self.k - self.reservoir.len()).min(n);
-            self.reservoir.extend_from_slice(&xs[..take]);
+            self.reservoir.extend((0..take).map(&at));
             self.total_stored += take;
             self.observed += take;
             i = take;
@@ -719,7 +733,7 @@ impl<T> ReservoirSampler<T> {
         // on loaded data, and the only loop-carried recurrences are the
         // cheap threshold multiply and the position walk, so the four
         // transcendental calls per store pipeline across iterations and
-        // the strided `xs` read overlaps them. (Probe-measured, removing
+        // the strided read overlaps them. (Probe-measured, removing
         // the read entirely does not speed this loop up: it runs at FPU
         // throughput.)
         let k = self.k;
@@ -738,7 +752,7 @@ impl<T> ReservoirSampler<T> {
                 w *= (u1.ln() / kf).exp();
                 let u2: f64 = rng.random();
                 let denom = (1.0 - w).ln();
-                reservoir[slot] = xs[pos].clone();
+                reservoir[slot] = at(pos);
                 total_stored += 1;
                 skip = if denom < 0.0 {
                     (u2.ln() / denom) as u64

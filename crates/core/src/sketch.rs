@@ -371,6 +371,100 @@ mod tests {
         assert_eq!(h.contract(), h_whole.contract());
     }
 
+    /// Check forged checkpoints of one sketch codec: every truncation,
+    /// trailing bytes, each `(a, b)` in `bad_contracts` written over the
+    /// contract's two leading words, and a forged inner reservoir must
+    /// each be a typed error, never a panic.
+    fn assert_forgeries_are_typed_errors<S: SnapshotCodec>(
+        bytes: &[u8],
+        bad_contracts: &[(f64, f64)],
+    ) {
+        use crate::engine::snapshot::SnapshotError;
+        assert!(S::restore(bytes).is_ok());
+        for len in 0..bytes.len() {
+            assert_eq!(
+                S::restore(&bytes[..len]).err(),
+                Some(SnapshotError::UnexpectedEof),
+                "truncated to {len} bytes"
+            );
+        }
+        for extra in [1, 8] {
+            let mut trailing = bytes.to_vec();
+            trailing.resize(bytes.len() + extra, 0xA5);
+            assert_eq!(
+                S::restore(&trailing).err(),
+                Some(SnapshotError::TrailingBytes(extra))
+            );
+        }
+        let forged = |word: usize, v: u64| {
+            let mut b = bytes.to_vec();
+            b[8 * word..8 * word + 8].copy_from_slice(&v.to_le_bytes());
+            S::restore(&b).err()
+        };
+        let corrupt = |e: Option<SnapshotError>| matches!(e, Some(SnapshotError::Corrupt(_)));
+        for &(a, b) in bad_contracts {
+            let mut words = bytes.to_vec();
+            words[..8].copy_from_slice(&a.to_bits().to_le_bytes());
+            words[8..16].copy_from_slice(&b.to_bits().to_le_bytes());
+            assert!(corrupt(S::restore(&words).err()), "contract ({a}, {b})");
+        }
+        // The inner reservoir follows the contract: capacity, observed,
+        // total stored, the sample's length and words, then the
+        // threshold.
+        let len = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        assert!(len > 1, "the forgeries need a sample of two or more");
+        assert!(corrupt(forged(2, 0)), "capacity zero");
+        assert!(corrupt(forged(2, len - 1)), "sample over capacity");
+        assert!(corrupt(forged(3, len - 1)), "observed below the sample");
+        assert_eq!(forged(5, u64::MAX), Some(SnapshotError::UnexpectedEof));
+        let w = 6 + len as usize;
+        for threshold in [-0.5, 1.5, f64::NAN] {
+            assert!(corrupt(forged(w, threshold.to_bits())), "w = {threshold}");
+        }
+    }
+
+    #[test]
+    fn forged_quantile_sketch_checkpoints_are_typed_errors() {
+        let mut s = RobustQuantileSketch::<u64>::new(LN_U, 0.1, 0.05, 6);
+        s.observe_batch(&(0..5_000).collect::<Vec<u64>>());
+        let nan = f64::NAN;
+        assert_forgeries_are_typed_errors::<RobustQuantileSketch<u64>>(
+            &s.save(),
+            &[
+                (0.0, 0.05),
+                (1.0, 0.05),
+                (-0.1, 0.05),
+                (f64::INFINITY, 0.05),
+                (nan, 0.05),
+                (0.1, 0.0),
+                (0.1, 1.0),
+                (0.1, -0.5),
+                (0.1, nan),
+            ],
+        );
+    }
+
+    #[test]
+    fn forged_heavy_hitter_sketch_checkpoints_are_typed_errors() {
+        let mut s = RobustHeavyHitterSketch::<u64>::new(LN_U, 0.1, 0.06, 0.02, 8);
+        s.observe_batch(&(0..5_000).collect::<Vec<u64>>());
+        let nan = f64::NAN;
+        assert_forgeries_are_typed_errors::<RobustHeavyHitterSketch<u64>>(
+            &s.save(),
+            &[
+                (0.0, 0.05),
+                (1.5, 0.05),
+                (-0.1, 0.05),
+                (nan, 0.05),
+                (0.1, 0.1),
+                (0.1, 0.2),
+                (0.1, 0.0),
+                (0.1, -0.01),
+                (0.1, nan),
+            ],
+        );
+    }
+
     #[test]
     #[should_panic(expected = "need 0 < eps < alpha")]
     fn heavy_hitter_rejects_bad_contract() {

@@ -77,7 +77,7 @@ use crate::protocol::{Request, MAX_INGEST_FRAME};
 use crate::service::{EpochSnapshot, ServableSummary};
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::engine::{
-    merge_in_shard_order, ShardedSummary, SnapshotCodec, StreamSummary,
+    merge_in_shard_order, stride_start, ShardedSummary, SnapshotCodec, StreamSummary,
 };
 use robust_sampling_core::sampler::ReservoirSampler;
 use std::any::Any;
@@ -313,15 +313,18 @@ fn spawn_node(cfg: &ClusterConfig, j: usize) -> std::io::Result<Node> {
 }
 
 /// Deal `chunk` (whose first element has global arrival index `routed`)
-/// straight into the per-node replay windows, `k = windows.len()`:
-/// global index `i` goes to node `i mod k` — the exact [`ShardedSummary`]
-/// routing contract. Each node with a non-empty stride gets one frame at
-/// the back of its window; those are the nodes `i mod k` for `i` in
-/// `routed..routed + min(k, chunk.len())`.
+/// straight into the per-node replay windows, `k = windows.len()`, by
+/// the engine's round-robin rule ([`stride_start`]): global index `i`
+/// goes to node `i mod k`. Each node with a non-empty stride gets one
+/// frame at the back of its window; those are the nodes `i mod k` for `i`
+/// in `routed..routed + min(k, chunk.len())`.
 fn deal_strides(routed: usize, chunk: &[u64], windows: &mut [VecDeque<Vec<u64>>]) {
     let k = windows.len();
-    for (p, i) in (routed..routed + chunk.len().min(k)).enumerate() {
-        windows[i % k].push_back(chunk[p..].iter().step_by(k).copied().collect());
+    for (j, window) in windows.iter_mut().enumerate() {
+        let start = stride_start(routed, k, j);
+        if start < chunk.len() {
+            window.push_back(chunk[start..].iter().step_by(k).copied().collect());
+        }
     }
 }
 

@@ -3,27 +3,27 @@
 //!
 //! ## Determinism contract
 //!
-//! The service reuses the [`ShardedSummary`] round-robin deal verbatim:
-//! frame element `i` (counting from the global arrival index) goes to
-//! shard `i mod K`, and each shard drives its summary's batched hot path
-//! over exactly the per-shard subsequence the offline
-//! [`ShardedSummary::ingest_batch`] would hand it. Because the engine's
-//! batch contract is strict state equivalence, a service fed a frame
-//! schedule ends with shard states — and therefore merged epoch
+//! The service's shards *are* a [`ShardedSummary`], so it deals by the
+//! engine's one round-robin rule: frame element `i` (counting from the
+//! global arrival index) goes to shard `i mod K`, and each shard runs its
+//! summary's batched hot path over exactly the per-shard subsequence the
+//! offline [`ShardedSummary::ingest_batch`] would hand it. Because the
+//! engine's batch contract is strict state equivalence, a service fed a
+//! frame schedule ends with shard states — and therefore merged epoch
 //! snapshots — **bit-identical** to the offline sharded run of the same
 //! stream (property-tested in `tests/service_determinism.rs`).
 //!
 //! ## Concurrency model
 //!
-//! One writer, many readers. The service owns its `K` shards and does
-//! all ingest and publish work on the calling thread; it starts no
-//! thread. `ingest_frame` hands a one-shard frame straight to the batch
-//! kernel; with several shards it gathers each shard's stride into one
-//! reused buffer and runs that shard's kernel on it, shard by shard.
-//! `ingest_frame_le` decodes the wire payload into the same reused
-//! buffer (batch ≡ element-wise makes the two paths bit-identical). The
-//! steady-state ingest path is **allocation-free**: the buffer grows to
-//! one frame once and is reused from then on.
+//! One writer, many readers. The service does all ingest and publish
+//! work on the calling thread; it starts no thread. `ingest_frame` hands
+//! the frame to [`ShardedSummary::ingest_batch`], and `ingest_frame_le`
+//! hands the wire payload to [`ShardedSummary::ingest_by`] as a view of
+//! its little-endian words ([`le_word`]). Either way each shard reads its
+//! stride in place, and the skip kernels read, and decode, only the
+//! elements they store: nothing is copied or decoded into a buffer
+//! first, so a frame costs its shards' stores, not its length. The
+//! steady-state ingest path is **allocation-free**.
 //!
 //! Every `epoch_every` ingested elements the same call *publishes*: it
 //! clones the shards, merges the clones in shard order into the next
@@ -39,11 +39,9 @@
 
 use robust_sampling_core::attack::ObservableDefense;
 use robust_sampling_core::engine::snapshot::{
-    extend_u64_run, put_u64, put_usize, FrameHwm, SnapshotCodec, SnapshotError, SnapshotReader,
+    le_word, put_u64, put_usize, FrameHwm, SnapshotCodec, SnapshotError, SnapshotReader,
 };
-use robust_sampling_core::engine::{
-    merge_in_shard_order, MergeableSummary, ShardedSummary, StreamSummary,
-};
+use robust_sampling_core::engine::{MergeableSummary, ShardedSummary, StreamSummary};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The capability bundle a summary needs to be served: engine ingestion,
@@ -249,14 +247,8 @@ const CHECKPOINT_MAGIC: u64 = 0x5253_5643_0000_0002;
 /// A long-running, concurrently-queried summary service. See the module
 /// docs for the determinism and concurrency contracts.
 pub struct SummaryService<S: ServableSummary> {
-    /// The `K` shard summaries, in shard order.
-    shards: Vec<S>,
-    /// Reused ingest buffer: one shard's gathered stride, or a one-shard
-    /// service's decoded wire payload.
-    stride: Vec<u64>,
-    /// Elements dealt so far — the round-robin cursor (identical role to
-    /// [`ShardedSummary`]'s).
-    routed: usize,
+    /// The `K` shard summaries and the round-robin cursor.
+    sharded: ShardedSummary<S>,
     /// Elements ingested since the last publish.
     since_publish: usize,
     /// Ingest frames fully applied — the high-water mark a checkpoint
@@ -274,7 +266,7 @@ impl<S: ServableSummary> std::fmt::Debug for SummaryService<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SummaryService")
             .field("shards", &self.num_shards())
-            .field("routed", &self.routed)
+            .field("routed", &self.items_routed())
             .field("epoch", &self.epoch)
             .field("epoch_every", &self.epoch_every)
             .finish()
@@ -297,13 +289,16 @@ impl<S: ServableSummary> SummaryService<S> {
         shards: usize,
         base_seed: u64,
         epoch_every: usize,
-        mut factory: impl FnMut(usize, u64) -> S,
+        factory: impl FnMut(usize, u64) -> S,
     ) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let built: Vec<S> = (0..shards)
-            .map(|j| factory(j, ShardedSummary::<S>::shard_seed(base_seed, j)))
-            .collect();
-        Self::from_parts(built, 0, 0, FrameHwm::default(), 0, epoch_every, None)
+        Self::from_parts(
+            ShardedSummary::new(shards, base_seed, factory),
+            0,
+            FrameHwm::default(),
+            0,
+            epoch_every,
+            None,
+        )
     }
 
     /// Assemble a service around pre-built shard states. `published` is
@@ -313,8 +308,7 @@ impl<S: ServableSummary> SummaryService<S> {
     /// `None` and serves the merge of the initial shard states under
     /// epoch number `epoch`.
     fn from_parts(
-        shards: Vec<S>,
-        routed: usize,
+        sharded: ShardedSummary<S>,
         since_publish: usize,
         frames_acked: FrameHwm,
         epoch: u64,
@@ -322,13 +316,10 @@ impl<S: ServableSummary> SummaryService<S> {
         published: Option<EpochSnapshot<S>>,
     ) -> Self {
         assert!(epoch_every > 0, "epoch_every must be positive");
-        let snapshot = published.unwrap_or_else(|| {
-            EpochSnapshot::new(epoch, routed, merge_in_shard_order(shards.iter().cloned()))
-        });
+        let snapshot = published
+            .unwrap_or_else(|| EpochSnapshot::new(epoch, sharded.routed(), sharded.merged()));
         Self {
-            shards,
-            stride: Vec::new(),
-            routed,
+            sharded,
             since_publish,
             frames_acked,
             epoch_every,
@@ -339,12 +330,12 @@ impl<S: ServableSummary> SummaryService<S> {
 
     /// Number of ingest shards `K`.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.sharded.num_shards()
     }
 
     /// Elements ingested so far.
     pub fn items_routed(&self) -> usize {
-        self.routed
+        self.sharded.routed()
     }
 
     /// Ingest frames fully applied so far — the frame high-water mark
@@ -373,35 +364,19 @@ impl<S: ServableSummary> SummaryService<S> {
     }
 
     /// Ingest one frame, then publish an epoch if the cadence came due.
-    /// Returns the new total item count. One shard ingests the slice
-    /// directly; several shards each ingest their gathered stride. The
-    /// frame, and any epoch it completes, is applied before the call
-    /// returns. Steady-state calls perform no heap allocation.
+    /// Returns the new total item count. Each shard reads its stride of
+    /// the frame in place. The frame, and any epoch it completes, is
+    /// applied before the call returns. Steady-state calls perform no
+    /// heap allocation.
     pub fn ingest_frame(&mut self, xs: &[u64]) -> usize {
-        match self.shards.as_mut_slice() {
-            [shard] => shard.ingest_batch(xs),
-            shards => {
-                // Shard j's stride starts at the first frame index i with
-                // (routed + i) % k == j — the ShardedSummary deal.
-                let k = shards.len();
-                let offset = self.routed % k;
-                for (j, shard) in shards.iter_mut().enumerate() {
-                    self.stride.clear();
-                    let start = (j + k - offset) % k;
-                    self.stride
-                        .extend(xs.iter().skip(start).step_by(k).copied());
-                    shard.ingest_batch(&self.stride);
-                }
-            }
-        }
+        self.sharded.ingest_batch(xs);
         self.finish_frame(xs.len())
     }
 
     /// Ingest one frame straight from its wire encoding: `payload` is
     /// the flat little-endian `u64` chunk of a binary `INGEST` frame.
-    /// One shard decodes the whole payload into the reused buffer;
-    /// several shards each decode their stride into it. The payload is
-    /// never materialized as a fresh `Vec<u64>`, and state evolution is
+    /// Each shard reads its stride of the payload's words in place, and a
+    /// word is decoded only if a kernel stores it. State evolution is
     /// bit-identical to [`ingest_frame`](Self::ingest_frame) on the
     /// decoded values.
     ///
@@ -414,31 +389,18 @@ impl<S: ServableSummary> SummaryService<S> {
             payload.len().is_multiple_of(8),
             "INGEST payload must be a multiple of 8 bytes"
         );
-        let words = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-        let k = self.shards.len();
-        let offset = self.routed % k;
-        for (j, shard) in self.shards.iter_mut().enumerate() {
-            self.stride.clear();
-            if k == 1 {
-                extend_u64_run(&mut self.stride, payload);
-            } else {
-                let start = (j + k - offset) % k;
-                self.stride
-                    .extend(payload.chunks_exact(8).skip(start).step_by(k).map(words));
-            }
-            shard.ingest_batch(&self.stride);
-        }
-        self.finish_frame(payload.len() / 8)
+        let n = payload.len() / 8;
+        self.sharded.ingest_by(n, move |i| le_word(payload, i));
+        self.finish_frame(n)
     }
 
     fn finish_frame(&mut self, n: usize) -> usize {
         self.frames_acked.ack();
-        self.routed += n;
         self.since_publish += n;
         if self.since_publish >= self.epoch_every {
             self.publish();
         }
-        self.routed
+        self.items_routed()
     }
 
     /// Publish a new epoch now (the `epoch_every` cadence calls the
@@ -447,8 +409,11 @@ impl<S: ServableSummary> SummaryService<S> {
     pub fn publish(&mut self) -> Arc<EpochSnapshot<S>> {
         self.epoch += 1;
         self.since_publish = 0;
-        let merged = merge_in_shard_order(self.shards.iter().cloned());
-        let snap = Arc::new(EpochSnapshot::new(self.epoch, self.routed, merged));
+        let snap = Arc::new(EpochSnapshot::new(
+            self.epoch,
+            self.items_routed(),
+            self.sharded.merged(),
+        ));
         let old = std::mem::replace(
             &mut *self.published.write().expect("snapshot lock poisoned"),
             Arc::clone(&snap),
@@ -480,14 +445,14 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
         let mut out = Vec::new();
         put_u64(&mut out, CHECKPOINT_MAGIC);
         put_usize(&mut out, self.num_shards());
-        put_usize(&mut out, self.routed);
+        put_usize(&mut out, self.items_routed());
         put_usize(&mut out, self.since_publish);
         self.frames_acked.save_into(&mut out);
         put_usize(&mut out, self.epoch_every);
         put_u64(&mut out, self.epoch);
         put_usize(&mut out, snap.items());
         snap.summary().save_into(&mut out);
-        for shard in &self.shards {
+        for shard in self.sharded.shards() {
             shard.save_into(&mut out);
         }
         out
@@ -538,8 +503,7 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
             return Err(SnapshotError::Corrupt("checkpoint counter at u64::MAX"));
         }
         Ok(Self::from_parts(
-            states,
-            routed,
+            ShardedSummary::from_shards(states, routed),
             since_publish,
             frames_acked,
             epoch,

@@ -51,6 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::bounds;
+use robust_sampling_core::engine::snapshot::le_word;
 use robust_sampling_core::engine::{QuantileSummary, StreamSummary};
 use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
 
@@ -376,22 +377,17 @@ impl TenantArena {
     /// total items after the frame.
     pub fn ingest(&mut self, tenant: u64, values: &[u64]) -> usize {
         let sampler = self.slot(tenant);
-        for &v in values {
-            sampler.observe(v);
-        }
+        sampler.observe_batch(values);
         sampler.observed()
     }
 
     /// Ingest a little-endian `u64` byte frame (the zero-copy wire
-    /// path). Trailing bytes short of a full word are ignored, matching
-    /// the single-summary LE ingest contract.
+    /// path): the reservoir reads the payload's words in place and
+    /// decodes only those it stores. Trailing bytes short of a full word
+    /// are ignored.
     pub fn ingest_le(&mut self, tenant: u64, payload: &[u8]) -> usize {
         let sampler = self.slot(tenant);
-        for chunk in payload.chunks_exact(8) {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(chunk);
-            sampler.observe(u64::from_le_bytes(w));
-        }
+        sampler.observe_by(payload.len() / 8, move |i| le_word(payload, i));
         sampler.observed()
     }
 
