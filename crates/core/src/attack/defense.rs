@@ -4,7 +4,7 @@
 //! sketches crate.)
 
 use super::{ObservableDefense, StateOracle};
-use crate::engine::{MergeableSummary, QuantileSummary, ShardedSummary};
+use crate::engine::{QuantileSummary, ShardedSummary};
 use crate::sampler::{
     BernoulliSampler, BottomKSampler, EveryKthSampler, ReservoirSampler, StreamSampler,
 };
@@ -103,10 +103,7 @@ impl ObservableDefense for RobustHeavyHitterSketch<u64> {
 
 impl<S> StateOracle for ShardedSummary<S> where S: ObservableDefense {}
 
-impl<S> ObservableDefense for ShardedSummary<S>
-where
-    S: ObservableDefense + MergeableSummary<u64> + Clone + Send,
-{
+impl<S: ObservableDefense> ObservableDefense for ShardedSummary<S> {
     fn visible_into(&self, out: &mut Vec<u64>) {
         for shard in self.shards() {
             shard.visible_into(out);

@@ -42,8 +42,14 @@ const RETIRED_CHECKPOINT_WORD: usize = 1 << 14;
 /// index `routed`. Global index `i` goes to shard `i mod shards`, so the
 /// shard's stride is `start, start + shards, …` — empty when `start` is
 /// past the batch end.
+#[inline]
 pub fn stride_start(routed: usize, shards: usize, shard: usize) -> usize {
-    (shard + shards - routed % shards) % shards
+    let owner_of_first = routed % shards;
+    if shard >= owner_of_first {
+        shard - owner_of_first
+    } else {
+        shard + shards - owner_of_first
+    }
 }
 
 /// `K` independent summaries fed round-robin, merged on demand.
@@ -199,12 +205,13 @@ impl<T: Clone, S: StreamSummary<T>> StreamSummary<T> for ShardedSummary<S> {
             // a skip kernel that stores nothing in most frames would feel.
             shard.ingest_by(n, at);
         } else {
-            let at = &at;
+            // Shard j's stride has n / K elements, one more if it starts
+            // before n % K.
+            let (at, per_shard, longer) = (&at, n / k, n % k);
             for (j, shard) in self.shards.iter_mut().enumerate() {
                 let start = stride_start(self.routed, k, j);
-                shard.ingest_by(n.saturating_sub(start).div_ceil(k), move |i| {
-                    at(start + i * k)
-                });
+                let len = per_shard + usize::from(start < longer);
+                shard.ingest_by(len, move |i| at(start + i * k));
             }
         }
         self.routed += n;

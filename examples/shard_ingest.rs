@@ -2,10 +2,9 @@
 //! `K` reservoir shards fed through `ingest_frame` (a slice) and
 //! `ingest_frame_le` (a binary `INGEST` payload), for K ∈ {1, 2, 4},
 //! reservoir capacity k ∈ {1,253, 20,000} and frames of 256 and 4,096
-//! elements. Each cell streams `--elems` elements (default 40M) and
-//! reports the best of `--reps` runs (default 3) in elements per second;
-//! the K values of a cell run back to back, so repeated invocations give
-//! interleaved samples.
+//! elements. Each cell streams `--elems` elements (default 40M) once
+//! untimed, then reports the best of `--reps` timed runs (default 3) in
+//! elements per second; repeated invocations give interleaved samples.
 //!
 //! ```sh
 //! cargo run --release --example shard_ingest -- --elems 40000000 --reps 3
@@ -38,27 +37,30 @@ fn main() {
         for k in [1_253, 20_000] {
             for frame in [256, 4_096] {
                 for shards in [1, 2, 4] {
-                    let best = (0..reps)
-                        .map(|rep| {
-                            let mut svc =
-                                SummaryService::start(shards, rep as u64, usize::MAX, |_, s| {
-                                    ReservoirSampler::with_seed(k, s)
-                                });
-                            let start = Instant::now();
-                            let mut fed = 0;
-                            while fed < elems {
-                                let at = fed % (POOL - frame);
-                                if le {
-                                    svc.ingest_frame_le(&bytes[8 * at..8 * (at + frame)]);
-                                } else {
-                                    svc.ingest_frame(&pool[at..at + frame]);
-                                }
-                                fed += frame;
+                    let run = |rep: usize| {
+                        let mut svc =
+                            SummaryService::start(shards, rep as u64, usize::MAX, |_, s| {
+                                ReservoirSampler::with_seed(k, s)
+                            });
+                        let start = Instant::now();
+                        let mut fed = 0;
+                        while fed < elems {
+                            let at = fed % (POOL - frame);
+                            if le {
+                                svc.ingest_frame_le(&bytes[8 * at..8 * (at + frame)]);
+                            } else {
+                                svc.ingest_frame(&pool[at..at + frame]);
                             }
-                            assert_eq!(svc.items_routed(), fed);
-                            fed as f64 / start.elapsed().as_secs_f64()
-                        })
-                        .fold(0.0, f64::max);
+                            fed += frame;
+                        }
+                        assert_eq!(svc.items_routed(), fed);
+                        fed as f64 / start.elapsed().as_secs_f64()
+                    };
+                    // One untimed run first, so a cell never inherits the
+                    // CPU state left by the previous cell's longer or
+                    // shorter work (that alone moved K = 1 rates by 2×).
+                    run(0);
+                    let best = (0..reps).map(run).fold(0.0, f64::max);
                     let path = if le {
                         "ingest_frame_le"
                     } else {
