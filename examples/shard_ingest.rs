@@ -2,12 +2,13 @@
 //! `K` reservoir shards fed through `ingest_frame` (a slice) and
 //! `ingest_frame_le` (a binary `INGEST` payload), for K ∈ {1, 2, 4},
 //! reservoir capacity k ∈ {1,253, 20,000} and frames of 256 and 4,096
-//! elements. Each cell streams `--elems` elements (default 40M) once
-//! untimed, then reports the best of `--reps` timed runs (default 3) in
-//! elements per second; repeated invocations give interleaved samples.
+//! elements. Each cell streams 40M elements into a fresh service once
+//! untimed, then once timed, and prints the timed rate in elements per
+//! second. One invocation is one sample; for a before/after, alternate
+//! ten invocations per side.
 //!
 //! ```sh
-//! cargo run --release --example shard_ingest -- --elems 40000000 --reps 3
+//! cargo run --release --example shard_ingest
 //! ```
 
 use robust_sampling::core::sampler::ReservoirSampler;
@@ -17,17 +18,10 @@ use std::time::Instant;
 /// Distinct elements cycled through, so generation is not timed.
 const POOL: usize = 1 << 20;
 
-fn arg(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map_or(default, |v| v.parse().expect("numeric argument"))
-}
+/// Elements streamed per run.
+const ELEMS: usize = 40_000_000;
 
 fn main() {
-    let elems = arg("--elems", 40_000_000);
-    let reps = arg("--reps", 3).max(1);
     let pool: Vec<u64> = (0..POOL as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
         .collect();
@@ -37,14 +31,13 @@ fn main() {
         for k in [1_253, 20_000] {
             for frame in [256, 4_096] {
                 for shards in [1, 2, 4] {
-                    let run = |rep: usize| {
-                        let mut svc =
-                            SummaryService::start(shards, rep as u64, usize::MAX, |_, s| {
-                                ReservoirSampler::with_seed(k, s)
-                            });
+                    let run = || {
+                        let mut svc = SummaryService::start(shards, 0, usize::MAX, |_, s| {
+                            ReservoirSampler::with_seed(k, s)
+                        });
                         let start = Instant::now();
                         let mut fed = 0;
-                        while fed < elems {
+                        while fed < ELEMS {
                             let at = fed % (POOL - frame);
                             if le {
                                 svc.ingest_frame_le(&bytes[8 * at..8 * (at + frame)]);
@@ -59,14 +52,14 @@ fn main() {
                     // One untimed run first, so a cell never inherits the
                     // CPU state left by the previous cell's longer or
                     // shorter work (that alone moved K = 1 rates by 2×).
-                    run(0);
-                    let best = (0..reps).map(run).fold(0.0, f64::max);
+                    run();
+                    let rate = run();
                     let path = if le {
                         "ingest_frame_le"
                     } else {
                         "ingest_frame"
                     };
-                    println!("{path}\t{k}\t{frame}\t{shards}\t{best:.4e}");
+                    println!("{path}\t{k}\t{frame}\t{shards}\t{rate:.4e}");
                 }
             }
         }
