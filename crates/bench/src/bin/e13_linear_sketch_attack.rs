@@ -19,7 +19,7 @@
 //! shows its static guarantee holding — which is exactly the paper's
 //! point: the issue is adaptivity, not quality.)
 
-use robust_sampling_bench::{banner, init_cli, is_quick, threads, verdict, Table};
+use robust_sampling_bench::{banner, init_cli, is_quick, verdict, Table};
 use robust_sampling_core::bounds;
 use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
 use robust_sampling_core::estimators::heavy_hitters;
@@ -168,9 +168,8 @@ fn main() {
     // ---- Phase 2: sharded ingest is the same machine ---------------------
     // Count-Min is linear, so a K-way sharded ingest (same hash seed per
     // shard) merged back is *bit-identical* to the single sketch — broken
-    // or not, sharding changes nothing. K follows --threads so the
-    // parallel path is exercised whenever the trial loops are.
-    let shards = threads().max(2);
+    // or not, sharding changes nothing.
+    let shards = 2;
     let mut sharded =
         ShardedSummary::new(shards, 0, |_, _| CountMin::for_guarantee(0.005, 0.01, 10));
     sharded.ingest_batch(&stream);

@@ -199,20 +199,14 @@ impl<T: Clone, S: StreamSummary<T>> StreamSummary<T> for ShardedSummary<S> {
     /// Deal the view: shard `j` ingests its stride `at(start + i·K)` in
     /// place, with `start` from [`stride_start`].
     fn ingest_by(&mut self, n: usize, at: impl Fn(usize) -> T) {
+        // Shard j's stride has n / K elements, one more if it starts
+        // before n % K.
         let k = self.shards.len();
-        if let [shard] = &mut self.shards[..] {
-            // One shard owns the whole view: no integer divisions, which
-            // a skip kernel that stores nothing in most frames would feel.
-            shard.ingest_by(n, at);
-        } else {
-            // Shard j's stride has n / K elements, one more if it starts
-            // before n % K.
-            let (at, per_shard, longer) = (&at, n / k, n % k);
-            for (j, shard) in self.shards.iter_mut().enumerate() {
-                let start = stride_start(self.routed, k, j);
-                let len = per_shard + usize::from(start < longer);
-                shard.ingest_by(len, move |i| at(start + i * k));
-            }
+        let (at, per_shard, longer) = (&at, n / k, n % k);
+        for (j, shard) in self.shards.iter_mut().enumerate() {
+            let start = stride_start(self.routed, k, j);
+            let len = per_shard + usize::from(start < longer);
+            shard.ingest_by(len, move |i| at(start + i * k));
         }
         self.routed += n;
     }

@@ -43,8 +43,9 @@ pub trait StreamSummary<T> {
     /// little-endian payload ([`le_word`](crate::engine::snapshot::le_word)),
     /// so nothing has to be copied out before the summary runs. The skip
     /// samplers override this to read only the elements they store; the
-    /// default hands fixed-size stack chunks to `ingest_batch` and
-    /// ingests the tail element-wise, so it never allocates.
+    /// default hands the view to `ingest_batch` in stack chunks of up to
+    /// 256 elements, so it never allocates and `ingest_batch` stays the
+    /// only bulk hook a summary needs.
     fn ingest_by(&mut self, n: usize, at: impl Fn(usize) -> T)
     where
         Self: Sized,
@@ -52,13 +53,13 @@ pub trait StreamSummary<T> {
     {
         const CHUNK: usize = 256;
         let mut base = 0;
-        while n - base >= CHUNK {
-            let chunk: [T; CHUNK] = std::array::from_fn(|j| at(base + j));
-            self.ingest_batch(&chunk);
-            base += CHUNK;
-        }
-        for i in base..n {
-            self.ingest(at(i));
+        while base < n {
+            let len = CHUNK.min(n - base);
+            // A short last chunk pads with its own last element; only
+            // its first `len` entries are ingested.
+            let chunk: [T; CHUNK] = std::array::from_fn(|j| at(base + j.min(len - 1)));
+            self.ingest_batch(&chunk[..len]);
+            base += len;
         }
     }
 

@@ -169,7 +169,7 @@ proptest! {
     /// strided view of the wire bytes, leaves the checkpoint bytes —
     /// sample, counters, pending gap and raw RNG words — equal to
     /// `ingest_batch` over the gathered strides. The every-k-th strawman
-    /// takes the default `ingest_by` (stack chunks, element-wise tail).
+    /// takes the default `ingest_by` (stack chunks of up to 256).
     #[test]
     fn sampler_views_equal_gathered_batches(
         k in 1usize..300,
