@@ -51,7 +51,7 @@ const ROBUST_DELTA: f64 = 0.1;
 /// indistinguishable from one against the cluster, and the two cells
 /// must come out identical.
 struct ServiceMirror {
-    svc: SummaryService<ReservoirSampler<u64>>,
+    svc: SummaryService,
     seen: usize,
 }
 
@@ -123,7 +123,7 @@ fn cluster_cell(
         tenant_budget_bytes: None,
     })
     .expect("start cluster");
-    let mut defense = ClusterDefense::<ReservoirSampler<u64>>::new(router);
+    let mut defense = ClusterDefense::new(router);
     let mut strategy = spec.build(n, universe, attack_seed);
     let outcome = Duel::new(n, universe).run(&mut defense, &mut strategy);
     let err = prefix_discrepancy(&outcome.stream, &outcome.final_sample).value;

@@ -9,17 +9,18 @@
 //!    `n ≥ 10K(ln|R| + ln(4K/δ))/ε²`), **every** server's view is an
 //!    ε-approximation of the full stream simultaneously — even for
 //!    drifting/adversarial query mixes ("is random sampling a risk?": no);
-//! 2. a coordinator merging per-site reservoirs yields a representative
-//!    sample of the union (the \[CTW16\] pattern). Sites ingest their
-//!    shards through the engine's batched `StreamSummary` path;
+//! 2. a coordinator merging per-site reservoirs (the \[CTW16\] setting)
+//!    with the sound reservoir merge, in site order, yields a
+//!    representative sample of the union. Sites ingest their shards
+//!    through the engine's batched `StreamSummary` path;
 //! 3. the engine's `ShardedSummary` round-robin deal plus the sound
 //!    reservoir merge is representative at every shard count.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
 use robust_sampling_core::approx::prefix_discrepancy;
-use robust_sampling_core::distributed::{merge_sites, LoadBalancer};
-use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
-use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
+use robust_sampling_core::distributed::LoadBalancer;
+use robust_sampling_core::engine::{merge_in_shard_order, ShardedSummary, StreamSummary};
+use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_core::set_system::{PrefixSystem, SetSystem};
 use robust_sampling_streamgen as streamgen;
 
@@ -106,8 +107,7 @@ fn main() {
         union.extend(shard);
         sites.push(site);
     }
-    let pairs: Vec<(usize, &[u64])> = sites.iter().map(|s| (s.observed(), s.sample())).collect();
-    let merged = merge_sites(&pairs, 1024, 5);
+    let merged = merge_in_shard_order(sites).into_sample();
     let d = prefix_discrepancy(&union, &merged).value;
     let mut table = Table::new(&["sites", "merged |S|", "union disc", "<= eps"]);
     table.row(&[
@@ -120,7 +120,7 @@ fn main() {
     verdict(
         "coordinator merge is representative of the union",
         d <= eps,
-        "CTW16-style weighted merge of site snapshots",
+        "sound reservoir merge (exact hypergeometric split) in site order",
     );
 
     // ---- Engine-layer sharded ingest + sound reservoir merge ------------

@@ -382,11 +382,6 @@ impl BisectionAdversary {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The current working interval's lower endpoint.
-    pub fn working_prefix(&self) -> &Dyadic {
-        &self.prefix
-    }
 }
 
 impl Adversary<Dyadic> for BisectionAdversary {

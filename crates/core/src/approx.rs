@@ -40,12 +40,6 @@ impl DiscrepancyReport {
             witness: None,
         }
     }
-
-    /// Whether the sample was an ε-approximation for the given ε.
-    #[inline]
-    pub fn is_approximation(&self, eps: f64) -> bool {
-        self.value <= eps
-    }
 }
 
 /// Signed CDF-difference walker shared by the prefix and interval sweeps.

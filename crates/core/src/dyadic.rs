@@ -68,12 +68,6 @@ impl Dyadic {
         }
     }
 
-    /// The midpoint of the interval `[self, self + 2^-bit_len)`:
-    /// equivalent to `child(true)` interpreted as a value.
-    pub fn midpoint_of_own_interval(&self) -> Self {
-        self.child(true)
-    }
-
     /// Append `t` one-bits: the point `self + (1 − 2^-t)·2^-bit_len`, i.e.
     /// the `(1 − 2^-t)`-quantile of the interval `[self, self + 2^-bit_len)`.
     /// This is the asymmetric probe of the paper's Figure 3 attack with

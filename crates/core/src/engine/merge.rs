@@ -164,24 +164,49 @@ mod tests {
 
     #[test]
     fn reservoir_merge_split_is_proportional() {
-        // A saw 4x the data of B: ≈ 80% of merged slots should come from A.
-        let trials = 400;
-        let mut from_a = 0usize;
-        let mut total = 0usize;
-        for t in 0..trials {
-            let mut a = ReservoirSampler::with_seed(32, t);
-            let mut b = ReservoirSampler::with_seed(32, 10_000 + t);
-            a.observe_batch(&(0..8_000u64).collect::<Vec<_>>());
-            b.observe_batch(&(8_000..10_000u64).collect::<Vec<_>>());
-            a.merge(b);
-            from_a += a.sample().iter().filter(|&&x| x < 8_000).count();
-            total += a.sample().len();
+        // Site i's count in the merged sample is hypergeometric with mean
+        // k·nᵢ/N, also when a site's reservoir holds its whole stream, so
+        // its mean count over the trials lies within 4 standard errors
+        // of that.
+        let trials = 2_000u64;
+        for (k, sizes) in [
+            (32, &[8_000, 2_000][..]),
+            (10, &[1_000, 10]),
+            (10, &[10, 1_000]),
+            (10, &[1_000, 100, 10]),
+        ] {
+            let n: u64 = sizes.iter().sum();
+            // Site i holds the values starts[i] .. starts[i] + sizes[i].
+            let starts: Vec<u64> = sizes
+                .iter()
+                .scan(0, |end, &len| {
+                    *end += len;
+                    Some(*end - len)
+                })
+                .collect();
+            let mut counts = vec![0u64; sizes.len()];
+            for t in 0..trials {
+                let sites = starts.iter().zip(sizes).enumerate().map(|(i, (&s, &len))| {
+                    let mut site = ReservoirSampler::with_seed(k, 8 * t + i as u64);
+                    site.observe_batch(&(s..s + len).collect::<Vec<_>>());
+                    site
+                });
+                for &x in merge_in_shard_order(sites).sample() {
+                    counts[starts.partition_point(|&s| s <= x) - 1] += 1;
+                }
+            }
+            for (i, &len) in sizes.iter().enumerate() {
+                let p = len as f64 / n as f64;
+                let expect = k as f64 * p;
+                let var = expect * (1.0 - p) * (n as f64 - k as f64) / (n as f64 - 1.0);
+                let se = (var / trials as f64).sqrt();
+                let mean = counts[i] as f64 / trials as f64;
+                assert!(
+                    (mean - expect).abs() <= 4.0 * se,
+                    "sites {sizes:?}, k = {k}: site {i} mean count {mean}, expect {expect} ± 4·{se:.4}"
+                );
+            }
         }
-        let frac = from_a as f64 / total as f64;
-        assert!(
-            (0.76..0.84).contains(&frac),
-            "A-fraction {frac}, expect 0.8"
-        );
     }
 
     #[test]

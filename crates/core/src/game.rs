@@ -33,11 +33,6 @@ impl<T> GameOutcome<T> {
     pub fn discrepancy<S: SetSystem<T> + ?Sized>(&self, system: &S) -> DiscrepancyReport {
         system.max_discrepancy(&self.stream, &self.sample)
     }
-
-    /// Whether the sampler won the game at accuracy `eps`.
-    pub fn sampler_wins<S: SetSystem<T> + ?Sized>(&self, system: &S, eps: f64) -> bool {
-        self.discrepancy(system).value <= eps
-    }
 }
 
 /// Per-round trace record passed to [`AdaptiveGame::run_traced`] observers.

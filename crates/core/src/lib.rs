@@ -36,7 +36,7 @@
 //! | [`game`] | the `AdaptiveGame` and `ContinuousAdaptiveGame` runners (paper Figures 1–2) |
 //! | [`adversary`] | adaptive attack strategies (paper Figure 3 and §1), plus benign/static adversaries |
 //! | [`attack`] | the pluggable attack subsystem: [`attack::AttackStrategy`] trait, attack registry (`--attack`), and the attack-vs-defense [`attack::Duel`] loop |
-//! | [`distributed`] | the §1.2 scenario: the random [`distributed::LoadBalancer`] router and the \[CTW16\] coordinator merge [`distributed::merge_sites`] |
+//! | [`distributed`] | the §1.2 scenario: the random [`distributed::LoadBalancer`] router; a \[CTW16\] coordinator merges site reservoirs with [`engine::merge_in_shard_order`] |
 //! | [`estimators`] | quantiles, heavy hitters, range queries, center points computed from a sample |
 //! | [`sketch`] | self-sizing [`sketch::RobustQuantileSketch`] / [`sketch::RobustHeavyHitterSketch`] |
 //! | [`net`] | ε-net checking and the approximation-implies-net transfer |

@@ -742,11 +742,6 @@ impl ExplicitSystem {
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
-
-    /// Members of range `i`.
-    pub fn members(&self, i: usize) -> &[u64] {
-        &self.ranges[i]
-    }
 }
 
 impl SetSystem<u64> for ExplicitSystem {

@@ -100,7 +100,7 @@ fn main() {
             }),
         },
     )
-    .expect("bind cluster node endpoint");
+    .expect("start cluster node endpoint");
     println!("LISTENING {}", server.addr());
     // Serve until the parent closes our stdin.
     let mut sink = Vec::new();

@@ -74,17 +74,17 @@
 
 use crate::client::ServiceClient;
 use crate::protocol::{Request, MAX_INGEST_FRAME};
-use crate::service::{EpochSnapshot, ServableSummary};
+use crate::service::EpochSnapshot;
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
 use robust_sampling_core::engine::{
-    merge_in_shard_order, stride_start, ShardedSummary, SnapshotCodec, StreamSummary,
+    merge_in_shard_order, stride_start, MergeableSummary, ShardedSummary, SnapshotCodec,
+    StreamSummary,
 };
 use robust_sampling_core::sampler::ReservoirSampler;
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
-use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -108,12 +108,6 @@ impl ChildGuard {
     /// The child's OS process id.
     pub fn id(&self) -> u32 {
         self.child.as_ref().expect("guard already consumed").id()
-    }
-
-    /// Mutable access to the guarded child (e.g. to take its stdin for
-    /// a graceful EOF shutdown).
-    pub fn inner_mut(&mut self) -> &mut Child {
-        self.child.as_mut().expect("guard already consumed")
     }
 
     /// Graceful join: consume the guard and wait for the child to exit
@@ -236,11 +230,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Total elements per cluster-level cadence window (`N * E`).
-    pub fn cluster_cadence(&self) -> usize {
-        self.nodes * self.epoch_every
-    }
-
     /// The exact seed node `j` serves with.
     pub fn node_seed(&self, j: usize) -> u64 {
         ShardedSummary::<ReservoirSampler<u64>>::shard_seed(self.base_seed, j)
@@ -622,7 +611,7 @@ impl ClusterRouter {
     /// that node next publishes.
     pub fn global_view<S>(&self) -> std::io::Result<Arc<EpochSnapshot<S>>>
     where
-        S: ServableSummary + SnapshotCodec,
+        S: MergeableSummary<u64> + SnapshotCodec + Send + Sync + 'static,
     {
         let mut cache = self
             .view_cache
@@ -721,41 +710,28 @@ impl ClusterRouter {
 /// each round. Trait-path I/O errors panic, exactly like
 /// [`ServiceClient`]'s bridges: in the harness a dead cluster is a
 /// failed experiment.
-pub struct ClusterDefense<S> {
+pub struct ClusterDefense {
     router: ClusterRouter,
     last_sample_len: Cell<usize>,
-    _summary: PhantomData<S>,
 }
 
-impl<S> ClusterDefense<S>
-where
-    S: ServableSummary + SnapshotCodec + ObservableDefense,
-{
+impl ClusterDefense {
     /// Wrap a running cluster.
     pub fn new(router: ClusterRouter) -> Self {
         Self {
             router,
             last_sample_len: Cell::new(0),
-            _summary: PhantomData,
         }
     }
 
-    /// The wrapped router (e.g. to inject faults mid-duel).
-    pub fn router_mut(&mut self) -> &mut ClusterRouter {
-        &mut self.router
-    }
-
-    fn view(&self) -> Arc<EpochSnapshot<S>> {
+    fn view(&self) -> Arc<EpochSnapshot<ReservoirSampler<u64>>> {
         self.router
-            .global_view::<S>()
+            .global_view()
             .expect("cluster EPOCH STATE pull failed")
     }
 }
 
-impl<S> StreamSummary<u64> for ClusterDefense<S>
-where
-    S: ServableSummary + SnapshotCodec + ObservableDefense,
-{
+impl StreamSummary<u64> for ClusterDefense {
     fn ingest(&mut self, x: u64) {
         self.router.ingest(&[x]).expect("cluster INGEST failed");
     }
@@ -777,10 +753,7 @@ where
     }
 }
 
-impl<S> StateOracle for ClusterDefense<S>
-where
-    S: ServableSummary + SnapshotCodec + ObservableDefense,
-{
+impl StateOracle for ClusterDefense {
     fn count_estimate(&self, x: u64) -> Option<f64> {
         Some(self.view().count(x))
     }
@@ -790,10 +763,7 @@ where
     }
 }
 
-impl<S> ObservableDefense for ClusterDefense<S>
-where
-    S: ServableSummary + SnapshotCodec + ObservableDefense,
-{
+impl ObservableDefense for ClusterDefense {
     fn visible_into(&self, out: &mut Vec<u64>) {
         let view = self.view();
         let sample = view.visible_ref();

@@ -73,5 +73,5 @@ pub use cluster::{ChildGuard, ClusterConfig, ClusterDefense, ClusterRouter};
 pub use frame::FrameError;
 pub use protocol::{Request, Response, ServiceStats};
 pub use server::{ServiceConfig, ServiceServer};
-pub use service::{EpochSnapshot, QueryHandle, ServableSummary, SummaryService};
+pub use service::{EpochSnapshot, QueryHandle, SummaryService};
 pub use tenant::{TenantArena, TenantArenaConfig, VictimTenantView};

@@ -46,16 +46,15 @@
 
 use crate::frame;
 use crate::protocol::{put_sample, Op, Request, Response, ServiceStats, Wire};
-use crate::service::{EpochSnapshot, QueryHandle, ServableSummary, SummaryService};
+use crate::service::{QueryHandle, SummaryService};
 use crate::tenant::{TenantArena, TenantArenaConfig};
 use polling::{Event, Poller};
-use robust_sampling_core::attack::ObservableDefense;
-use robust_sampling_core::engine::SnapshotCodec;
+use robust_sampling_core::engine::{SnapshotCodec, StreamSummary};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,7 +63,8 @@ use std::time::Duration;
 pub struct ServiceConfig {
     /// Bind address; port 0 = OS-assigned ephemeral port.
     pub addr: String,
-    /// Universe bound `U` used by the `QUERY KS` drift monitor.
+    /// Universe bound `U` used by the `QUERY KS` drift monitor. Must be
+    /// positive: [`ServiceServer::spawn`] rejects 0.
     pub universe: u64,
     /// Event-loop worker threads. Every worker polls the shared listener
     /// beside its own connections and keeps each one it accepts.
@@ -87,20 +87,13 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Answers the cluster admin requests, monomorphized where the
-/// [`SnapshotCodec`] bound holds (so the plain [`ServiceServer::spawn`]
-/// never requires it). `None` = admin requests answered with `ERR`.
-type AdminHook<S> = fn(Request, &Shared<S>) -> Response;
-
-/// The [`AdminHook`] of a [`ServiceServer::spawn_admin`] endpoint.
-/// `RESTORE` swaps the service wholesale under the mutex and re-points
-/// query dispatch at the restored service's published snapshot before
-/// acknowledging, so no query window ever mixes old and new state. A
-/// checkpoint with a different shard count is rejected.
-fn answer_admin<S>(req: Request, shared: &Shared<S>) -> Response
-where
-    S: ServableSummary + SnapshotCodec,
-{
+/// Answers the cluster admin requests on a
+/// [`ServiceServer::spawn_admin`] endpoint. `RESTORE` replaces the
+/// service wholesale under the mutex, and its published snapshot goes
+/// into the cell every query reads before the acknowledgement, so no
+/// query window ever mixes old and new state. A checkpoint with a
+/// different shard count is rejected.
+fn answer_admin(req: Request, shared: &Shared) -> Response {
     let lock = || shared.service.lock().expect("service lock poisoned");
     match req {
         Request::EpochState { since } => {
@@ -126,7 +119,7 @@ where
                 bytes: service.checkpoint(),
             }
         }
-        Request::Restore(bytes) => match SummaryService::<S>::restore(&bytes) {
+        Request::Restore(bytes) => match SummaryService::restore(&bytes) {
             Ok(restored) => {
                 let frames_acked = restored.frames_acked();
                 let mut service = lock();
@@ -138,9 +131,7 @@ where
                         "restore rejected: checkpoint has {got} shards, this node serves {serving}"
                     ));
                 }
-                let mut queries = shared.queries.write().expect("query handle poisoned");
-                *queries = restored.query_handle();
-                *service = restored;
+                service.replace(restored);
                 Response::Restored { frames_acked }
             }
             Err(e) => Response::Err(format!("restore rejected: {e}")),
@@ -149,31 +140,21 @@ where
     }
 }
 
-struct Shared<S: ServableSummary> {
-    service: Mutex<SummaryService<S>>,
-    /// Behind an `RwLock` so an admin `RESTORE` (which swaps the service
-    /// wholesale) can re-point query dispatch at the restored service's
-    /// published snapshot. Uncontended on the query path.
-    queries: RwLock<QueryHandle<S>>,
+struct Shared {
+    service: Mutex<SummaryService>,
+    /// The service's published cell. An admin `RESTORE` writes the
+    /// restored snapshot into the same cell, so this handle never
+    /// changes.
+    queries: QueryHandle,
     universe: u64,
-    admin: Option<AdminHook<S>>,
+    /// Answer the cluster admin requests (set by `spawn_admin`); when
+    /// false they get `ERR`.
+    admin: bool,
     /// The keyed per-tenant arena, when enabled. Ingest and tenant
     /// queries share this mutex — tenant queries must revive evicted
     /// tenants, so they mutate the arena and cannot ride the snapshot
     /// read path.
     arena: Option<Mutex<TenantArena>>,
-}
-
-impl<S: ServableSummary> Shared<S> {
-    /// The current published snapshot via the (possibly restored) query
-    /// handle. The read guard is released before the snapshot is used,
-    /// so query work never holds the handle lock.
-    fn snapshot(&self) -> Arc<EpochSnapshot<S>> {
-        self.queries
-            .read()
-            .expect("query handle poisoned")
-            .snapshot()
-    }
 }
 
 /// How long a worker sleeps in `poll` before re-checking the stop flag
@@ -199,11 +180,13 @@ impl ServiceServer {
     /// soon as the listener is bound — the fixed worker pool accepts and
     /// serves on its own threads; no thread is ever spawned per
     /// connection.
-    pub fn spawn<S>(service: SummaryService<S>, config: ServiceConfig) -> std::io::Result<Self>
-    where
-        S: ServableSummary + ObservableDefense,
-    {
-        Self::spawn_inner(service, config, None)
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput`, before anything is bound, if `config.universe` is
+    /// 0; otherwise any error binding `config.addr`.
+    pub fn spawn(service: SummaryService, config: ServiceConfig) -> std::io::Result<Self> {
+        Self::spawn_inner(service, config, false)
     }
 
     /// Like [`spawn`](Self::spawn), but with the **cluster control
@@ -212,36 +195,34 @@ impl ServiceServer {
     /// for a coordinator's shard-order merge; only its header when the
     /// request's `since` is the published epoch), `CHECKPOINT` (pull the
     /// full checkpoint envelope), and `RESTORE` (swap in a service
-    /// rebuilt from an envelope; queries re-point at the restored
-    /// service's published snapshot atomically). This is what a cluster
+    /// rebuilt from an envelope; the restored published snapshot goes
+    /// into the cell queries read, in one swap). This is what a cluster
     /// node's serving endpoint runs; the plain `spawn` answers admin
-    /// frames with `ERR` and needs no [`SnapshotCodec`] bound. Admin
-    /// requests are binary-only: the text grammar has no line for them.
-    pub fn spawn_admin<S>(
-        service: SummaryService<S>,
-        config: ServiceConfig,
-    ) -> std::io::Result<Self>
-    where
-        S: ServableSummary + ObservableDefense + SnapshotCodec,
-    {
-        Self::spawn_inner(service, config, Some(answer_admin::<S>))
+    /// frames with `ERR`, so no client of it can read or replace the
+    /// served state. Admin requests are binary-only: the text grammar
+    /// has no line for them. Fails as `spawn` does.
+    pub fn spawn_admin(service: SummaryService, config: ServiceConfig) -> std::io::Result<Self> {
+        Self::spawn_inner(service, config, true)
     }
 
-    fn spawn_inner<S>(
-        service: SummaryService<S>,
+    fn spawn_inner(
+        service: SummaryService,
         config: ServiceConfig,
-        admin: Option<AdminHook<S>>,
-    ) -> std::io::Result<Self>
-    where
-        S: ServableSummary + ObservableDefense,
-    {
+        admin: bool,
+    ) -> std::io::Result<Self> {
+        if config.universe == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "universe must be positive: QUERY KS measures against {0, …, universe − 1}",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let listener = Arc::new(listener);
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
-            queries: RwLock::new(service.query_handle()),
+            queries: service.query_handle(),
             service: Mutex::new(service),
             universe: config.universe,
             admin,
@@ -320,10 +301,7 @@ const IO_CHUNK: usize = 64 * 1024;
 /// One worker's event loop: poll the shared listener and this worker's
 /// connections, accept at most one connection per wake, and drive
 /// readable/writable connections forward.
-fn worker_loop<S>(listener: &TcpListener, shared: &Shared<S>, stop: &AtomicBool)
-where
-    S: ServableSummary + ObservableDefense,
-{
+fn worker_loop(listener: &TcpListener, shared: &Shared, stop: &AtomicBool) {
     let Ok(poller) = Poller::new() else { return };
     if poller.add(listener, Event::readable(LISTENER_KEY)).is_err() {
         return;
@@ -400,10 +378,7 @@ impl Conn {
 
     /// Advance the connection for one readiness event. Returns `false`
     /// when the connection is finished and must be deregistered.
-    fn drive<S>(&mut self, ev: &Event, shared: &Shared<S>, scratch: &mut [u8]) -> bool
-    where
-        S: ServableSummary + ObservableDefense,
-    {
+    fn drive(&mut self, ev: &Event, shared: &Shared, scratch: &mut [u8]) -> bool {
         if ev.readable && !self.closing {
             loop {
                 match self.stream.read(scratch) {
@@ -444,10 +419,7 @@ impl Conn {
 
     /// Consume every complete request in the input buffer, appending
     /// each response (in request order) to the output buffer.
-    fn process<S>(&mut self, shared: &Shared<S>)
-    where
-        S: ServableSummary + ObservableDefense,
-    {
+    fn process(&mut self, shared: &Shared) {
         let mut pos = 0;
         while !self.closing {
             if self.draining_line {
@@ -550,10 +522,7 @@ impl Conn {
     /// EOF housekeeping: a final unterminated text line still gets
     /// parsed and answered (matching the old blocking server), a
     /// partial binary frame is silently dropped.
-    fn finish_at_eof<S>(&mut self, shared: &Shared<S>)
-    where
-        S: ServableSummary + ObservableDefense,
-    {
+    fn finish_at_eof(&mut self, shared: &Shared) {
         if self.draining_line || self.inbuf.is_empty() {
             return;
         }
@@ -570,13 +539,10 @@ impl Conn {
     /// the snapshot's cached slice or the tenant's reservoir, with no
     /// intermediate [`Response`] (a text `TSNAPSHOT` copies the sample
     /// first, to format it outside the arena lock).
-    fn respond<S>(&mut self, req: Result<Request, String>, wire: Wire, shared: &Shared<S>)
-    where
-        S: ServableSummary + ObservableDefense,
-    {
+    fn respond(&mut self, req: Result<Request, String>, wire: Wire, shared: &Shared) {
         let resp = match req {
             Ok(Request::Snapshot) => {
-                let snap = shared.snapshot();
+                let snap = shared.queries.snapshot();
                 let (epoch, items, sample) = (snap.epoch(), snap.items(), snap.visible_ref());
                 return wire.put(&mut self.outbuf, |w| {
                     put_sample(w, Op::OkSnapshot, epoch, items, sample)
@@ -671,10 +637,7 @@ const NO_ARENA: &str = "tenant arena is not enabled on this endpoint";
 /// The error for a text line longer than [`MAX_LINE_BYTES`].
 const LINE_OVER_CAP: &str = "request line exceeds the per-line byte cap";
 
-fn answer<S>(req: Request, shared: &Shared<S>) -> Response
-where
-    S: ServableSummary + ObservableDefense,
-{
+fn answer(req: Request, shared: &Shared) -> Response {
     // `TenantSnapshot` gets here only on a server without an arena, for
     // the `NO_ARENA` error; with one, `Conn::respond` answers it from the
     // borrowed sample.
@@ -705,12 +668,12 @@ where
             let mut service = shared.service.lock().expect("service lock poisoned");
             Response::Ingested(service.ingest_frame(&vs))
         }
-        Request::QueryCount(x) => Response::Count(shared.snapshot().count(x)),
-        Request::QueryQuantile(q) => Response::Quantile(shared.snapshot().quantile(q)),
-        Request::QueryHeavy(t) => Response::Heavy(shared.snapshot().heavy(t)),
-        Request::QueryKs => Response::Ks(shared.snapshot().ks_uniform(shared.universe)),
+        Request::QueryCount(x) => Response::Count(shared.queries.snapshot().count(x)),
+        Request::QueryQuantile(q) => Response::Quantile(shared.queries.snapshot().quantile(q)),
+        Request::QueryHeavy(t) => Response::Heavy(shared.queries.snapshot().heavy(t)),
+        Request::QueryKs => Response::Ks(shared.queries.snapshot().ks_uniform(shared.universe)),
         Request::Stats => {
-            let snap = shared.snapshot();
+            let snap = shared.queries.snapshot();
             let service = shared.service.lock().expect("service lock poisoned");
             let space = snap.summary().space();
             let (arena_tenants, arena_bytes, arena_evictions) = match &shared.arena {
@@ -737,9 +700,10 @@ where
             })
         }
         Request::EpochState { .. } | Request::Checkpoint | Request::Restore(_) => {
-            match shared.admin {
-                Some(answer_admin) => answer_admin(req, shared),
-                None => Response::Err("admin frames are not enabled on this endpoint".into()),
+            if shared.admin {
+                answer_admin(req, shared)
+            } else {
+                Response::Err("admin frames are not enabled on this endpoint".into())
             }
         }
         Request::Snapshot | Request::Quit => unreachable!("answered by `Conn::respond`"),

@@ -41,23 +41,13 @@ use robust_sampling_core::attack::ObservableDefense;
 use robust_sampling_core::engine::snapshot::{
     le_word, put_u64, put_usize, FrameHwm, SnapshotCodec, SnapshotError, SnapshotReader,
 };
-use robust_sampling_core::engine::{MergeableSummary, ShardedSummary, StreamSummary};
+use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
+use robust_sampling_core::sampler::ReservoirSampler;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// The capability bundle a summary needs to be served: engine ingestion,
-/// sound merging and cloning (for epoch publication), and thread
-/// mobility (`Send` so a server's event-loop threads can share the
-/// service behind a mutex, `Sync` so published snapshots can be read
-/// from many query threads). Blanket-implemented.
-pub trait ServableSummary:
-    StreamSummary<u64> + MergeableSummary<u64> + Clone + Send + Sync + 'static
-{
-}
-
-impl<S> ServableSummary for S where
-    S: StreamSummary<u64> + MergeableSummary<u64> + Clone + Send + Sync + 'static
-{
-}
+/// The summary every shard and every published epoch holds: the
+/// reservoir sample Thm 1.2 sizes.
+type Reservoir = ReservoirSampler<u64>;
 
 /// One published epoch: an immutable merged summary of everything
 /// ingested up to a frame-aligned boundary.
@@ -90,9 +80,7 @@ impl<S> EpochSnapshot<S> {
             sorted: OnceLock::new(),
         }
     }
-}
 
-impl<S> EpochSnapshot<S> {
     /// Epoch counter (0 is the empty pre-ingest snapshot).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -104,7 +92,8 @@ impl<S> EpochSnapshot<S> {
     }
 
     /// The merged summary (distributed exactly as one summary run over
-    /// the whole served stream — see [`MergeableSummary`]).
+    /// the whole served stream — see
+    /// [`MergeableSummary`](robust_sampling_core::engine::MergeableSummary)).
     pub fn summary(&self) -> &S {
         &self.merged
     }
@@ -217,24 +206,16 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
 /// A cloneable, read-only handle onto the service's published snapshot —
 /// what query threads (and the TCP server's query path) hold. Reading
 /// never touches the ingest path.
-#[derive(Debug)]
-pub struct QueryHandle<S> {
-    published: Arc<RwLock<Arc<EpochSnapshot<S>>>>,
+#[derive(Debug, Clone)]
+pub struct QueryHandle {
+    published: Arc<RwLock<Arc<EpochSnapshot<Reservoir>>>>,
 }
 
-impl<S> Clone for QueryHandle<S> {
-    fn clone(&self) -> Self {
-        Self {
-            published: Arc::clone(&self.published),
-        }
-    }
-}
-
-impl<S> QueryHandle<S> {
+impl QueryHandle {
     /// The current epoch snapshot — every epoch published before this
     /// call is visible in it. The returned `Arc` stays valid (and
     /// immutable) however many epochs are published after it.
-    pub fn snapshot(&self) -> Arc<EpochSnapshot<S>> {
+    pub fn snapshot(&self) -> Arc<EpochSnapshot<Reservoir>> {
         Arc::clone(&self.published.read().expect("snapshot lock poisoned"))
     }
 }
@@ -246,9 +227,9 @@ const CHECKPOINT_MAGIC: u64 = 0x5253_5643_0000_0002;
 
 /// A long-running, concurrently-queried summary service. See the module
 /// docs for the determinism and concurrency contracts.
-pub struct SummaryService<S: ServableSummary> {
+pub struct SummaryService {
     /// The `K` shard summaries and the round-robin cursor.
-    sharded: ShardedSummary<S>,
+    sharded: ShardedSummary<Reservoir>,
     /// Elements ingested since the last publish.
     since_publish: usize,
     /// Ingest frames fully applied — the high-water mark a checkpoint
@@ -259,10 +240,11 @@ pub struct SummaryService<S: ServableSummary> {
     epoch_every: usize,
     /// Epoch number of the published snapshot.
     epoch: u64,
-    published: Arc<RwLock<Arc<EpochSnapshot<S>>>>,
+    /// The published-snapshot cell every [`QueryHandle`] reads.
+    published: Arc<RwLock<Arc<EpochSnapshot<Reservoir>>>>,
 }
 
-impl<S: ServableSummary> std::fmt::Debug for SummaryService<S> {
+impl std::fmt::Debug for SummaryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SummaryService")
             .field("shards", &self.num_shards())
@@ -273,7 +255,7 @@ impl<S: ServableSummary> std::fmt::Debug for SummaryService<S> {
     }
 }
 
-impl<S: ServableSummary> SummaryService<S> {
+impl SummaryService {
     /// Start a service of `shards` ingest shards whose summaries come
     /// from `factory(shard_index, shard_seed)` — the same constructor
     /// shape, and the same [`ShardedSummary::shard_seed`] derivation, as
@@ -289,7 +271,7 @@ impl<S: ServableSummary> SummaryService<S> {
         shards: usize,
         base_seed: u64,
         epoch_every: usize,
-        factory: impl FnMut(usize, u64) -> S,
+        factory: impl FnMut(usize, u64) -> Reservoir,
     ) -> Self {
         Self::from_parts(
             ShardedSummary::new(shards, base_seed, factory),
@@ -308,12 +290,12 @@ impl<S: ServableSummary> SummaryService<S> {
     /// `None` and serves the merge of the initial shard states under
     /// epoch number `epoch`.
     fn from_parts(
-        sharded: ShardedSummary<S>,
+        sharded: ShardedSummary<Reservoir>,
         since_publish: usize,
         frames_acked: FrameHwm,
         epoch: u64,
         epoch_every: usize,
-        published: Option<EpochSnapshot<S>>,
+        published: Option<EpochSnapshot<Reservoir>>,
     ) -> Self {
         assert!(epoch_every > 0, "epoch_every must be positive");
         let snapshot = published
@@ -351,7 +333,7 @@ impl<S: ServableSummary> SummaryService<S> {
     }
 
     /// A read-only handle for query threads.
-    pub fn query_handle(&self) -> QueryHandle<S> {
+    pub fn query_handle(&self) -> QueryHandle {
         QueryHandle {
             published: Arc::clone(&self.published),
         }
@@ -359,7 +341,7 @@ impl<S: ServableSummary> SummaryService<S> {
 
     /// The currently published snapshot (shorthand for going through
     /// [`query_handle`](Self::query_handle)).
-    pub fn snapshot(&self) -> Arc<EpochSnapshot<S>> {
+    pub fn snapshot(&self) -> Arc<EpochSnapshot<Reservoir>> {
         self.query_handle().snapshot()
     }
 
@@ -406,7 +388,7 @@ impl<S: ServableSummary> SummaryService<S> {
     /// Publish a new epoch now (the `epoch_every` cadence calls the
     /// same code): merge clones of the shards in shard order, swap the
     /// result in, and return it.
-    pub fn publish(&mut self) -> Arc<EpochSnapshot<S>> {
+    pub fn publish(&mut self) -> Arc<EpochSnapshot<Reservoir>> {
         self.epoch += 1;
         self.since_publish = 0;
         let snap = Arc::new(EpochSnapshot::new(
@@ -414,18 +396,34 @@ impl<S: ServableSummary> SummaryService<S> {
             self.items_routed(),
             self.sharded.merged(),
         ));
+        self.serve(Arc::clone(&snap));
+        snap
+    }
+
+    /// Take over `restored`'s whole state, and serve its published
+    /// snapshot from this service's cell: every [`QueryHandle`] already
+    /// handed out reads the restored epoch from the next query on, and
+    /// none ever sees a mix of old and new state.
+    pub fn replace(&mut self, restored: SummaryService) {
+        let snap = restored.snapshot();
+        *self = Self {
+            published: Arc::clone(&self.published),
+            ..restored
+        };
+        self.serve(snap);
+    }
+
+    /// Swap `snap` into the published cell.
+    fn serve(&self, snap: Arc<EpochSnapshot<Reservoir>>) {
         let old = std::mem::replace(
             &mut *self.published.write().expect("snapshot lock poisoned"),
-            Arc::clone(&snap),
+            snap,
         );
         // The retired epoch (if no reader still holds it) is freed
         // outside the write lock.
         drop(old);
-        snap
     }
-}
 
-impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
     /// Serialize the full service state — shard summaries (with their
     /// private RNG/gap state), round-robin cursor, the frame high-water
     /// mark ([`frames_acked`](Self::frames_acked), which a failover
@@ -479,9 +477,9 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
         }
         let epoch = r.u64()?;
         let snap_items = r.usize()?;
-        let snap_merged = S::restore_from(&mut r)?;
+        let snap_merged = Reservoir::restore_from(&mut r)?;
         let states = (0..shards)
-            .map(|_| S::restore_from(&mut r))
+            .map(|_| Reservoir::restore_from(&mut r))
             .collect::<Result<Vec<_>, _>>()?;
         if r.remaining() != 0 {
             return Err(SnapshotError::TrailingBytes(r.remaining()));
@@ -516,13 +514,13 @@ impl<S: ServableSummary + SnapshotCodec> SummaryService<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
+    use robust_sampling_core::sampler::StreamSampler;
 
-    fn offline(k: usize, seed: u64) -> ShardedSummary<ReservoirSampler<u64>> {
+    fn offline(k: usize, seed: u64) -> ShardedSummary<Reservoir> {
         ShardedSummary::new(k, seed, |_, s| ReservoirSampler::with_seed(64, s))
     }
 
-    fn service(k: usize, seed: u64, epoch_every: usize) -> SummaryService<ReservoirSampler<u64>> {
+    fn service(k: usize, seed: u64, epoch_every: usize) -> SummaryService {
         SummaryService::start(k, seed, epoch_every, |_, s| {
             ReservoirSampler::with_seed(64, s)
         })
@@ -658,7 +656,7 @@ mod tests {
             assert_eq!(frames_before, 30); // 15_000 elements in 500-element frames
             let bytes = half.checkpoint();
             drop(half);
-            let mut resumed = SummaryService::<ReservoirSampler<u64>>::restore(&bytes).unwrap();
+            let mut resumed = SummaryService::restore(&bytes).unwrap();
             assert_eq!(resumed.num_shards(), k);
             assert_eq!(resumed.items_routed(), 15_000);
             assert_eq!(resumed.frames_acked(), frames_before);
@@ -688,12 +686,24 @@ mod tests {
         let before = whole.snapshot();
         assert_eq!((before.epoch(), before.items()), (1, 1_200));
         let bytes = whole.checkpoint();
-        let restored = SummaryService::<ReservoirSampler<u64>>::restore(&bytes).unwrap();
+        let restored = SummaryService::restore(&bytes).unwrap();
         let after = restored.snapshot();
         assert_eq!((after.epoch(), after.items()), (1, 1_200));
         assert_eq!(after.summary().sample(), before.summary().sample());
         assert_eq!(after.quantile(0.5), before.quantile(0.5));
         assert_eq!(restored.items_routed(), 1_500);
+        // `replace` serves the restored state through handles handed out
+        // before it, and later epochs go through the same cell.
+        let mut svc = service(2, 22, 10);
+        let handle = svc.query_handle();
+        svc.replace(restored);
+        let served = || handle.snapshot().summary().sample().to_vec();
+        assert_eq!(served(), before.summary().sample());
+        for s in [&mut whole, &mut svc] {
+            s.ingest_frame(&(1_500..2_300u64).collect::<Vec<_>>());
+        }
+        assert_eq!(handle.snapshot().epoch(), 2);
+        assert_eq!(served(), whole.snapshot().summary().sample());
     }
 
     /// A K = 3 checkpoint taken mid-cadence (published epoch behind the
@@ -722,20 +732,20 @@ mod tests {
     fn restore_rejects_corrupt_envelopes() {
         let svc = service(2, 1, 64);
         let bytes = svc.checkpoint();
-        assert!(SummaryService::<ReservoirSampler<u64>>::restore(&bytes[1..]).is_err());
+        assert!(SummaryService::restore(&bytes[1..]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(9);
-        assert!(SummaryService::<ReservoirSampler<u64>>::restore(&trailing).is_err());
+        assert!(SummaryService::restore(&trailing).is_err());
         // Header words after the magic: shards, routed, since_publish,
         // frames_acked, epoch_every, epoch, snapshot items.
         let mut svc = service(1, 1, 10);
         svc.ingest_frame(&[1, 2, 3]);
         let bytes = svc.checkpoint();
-        assert!(SummaryService::<ReservoirSampler<u64>>::restore(&bytes).is_ok());
+        assert!(SummaryService::restore(&bytes).is_ok());
         let forged = |word: usize, v: u64| {
             let mut b = bytes.clone();
             b[8 * word..8 * word + 8].copy_from_slice(&v.to_le_bytes());
-            SummaryService::<ReservoirSampler<u64>>::restore(&b)
+            SummaryService::restore(&b)
         };
         for (word, v) in [
             (2, 999),      // routed over 3 ingested items

@@ -172,7 +172,7 @@ fn checkpoint_restore_preserves_query_answers_over_the_wire() {
     }
     let bytes = local.checkpoint();
     drop(local);
-    let restored = SummaryService::<ReservoirSampler<u64>>::restore(&bytes).unwrap();
+    let restored = SummaryService::restore(&bytes).unwrap();
     let server_c = ServiceServer::spawn(
         restored,
         ServiceConfig {
@@ -601,6 +601,33 @@ fn admin_requests_need_an_admin_endpoint_and_a_binary_connection() {
     assert_eq!(text.stats().unwrap().items, 2);
     text.quit().unwrap();
     server.shutdown();
+}
+
+#[test]
+fn a_zero_universe_is_invalid_input_before_anything_binds() {
+    // The address is taken, so a bind attempt would fail with
+    // `AddrInUse`: `InvalidInput` shows the check comes first.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = ServiceConfig {
+        addr: taken.local_addr().unwrap().to_string(),
+        universe: 0,
+        ..ServiceConfig::default()
+    };
+    let service = || SummaryService::start(1, 3, 64, |_, s| ReservoirSampler::with_seed(64, s));
+    for spawned in [
+        ServiceServer::spawn(service(), config.clone()),
+        ServiceServer::spawn_admin(service(), config.clone()),
+    ] {
+        let err = spawned.expect_err("a zero universe must not serve");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+    // The same config with a positive universe reaches the bind.
+    let config = ServiceConfig {
+        universe: 1,
+        ..config
+    };
+    let err = ServiceServer::spawn(service(), config).expect_err("the address is taken");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
 }
 
 /// The server's idle poll timeout (a private constant of the server):

@@ -11,8 +11,8 @@
 //! ```
 
 use robust_sampling::core::approx::prefix_discrepancy;
-use robust_sampling::core::distributed::{merge_sites, LoadBalancer};
-use robust_sampling::core::engine::StreamSummary;
+use robust_sampling::core::distributed::LoadBalancer;
+use robust_sampling::core::engine::{merge_in_shard_order, StreamSummary};
 use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::core::set_system::{PrefixSystem, SetSystem};
 use robust_sampling::streamgen;
@@ -62,11 +62,11 @@ fn main() {
         worst <= eps
     );
 
-    // Coordinator merge: fuse the sites' (count, reservoir) pairs into one
-    // global sample of the union.
+    // Coordinator merge: fuse the sites' reservoirs, in site order, into
+    // one uniform sample of the union (the sound reservoir merge keeps the
+    // sites' k).
     println!("\ncoordinator merge of per-site reservoirs:");
-    let pairs: Vec<(usize, &[u64])> = sites.iter().map(|s| (s.observed(), s.sample())).collect();
-    let merged = merge_sites(&pairs, 1024, 31);
+    let merged = merge_in_shard_order(sites).into_sample();
     let d = prefix_discrepancy(&stream, &merged).value;
     println!(
         "merged sample |S| = {}, discrepancy vs global stream = {:.4} (<= eps: {})",

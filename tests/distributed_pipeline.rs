@@ -4,8 +4,8 @@
 //! the core estimators.
 
 use robust_sampling::core::approx::prefix_discrepancy;
-use robust_sampling::core::distributed::{merge_sites, LoadBalancer};
-use robust_sampling::core::engine::StreamSummary;
+use robust_sampling::core::distributed::LoadBalancer;
+use robust_sampling::core::engine::{merge_in_shard_order, StreamSummary};
 use robust_sampling::core::estimators::SampleQuantiles;
 use robust_sampling::core::sampler::{ReservoirSampler, StreamSampler};
 use robust_sampling::core::set_system::{PrefixSystem, SetSystem};
@@ -64,15 +64,15 @@ fn merged_reservoir_feeds_quantile_estimator() {
     let mut union = Vec::new();
     for s in 0..5u64 {
         let shard = streamgen::uniform(per_site, universe, 40 + s);
-        let mut site = ReservoirSampler::with_seed(400, s);
+        let mut site = ReservoirSampler::with_seed(1500, s);
         for &x in &shard {
             site.observe(x);
         }
         union.extend(shard);
         sites.push(site);
     }
-    let pairs: Vec<(usize, &[u64])> = sites.iter().map(|s| (s.observed(), s.sample())).collect();
-    let merged = merge_sites(&pairs, 1500, 9);
+    let merged = merge_in_shard_order(sites).into_sample();
+    assert_eq!(merged.len(), 1500);
     let sq = SampleQuantiles::new(&merged, union.len());
     let mut sorted = union.clone();
     sorted.sort_unstable();
@@ -91,9 +91,10 @@ fn merged_reservoir_feeds_quantile_estimator() {
 #[test]
 fn routed_reservoirs_merge_back_to_a_representative_sample() {
     // The whole §1.2 pipeline: route a drifting stream, keep one reservoir
-    // per server, and merge the servers' (count, sample) pairs at the
-    // coordinator. The merge is seeded, consumes each reservoir element at
-    // most once, and approximates the full stream.
+    // per server, and merge the servers' reservoirs at the coordinator.
+    // The merge is seeded by the servers' own RNG state, draws each
+    // element from some server's reservoir at most once, keeps the
+    // servers' k, and approximates the full stream.
     let stream = streamgen::two_phase(60_000, 1 << 20, 5);
     let mut lb = LoadBalancer::new(6, 8);
     lb.run(&stream);
@@ -107,12 +108,11 @@ fn routed_reservoirs_merge_back_to_a_representative_sample() {
             res
         })
         .collect();
-    let pairs: Vec<(usize, &[u64])> = servers.iter().map(|s| (s.observed(), s.sample())).collect();
-    let merged = merge_sites(&pairs, 1024, 13);
-    assert_eq!(merged.len(), 1024);
+    let merged = merge_in_shard_order(servers.clone()).into_sample();
+    assert_eq!(merged.len(), 512);
     assert_eq!(
         merged,
-        merge_sites(&pairs, 1024, 13),
+        merge_in_shard_order(servers.clone()).into_sample(),
         "seeded merge must repeat"
     );
 

@@ -206,7 +206,7 @@ proptest! {
         }
         let bytes = prefix.checkpoint();
         drop(prefix);
-        let mut resumed = SummaryService::<ReservoirSampler<u64>>::restore(&bytes).unwrap();
+        let mut resumed = SummaryService::restore(&bytes).unwrap();
         prop_assert_eq!(resumed.items_routed(), whole.items_routed());
         for frame in &all_frames[cut..] {
             whole.ingest_frame(frame);
@@ -243,7 +243,7 @@ fn checkpoint_preserves_publish_cadence_phase() {
     }
     let restored_bytes = prefix.checkpoint();
     drop(prefix);
-    let mut resumed = SummaryService::<ReservoirSampler<u64>>::restore(&restored_bytes).unwrap();
+    let mut resumed = SummaryService::restore(&restored_bytes).unwrap();
     for frame in stream[2_100..].chunks(700) {
         whole.ingest_frame(frame);
         resumed.ingest_frame(frame);

@@ -75,7 +75,7 @@ const TENANT_CHUNK: usize = 4_096;
 const TENANT_EPS: f64 = 0.15;
 const TENANT_DELTA: f64 = 0.1;
 
-fn service(shards: usize, seed: u64, epoch_every: usize) -> SummaryService<ReservoirSampler<u64>> {
+fn service(shards: usize, seed: u64, epoch_every: usize) -> SummaryService {
     SummaryService::start(shards, seed, epoch_every, |_, s| {
         ReservoirSampler::with_seed(K, s)
     })
