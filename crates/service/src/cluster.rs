@@ -411,6 +411,13 @@ impl ClusterRouter {
         self.nodes[j].addr
     }
 
+    /// Node `j`'s process id (changes after a failover), for a harness
+    /// that kills the process behind the router's back rather than
+    /// through [`kill_node`](Self::kill_node).
+    pub fn node_pid(&self, j: usize) -> u32 {
+        self.nodes[j].child.id()
+    }
+
     /// Frames dealt to node `j` so far (its expected high-water mark):
     /// every frame sent, plus any retained for replay because the node
     /// was down when its turn came.

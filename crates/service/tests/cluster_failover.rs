@@ -290,6 +290,59 @@ fn checkpoints_trim_the_replay_window() {
     assert_eq!(hwm, sent_total);
 }
 
+/// Ingest three 256-element chunks with no view or checkpoint after
+/// them, so no read of any node follows their frames, then take node 1
+/// down with `kill` and restore it. The frames the router had sent but
+/// not yet read an ack for (or, where the client still buffers them,
+/// not yet put on the wire) are replayed from the window: the view after
+/// every later frame equals the uninterrupted run's, and the restored
+/// node's high-water mark equals the frames the router dealt it.
+fn check_kill_with_frames_in_flight(kill: impl Fn(&mut ClusterRouter, usize)) {
+    let (nodes, seed, epoch_every, victim) = (2, 41, 5, 1);
+    let data = stream(16 * 256, seed);
+    let schedule: Vec<&[u64]> = data.chunks(256).collect();
+    let baseline = baseline_views(nodes, seed, epoch_every, &schedule);
+    let mut router = cluster(nodes, seed, epoch_every);
+    for (i, frame) in schedule[..4].iter().enumerate() {
+        router.ingest(frame).expect("cluster ingest");
+        assert_eq!(view_of(&router), baseline[i], "frame {i}");
+    }
+    router.checkpoint_all().expect("checkpoint");
+    for frame in &schedule[4..7] {
+        router.ingest(frame).expect("cluster ingest");
+    }
+    kill(&mut router, victim);
+    router.restore_node(victim).expect("restore");
+    assert_eq!(view_of(&router), baseline[6], "after the restore");
+    for (i, frame) in schedule.iter().enumerate().skip(7) {
+        router.ingest(frame).expect("cluster ingest");
+        assert_eq!(view_of(&router), baseline[i], "frame {i}");
+    }
+    let (_, _, hwm, _) = router
+        .node_epoch_state::<ReservoirSampler<u64>>(victim)
+        .expect("node epoch state");
+    assert_eq!(hwm, router.frames_sent(victim));
+}
+
+#[test]
+fn kill_node_with_frames_in_flight_changes_no_view() {
+    check_kill_with_frames_in_flight(ClusterRouter::kill_node);
+}
+
+/// The same, but the process is killed behind the router's back: the
+/// router still counts the node as up, and its restore replaces a
+/// connection that owes acks.
+#[test]
+fn unannounced_kill_with_frames_in_flight_changes_no_view() {
+    check_kill_with_frames_in_flight(|router, j| {
+        let status = std::process::Command::new("kill")
+            .args(["-KILL", &router.node_pid(j).to_string()])
+            .status()
+            .expect("run kill");
+        assert!(status.success(), "kill -KILL failed");
+    });
+}
+
 /// A node that dies *between* calls makes the next `ingest` fail. That
 /// call still delivers and acks every other node's frames and retains
 /// the dead node's, so a restore afterwards lands the cluster exactly on
