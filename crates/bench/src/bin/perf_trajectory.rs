@@ -586,7 +586,10 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
     // Routed ingestion across the multi-node cluster boundary: the same
     // frame stream dealt round-robin to real `cluster_node` processes
     // over the binary wire; one op = one element, latency per routed
-    // frame (stride encode + send + ack for every node).
+    // frame (stride encode and queue, plus the writes and ack reads that
+    // fall due). The clock stops after one `global_view`, which flushes
+    // every queued frame and reads every owed ack, so the rate counts
+    // delivered work.
     {
         let frames = shape.serve_frames;
         let n = frames * FRAME;
@@ -602,8 +605,17 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 router.ingest(f).expect("cluster ingest");
                 rep_lat.observe(t0.elapsed().as_nanos() as u64);
             }
+            router
+                .global_view::<ReservoirSampler<u64>>()
+                .expect("cluster view");
             let secs = t.elapsed().as_secs_f64();
-            assert_eq!(router.items_routed(), n, "every element routed and acked");
+            assert_eq!(router.items_routed(), n, "every element routed");
+            for j in 0..router.config().nodes {
+                let (_, _, hwm, _) = router
+                    .node_epoch_state::<ReservoirSampler<u64>>(j)
+                    .expect("node epoch state");
+                assert_eq!(hwm, router.frames_sent(j), "every frame applied");
+            }
             if rep > 0 && secs < best {
                 best = secs;
                 lat = rep_lat;

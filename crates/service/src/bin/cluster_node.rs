@@ -16,7 +16,9 @@
 //! Handshake: the process binds an ephemeral port, prints one line
 //! `LISTENING <addr>` on stdout, then serves until stdin reaches EOF
 //! (the parent closing the pipe — or dying — is the shutdown signal, so
-//! an orphaned node never outlives its router).
+//! an orphaned node never outlives its router). A configuration the
+//! server rejects (`--universe 1` with `--tenant-budget`, say) prints
+//! the error on stderr and exits 2 before any handshake.
 
 use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_service::{ServiceConfig, ServiceServer, SummaryService, TenantArenaConfig};
@@ -84,7 +86,7 @@ fn main() {
     let service = SummaryService::start(1, 0, args.epoch_every, |_, _| {
         ReservoirSampler::with_seed(cap, seed)
     });
-    let server = ServiceServer::spawn_admin(
+    let started = ServiceServer::spawn_admin(
         service,
         ServiceConfig {
             addr: "127.0.0.1:0".into(),
@@ -99,8 +101,11 @@ fn main() {
                 robust: true,
             }),
         },
-    )
-    .expect("start cluster node endpoint");
+    );
+    let server = started.unwrap_or_else(|e| {
+        eprintln!("cluster_node: cannot start the node endpoint: {e}");
+        std::process::exit(2);
+    });
     println!("LISTENING {}", server.addr());
     // Serve until the parent closes our stdin.
     let mut sink = Vec::new();

@@ -19,11 +19,14 @@
 //! are one send and one receive each, and the cluster router uses the
 //! crate-private halves to put a request on every node's connection
 //! before it reads any reply. The router also sends `INGEST` frames with
-//! their acks left owed, at most 16 per connection; the connection
-//! counts them, and the receive path and [`pipeline`](ServiceClient::pipeline)
-//! read them before any later reply, so no call misreads an ack. The
-//! admin requests (`EPOCH STATE`, `CHECKPOINT`, `RESTORE`) are
-//! binary-only.
+//! their acks left owed, at most 16 per connection, and without a flush:
+//! they queue in the connection's 8 KiB write buffer, which goes out
+//! when it fills and before the receive path's first socket read, so a
+//! routed chunk costs a node a fraction of a write. The connection counts
+//! the owed acks, and the receive path and
+//! [`pipeline`](ServiceClient::pipeline) read them before any later
+//! reply, so no call misreads an ack. The admin requests
+//! (`EPOCH STATE`, `CHECKPOINT`, `RESTORE`) are binary-only.
 //!
 //! Besides the plain request methods, the client implements the core
 //! engine and attack traits —
@@ -59,8 +62,10 @@ use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 struct Conn {
-    /// The connection's one socket: written through the buffer (every
-    /// send flushes), read through [`BufWriter::get_ref`] into `rbuf`.
+    /// The connection's one socket: written through the buffer, read
+    /// through [`BufWriter::get_ref`] into `rbuf`. Every send but an owed
+    /// `INGEST` flushes; the receive path flushes before it reads, so a
+    /// queued frame is on the wire before any reply is awaited.
     writer: BufWriter<TcpStream>,
     wire: Wire,
     /// Read buffer: `rbuf[..filled]` holds the bytes read past the last
@@ -138,10 +143,11 @@ impl Conn {
         self.writer.write_all(&self.wbuf)
     }
 
-    /// The one receive path: read the next reply in this wire's format.
-    /// Each read asks the socket for at least 8 KiB, as `BufReader`
-    /// would, and for as much again as is buffered once a reply outgrows
-    /// that, so a long reply takes few reads.
+    /// The one receive path: read the next reply in this wire's format,
+    /// flushing the write buffer before the first socket read. Each read
+    /// asks the socket for at least 8 KiB, as `BufReader` would, and for
+    /// as much again as is buffered once a reply outgrows that, so a long
+    /// reply takes few reads.
     fn receive(&mut self) -> std::io::Result<Response> {
         loop {
             let buffered = &self.rbuf[..self.filled];
@@ -154,6 +160,9 @@ impl Conn {
                 self.filled -= consumed;
                 return Ok(resp);
             }
+            // Requests still in the write buffer go out before the first
+            // read: the reply may answer one of them.
+            self.writer.flush()?;
             let want = self.filled + self.filled.max(8 << 10);
             if self.rbuf.len() < want {
                 self.rbuf.resize(want, 0);
@@ -329,11 +338,15 @@ impl ServiceClient {
         conn.writer.flush()
     }
 
-    /// Send one `INGEST` frame of at most [`MAX_INGEST_FRAME`] values and
-    /// leave its ack owed. When the connection already owes
-    /// [`MAX_OWED_ACKS`], the oldest ack is read first, so a caller that
-    /// only sends (the cluster router) waits on a round trip once per 16
-    /// frames instead of once per frame.
+    /// Queue one `INGEST` frame of at most [`MAX_INGEST_FRAME`] values in
+    /// the connection's write buffer and leave its ack owed. Nothing is
+    /// flushed: the frame reaches the socket when the buffer fills, at
+    /// the connection's next read, or when the client is dropped, so a
+    /// caller that only sends (the cluster router) pays one write per
+    /// buffer of frames. When the connection already owes
+    /// [`MAX_OWED_ACKS`], the oldest ack is read first, so that caller
+    /// waits on a round trip once per 16 frames instead of once per
+    /// frame.
     pub(crate) fn send_ingest_owed(&self, chunk: &[u64]) -> std::io::Result<()> {
         let mut conn = self.conn.borrow_mut();
         if conn.owed == MAX_OWED_ACKS {
@@ -342,7 +355,6 @@ impl ServiceClient {
         }
         debug_assert!(chunk.len() <= MAX_INGEST_FRAME);
         conn.send_ingest(None, chunk)?;
-        conn.writer.flush()?;
         conn.owed += 1;
         Ok(())
     }
@@ -572,5 +584,55 @@ impl ObservableDefense for ServiceClient {
     fn visible_into(&self, out: &mut Vec<u64>) {
         let (_, _, sample) = self.snapshot().expect("service SNAPSHOT failed");
         out.extend_from_slice(&sample);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServiceConfig, ServiceServer, SummaryService};
+    use robust_sampling_core::sampler::ReservoirSampler;
+
+    #[test]
+    fn owed_ingest_frames_stay_queued_until_the_next_read() {
+        let service = SummaryService::start(1, 5, 4, |_, s| ReservoirSampler::with_seed(8, s));
+        let server = ServiceServer::spawn(
+            service,
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("serve");
+        let router = ServiceClient::connect_binary(server.addr()).expect("connect");
+        let observer = ServiceClient::connect_binary(server.addr()).expect("connect");
+        let items = || observer.stats().expect("STATS").items;
+        let frames: [&[u64]; 3] = [&[1, 2, 3], &[4, 5, 6, 7, 8], &[9; 7]];
+
+        for frame in frames {
+            router.send_ingest_owed(frame).expect("queue a frame");
+        }
+        assert_eq!(items(), 0, "a queued frame is not on the wire");
+        // The receive path `drain_owed` reads through flushes the queue
+        // first; the acks then carry the running counts in frame order.
+        {
+            let mut conn = router.conn.borrow_mut();
+            let acks: Vec<usize> = (0..conn.owed)
+                .map(|_| conn.receive().and_then(ack))
+                .collect::<std::io::Result<_>>()
+                .expect("acks");
+            assert_eq!(acks, [3, 8, 15]);
+            conn.owed = 0;
+        }
+        assert_eq!(items(), 15);
+
+        for frame in frames {
+            router.send_ingest_owed(frame).expect("queue a frame");
+        }
+        assert_eq!(items(), 15, "a queued frame is not on the wire");
+        router.drain_owed().expect("drain");
+        assert_eq!(router.conn.borrow().owed, 0);
+        assert_eq!(items(), 30);
+        server.shutdown();
     }
 }

@@ -32,14 +32,21 @@
 //!
 //! **Ingest is pipelined; admin reads are split-phase.**
 //! [`ingest`](ClusterRouter::ingest) deals each [`MAX_INGEST_FRAME`]
-//! chunk into one `INGEST` frame per node and writes it without waiting
-//! for the ack. Acks stay owed on each node's connection across calls,
-//! at most 16 per node: a node that already owes 16 has its oldest ack
-//! read before its next frame is sent. An `Ok` from `ingest` therefore
-//! means dealt, retained and written, and an ack error surfaces by the
-//! next read of that node. Every other read — a view, a checkpoint, a
-//! tenant call, a restore — first drains the node's owed acks; replies
-//! come back in request order, so no reply is ever misread.
+//! chunk into one `INGEST` frame per node and queues it in the node
+//! connection's write buffer, without a flush and without waiting for
+//! the ack. The buffer (8 KiB, about seven 128-value frames) goes out
+//! when it fills and before any read of that node, so the router makes
+//! one socket write, and the node one wake-up, per buffer of frames
+//! rather than per frame. Acks stay owed on each node's connection
+//! across calls, at most 16 per node: a node that already owes 16 has
+//! its oldest ack read before its next frame is queued. An `Ok` from
+//! `ingest` therefore means dealt, retained and queued: a queued frame
+//! reaches its node when the buffer fills, at the router's next read of
+//! that node, or when the router is dropped, and an ack error surfaces
+//! by the next read of that node. Every other read — a view, a
+//! checkpoint, a tenant call, a restore — first flushes the queue and
+//! drains the node's owed acks; replies come back in request order, so
+//! no reply is ever misread.
 //! [`global_view`](ClusterRouter::global_view) and
 //! [`checkpoint_all`](ClusterRouter::checkpoint_all) put one
 //! `EPOCH STATE` or `CHECKPOINT` request on every node's connection
@@ -51,13 +58,13 @@
 //! every ingest frame since the node's last checkpoint (its *replay
 //! window*), indexed by the node's frame high-water mark
 //! ([`FrameHwm`](robust_sampling_core::engine::FrameHwm), carried in the
-//! checkpoint envelope). A frame enters the window *before* it is sent,
-//! so a frame lost to a dead node — acknowledged or not — is still there
-//! to replay, and a `CHECKPOINT` is answered only after every frame sent
-//! ahead of it. When a node dies
-//! ([`kill_node`](ClusterRouter::kill_node) in the fault-injection
-//! harness), [`restore_node`](ClusterRouter::restore_node) spawns a
-//! fresh process on a new ephemeral port, seeds it from the retained
+//! checkpoint envelope). A frame enters the window *before* it is
+//! queued, so a frame lost to a dead node — acknowledged, unread or
+//! still in the write buffer — is still there to replay, and a
+//! `CHECKPOINT` is answered only after every frame queued ahead of it.
+//! When a node dies ([`kill_node`](ClusterRouter::kill_node) in the
+//! fault-injection harness), [`restore_node`](ClusterRouter::restore_node)
+//! spawns a fresh process on a new ephemeral port, seeds it from the retained
 //! checkpoint envelope over `RESTORE`, and replays exactly the retained
 //! frames at or past the restored high-water mark. Because checkpoints
 //! capture full RNG state and the replayed frames are byte-identical to
@@ -352,7 +359,8 @@ struct ViewCache<S> {
 /// `INGEST` frame per non-empty stride, so the router's per-node *sent
 /// frame* counter and the node's applied-frame high-water mark advance
 /// in lockstep), retains every frame in the node's replay window, then
-/// sends it, leaving up to 16 acks per node unread.
+/// queues it on the node's connection, leaving up to 16 acks per node
+/// unread.
 /// `checkpoint_node` pulls the node's checkpoint envelope and
 /// trims the window to the envelope's high-water mark;
 /// `restore_node` spawns a replacement process, seeds it from that
@@ -431,15 +439,18 @@ impl ClusterRouter {
     /// [`MAX_INGEST_FRAME`] chunk, retaining each frame in the node's
     /// replay window. Returns the total elements routed so far.
     ///
-    /// `Ok` means every frame was dealt, retained and written, not that
-    /// it was acknowledged: acks are left owed on each node's connection,
-    /// at most 16 per node, and the oldest is read only when a node
-    /// already owes 16. Every other read of a node (a view, a checkpoint,
-    /// a tenant call) drains its owed acks first, so an ack error
-    /// surfaces by the next read of that node.
+    /// `Ok` means every frame was dealt, retained and queued, not that
+    /// it was written or acknowledged. Frames wait in each node
+    /// connection's write buffer until it fills, the router next reads
+    /// that node, or the router is dropped. Acks are left owed, at most
+    /// 16 per node, and the oldest is read only when a node already owes
+    /// 16. Every other read of a node (a view, a checkpoint, a tenant
+    /// call) flushes its queued frames and drains its owed acks first,
+    /// so an ack error surfaces by the next read of that node.
     ///
-    /// A frame is retained *before* it is sent, so a frame whose send or
-    /// ack fails is still replayed by [`restore_node`](Self::restore_node).
+    /// A frame is retained *before* it is queued, so a frame whose write
+    /// or ack fails is still replayed by
+    /// [`restore_node`](Self::restore_node).
     /// A node that fails, or was killed, is down until restored: its
     /// frames are retained without I/O while every other node still gets
     /// its frames; all of `xs` is dealt and the first error is returned.
@@ -557,8 +568,9 @@ impl ClusterRouter {
     /// ephemeral port, seed it from the retained checkpoint envelope
     /// (`RESTORE` over the admin protocol; a node that was never
     /// checkpointed restarts empty), and replay the retained frames at
-    /// or past the restored high-water mark. The replay leaves acks owed
-    /// like `ingest` does, and every one is read before this returns
+    /// or past the restored high-water mark. The replay queues frames
+    /// and leaves acks owed like `ingest` does, so it costs one write per
+    /// buffer of frames, and every ack is read before this returns
     /// `Ok`. The window is kept, so a second fault on the same node
     /// replays the same recovery. A restored high-water mark outside the
     /// replay window is `InvalidData`, and node `j` is left as it was.

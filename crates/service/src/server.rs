@@ -72,7 +72,9 @@ pub struct ServiceConfig {
     /// When set, the server additionally hosts a [`TenantArena`] with
     /// this sizing and answers the tenant requests
     /// (`TINGEST`/`TQUERY`/`TSNAPSHOT` and their binary frames). When
-    /// `None`, tenant requests answer `ERR`.
+    /// `None`, tenant requests answer `ERR`. [`ServiceServer::spawn`]
+    /// rejects an arena config with `universe < 2` or ε, δ outside
+    /// (0, 1).
     pub tenants: Option<TenantArenaConfig>,
 }
 
@@ -184,7 +186,8 @@ impl ServiceServer {
     /// # Errors
     ///
     /// `InvalidInput`, before anything is bound, if `config.universe` is
-    /// 0; otherwise any error binding `config.addr`.
+    /// 0 or `config.tenants` is out of range (`universe < 2`, or ε or δ
+    /// outside (0, 1)); otherwise any error binding `config.addr`.
     pub fn spawn(service: SummaryService, config: ServiceConfig) -> std::io::Result<Self> {
         Self::spawn_inner(service, config, false)
     }
@@ -215,6 +218,9 @@ impl ServiceServer {
                 std::io::ErrorKind::InvalidInput,
                 "universe must be positive: QUERY KS measures against {0, …, universe − 1}",
             ));
+        }
+        if let Some(tenants) = &config.tenants {
+            tenants.check()?;
         }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;

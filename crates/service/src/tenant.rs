@@ -130,6 +130,26 @@ pub struct TenantArenaConfig {
 }
 
 impl TenantArenaConfig {
+    /// `InvalidInput`, naming the first value out of range, unless the
+    /// config is one [`TenantArena::new`] accepts: `universe >= 2` and
+    /// ε, δ in (0, 1).
+    pub(crate) fn check(&self) -> std::io::Result<()> {
+        let open_unit = |x: f64| x > 0.0 && x < 1.0;
+        let why = if self.universe < 2 {
+            format!(
+                "tenant universe must have at least 2 elements, got {}",
+                self.universe
+            )
+        } else if !open_unit(self.eps) {
+            format!("tenant eps must be in (0,1), got {}", self.eps)
+        } else if !open_unit(self.delta) {
+            format!("tenant delta must be in (0,1), got {}", self.delta)
+        } else {
+            return Ok(());
+        };
+        Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why))
+    }
+
     /// The reservoir capacity this config prescribes per tenant.
     pub fn reservoir_k(&self) -> usize {
         if self.robust {
@@ -205,12 +225,11 @@ impl TenantArena {
     /// # Panics
     ///
     /// Panics if `universe < 2` or the (ε, δ) pair is outside the
-    /// theorems' ranges (propagated from [`bounds`]).
+    /// theorems' ranges, (0, 1) each.
     pub fn new(config: TenantArenaConfig) -> Self {
-        assert!(
-            config.universe >= 2,
-            "universe must have at least 2 elements"
-        );
+        if let Err(e) = config.check() {
+            panic!("{e}");
+        }
         let k = config.reservoir_k();
         let slot_bytes = 8 * k + SLOT_OVERHEAD_BYTES;
         let max_resident = (config.budget_bytes / slot_bytes).max(1);

@@ -4,7 +4,9 @@
 use robust_sampling_core::attack::{attack, Duel};
 use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
 use robust_sampling_core::sampler::{ReservoirSampler, StreamSampler};
-use robust_sampling_service::{ServiceClient, ServiceConfig, ServiceServer, SummaryService};
+use robust_sampling_service::{
+    ServiceClient, ServiceConfig, ServiceServer, SummaryService, TenantArenaConfig,
+};
 use std::time::{Duration, Instant};
 
 fn serve(
@@ -628,6 +630,73 @@ fn a_zero_universe_is_invalid_input_before_anything_binds() {
     };
     let err = ServiceServer::spawn(service(), config).expect_err("the address is taken");
     assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+}
+
+#[test]
+fn an_out_of_range_tenant_arena_is_invalid_input_before_anything_binds() {
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let arena = TenantArenaConfig {
+        universe: 1 << 10,
+        eps: 0.15,
+        delta: 0.1,
+        budget_bytes: 1 << 20,
+        base_seed: 1,
+        robust: true,
+    };
+    let config = |tenants| ServiceConfig {
+        addr: taken.local_addr().unwrap().to_string(),
+        tenants: Some(tenants),
+        ..ServiceConfig::default()
+    };
+    let service = || SummaryService::start(1, 3, 64, |_, s| ReservoirSampler::with_seed(64, s));
+    for bad in [
+        TenantArenaConfig {
+            universe: 1,
+            ..arena
+        },
+        TenantArenaConfig {
+            universe: 0,
+            ..arena
+        },
+        TenantArenaConfig { eps: 0.0, ..arena },
+        TenantArenaConfig { eps: 1.5, ..arena },
+        TenantArenaConfig {
+            delta: 1.0,
+            ..arena
+        },
+        TenantArenaConfig {
+            delta: f64::NAN,
+            ..arena
+        },
+    ] {
+        for spawned in [
+            ServiceServer::spawn(service(), config(bad)),
+            ServiceServer::spawn_admin(service(), config(bad)),
+        ] {
+            let err = spawned.expect_err("an out-of-range arena must not serve");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidInput,
+                "{bad:?}: {err}"
+            );
+        }
+    }
+    // The in-range arena reaches the bind.
+    let err = ServiceServer::spawn(service(), config(arena)).expect_err("the address is taken");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+}
+
+#[test]
+fn cluster_node_reports_an_out_of_range_tenant_arena_and_exits_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster_node"))
+        .args(["--universe", "1", "--tenant-budget", "100000"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run cluster_node");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("tenant universe"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no handshake line");
 }
 
 /// The server's idle poll timeout (a private constant of the server):
