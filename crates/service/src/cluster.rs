@@ -41,12 +41,12 @@
 //! across calls, at most 16 per node: a node that already owes 16 has
 //! its oldest ack read before its next frame is queued. An `Ok` from
 //! `ingest` therefore means dealt, retained and queued: a queued frame
-//! reaches its node when the buffer fills, at the router's next read of
-//! that node, or when the router is dropped, and an ack error surfaces
-//! by the next read of that node. Every other read — a view, a
-//! checkpoint, a tenant call, a restore — first flushes the queue and
-//! drains the node's owed acks; replies come back in request order, so
-//! no reply is ever misread.
+//! reaches its node when the buffer fills or at the router's next read
+//! of that node (dropping the router kills its nodes first), and an ack
+//! error surfaces by the next read of that node. Every other read — a
+//! view, a checkpoint, a tenant call, a restore — first flushes the
+//! queue and drains the node's owed acks; replies come back in request
+//! order, so no reply is ever misread.
 //! [`global_view`](ClusterRouter::global_view) and
 //! [`checkpoint_all`](ClusterRouter::checkpoint_all) put one
 //! `EPOCH STATE` or `CHECKPOINT` request on every node's connection
@@ -64,15 +64,15 @@
 //! `CHECKPOINT` is answered only after every frame queued ahead of it.
 //! When a node dies ([`kill_node`](ClusterRouter::kill_node) in the
 //! fault-injection harness), [`restore_node`](ClusterRouter::restore_node)
-//! spawns a fresh process on a new ephemeral port, seeds it from the retained
-//! checkpoint envelope over `RESTORE`, and replays exactly the retained
-//! frames at or past the restored high-water mark. Because checkpoints
-//! capture full RNG state and the replayed frames are byte-identical to
-//! the originals, the restored node — and with it every subsequent
-//! global query — is bit-identical to an uninterrupted run. The window
-//! is only trimmed at checkpoint time, so a **double fault** (the
-//! restored node dying again) replays the same recovery and still
-//! converges.
+//! spawns a fresh process on a new ephemeral port, seeds it from the
+//! retained checkpoint envelope over `RESTORE`, and replays exactly the
+//! retained frames at or past the restored high-water mark. Because
+//! checkpoints capture full RNG state and the replayed frames are
+//! byte-identical to the originals, the restored node — and with it
+//! every subsequent global query — is bit-identical to an uninterrupted
+//! run. The window is only trimmed at checkpoint time, so a **double
+//! fault** (the restored node dying again) replays the same recovery and
+//! still converges.
 //!
 //! Everything here is driven by `tests/cluster_determinism.rs`,
 //! `crates/service/tests/cluster_failover.rs`, and the bench crate's
@@ -441,8 +441,8 @@ impl ClusterRouter {
     ///
     /// `Ok` means every frame was dealt, retained and queued, not that
     /// it was written or acknowledged. Frames wait in each node
-    /// connection's write buffer until it fills, the router next reads
-    /// that node, or the router is dropped. Acks are left owed, at most
+    /// connection's write buffer until it fills or the router next reads
+    /// that node. Acks are left owed, at most
     /// 16 per node, and the oldest is read only when a node already owes
     /// 16. Every other read of a node (a view, a checkpoint, a tenant
     /// call) flushes its queued frames and drains its owed acks first,
