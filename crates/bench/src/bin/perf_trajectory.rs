@@ -1,16 +1,12 @@
-//! Perf-trajectory driver: measure the workspace's dominant kernels at
-//! fixed shapes and persist the results as the machine-readable
-//! `BENCH_*.json` files (see [`robust_sampling_bench::perf`]).
+//! Kernel timings, and the paired A/B gate built on them.
 //!
 //! ```text
-//! perf_trajectory                         # measure + print, touch nothing
-//! perf_trajectory --bench-out . --label pr7   # append a run per area file
-//! perf_trajectory --quick --check .       # CI regression gate (<60s)
+//! perf_trajectory --quick                      # measure + print every row
+//! perf_trajectory --quick --csv <dir>          # also write each table as CSV
+//! perf_trajectory --quick --ab <parent-binary> # CI gate: 10 alternating pairs
 //! ```
 //!
-//! Three areas, each with a `full` and a `quick` shape (the shapes use
-//! different problem sizes, so runs only ever compare against persisted
-//! runs of the *same* shape):
+//! Four tables of rows, each with a `full` and a `quick` shape:
 //!
 //! * **ingest** — batched summary ingestion over a materialized stream:
 //!   the two skip-sampling samplers, Count-Min, KLL, and the two
@@ -24,28 +20,29 @@
 //!   (`serve-tcp-ingest-pipelined`, `serve-tcp-mixed-queries`), plus two
 //!   data-path kernels: `serve-publish-stall` (frame ingestion with an
 //!   inline clone-and-merge publish every 8 frames, publishes/s) and
-//!   `serve-alloc-per-op` (the binary-payload ingest path; with
-//!   `--features count-alloc` a counting global allocator verdict-pins
-//!   it to zero steady-state allocations), plus the two multi-node
-//!   cluster kernels: `cluster-ingest` (frames dealt to real node
-//!   processes through the [`ClusterRouter`], elem/s) and
+//!   `serve-alloc-per-op` (the binary-payload ingest path), plus the two
+//!   multi-node cluster kernels: `cluster-ingest` (frames dealt to real
+//!   node processes through the [`ClusterRouter`], elem/s) and
 //!   `cluster-failover-gap` (the full SIGKILL→restore→replay recovery
 //!   of one node, replayed-frames/s), plus the two multi-tenant arena
 //!   kernels: `tenant-ingest` (the keyed hot path — tenant-zipf stream
 //!   into a resident arena, elem/s) and `tenant-evict-revive` (a
 //!   slot-squeezed arena where every touch is an eviction plus a cold
-//!   revival, touches/s).
+//!   revival, touches/s);
+//! * **grid** — in-process served ingest by shard count: a
+//!   `SummaryService` of K ∈ {1, 2, 4} reservoir shards with capacity
+//!   k ∈ {1,253, 20,000}, fed 256- or 4,096-element frames through
+//!   `ingest_frame` (a slice) or `ingest_frame_le` (a binary `INGEST`
+//!   payload), elem/s.
 //!
-//! Every scenario is timed as a best-of-N minimum after a warm-up
-//! ([`perf::best_of`]) — the statistic least sensitive to neighbours on
-//! a shared container. `--check` exits 1 on a >15% throughput regression
-//! or any schema drift; `--bench-out` appends (never rewrites) so the
-//! files stay diffable across PRs.
+//! Every row is timed as a best-of-N minimum after an untimed warm-up
+//! ([`ab::best_of`]). A single run gates nothing: `--ab` runs the parent
+//! binary and this one alternately and judges each row, matched by
+//! kernel name, on its pairs ([`ab::judge`]); it exits 1 when any row
+//! fails.
 
-use robust_sampling_bench::perf::{self, Area, PerfEntry, PerfRun};
-use robust_sampling_bench::{
-    banner, bench_label, bench_out, check_dir, init_cli, is_quick, micros, verdict, Table,
-};
+use robust_sampling_bench::ab::{self, best_of};
+use robust_sampling_bench::{ab_parent, banner, init_cli, is_quick, micros, Table};
 use robust_sampling_core::sampler::{BernoulliSampler, ReservoirSampler, StreamSampler};
 use robust_sampling_service::tenant::{TenantArena, TenantArenaConfig};
 use robust_sampling_service::{
@@ -56,61 +53,9 @@ use robust_sampling_sketches::count_min::CountMin;
 use robust_sampling_sketches::kll::KllSketch;
 use robust_sampling_streamgen as streamgen;
 use robust_sampling_streamgen::StreamSource;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
+use std::process::Command;
 use std::time::Instant;
-
-/// Counting global allocator (only with `--features count-alloc`): the
-/// `serve-alloc-per-op` verdict reads it to prove the ingest path
-/// is allocation-free in steady state. Plain builds leave the system
-/// allocator untouched and the verdict passes vacuously.
-#[cfg(feature = "count-alloc")]
-mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-    }
-
-    #[global_allocator]
-    static COUNTER: CountingAlloc = CountingAlloc;
-
-    pub fn count() -> u64 {
-        ALLOCS.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(feature = "count-alloc"))]
-mod alloc_counter {
-    pub fn count() -> u64 {
-        0
-    }
-}
-
-/// Set by the serve-area alloc-gate verdict when it fails; folded into
-/// the process exit code.
-static SERVE_GATE_FAILED: AtomicBool = AtomicBool::new(false);
 
 /// Elements per serving frame (the in-process gate of `tests/serving_gates.rs`).
 const FRAME: usize = 256;
@@ -130,6 +75,10 @@ struct Shape {
     /// whole measurement fits inside one scheduler quantum, so they need
     /// many more chances to land on an undisturbed slice.
     reps_fast: usize,
+    /// Elements streamed per grid-cell run.
+    grid_n: usize,
+    /// Timed repetitions per grid cell.
+    grid_reps: usize,
 }
 
 const FULL: Shape = Shape {
@@ -140,6 +89,8 @@ const FULL: Shape = Shape {
     serve_queries: 20_000,
     reps: 5,
     reps_fast: 25,
+    grid_n: 200_000_000,
+    grid_reps: 5,
 };
 
 const QUICK: Shape = Shape {
@@ -150,6 +101,8 @@ const QUICK: Shape = Shape {
     serve_queries: 4_000,
     reps: 7,
     reps_fast: 25,
+    grid_n: 40_000_000,
+    grid_reps: 3,
 };
 
 fn scrambled(n: usize) -> Vec<u64> {
@@ -158,8 +111,17 @@ fn scrambled(n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn entry(kernel: &str, n: usize, secs: f64) -> PerfEntry {
-    PerfEntry {
+/// One timed row: a kernel's rate at one shape.
+struct Row {
+    kernel: String,
+    n: u64,
+    rate: f64,
+    p50_us: f64,
+    p99_us: f64,
+}
+
+fn entry(kernel: &str, n: usize, secs: f64) -> Row {
+    Row {
         kernel: kernel.to_string(),
         n: n as u64,
         rate: n as f64 / secs,
@@ -172,7 +134,7 @@ fn entry(kernel: &str, n: usize, secs: f64) -> PerfEntry {
 // Area: ingest
 // ---------------------------------------------------------------------------
 
-fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
+fn measure_ingest(shape: &Shape) -> Vec<Row> {
     let n = shape.ingest_n;
     let xs = scrambled(n);
     let universe = 1u64 << 20;
@@ -181,7 +143,7 @@ fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
     entries.push(entry(
         "bernoulli-batch",
         n,
-        perf::best_of(shape.reps_fast, || {
+        best_of(shape.reps_fast, || {
             let mut s = BernoulliSampler::with_seed(0.001, 1);
             s.observe_batch(&xs);
             assert!(!s.sample().is_empty());
@@ -190,7 +152,7 @@ fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
     entries.push(entry(
         "reservoir-batch",
         n,
-        perf::best_of(shape.reps_fast, || {
+        best_of(shape.reps_fast, || {
             let mut s = ReservoirSampler::with_seed(4096, 1);
             s.observe_batch(&xs);
             assert_eq!(s.sample().len(), 4096);
@@ -199,7 +161,7 @@ fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
     entries.push(entry(
         "count-min-batch",
         n,
-        perf::best_of(shape.reps, || {
+        best_of(shape.reps, || {
             let mut s = CountMin::with_seed(4, 1 << 16, 9);
             s.observe_batch(&xs);
         }),
@@ -207,7 +169,7 @@ fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
     entries.push(entry(
         "kll-ingest",
         n,
-        perf::best_of(shape.reps, || {
+        best_of(shape.reps, || {
             let mut s = KllSketch::with_seed(200, 9);
             s.observe_batch(&xs);
             assert_eq!(s.observed(), n as u64);
@@ -221,7 +183,7 @@ fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
     entries.push(entry(
         "zipf-gen",
         n,
-        perf::best_of(shape.reps, || {
+        best_of(shape.reps, || {
             let mut src = streamgen::ZipfSource::new(n, universe, 1.1, 7);
             let mut left = n;
             while left > 0 {
@@ -235,7 +197,7 @@ fn measure_ingest(shape: &Shape) -> Vec<PerfEntry> {
     entries.push(entry(
         "pareto-gen",
         n,
-        perf::best_of(shape.reps, || {
+        best_of(shape.reps, || {
             let mut src = streamgen::ParetoSource::new(n, universe, 1.5, 7);
             let mut left = n;
             while left > 0 {
@@ -268,7 +230,7 @@ fn drain(w: &'static streamgen::WorkloadSpec, n: usize, mut ingest: impl FnMut(&
     }
 }
 
-fn measure_stream(shape: &Shape) -> Vec<PerfEntry> {
+fn measure_stream(shape: &Shape) -> Vec<Row> {
     let n = shape.stream_n;
     let uniform = streamgen::workload("uniform").expect("uniform is registered");
     let zipf = streamgen::workload("zipf").expect("zipf is registered");
@@ -276,7 +238,7 @@ fn measure_stream(shape: &Shape) -> Vec<PerfEntry> {
         entry(
             "pipeline-reservoir",
             n,
-            perf::best_of(shape.reps, || {
+            best_of(shape.reps, || {
                 let mut s = ReservoirSampler::with_seed(4096, 5);
                 drain(uniform, n, |chunk| s.observe_batch(chunk));
                 assert_eq!(s.observed(), n);
@@ -285,7 +247,7 @@ fn measure_stream(shape: &Shape) -> Vec<PerfEntry> {
         entry(
             "pipeline-kll",
             n,
-            perf::best_of(shape.reps, || {
+            best_of(shape.reps, || {
                 let mut s = KllSketch::with_seed(200, 5);
                 drain(zipf, n, |chunk| s.observe_batch(chunk));
                 assert_eq!(s.observed(), n as u64);
@@ -298,7 +260,7 @@ fn measure_stream(shape: &Shape) -> Vec<PerfEntry> {
 // Area: serve
 // ---------------------------------------------------------------------------
 
-fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
+fn measure_serve(shape: &Shape) -> Vec<Row> {
     let universe = 1u64 << 20;
     let mut entries = Vec::new();
 
@@ -326,7 +288,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "serve-ingest-frames".to_string(),
             n: (frames * FRAME) as u64,
             rate: (frames * FRAME) as f64 / best,
@@ -376,7 +338,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "serve-mixed-queries".to_string(),
             n: queries as u64,
             rate: queries as f64 / best,
@@ -413,7 +375,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "serve-publish-stall".to_string(),
             n: publishes as u64,
             rate: publishes as f64 / best,
@@ -424,9 +386,9 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
 
     // Allocation-per-op kernel: the binary-payload ingest path
     // (`ingest_frame_le`), with per-frame latency from a pre-reserved
-    // vector so the measured window itself stays allocation-free. With
-    // --features count-alloc the verdict pins steady-state allocations
-    // (after the rep-0 warmup) to exactly zero.
+    // vector so the measured window itself stays allocation-free
+    // (`tests/alloc_free_service.rs` pins that path to zero
+    // steady-state allocations).
     {
         let frames = shape.serve_frames;
         let n = frames * FRAME;
@@ -440,10 +402,8 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
         let mut lat_ns: Vec<u64> = Vec::with_capacity(frames);
         let mut best = f64::INFINITY;
         let mut best_lat: Vec<u64> = Vec::new();
-        let mut min_allocs = u64::MAX;
         for rep in 0..=shape.reps {
             lat_ns.clear();
-            let a0 = alloc_counter::count();
             let t = Instant::now();
             for p in payload.chunks(8 * FRAME) {
                 let t0 = Instant::now();
@@ -451,13 +411,9 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat_ns.push(t0.elapsed().as_nanos() as u64);
             }
             let secs = t.elapsed().as_secs_f64();
-            let allocs = alloc_counter::count() - a0;
-            if rep > 0 {
-                min_allocs = min_allocs.min(allocs);
-                if secs < best {
-                    best = secs;
-                    best_lat.clone_from(&lat_ns);
-                }
+            if rep > 0 && secs < best {
+                best = secs;
+                best_lat.clone_from(&lat_ns);
             }
         }
         best_lat.sort_unstable();
@@ -465,21 +421,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
             best_lat[((f * best_lat.len() as f64) as usize).min(best_lat.len() - 1)] as f64
                 / 1_000.0
         };
-        let counted = cfg!(feature = "count-alloc");
-        let pass = !counted || min_allocs == 0;
-        verdict(
-            "serve:alloc-per-op",
-            pass,
-            &if counted {
-                format!("{min_allocs} allocations across {frames} steady-state frames (need 0)")
-            } else {
-                "allocator not counted (build with --features count-alloc)".to_string()
-            },
-        );
-        if !pass {
-            SERVE_GATE_FAILED.store(true, Ordering::Relaxed);
-        }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "serve-alloc-per-op".to_string(),
             n: n as u64,
             rate: n as f64 / best,
@@ -522,7 +464,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "serve-tcp-ingest-pipelined".to_string(),
             n: n as u64,
             rate: n as f64 / best,
@@ -574,7 +516,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
             }
         }
         client.quit().expect("QUIT");
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "serve-tcp-mixed-queries".to_string(),
             n: queries as u64,
             rate: queries as f64 / best,
@@ -621,7 +563,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "cluster-ingest".to_string(),
             n: n as u64,
             rate: n as f64 / best,
@@ -665,7 +607,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 }
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "cluster-failover-gap".to_string(),
             n: replayed,
             rate: replayed as f64 / best,
@@ -712,7 +654,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "tenant-ingest".to_string(),
             n: n as u64,
             rate: n as f64 / best,
@@ -767,7 +709,7 @@ fn measure_serve(shape: &Shape) -> Vec<PerfEntry> {
                 lat = rep_lat;
             }
         }
-        entries.push(PerfEntry {
+        entries.push(Row {
             kernel: "tenant-evict-revive".to_string(),
             n: touches as u64,
             rate: touches as f64 / best,
@@ -810,12 +752,61 @@ fn spawn_bench_server(universe: u64) -> ServiceServer {
 }
 
 // ---------------------------------------------------------------------------
+// Area: grid
+// ---------------------------------------------------------------------------
+
+/// Distinct elements the grid cycles through, so generation is not timed.
+const GRID_POOL: usize = 1 << 20;
+
+fn measure_grid(shape: &Shape) -> Vec<Row> {
+    let pool: Vec<u64> = (0..GRID_POOL as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
+        .collect();
+    let bytes: Vec<u8> = pool.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut entries = Vec::new();
+    for le in [false, true] {
+        for k in [1_253, 20_000] {
+            for frame in [256, 4_096] {
+                for shards in [1, 2, 4] {
+                    let n = shape.grid_n.div_ceil(frame) * frame;
+                    // `best_of`'s untimed first run keeps a cell from
+                    // inheriting the CPU state left by the previous
+                    // cell's longer or shorter work (that alone moved
+                    // K = 1 rates by 2×).
+                    let secs = best_of(shape.grid_reps, || {
+                        let mut svc = SummaryService::start(shards, 0, usize::MAX, |_, s| {
+                            ReservoirSampler::with_seed(k, s)
+                        });
+                        for i in 0..n / frame {
+                            let at = (i * frame) % (GRID_POOL - frame);
+                            if le {
+                                svc.ingest_frame_le(&bytes[8 * at..8 * (at + frame)]);
+                            } else {
+                                svc.ingest_frame(&pool[at..at + frame]);
+                            }
+                        }
+                        assert_eq!(svc.items_routed(), n);
+                    });
+                    let path = if le { "le" } else { "slice" };
+                    entries.push(entry(
+                        &format!("shard-{path}-k{k}-f{frame}-K{shards}"),
+                        n,
+                        secs,
+                    ));
+                }
+            }
+        }
+    }
+    entries
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-fn print_area(area: Area, run: &PerfRun) {
-    let mut table = Table::new(&["kernel", "n", area.rate_key(), "p50_us", "p99_us"]);
-    for e in &run.entries {
+fn print_table(section: &str, rate_key: &str, rows: &[Row]) {
+    let mut table = Table::new(&["kernel", "n", rate_key, "p50_us", "p99_us"]);
+    for e in rows {
         table.row(&[
             e.kernel.clone(),
             e.n.to_string(),
@@ -824,125 +815,137 @@ fn print_area(area: Area, run: &PerfRun) {
             format!("{:.3}", e.p99_us),
         ]);
     }
-    table.emit("perf_trajectory", area.tag());
+    table.emit("perf_trajectory", section);
+    println!();
 }
 
-fn measure(area: Area, shape: &Shape) -> Vec<PerfEntry> {
-    match area {
-        Area::Ingest => measure_ingest(shape),
-        Area::Stream => measure_stream(shape),
-        Area::Serve => measure_serve(shape),
+/// Every `(kernel, rate)` row of the CSV tables one run wrote to `dir`.
+fn read_rates(dir: &Path) -> Result<Vec<(String, f64)>, String> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .map_err(|e| format!("{}: {e}", dir.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
+        .collect();
+    files.sort();
+    let mut rows = Vec::new();
+    for f in files {
+        let text = std::fs::read_to_string(&f).map_err(|e| format!("{}: {e}", f.display()))?;
+        rows.extend(ab::rates(&text).map_err(|e| format!("{}: {e}", f.display()))?);
     }
+    Ok(rows)
 }
 
-/// Fold a re-measurement into `run`, keeping the per-kernel best rate
-/// (and its latency quantiles) — the min-time statistic extended across
-/// attempts.
-fn merge_best(run: &mut PerfRun, again: Vec<PerfEntry>) {
-    for fresh in again {
-        if let Some(e) = run.entries.iter_mut().find(|e| e.kernel == fresh.kernel) {
-            if fresh.rate > e.rate {
-                *e = fresh;
+/// `--ab <parent>`: run `parent` and this binary alternately,
+/// [`ab::PAIRS`] times each with the first side alternating, each run
+/// writing its tables to its own CSV directory; then judge every row on
+/// its pairs. Returns the exit code: 1 when a row fails or a run does.
+fn run_ab(parent: &Path) -> i32 {
+    let this = std::env::current_exe().expect("current_exe");
+    let sides = [("parent", parent), ("change", this.as_path())];
+    let tmp = std::env::temp_dir().join(format!("perf_trajectory_ab_{}", std::process::id()));
+    // Per kernel, in first-seen order: each side's rates, pair by pair.
+    let mut rows: Vec<(String, [Vec<f64>; 2])> = Vec::new();
+    for i in 0..ab::PAIRS {
+        for side in [i % 2, 1 - i % 2] {
+            let (name, bin) = sides[side];
+            let dir = tmp.join(format!("{name}{i}"));
+            let mut cmd = Command::new(bin);
+            if is_quick() {
+                cmd.arg("--quick");
+            }
+            // Each side finds the `cluster_node` built beside it.
+            cmd.arg("--csv").arg(&dir).env_remove("CLUSTER_NODE_BIN");
+            let read = match cmd.output() {
+                Ok(out) if out.status.success() => read_rates(&dir),
+                Ok(out) => Err(format!(
+                    "{} exited with {}:\n{}",
+                    bin.display(),
+                    out.status,
+                    String::from_utf8_lossy(&out.stderr)
+                )),
+                Err(e) => Err(format!("cannot run {}: {e}", bin.display())),
+            };
+            let rates = match read {
+                Ok(rates) => rates,
+                Err(e) => {
+                    eprintln!("perf_trajectory --ab: {name} run {i}: {e}");
+                    let _ = std::fs::remove_dir_all(&tmp);
+                    return 1;
+                }
+            };
+            for (kernel, rate) in rates {
+                let at = match rows.iter().position(|(k, _)| *k == kernel) {
+                    Some(at) => at,
+                    None => {
+                        rows.push((kernel, Default::default()));
+                        rows.len() - 1
+                    }
+                };
+                rows[at].1[side].push(rate);
             }
         }
+        eprintln!("perf_trajectory --ab: pair {}/{} done", i + 1, ab::PAIRS);
     }
-}
+    let _ = std::fs::remove_dir_all(&tmp);
 
-/// How many times an apparently-regressed area is re-measured before the
-/// verdict stands. A genuine regression is slow on every attempt; a
-/// neighbour-induced noise episode (seconds long on a shared container,
-/// long enough to defeat one best-of-N window) is not.
-const CHECK_RETRIES: usize = 2;
+    let mut table = Table::new(&[
+        "kernel",
+        "parent_median",
+        "change_median",
+        "median_ratio",
+        "parent_spread",
+        "won",
+        "verdict",
+    ]);
+    // A one-sided row has no ratio, spread or pairs: print "-".
+    let cell = |x: f64, text: String| if x.is_nan() { "-".to_string() } else { text };
+    let mut verdicts = Vec::new();
+    for (kernel, [parent, change]) in &rows {
+        let j = ab::judge(parent, change);
+        verdicts.push(j.verdict);
+        table.row(&[
+            kernel.clone(),
+            cell(j.parent_median, format!("{:.3e}", j.parent_median)),
+            cell(j.change_median, format!("{:.3e}", j.change_median)),
+            cell(j.median_ratio, format!("{:.3}", j.median_ratio)),
+            cell(j.parent_spread, format!("{:.1}%", 100.0 * j.parent_spread)),
+            cell(j.median_ratio, format!("{}/{}", j.won, j.pairs)),
+            j.verdict.tag().to_string(),
+        ]);
+    }
+    table.emit("perf_trajectory", "ab");
+    let count = |v| verdicts.iter().filter(|&&x| x == v).count();
+    let fail = count(ab::Verdict::Fail);
+    println!(
+        "\n{} rows: {} PASS, {fail} FAIL, {} UNRESOLVED, {} ONE-SIDED \
+         (FAIL = the change loses >= {} of {} pairs and its median ratio is below {})",
+        rows.len(),
+        count(ab::Verdict::Pass),
+        count(ab::Verdict::Unresolved),
+        count(ab::Verdict::OneSided),
+        ab::FAIL_LOSSES,
+        ab::PAIRS,
+        ab::FAIL_RATIO
+    );
+    i32::from(fail > 0)
+}
 
 fn main() {
     init_cli();
+    if let Some(parent) = ab_parent() {
+        std::process::exit(run_ab(&parent));
+    }
     let shape = if is_quick() { &QUICK } else { &FULL };
-    let label = bench_label("dev");
-    let out = bench_out();
-    let check = check_dir();
     banner(
         "perf_trajectory",
-        "kernel perf trajectory (BENCH_*.json)",
+        "kernel timings (gate with --ab <parent-binary>)",
         &format!(
             "fixed-shape scenarios, shape={}, best-of-{} minimum per kernel",
             shape.name, shape.reps
         ),
     );
-
-    let mut failed = false;
-    for area in [Area::Ingest, Area::Stream, Area::Serve] {
-        let mut run = PerfRun {
-            label: label.clone(),
-            shape: shape.name.to_string(),
-            entries: measure(area, shape),
-        };
-        if let Some(dir) = &check {
-            match perf::check_against(dir, area, &run) {
-                Ok(mut lines) => {
-                    let mut retries = 0;
-                    while lines.iter().any(|l| l.regressed) && retries < CHECK_RETRIES {
-                        retries += 1;
-                        println!(
-                            "{}: apparent regression, re-measuring (attempt {retries}/{CHECK_RETRIES})",
-                            area.tag()
-                        );
-                        merge_best(&mut run, measure(area, shape));
-                        lines = perf::check_against(dir, area, &run)
-                            .expect("baseline parsed once already");
-                    }
-                    print_area(area, &run);
-                    for l in &lines {
-                        let pass = !l.regressed;
-                        failed |= l.regressed;
-                        verdict(
-                            &format!("{}:{}", area.tag(), l.kernel),
-                            pass,
-                            &format!(
-                                "{:.3e} vs persisted {:.3e} ({:+.1}%)",
-                                l.current,
-                                l.baseline,
-                                (l.ratio - 1.0) * 100.0
-                            ),
-                        );
-                    }
-                    if lines.is_empty() {
-                        verdict(
-                            &format!("{}:baseline", area.tag()),
-                            true,
-                            "no matching persisted kernels (new scenarios pass vacuously)",
-                        );
-                    }
-                }
-                Err(e) => {
-                    print_area(area, &run);
-                    failed = true;
-                    verdict(&format!("{}:schema", area.tag()), false, &e);
-                }
-            }
-        } else {
-            print_area(area, &run);
-        }
-        if let Some(dir) = &out {
-            match perf::append_run(dir, area, &run) {
-                Ok(()) => println!(
-                    "appended run {:?} to {}",
-                    label,
-                    dir.join(area.file_name()).display()
-                ),
-                Err(e) => {
-                    failed = true;
-                    verdict(&format!("{}:write", area.tag()), false, &e);
-                }
-            }
-        }
-        println!();
-    }
-    failed |= SERVE_GATE_FAILED.load(Ordering::Relaxed);
-    if failed {
-        eprintln!(
-            "perf_trajectory: FAILED (>{:.0}% regression or schema drift)",
-            perf::REGRESSION_TOLERANCE * 100.0
-        );
-        std::process::exit(1);
-    }
+    print_table("ingest", "elem_per_s", &measure_ingest(shape));
+    print_table("stream", "elem_per_s", &measure_stream(shape));
+    print_table("serve", "ops_per_s", &measure_serve(shape));
+    print_table("grid", "elem_per_s", &measure_grid(shape));
 }

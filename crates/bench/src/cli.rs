@@ -19,11 +19,9 @@
 //!   attack registry and exit (handled by [`init_cli`]);
 //! * `--nodes <n>` — the node-process count of the `cluster` binary
 //!   ([`cluster_nodes`]);
-//! * `--bench-out <dir>` / `--check <dir>` / `--label <name>` — the perf
-//!   trajectory knobs used by the `perf_trajectory` binary ([`bench_out`],
-//!   [`check_dir`], [`bench_label`]): append this run's measurements to
-//!   the `BENCH_*.json` files in `<dir>`, and/or compare against the
-//!   trajectory persisted there (exit 1 on >15% throughput regression);
+//! * `--ab <parent-binary>` — the `perf_trajectory` gate ([`ab_parent`]):
+//!   time that binary and this one in alternating pairs and exit 1 when
+//!   a row fails the paired verdict rule (see [`crate::ab`]);
 //! * `--help` — print the shared flag reference and exit ([`init_cli`]).
 //!
 //! Binaries construct engines through [`engine`], which applies the
@@ -136,45 +134,23 @@ pub fn stream_len(default: usize) -> usize {
 }
 
 /// Parse a `--flag <path>` pair whose value must not itself be a flag
-/// (catches `--bench-out --check`, where the directory was forgotten).
+/// (catches `--ab --quick`, where the path was forgotten).
 fn path_flag(name: &str, usage: &str) -> Option<std::path::PathBuf> {
     parsed_flag(name, usage, |v| {
         (!v.starts_with("--")).then(|| std::path::PathBuf::from(v))
     })
 }
 
-/// The `--bench-out <dir>` setting (perf_trajectory): append this run to
-/// the `BENCH_*.json` trajectory files in `dir`. `None` when absent.
-///
-/// Exits with status 2 on a missing or flag-like value.
-pub fn bench_out() -> Option<std::path::PathBuf> {
-    path_flag(
-        "--bench-out",
-        "--bench-out needs a directory argument (the BENCH_*.json location)",
-    )
-}
-
-/// The `--check <dir>` setting (perf_trajectory): compare this run
-/// against the trajectory persisted in `dir` and fail on regression.
+/// The `--ab <parent-binary>` setting (perf_trajectory): time this
+/// binary against the parent's `perf_trajectory` in alternating pairs.
 /// `None` when absent.
 ///
 /// Exits with status 2 on a missing or flag-like value.
-pub fn check_dir() -> Option<std::path::PathBuf> {
+pub fn ab_parent() -> Option<std::path::PathBuf> {
     path_flag(
-        "--check",
-        "--check needs a directory argument (the BENCH_*.json location)",
+        "--ab",
+        "--ab needs a path argument (the parent's perf_trajectory binary)",
     )
-}
-
-/// The `--label <name>` setting (perf_trajectory): the commit-ish label
-/// recorded with an appended run; `default` when absent.
-///
-/// Exits with status 2 on a missing or flag-like value.
-pub fn bench_label(default: &str) -> String {
-    parsed_flag("--label", "--label needs a name argument", |v| {
-        (!v.starts_with("--")).then(|| v.to_string())
-    })
-    .unwrap_or_else(|| default.to_string())
 }
 
 /// The `--help` flag reference text.
@@ -190,10 +166,8 @@ const HELP_TEXT: &str = "shared experiment flags:\n\
          cluster flags (cluster):\n\
          \x20 --nodes <n>          cluster node-process count (default: 3)\n\
          perf-trajectory flags (perf_trajectory):\n\
-         \x20 --bench-out <dir>    append this run to the BENCH_*.json files in <dir>\n\
-         \x20 --check <dir>        compare against the trajectory in <dir>; exit 1 on\n\
-         \x20                      >15% throughput regression or schema drift\n\
-         \x20 --label <name>       commit-ish label recorded with an appended run\n\
+         \x20 --ab <parent>        run <parent> and this binary in 10 alternating pairs;\n\
+         \x20                      exit 1 when a row loses 9+ pairs and >15% in the median\n\
          \x20 --help               this text";
 
 /// Print the shared flag reference (`--help`).
@@ -261,9 +235,7 @@ pub fn init_cli() {
     let _ = attack();
     let _ = stream_len(1);
     let _ = cluster_nodes(1);
-    let _ = bench_out();
-    let _ = check_dir();
-    let _ = bench_label("dev");
+    let _ = ab_parent();
 }
 
 #[cfg(test)]
@@ -297,24 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn perf_flags_default_when_absent() {
-        assert!(bench_out().is_none());
-        assert!(check_dir().is_none());
-        assert_eq!(bench_label("dev"), "dev");
+    fn ab_flag_defaults_when_absent() {
+        assert!(ab_parent().is_none());
     }
 
     #[test]
     fn help_text_covers_perf_flags() {
-        // `--help` must document the trajectory flags alongside the rest.
-        for flag in [
-            "--bench-out",
-            "--check",
-            "--label",
-            "--quick",
-            "--threads",
-            "--workload",
-            "--nodes",
-        ] {
+        // `--help` must document the A/B gate flag alongside the rest.
+        for flag in ["--ab", "--quick", "--threads", "--workload", "--nodes"] {
             assert!(HELP_TEXT.contains(flag), "help text missing {flag}");
         }
     }

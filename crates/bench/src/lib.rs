@@ -23,9 +23,8 @@
 //!   grid to one attack-registry adversary, or list that registry.
 //!
 //! The `perf_trajectory` binary additionally understands
-//! `--bench-out <dir>` (append this run to the `BENCH_*.json` trajectory
-//! files) and `--check <dir>` (compare against the persisted trajectory
-//! and fail on regression) — see [`perf`].
+//! `--ab <parent-binary>` (time the parent's build and this one in
+//! alternating pairs and fail on a paired regression) — see [`ab`].
 //!
 //! The attack × defense robustness grid itself lives in [`matrix`] and is
 //! driven by the `attack_matrix` binary.
@@ -33,13 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod cli;
 pub mod matrix;
-pub mod perf;
 
 pub use cli::{
-    attack, bench_label, bench_out, check_dir, cluster_nodes, engine, init_cli, is_quick,
-    stream_len, threads, workload,
+    ab_parent, attack, cluster_nodes, engine, init_cli, is_quick, stream_len, threads, workload,
 };
 pub use robust_sampling_core::engine::report::Table;
 use robust_sampling_sketches::kll::KllSketch;

@@ -93,7 +93,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, OnceLock};
 
@@ -140,13 +140,25 @@ impl Drop for ChildGuard {
     }
 }
 
+/// The directory cargo builds `cluster_node` into, given the directory
+/// of the running executable: that directory itself, or its parent when
+/// it is `deps/` (test binaries) or `examples/` (example binaries).
+fn node_dir(exe_dir: &Path) -> PathBuf {
+    if exe_dir.ends_with("deps") || exe_dir.ends_with("examples") {
+        if let Some(parent) = exe_dir.parent() {
+            return parent.to_path_buf();
+        }
+    }
+    exe_dir.to_path_buf()
+}
+
 /// Locate (building if necessary) the `cluster_node` binary.
 ///
 /// Resolution order: the `CLUSTER_NODE_BIN` environment variable; a
-/// sibling of the current executable (popping a trailing `deps/`, which
-/// is where test binaries live); else `cargo build` it — the root
-/// package's test run does not build the service crate's binaries, so
-/// the first cluster test in a fresh checkout pays one build.
+/// sibling of the current executable's build directory ([`node_dir`]);
+/// else `cargo build` it — the root package's test run does not build
+/// the service crate's binaries, so the first cluster test in a fresh
+/// checkout pays one build.
 fn node_bin() -> &'static PathBuf {
     static BIN: OnceLock<PathBuf> = OnceLock::new();
     BIN.get_or_init(|| {
@@ -154,10 +166,7 @@ fn node_bin() -> &'static PathBuf {
             return PathBuf::from(p);
         }
         let exe = std::env::current_exe().expect("current_exe");
-        let mut dir = exe.parent().expect("executable directory").to_path_buf();
-        if dir.ends_with("deps") {
-            dir.pop();
-        }
+        let dir = node_dir(exe.parent().expect("executable directory"));
         let candidate = dir.join(format!("cluster_node{}", std::env::consts::EXE_SUFFIX));
         if candidate.exists() {
             return candidate;
@@ -794,6 +803,19 @@ impl ObservableDefense for ClusterDefense {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_dir_steps_out_of_deps_and_examples() {
+        let release = Path::new("/work/target/release");
+        for exe_dir in ["/work/target/release/deps", "/work/target/release/examples"] {
+            assert_eq!(node_dir(Path::new(exe_dir)), release, "{exe_dir}");
+        }
+        assert_eq!(node_dir(release), release);
+        assert_eq!(
+            node_dir(Path::new("/work/target/debug/deps")),
+            Path::new("/work/target/debug")
+        );
+    }
 
     #[test]
     fn deal_strides_match_the_mod_k_contract() {

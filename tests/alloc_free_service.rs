@@ -1,9 +1,10 @@
 //! Allocation gate for the serving data path: after warmup, the ingest
 //! path — both the slice form (`ingest_frame`) and the wire form
 //! (`ingest_frame_le`) — performs **zero heap allocations** per frame,
-//! for a one-shard service and for three- and four-shard ones. With
-//! three shards a 1,024-element frame leaves the round-robin offset one
-//! further on, so every frame starts each shard's stride somewhere new.
+//! for a one-shard service and for two-, three- and four-shard ones.
+//! With three shards a 1,024-element frame leaves the round-robin offset
+//! one further on, so every frame starts each shard's stride somewhere
+//! new.
 //! All run on the caller's thread.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this
@@ -59,9 +60,10 @@ fn steady_state_ingest_performs_zero_heap_allocations() {
         payload.extend_from_slice(&v.to_le_bytes());
     }
 
-    // K = 1 is every cluster node's shape; K = 3 rotates the stride
-    // offset from frame to frame (1,024 % 3 = 1); K = 4 does not.
-    for shards in [1, 3, 4] {
+    // K = 1 is every cluster node's shape; K = 2 is the served shape
+    // the serve kernels time; K = 3 rotates the stride offset from frame
+    // to frame (1,024 % 3 = 1); K = 4 does not.
+    for shards in [1, 2, 3, 4] {
         // Cadence effectively off: the measured window isolates the pure
         // ingest path (a publish clones the shards: a per-publish cost
         // by design).
