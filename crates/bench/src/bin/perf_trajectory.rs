@@ -38,8 +38,9 @@
 //! Every row is timed as a best-of-N minimum after an untimed warm-up
 //! ([`ab::best_of`]). A single run gates nothing: `--ab` runs the parent
 //! binary and this one alternately and judges each row, matched by
-//! kernel name, on its pairs ([`ab::judge`]); it exits 1 when any row
-//! fails.
+//! kernel name, on its pairs ([`ab::judge`]). When a row fails, it runs
+//! as many pairs again and judges every row on all of them; it exits 1
+//! when a row still fails.
 
 use robust_sampling_bench::ab::{self, best_of};
 use robust_sampling_bench::{ab_parent, banner, init_cli, is_quick, micros, Table};
@@ -835,59 +836,29 @@ fn read_rates(dir: &Path) -> Result<Vec<(String, f64)>, String> {
     Ok(rows)
 }
 
-/// `--ab <parent>`: run `parent` and this binary alternately,
-/// [`ab::PAIRS`] times each with the first side alternating, each run
-/// writing its tables to its own CSV directory; then judge every row on
-/// its pairs. Returns the exit code: 1 when a row fails or a run does.
-fn run_ab(parent: &Path) -> i32 {
-    let this = std::env::current_exe().expect("current_exe");
-    let sides = [("parent", parent), ("change", this.as_path())];
-    let tmp = std::env::temp_dir().join(format!("perf_trajectory_ab_{}", std::process::id()));
-    // Per kernel, in first-seen order: each side's rates, pair by pair.
-    let mut rows: Vec<(String, [Vec<f64>; 2])> = Vec::new();
-    for i in 0..ab::PAIRS {
-        for side in [i % 2, 1 - i % 2] {
-            let (name, bin) = sides[side];
-            let dir = tmp.join(format!("{name}{i}"));
-            let mut cmd = Command::new(bin);
-            if is_quick() {
-                cmd.arg("--quick");
-            }
-            // Each side finds the `cluster_node` built beside it.
-            cmd.arg("--csv").arg(&dir).env_remove("CLUSTER_NODE_BIN");
-            let read = match cmd.output() {
-                Ok(out) if out.status.success() => read_rates(&dir),
-                Ok(out) => Err(format!(
-                    "{} exited with {}:\n{}",
-                    bin.display(),
-                    out.status,
-                    String::from_utf8_lossy(&out.stderr)
-                )),
-                Err(e) => Err(format!("cannot run {}: {e}", bin.display())),
-            };
-            let rates = match read {
-                Ok(rates) => rates,
-                Err(e) => {
-                    eprintln!("perf_trajectory --ab: {name} run {i}: {e}");
-                    let _ = std::fs::remove_dir_all(&tmp);
-                    return 1;
-                }
-            };
-            for (kernel, rate) in rates {
-                let at = match rows.iter().position(|(k, _)| *k == kernel) {
-                    Some(at) => at,
-                    None => {
-                        rows.push((kernel, Default::default()));
-                        rows.len() - 1
-                    }
-                };
-                rows[at].1[side].push(rate);
-            }
-        }
-        eprintln!("perf_trajectory --ab: pair {}/{} done", i + 1, ab::PAIRS);
+/// One run of `bin` with its tables written under `dir`, read back.
+fn run_side(bin: &Path, dir: &Path) -> Result<Vec<(String, f64)>, String> {
+    let mut cmd = Command::new(bin);
+    if is_quick() {
+        cmd.arg("--quick");
     }
-    let _ = std::fs::remove_dir_all(&tmp);
+    // Each side finds the `cluster_node` built beside it.
+    cmd.arg("--csv").arg(dir).env_remove("CLUSTER_NODE_BIN");
+    match cmd.output() {
+        Ok(out) if out.status.success() => read_rates(dir),
+        Ok(out) => Err(format!(
+            "{} exited with {}:\n{}",
+            bin.display(),
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        )),
+        Err(e) => Err(format!("cannot run {}: {e}", bin.display())),
+    }
+}
 
+/// Judge every row on its pairs so far, print the table and return the
+/// verdicts.
+fn print_judgements(rows: &[(String, [Vec<f64>; 2])], pairs: usize) -> Vec<ab::Verdict> {
     let mut table = Table::new(&[
         "kernel",
         "parent_median",
@@ -900,7 +871,7 @@ fn run_ab(parent: &Path) -> i32 {
     // A one-sided row has no ratio, spread or pairs: print "-".
     let cell = |x: f64, text: String| if x.is_nan() { "-".to_string() } else { text };
     let mut verdicts = Vec::new();
-    for (kernel, [parent, change]) in &rows {
+    for (kernel, [parent, change]) in rows {
         let j = ab::judge(parent, change);
         verdicts.push(j.verdict);
         table.row(&[
@@ -915,19 +886,72 @@ fn run_ab(parent: &Path) -> i32 {
     }
     table.emit("perf_trajectory", "ab");
     let count = |v| verdicts.iter().filter(|&&x| x == v).count();
-    let fail = count(ab::Verdict::Fail);
     println!(
-        "\n{} rows: {} PASS, {fail} FAIL, {} UNRESOLVED, {} ONE-SIDED \
-         (FAIL = the change loses >= {} of {} pairs and its median ratio is below {})",
+        "\n{} rows: {} PASS, {} FAIL, {} UNRESOLVED, {} ONE-SIDED \
+         (FAIL = the change loses >= {} of {pairs} pairs and its median ratio is below {})",
         rows.len(),
         count(ab::Verdict::Pass),
+        count(ab::Verdict::Fail),
         count(ab::Verdict::Unresolved),
         count(ab::Verdict::OneSided),
-        ab::FAIL_LOSSES,
-        ab::PAIRS,
+        ab::losses_to_fail(pairs),
         ab::FAIL_RATIO
     );
-    i32::from(fail > 0)
+    verdicts
+}
+
+/// `--ab <parent>`: run `parent` and this binary alternately,
+/// [`ab::PAIRS`] times each with the first side alternating, each run
+/// writing its tables to its own CSV directory; then judge every row on
+/// its pairs. When a row fails, run [`ab::PAIRS`] more pairs and judge
+/// every row again on all of them. Returns the exit code: 1 when a row
+/// fails that second judgement or a run fails.
+fn run_ab(parent: &Path) -> i32 {
+    let this = std::env::current_exe().expect("current_exe");
+    let sides = [("parent", parent), ("change", this.as_path())];
+    let tmp = std::env::temp_dir().join(format!("perf_trajectory_ab_{}", std::process::id()));
+    // Per kernel, in first-seen order: each side's rates, pair by pair.
+    let mut rows: Vec<(String, [Vec<f64>; 2])> = Vec::new();
+    let mut pairs = 0;
+    let verdicts = loop {
+        let target = pairs + ab::PAIRS;
+        for i in pairs..target {
+            for side in [i % 2, 1 - i % 2] {
+                let (name, bin) = sides[side];
+                let rates = match run_side(bin, &tmp.join(format!("{name}{i}"))) {
+                    Ok(rates) => rates,
+                    Err(e) => {
+                        eprintln!("perf_trajectory --ab: {name} run {i}: {e}");
+                        let _ = std::fs::remove_dir_all(&tmp);
+                        return 1;
+                    }
+                };
+                for (kernel, rate) in rates {
+                    let at = match rows.iter().position(|(k, _)| *k == kernel) {
+                        Some(at) => at,
+                        None => {
+                            rows.push((kernel, Default::default()));
+                            rows.len() - 1
+                        }
+                    };
+                    rows[at].1[side].push(rate);
+                }
+            }
+            eprintln!("perf_trajectory --ab: pair {}/{target} done", i + 1);
+        }
+        pairs = target;
+        let verdicts = print_judgements(&rows, pairs);
+        if pairs > ab::PAIRS || !verdicts.contains(&ab::Verdict::Fail) {
+            break verdicts;
+        }
+        println!(
+            "\nA row failed on {pairs} pairs: running {} more, and judging every row on all {}.\n",
+            ab::PAIRS,
+            pairs + ab::PAIRS
+        );
+    };
+    let _ = std::fs::remove_dir_all(&tmp);
+    i32::from(verdicts.contains(&ab::Verdict::Fail))
 }
 
 fn main() {

@@ -21,7 +21,7 @@
 //!   ([`cluster_nodes`]);
 //! * `--ab <parent-binary>` — the `perf_trajectory` gate ([`ab_parent`]):
 //!   time that binary and this one in alternating pairs and exit 1 when
-//!   a row fails the paired verdict rule (see [`crate::ab`]);
+//!   a row fails the paired verdict rule, re-run (see [`crate::ab`]);
 //! * `--help` — print the shared flag reference and exit ([`init_cli`]).
 //!
 //! Binaries construct engines through [`engine`], which applies the
@@ -167,7 +167,8 @@ const HELP_TEXT: &str = "shared experiment flags:\n\
          \x20 --nodes <n>          cluster node-process count (default: 3)\n\
          perf-trajectory flags (perf_trajectory):\n\
          \x20 --ab <parent>        run <parent> and this binary in 10 alternating pairs;\n\
-         \x20                      exit 1 when a row loses 9+ pairs and >15% in the median\n\
+         \x20                      if a row loses 9+ pairs and >15% in the median, run\n\
+         \x20                      10 more; exit 1 when a row loses 17+ of the 20 and >15%\n\
          \x20 --help               this text";
 
 /// Print the shared flag reference (`--help`).
