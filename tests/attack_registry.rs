@@ -13,10 +13,12 @@
 //!   strategy reproduces the E13 phantom-heavy-hitter outcome.
 
 use proptest::prelude::*;
-use robust_sampling::core::adversary::DiscreteAttackAdversary;
+use robust_sampling::core::adversary::{
+    DiscreteAttackAdversary, GreedyDiscrepancyAdversary, QuantileHunterAdversary,
+};
 use robust_sampling::core::attack::{
     attack, descriptor, registry, AttackAdversary, BisectionAttack, ColliderAttack, Duel,
-    ObservableDefense,
+    MedianHuntAttack, ObservableDefense, PrefixMassAttack,
 };
 use robust_sampling::core::engine::StreamSummary;
 use robust_sampling::core::game::AdaptiveGame;
@@ -124,6 +126,48 @@ proptest! {
 
         prop_assert_eq!(&game.stream, &duel.stream);
         prop_assert_eq!(legacy.exhausted(), ported.exhausted());
+
+        // The reservoir tuning, each side played in the game through the
+        // bridge against identically seeded reservoirs.
+        let k = 1 + (sampler_seed % 4) as usize;
+        let mut legacy = DiscreteAttackAdversary::for_reservoir(k, n, universe);
+        let mut s1 = ReservoirSampler::with_seed(k, sampler_seed);
+        let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
+        let mut ported =
+            AttackAdversary::new(BisectionAttack::with_split(legacy.p_prime(), universe), universe);
+        let mut s2 = ReservoirSampler::with_seed(k, sampler_seed);
+        let bridged = AdaptiveGame::new(n).run(&mut s2, &mut ported);
+        prop_assert_eq!(&game.stream, &bridged.stream);
+        prop_assert_eq!(legacy.exhausted(), ported.strategy().exhausted());
+    }
+
+    /// The prefix-mass and median-hunt strategies, bridged into the game,
+    /// emit the streams of the legacy greedy and quantile-hunter
+    /// adversaries at the strides the experiments use.
+    #[test]
+    fn greedy_and_hunter_ports_match_legacy(
+        n in 50usize..1_500,
+        k in 4usize..64,
+        seed in 0u64..1_000,
+    ) {
+        let universe = 1u64 << 16;
+        for stride in [32usize, 64] {
+            let mut legacy = GreedyDiscrepancyAdversary::new(universe, stride, seed);
+            let mut s1 = ReservoirSampler::with_seed(k, seed + 1);
+            let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
+            let mut ported = AttackAdversary::new(PrefixMassAttack::new(stride, seed), universe);
+            let mut s2 = ReservoirSampler::with_seed(k, seed + 1);
+            let bridged = AdaptiveGame::new(n).run(&mut s2, &mut ported);
+            prop_assert_eq!(&game.stream, &bridged.stream, "stride {}", stride);
+        }
+
+        let mut legacy = QuantileHunterAdversary::new(universe, seed);
+        let mut s1 = ReservoirSampler::with_seed(k, seed + 1);
+        let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
+        let mut ported = AttackAdversary::new(MedianHuntAttack::new(seed), universe);
+        let mut s2 = ReservoirSampler::with_seed(k, seed + 1);
+        let bridged = AdaptiveGame::new(n).run(&mut s2, &mut ported);
+        prop_assert_eq!(&game.stream, &bridged.stream);
     }
 }
 
