@@ -19,8 +19,9 @@
 //!    hunter — the same gap, at practical scale.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
-use robust_sampling_core::adversary::{GeneralizedBisectionAdversary, QuantileHunterAdversary};
+use robust_sampling_core::adversary::GeneralizedBisectionAdversary;
 use robust_sampling_core::approx::prefix_discrepancy;
+use robust_sampling_core::attack::{AttackAdversary, MedianHuntAttack};
 use robust_sampling_core::bounds;
 use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_core::set_system::{PrefixSystem, SetSystem};
@@ -99,7 +100,7 @@ fn main() {
             let stats = engine.adaptive(
                 &system,
                 |s| ReservoirSampler::with_seed(k, s),
-                |s| QuantileHunterAdversary::new(universe, s),
+                |s| AttackAdversary::new(MedianHuntAttack::new(s), universe),
             );
             let worst = stats.worst();
             let ok = worst <= eps;

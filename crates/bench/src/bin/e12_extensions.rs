@@ -14,10 +14,8 @@
 //!    net-size formula next to the adaptive (cardinality) one.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
-use robust_sampling_core::adversary::{
-    Adversary, GreedyDiscrepancyAdversary, QuantileHunterAdversary, RandomAdversary,
-    StaticAdversary,
-};
+use robust_sampling_core::adversary::{Adversary, RandomAdversary, StaticAdversary};
+use robust_sampling_core::attack::{AttackAdversary, MedianHuntAttack, PrefixMassAttack};
 use robust_sampling_core::bounds;
 use robust_sampling_core::net;
 use robust_sampling_core::sampler::{BottomKSampler, ReservoirSampler, StreamSampler};
@@ -57,10 +55,10 @@ fn main() {
             Box::new(StaticAdversary::new(streamgen::sorted_ramp(n, u)))
         }),
         ("greedy", |u, _, s| {
-            Box::new(GreedyDiscrepancyAdversary::new(u, 64, s))
+            Box::new(AttackAdversary::new(PrefixMassAttack::new(64, s), u))
         }),
         ("hunter", |u, _, s| {
-            Box::new(QuantileHunterAdversary::new(u, s))
+            Box::new(AttackAdversary::new(MedianHuntAttack::new(s), u))
         }),
     ];
     for (name, make) in &adversaries {

@@ -12,8 +12,8 @@
 //! the budget arithmetic predicts.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
-use robust_sampling_core::adversary::DiscreteAttackAdversary;
 use robust_sampling_core::approx::prefix_discrepancy;
+use robust_sampling_core::attack::{AttackAdversary, BisectionAttack};
 use robust_sampling_core::sampler::{BernoulliSampler, ReservoirSampler};
 
 /// Precision budget check (Claim 5.1 arithmetic): expected nats consumed
@@ -31,12 +31,12 @@ struct AttackTrial {
 }
 
 fn judge(
-    adv: &DiscreteAttackAdversary,
+    adv: &AttackAdversary<BisectionAttack>,
     out: robust_sampling_core::GameOutcome<u64>,
 ) -> AttackTrial {
     AttackTrial {
-        p_prime: adv.p_prime(),
-        exhausted: adv.exhausted(),
+        p_prime: adv.strategy().p_prime(),
+        exhausted: adv.strategy().exhausted(),
         discrepancy: prefix_discrepancy(&out.stream, &out.sample).value,
         empty_sample: out.sample.is_empty(),
     }
@@ -72,7 +72,7 @@ fn main() {
         let engine = robust_sampling_bench::engine(n, trials).with_base_seed(1_000 * k as u64);
         let runs = engine.adaptive_map(
             |seed| ReservoirSampler::with_seed(k, seed),
-            |_| DiscreteAttackAdversary::for_reservoir(k, n, universe),
+            |_| AttackAdversary::new(BisectionAttack::for_reservoir(k, n, universe), universe),
             |_, adv, out| judge(adv, out),
         );
         let p_prime = runs[0].p_prime;
@@ -120,7 +120,7 @@ fn main() {
             robust_sampling_bench::engine(n, trials).with_base_seed(77_000 + (p * 1e4) as u64);
         let runs = engine.adaptive_map(
             |seed| BernoulliSampler::with_seed(p, seed),
-            |_| DiscreteAttackAdversary::for_bernoulli(p, n, universe),
+            |_| AttackAdversary::new(BisectionAttack::for_bernoulli(p, n, universe), universe),
             |_, adv, out| judge(adv, out),
         );
         let p_prime = runs[0].p_prime;

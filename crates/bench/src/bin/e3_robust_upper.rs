@@ -11,8 +11,10 @@
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
 use robust_sampling_core::adversary::{
-    Adversary, DiscreteAttackAdversary, GreedyDiscrepancyAdversary, QuantileHunterAdversary,
-    RandomAdversary, SourceAdversary, StaticAdversary,
+    Adversary, RandomAdversary, SourceAdversary, StaticAdversary,
+};
+use robust_sampling_core::attack::{
+    AttackAdversary, BisectionAttack, MedianHuntAttack, PrefixMassAttack,
 };
 use robust_sampling_core::bounds;
 use robust_sampling_core::sampler::{BernoulliSampler, ReservoirSampler};
@@ -49,16 +51,23 @@ fn adversary_suite(universe: u64, n: usize) -> Vec<(&'static str, AdvFactory)> {
         ),
         (
             "greedy",
-            Box::new(move |s| Box::new(GreedyDiscrepancyAdversary::new(universe, 64, s)) as _),
+            Box::new(move |s| {
+                Box::new(AttackAdversary::new(PrefixMassAttack::new(64, s), universe)) as _
+            }),
         ),
         (
             "quantile-hunter",
-            Box::new(move |s| Box::new(QuantileHunterAdversary::new(universe, s)) as _),
+            Box::new(move |s| {
+                Box::new(AttackAdversary::new(MedianHuntAttack::new(s), universe)) as _
+            }),
         ),
         (
             "figure3",
             Box::new(move |_| {
-                Box::new(DiscreteAttackAdversary::for_bernoulli(0.01, n, universe)) as _
+                Box::new(AttackAdversary::new(
+                    BisectionAttack::for_bernoulli(0.01, n, universe),
+                    universe,
+                )) as _
             }),
         ),
     ]
@@ -138,7 +147,7 @@ fn main() {
         let stats = engine.adaptive(
             &system,
             |s| ReservoirSampler::with_seed(kk, s),
-            |s| GreedyDiscrepancyAdversary::new(universe, 64, s),
+            |s| AttackAdversary::new(PrefixMassAttack::new(64, s), universe),
         );
         let mean = stats.mean();
         let predicted = (2.0 * system.ln_cardinality() / kk as f64).sqrt();

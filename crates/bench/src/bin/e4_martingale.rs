@@ -12,7 +12,7 @@
 //!    Lemma 4.1 failure probabilities are honest.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
-use robust_sampling_core::adversary::GreedyDiscrepancyAdversary;
+use robust_sampling_core::attack::{AttackAdversary, PrefixMassAttack};
 use robust_sampling_core::engine::ExperimentEngine;
 use robust_sampling_core::martingale::{
     self, bernoulli_z_sequence, path_stats, reservoir_z_sequence, RoundEvent,
@@ -26,7 +26,7 @@ const RANGE_CUT: u64 = 1 << 19; // R = [0, 2^19) inside U = [0, 2^20)
 fn record_paths<Smp>(
     engine: &ExperimentEngine,
     mk_sampler: impl FnMut(u64) -> Smp,
-    mk_adv: impl FnMut(u64) -> GreedyDiscrepancyAdversary,
+    mk_adv: impl FnMut(u64) -> AttackAdversary<PrefixMassAttack>,
 ) -> Vec<Vec<RoundEvent>>
 where
     Smp: robust_sampling_core::sampler::StreamSampler<u64>,
@@ -63,7 +63,7 @@ fn main() {
     let bern_events = record_paths(
         &engine,
         |s| BernoulliSampler::with_seed(p, s),
-        |s| GreedyDiscrepancyAdversary::new(universe, 32, s),
+        |s| AttackAdversary::new(PrefixMassAttack::new(32, s), universe),
     );
     let bern_paths: Vec<Vec<f64>> = bern_events
         .iter()
@@ -132,7 +132,7 @@ fn main() {
     let res_events = record_paths(
         &engine,
         |s| ReservoirSampler::with_seed(k, s),
-        |s| GreedyDiscrepancyAdversary::new(universe, 32, s),
+        |s| AttackAdversary::new(PrefixMassAttack::new(32, s), universe),
     );
     let res_paths: Vec<Vec<f64>> = res_events
         .iter()

@@ -12,10 +12,8 @@
 //!    matter the rate.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
-use robust_sampling_core::adversary::{
-    Adversary, GreedyDiscrepancyAdversary, QuantileHunterAdversary, SourceAdversary,
-    StaticAdversary,
-};
+use robust_sampling_core::adversary::{Adversary, SourceAdversary, StaticAdversary};
+use robust_sampling_core::attack::{AttackAdversary, MedianHuntAttack, PrefixMassAttack};
 use robust_sampling_core::bounds;
 use robust_sampling_core::game::ContinuousAdaptiveGame;
 use robust_sampling_core::sampler::{BernoulliSampler, ReservoirSampler};
@@ -69,11 +67,15 @@ fn main() {
             ),
             (
                 "greedy",
-                Box::new(move |s| Box::new(GreedyDiscrepancyAdversary::new(universe, 64, s)) as _),
+                Box::new(move |s| {
+                    Box::new(AttackAdversary::new(PrefixMassAttack::new(64, s), universe)) as _
+                }),
             ),
             (
                 "hunter",
-                Box::new(move |s| Box::new(QuantileHunterAdversary::new(universe, s)) as _),
+                Box::new(move |s| {
+                    Box::new(AttackAdversary::new(MedianHuntAttack::new(s), universe)) as _
+                }),
             ),
         ];
         if let Some(w) = robust_sampling_bench::workload() {

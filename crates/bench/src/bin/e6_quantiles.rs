@@ -14,7 +14,8 @@
 //!    [`QuantileSummary`] interface — one loop, five machines.
 
 use robust_sampling_bench::{banner, f, init_cli, is_quick, verdict, Table};
-use robust_sampling_core::adversary::{Adversary, QuantileHunterAdversary, StaticAdversary};
+use robust_sampling_core::adversary::{Adversary, StaticAdversary};
+use robust_sampling_core::attack::{AttackAdversary, MedianHuntAttack};
 use robust_sampling_core::bounds;
 use robust_sampling_core::engine::QuantileSummary;
 use robust_sampling_core::sampler::ReservoirSampler;
@@ -75,7 +76,7 @@ fn main() {
             if stream_kind == "uniform" {
                 Box::new(StaticAdversary::new(streamgen::uniform(n, universe, s)))
             } else if stream_kind == "hunter(adaptive)" {
-                Box::new(QuantileHunterAdversary::new(universe, s))
+                Box::new(AttackAdversary::new(MedianHuntAttack::new(s), universe))
             } else {
                 let w = registry_workload.expect("registry kind implies --workload");
                 Box::new(robust_sampling_core::adversary::SourceAdversary::new(

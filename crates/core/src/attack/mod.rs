@@ -289,7 +289,12 @@ pub struct AttackAdversary<A> {
 impl<A: AttackStrategy> AttackAdversary<A> {
     /// Bridge `attack` into the adversary interface over the given
     /// universe bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe < 2`, as [`Duel::new`] does.
     pub fn new(attack: A, universe: u64) -> Self {
+        assert!(universe >= 2, "universe must have at least two elements");
         Self { attack, universe }
     }
 
@@ -381,6 +386,12 @@ mod tests {
         let game = AdaptiveGame::new(n).run(&mut s2, &mut bridge);
         assert_eq!(duel.stream, game.stream);
         assert_eq!(duel.final_sample, game.sample);
+    }
+
+    #[test]
+    #[should_panic(expected = "universe must have at least two elements")]
+    fn attack_adversary_rejects_a_degenerate_universe() {
+        let _ = AttackAdversary::new(MedianHuntAttack::new(1), 1);
     }
 
     #[test]

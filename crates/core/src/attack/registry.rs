@@ -55,7 +55,7 @@ impl AttackSpec {
 }
 
 fn build_bisection(n: usize, universe: u64, _seed: u64) -> Box<dyn AttackStrategy + Send> {
-    Box::new(BisectionAttack::figure3(n, universe))
+    Box::new(BisectionAttack::for_bernoulli(0.0, n, universe))
 }
 
 fn build_collider(_n: usize, _universe: u64, seed: u64) -> Box<dyn AttackStrategy + Send> {

@@ -2,11 +2,11 @@
 //!
 //! Each strategy is a small state machine implementing
 //! [`AttackStrategy`]: deterministic per seed, observing only what
-//! [`AttackContext`] exposes. The ports ([`BisectionAttack`],
-//! [`ColliderAttack`]) reproduce the adversaries of the Figure 3 /
-//! experiment-E13 machinery on the new interface; the rest target
-//! specific summary families — see each type's docs for the theorem it
-//! leans on and the defense class it is expected to break.
+//! [`AttackContext`] exposes. Each attack has one implementation: the
+//! duel loop plays it against any defense, and the experiment binaries
+//! play it in the Figure 1/2 games through
+//! [`AttackAdversary`](super::AttackAdversary). See each type's docs for
+//! the theorem it leans on and the defense class it is expected to break.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,11 +14,20 @@ use robust_sampling_streamgen::source::StreamSource;
 
 use super::{AttackContext, AttackStrategy};
 
-/// The Figure 3 shrinking-interval attack (Theorem 1.3), ported from
-/// [`DiscreteAttackAdversary`](crate::adversary::DiscreteAttackAdversary)
-/// onto the duel interface: probe `x = ⌊a + (1−p')(b−a)⌋`; if the probe
-/// was stored, raise `a`, else lower `b` — trapping every stored element
-/// below every discarded one (Claim 5.2).
+/// The paper's Figure 3 shrinking-interval attack (Theorem 1.3) over
+/// `U = [N]`:
+///
+/// ```text
+/// 1. a₁ = 1, b₁ = N
+/// 2. p' = max{p, ln n / n}
+/// 3. round i:  xᵢ = ⌊aᵢ + (1 − p')(bᵢ − aᵢ)⌋
+///              if xᵢ was stored   → aᵢ₊₁ = xᵢ, bᵢ₊₁ = bᵢ
+///              else               → aᵢ₊₁ = aᵢ, bᵢ₊₁ = xᵢ
+/// ```
+///
+/// Invariant (the paper's Claim 5.2): every stored element is `≤ aᵢ`,
+/// every discarded element is `≥ bᵢ`, so at the end the sample consists
+/// of (a subset of) the smallest elements ever submitted.
 ///
 /// Storedness is inferred by *membership*: the previous probe appears in
 /// the visible sample iff it was stored. Probes are pairwise distinct
@@ -64,15 +73,41 @@ impl BisectionAttack {
         }
     }
 
-    /// The Figure 3 default for an `n`-round game: `p' = ln n / n`, the
-    /// threshold rate below which Theorem 1.3 applies.
+    /// The attack against [`BernoulliSampler`] with rate `p`:
+    /// `p' = max(p, ln n / n)` exactly as in Figure 3. At `p = 0` this is
+    /// the registry's `bisection` row, `p' = ln n / n`, the threshold rate
+    /// below which Theorem 1.3 applies.
     ///
     /// # Panics
     ///
-    /// Panics if `universe < 4` or `n < 2`.
-    pub fn figure3(n: usize, universe: u64) -> Self {
+    /// Panics if `universe < 4`, `n < 2` or `p ≥ 1`.
+    ///
+    /// [`BernoulliSampler`]: crate::sampler::BernoulliSampler
+    pub fn for_bernoulli(p: f64, n: usize, universe: u64) -> Self {
         assert!(n >= 2, "attack needs n >= 2");
-        let p_prime = ((n as f64).ln() / n as f64).clamp(1e-12, 0.5);
+        Self::with_split(p.max((n as f64).ln() / n as f64), universe)
+    }
+
+    /// The attack against [`ReservoirSampler`] with capacity `k`.
+    ///
+    /// The reservoir stores round `i`'s element with probability `k/i`,
+    /// and the total number of insertions concentrates below
+    /// `k' ≤ 4k·ln n` (paper §5). The split spends the `ln N` precision
+    /// budget evenly across those `k'` insertions:
+    /// `p' = max(4k·ln n / n, ln n / n)`, clamped below 1/2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe < 4`, `n < 2`, or `k == 0`.
+    ///
+    /// [`ReservoirSampler`]: crate::sampler::ReservoirSampler
+    pub fn for_reservoir(k: usize, n: usize, universe: u64) -> Self {
+        assert!(n >= 2, "attack needs n >= 2");
+        assert!(k > 0, "reservoir capacity must be positive");
+        let ln_n = (n as f64).ln();
+        let p_prime = (4.0 * k as f64 * ln_n / n as f64)
+            .max(ln_n / n as f64)
+            .min(0.49);
         Self::with_split(p_prime, universe)
     }
 
@@ -83,10 +118,10 @@ impl BisectionAttack {
         self.exhausted
     }
 
-    /// Current working interval `[a, b]`.
+    /// The splitting fraction `p'` in use.
     #[inline]
-    pub fn working_range(&self) -> (u64, u64) {
-        (self.a, self.b)
+    pub fn p_prime(&self) -> f64 {
+        self.p_prime
     }
 }
 
@@ -292,10 +327,9 @@ impl AttackStrategy for PrefixMassAttack {
 /// median — and flood strictly above it, so the stream's true median
 /// climbs while a summary that under-refreshes stays anchored.
 ///
-/// Generalises the sample-only
-/// [`QuantileHunterAdversary`](crate::adversary::QuantileHunterAdversary):
-/// against GK/KLL/merge-reduce (no retained sample exposed) the oracle
-/// query is what makes the attack adaptive.
+/// Against GK/KLL/merge-reduce (no retained sample exposed) the oracle
+/// query is what makes the attack adaptive; in the games, where the
+/// bridge exposes only the sample, it hunts the sample's median.
 #[derive(Debug)]
 pub struct MedianHuntAttack {
     rng: StdRng,
@@ -486,35 +520,16 @@ impl AttackStrategy for ReplayAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::DiscreteAttackAdversary;
-    use crate::attack::{attack, Duel};
+    use crate::approx::prefix_discrepancy;
+    use crate::attack::{attack, AttackAdversary, Duel};
     use crate::game::AdaptiveGame;
     use crate::sampler::{BernoulliSampler, ReservoirSampler, StreamSampler};
 
     #[test]
-    fn bisection_port_matches_the_legacy_adversary() {
-        // The trait port infers storedness from sample membership instead
-        // of the Observation report; on distinct probes the two are
-        // equivalent, so the emitted streams must be identical.
-        let n = 300usize;
-        let universe = 1u64 << 62;
-        let p = 0.01f64;
-        for seed in 0..4u64 {
-            let p_prime = p.max((n as f64).ln() / n as f64);
-            let mut legacy = DiscreteAttackAdversary::for_bernoulli(p, n, universe);
-            let mut s1 = BernoulliSampler::with_seed(p, seed);
-            let legacy_out = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
-
-            let mut ported = BisectionAttack::with_split(p_prime, universe);
-            let mut s2 = BernoulliSampler::with_seed(p, seed);
-            let duel = Duel::new(n, universe).run(&mut s2, &mut ported);
-            assert_eq!(legacy_out.stream, duel.stream, "seed {seed}");
-            assert_eq!(legacy.exhausted(), ported.exhausted(), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn bisection_traps_a_tiny_bernoulli_sample() {
+        // A u64 universe offers only ln N ≈ 43 nats of precision, so the
+        // attack only fits sub-threshold rates on short streams. Theorem
+        // 1.3 guarantees success with probability ≥ 1/2; demand ≥ 3/5.
         let n = 300usize;
         let universe = 1u64 << 62;
         let mut wins = 0;
@@ -525,6 +540,7 @@ mod tests {
             if atk.exhausted() || out.final_sample.is_empty() {
                 continue;
             }
+            // Claim 5.2: every sampled element < every non-sampled element.
             let max_sampled = out.final_sample.iter().max().copied().unwrap();
             let min_unsampled = out
                 .stream
@@ -534,9 +550,59 @@ mod tests {
                 .copied()
                 .unwrap();
             assert!(max_sampled < min_unsampled);
+            // Discrepancy is exactly 1 − |S|/n when the trap closes.
+            let d = prefix_discrepancy(&out.stream, &out.final_sample).value;
+            let expect = 1.0 - out.final_sample.len() as f64 / n as f64;
+            assert!((d - expect).abs() < 1e-9, "d={d}, expect {expect}");
             wins += 1;
         }
         assert!(wins >= 3, "attack landed only {wins}/5 times");
+    }
+
+    #[test]
+    fn bisection_crushes_a_tiny_reservoir() {
+        // Same precision accounting: k = 1 over n = 200 stays inside the
+        // u64 budget (k' ≈ 1 + ln n insertions at ~3 nats each, plus n·p').
+        let n = 200usize;
+        let k = 1;
+        let universe = 1u64 << 62;
+        let mut successes = 0;
+        for seed in 0..6 {
+            let mut adv =
+                AttackAdversary::new(BisectionAttack::for_reservoir(k, n, universe), universe);
+            let mut sampler = ReservoirSampler::with_seed(k, seed);
+            let out = AdaptiveGame::new(n).run(&mut sampler, &mut adv);
+            if adv.strategy().exhausted() {
+                continue;
+            }
+            // Paper §5: residents are among the k' smallest stream elements.
+            let mut sorted = out.stream.clone();
+            sorted.sort_unstable();
+            let cutoff = sorted[out.total_stored - 1];
+            for s in &out.sample {
+                assert!(*s <= cutoff, "resident {s} above the k'-smallest cutoff");
+            }
+            let d = prefix_discrepancy(&out.stream, &out.sample).value;
+            assert!(d > 0.5, "attack landed but discrepancy only {d}");
+            successes += 1;
+        }
+        assert!(successes >= 3, "attack landed only {successes}/6 times");
+    }
+
+    #[test]
+    fn bisection_exhausts_on_a_tiny_universe() {
+        // N far below n^6 ln n: Claim 5.1's precondition fails and the
+        // interval must collapse.
+        let n = 10_000usize;
+        let universe = 1u64 << 10;
+        let mut adv =
+            AttackAdversary::new(BisectionAttack::for_bernoulli(0.05, n, universe), universe);
+        let mut sampler = BernoulliSampler::with_seed(0.05, 5);
+        let _ = AdaptiveGame::new(n).run(&mut sampler, &mut adv);
+        assert!(
+            adv.strategy().exhausted(),
+            "tiny universe should exhaust the attack"
+        );
     }
 
     #[test]
@@ -558,7 +624,6 @@ mod tests {
 
     #[test]
     fn median_hunt_displaces_a_tiny_sample_median() {
-        use crate::approx::prefix_discrepancy;
         let n = 2_000;
         let universe = 1u64 << 20;
         let mut defense = ReservoirSampler::<u64>::with_seed(4, 2);
@@ -570,7 +635,6 @@ mod tests {
 
     #[test]
     fn prefix_mass_is_at_least_as_strong_as_uniform_noise() {
-        use crate::approx::prefix_discrepancy;
         let n = 3_000;
         let universe = 1u64 << 16;
         let mut noise_total = 0.0;
@@ -631,7 +695,10 @@ mod tests {
     #[test]
     fn strategies_report_registry_names() {
         let universe = 1u64 << 16;
-        assert_eq!(BisectionAttack::figure3(100, universe).name(), "bisection");
+        assert_eq!(
+            BisectionAttack::for_bernoulli(0.0, 100, universe).name(),
+            "bisection"
+        );
         assert_eq!(ColliderAttack::new(1).name(), "collider");
         assert_eq!(PrefixMassAttack::new(64, 1).name(), "prefix-mass");
         assert_eq!(MedianHuntAttack::new(1).name(), "median-hunt");

@@ -546,7 +546,8 @@ impl ExperimentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{QuantileHunterAdversary, RandomAdversary, StaticAdversary};
+    use crate::adversary::{RandomAdversary, StaticAdversary};
+    use crate::attack::{AttackAdversary, MedianHuntAttack};
     use crate::bounds;
     use crate::sampler::{ReservoirSampler, StreamSampler};
     use crate::set_system::{PrefixSystem, SetSystem};
@@ -576,7 +577,7 @@ mod tests {
         let stats = ExperimentEngine::new(4_000, 3).adaptive(
             &system,
             |s| ReservoirSampler::with_seed(k, s),
-            |s| QuantileHunterAdversary::new(1 << 20, s),
+            |s| AttackAdversary::new(MedianHuntAttack::new(s), 1 << 20),
         );
         assert!(stats.all_within(0.15), "worst {}", stats.worst());
     }
@@ -665,7 +666,7 @@ mod tests {
             ExperimentEngine::new(1_500, 7).threads(threads).adaptive(
                 &system,
                 |s| ReservoirSampler::with_seed(48, s),
-                |s| QuantileHunterAdversary::new(1 << 16, s),
+                |s| AttackAdversary::new(MedianHuntAttack::new(s), 1 << 16),
             )
         };
         let seq = run(1);

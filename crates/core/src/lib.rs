@@ -19,7 +19,7 @@
 //! * **An attack (Theorem 1.3).** Below roughly `ln |R| / ln n` the
 //!   guarantee provably fails: a simple bisection-style adversary traps the
 //!   entire sample among the smallest elements of the stream. See
-//!   [`adversary`].
+//!   [`attack::BisectionAttack`] and [`adversary`].
 //! * **Continuous robustness (Theorem 1.4).** With a `ln ln n` additive
 //!   overhead, reservoir sampling keeps the sample representative at *every
 //!   prefix* of the stream, not just at the end.
@@ -34,8 +34,8 @@
 //! | [`approx`] | ε-approximation checking: exact maximum density discrepancy |
 //! | [`bounds`] | sample-size calculators lifted verbatim from the theorem statements |
 //! | [`game`] | the `AdaptiveGame` and `ContinuousAdaptiveGame` runners (paper Figures 1–2) |
-//! | [`adversary`] | adaptive attack strategies (paper Figure 3 and §1), plus benign/static adversaries |
-//! | [`attack`] | the pluggable attack subsystem: [`attack::AttackStrategy`] trait, attack registry (`--attack`), and the attack-vs-defense [`attack::Duel`] loop |
+//! | [`adversary`] | the games' [`adversary::Adversary`] interface, the §1 dyadic bisection attacks, and benign/static adversaries |
+//! | [`attack`] | the pluggable attack subsystem: [`attack::AttackStrategy`] trait, the registered attacks (Figure 3's included), attack registry (`--attack`), and the attack-vs-defense [`attack::Duel`] loop |
 //! | [`distributed`] | the §1.2 scenario: the random [`distributed::LoadBalancer`] router; a \[CTW16\] coordinator merges site reservoirs with [`engine::merge_in_shard_order`] |
 //! | [`estimators`] | quantiles, heavy hitters, range queries, center points computed from a sample |
 //! | [`sketch`] | self-sizing [`sketch::RobustQuantileSketch`] / [`sketch::RobustHeavyHitterSketch`] |

@@ -16,9 +16,10 @@
 //! Handshake: the process binds an ephemeral port, prints one line
 //! `LISTENING <addr>` on stdout, then serves until stdin reaches EOF
 //! (the parent closing the pipe — or dying — is the shutdown signal, so
-//! an orphaned node never outlives its router). A configuration the
-//! server rejects (`--universe 1` with `--tenant-budget`, say) prints
-//! the error on stderr and exits 2 before any handshake.
+//! an orphaned node never outlives its router). A rejected
+//! configuration (`--cap 0`, `--epoch-every 0`, or `--universe 1` with
+//! `--tenant-budget`, say) prints the error on stderr and exits 2 before
+//! any handshake.
 
 use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_service::{ServiceConfig, ServiceServer, SummaryService, TenantArenaConfig};
@@ -78,6 +79,12 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    for (flag, value) in [("--cap", args.cap), ("--epoch-every", args.epoch_every)] {
+        if value == 0 {
+            eprintln!("cluster_node: {flag} must be positive");
+            std::process::exit(2);
+        }
+    }
     // One shard, seeded exactly as instructed: the factory ignores the
     // service's derived seed — the router already applied shard_seed for
     // this node's global shard index.

@@ -688,15 +688,27 @@ fn an_out_of_range_tenant_arena_is_invalid_input_before_anything_binds() {
 
 #[test]
 fn cluster_node_reports_an_out_of_range_tenant_arena_and_exits_2() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster_node"))
-        .args(["--universe", "1", "--tenant-budget", "100000"])
-        .stdin(std::process::Stdio::null())
-        .output()
-        .expect("run cluster_node");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("tenant universe"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no handshake line");
+    for (args, message) in [
+        (
+            &["--universe", "1", "--tenant-budget", "100000"][..],
+            "tenant universe",
+        ),
+        (&["--cap", "0"][..], "--cap must be positive"),
+        (
+            &["--epoch-every", "0"][..],
+            "--epoch-every must be positive",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster_node"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run cluster_node");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no handshake line");
+    }
 }
 
 /// The server's idle poll timeout (a private constant of the server):

@@ -9,8 +9,9 @@
 //! cargo run --release --example adaptive_median_attack
 //! ```
 
-use robust_sampling::core::adversary::{BisectionAdversary, QuantileHunterAdversary};
+use robust_sampling::core::adversary::BisectionAdversary;
 use robust_sampling::core::approx::prefix_discrepancy;
+use robust_sampling::core::attack::{AttackAdversary, MedianHuntAttack};
 use robust_sampling::core::bounds;
 use robust_sampling::core::game::AdaptiveGame;
 use robust_sampling::core::sampler::{BernoulliSampler, ReservoirSampler};
@@ -54,7 +55,7 @@ fn main() {
     let eps = 0.1;
     let k = bounds::reservoir_k_robust(system.ln_cardinality(), eps, 0.01);
     println!("== defense: adaptive hunter vs reservoir k = {k} over U = 2^30 ==");
-    let mut adversary = QuantileHunterAdversary::new(universe, 2);
+    let mut adversary = AttackAdversary::new(MedianHuntAttack::new(2), universe);
     let mut sampler = ReservoirSampler::with_seed(k, 3);
     let out = AdaptiveGame::new(n).run(&mut sampler, &mut adversary);
     let d = out.discrepancy(&system);

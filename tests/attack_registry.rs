@@ -8,17 +8,15 @@
 //!   element-for-element the workload source they wrap, so whatever gap
 //!   the matrix shows between control and adaptive rows is pure
 //!   adaptivity, not generator drift.
-//! * **Port fidelity** — the `bisection` strategy reproduces the legacy
-//!   `DiscreteAttackAdversary` stream exactly, and the `collider`
+//! * **One game in both worlds** — the `bisection` strategy emits the
+//!   same stream whether the duel loop plays it or `AdaptiveGame` plays
+//!   it through the `AttackAdversary` bridge, and the `collider`
 //!   strategy reproduces the E13 phantom-heavy-hitter outcome.
 
 use proptest::prelude::*;
-use robust_sampling::core::adversary::{
-    DiscreteAttackAdversary, GreedyDiscrepancyAdversary, QuantileHunterAdversary,
-};
 use robust_sampling::core::attack::{
     attack, descriptor, registry, AttackAdversary, BisectionAttack, ColliderAttack, Duel,
-    MedianHuntAttack, ObservableDefense, PrefixMassAttack,
+    ObservableDefense,
 };
 use robust_sampling::core::engine::StreamSummary;
 use robust_sampling::core::game::AdaptiveGame;
@@ -105,69 +103,29 @@ proptest! {
         }
     }
 
-    /// The bisection port emits the exact stream of the legacy Figure 3
-    /// adversary (same sampler coins), including the exhaustion flag.
+    /// The Figure 3 attack plays the same game in both worlds: bridged
+    /// into `AdaptiveGame` it emits the stream, and ends with the
+    /// exhaustion flag, of the duel loop against an identically seeded
+    /// Bernoulli sampler.
     #[test]
-    fn bisection_port_matches_legacy_figure3(
+    fn bisection_plays_the_same_game_through_the_bridge_and_the_duel(
         n in 50usize..400,
         sampler_seed in 0u64..1_000,
     ) {
         let universe = 1u64 << 62;
         let p = 0.01f64;
-        let p_prime = p.max((n as f64).ln() / n as f64);
 
-        let mut legacy = DiscreteAttackAdversary::for_bernoulli(p, n, universe);
+        let mut bridged =
+            AttackAdversary::new(BisectionAttack::for_bernoulli(p, n, universe), universe);
         let mut s1 = BernoulliSampler::with_seed(p, sampler_seed);
-        let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
+        let game = AdaptiveGame::new(n).run(&mut s1, &mut bridged);
 
-        let mut ported = BisectionAttack::with_split(p_prime, universe);
+        let mut duelled = BisectionAttack::for_bernoulli(p, n, universe);
         let mut s2 = BernoulliSampler::with_seed(p, sampler_seed);
-        let duel = Duel::new(n, universe).run(&mut s2, &mut ported);
+        let duel = Duel::new(n, universe).run(&mut s2, &mut duelled);
 
         prop_assert_eq!(&game.stream, &duel.stream);
-        prop_assert_eq!(legacy.exhausted(), ported.exhausted());
-
-        // The reservoir tuning, each side played in the game through the
-        // bridge against identically seeded reservoirs.
-        let k = 1 + (sampler_seed % 4) as usize;
-        let mut legacy = DiscreteAttackAdversary::for_reservoir(k, n, universe);
-        let mut s1 = ReservoirSampler::with_seed(k, sampler_seed);
-        let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
-        let mut ported =
-            AttackAdversary::new(BisectionAttack::with_split(legacy.p_prime(), universe), universe);
-        let mut s2 = ReservoirSampler::with_seed(k, sampler_seed);
-        let bridged = AdaptiveGame::new(n).run(&mut s2, &mut ported);
-        prop_assert_eq!(&game.stream, &bridged.stream);
-        prop_assert_eq!(legacy.exhausted(), ported.strategy().exhausted());
-    }
-
-    /// The prefix-mass and median-hunt strategies, bridged into the game,
-    /// emit the streams of the legacy greedy and quantile-hunter
-    /// adversaries at the strides the experiments use.
-    #[test]
-    fn greedy_and_hunter_ports_match_legacy(
-        n in 50usize..1_500,
-        k in 4usize..64,
-        seed in 0u64..1_000,
-    ) {
-        let universe = 1u64 << 16;
-        for stride in [32usize, 64] {
-            let mut legacy = GreedyDiscrepancyAdversary::new(universe, stride, seed);
-            let mut s1 = ReservoirSampler::with_seed(k, seed + 1);
-            let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
-            let mut ported = AttackAdversary::new(PrefixMassAttack::new(stride, seed), universe);
-            let mut s2 = ReservoirSampler::with_seed(k, seed + 1);
-            let bridged = AdaptiveGame::new(n).run(&mut s2, &mut ported);
-            prop_assert_eq!(&game.stream, &bridged.stream, "stride {}", stride);
-        }
-
-        let mut legacy = QuantileHunterAdversary::new(universe, seed);
-        let mut s1 = ReservoirSampler::with_seed(k, seed + 1);
-        let game = AdaptiveGame::new(n).run(&mut s1, &mut legacy);
-        let mut ported = AttackAdversary::new(MedianHuntAttack::new(seed), universe);
-        let mut s2 = ReservoirSampler::with_seed(k, seed + 1);
-        let bridged = AdaptiveGame::new(n).run(&mut s2, &mut ported);
-        prop_assert_eq!(&game.stream, &bridged.stream);
+        prop_assert_eq!(bridged.strategy().exhausted(), duelled.exhausted());
     }
 }
 

@@ -2,10 +2,9 @@
 //! attack) versus the upper-bound sizing (Theorem 1.2) — the paper's two
 //! halves must be consistent when run against each other.
 
-use robust_sampling::core::adversary::{
-    BisectionAdversary, DiscreteAttackAdversary, GeneralizedBisectionAdversary,
-};
+use robust_sampling::core::adversary::{BisectionAdversary, GeneralizedBisectionAdversary};
 use robust_sampling::core::approx::prefix_discrepancy;
+use robust_sampling::core::attack::{AttackAdversary, BisectionAttack};
 use robust_sampling::core::bounds;
 use robust_sampling::core::dyadic::Dyadic;
 use robust_sampling::core::game::AdaptiveGame;
@@ -18,10 +17,11 @@ fn attack_beats_undersized_but_loses_to_sized_discrete() {
     let universe = 1u64 << 62;
     let mut wins = 0;
     for seed in 0..6 {
-        let mut adv = DiscreteAttackAdversary::for_reservoir(1, n, universe);
+        let mut adv =
+            AttackAdversary::new(BisectionAttack::for_reservoir(1, n, universe), universe);
         let mut s = ReservoirSampler::with_seed(1, seed);
         let out = AdaptiveGame::new(n).run(&mut s, &mut adv);
-        if !adv.exhausted() && prefix_discrepancy(&out.stream, &out.sample).value > 0.5 {
+        if !adv.strategy().exhausted() && prefix_discrepancy(&out.stream, &out.sample).value > 0.5 {
             wins += 1;
         }
     }
@@ -31,14 +31,14 @@ fn attack_beats_undersized_but_loses_to_sized_discrete() {
     // (it cannot fit the splits into 43 nats of u64 precision).
     let ln_r = (universe as f64).ln();
     let k = bounds::reservoir_k_robust(ln_r, 0.2, 0.1);
-    let mut adv = DiscreteAttackAdversary::for_reservoir(k, n, universe);
+    let mut adv = AttackAdversary::new(BisectionAttack::for_reservoir(k, n, universe), universe);
     let mut s = ReservoirSampler::with_seed(k, 9);
     let out = AdaptiveGame::new(n).run(&mut s, &mut adv);
     let d = prefix_discrepancy(&out.stream, &out.sample).value;
     assert!(
-        adv.exhausted() || d <= 0.2,
+        adv.strategy().exhausted() || d <= 0.2,
         "sized reservoir should not lose: exhausted={}, d={d}",
-        adv.exhausted()
+        adv.strategy().exhausted()
     );
 }
 

@@ -2,10 +2,8 @@
 //! in the suite, across set systems — the Theorem 1.2 guarantee exercised
 //! through the full public API (core + streamgen).
 
-use robust_sampling::core::adversary::{
-    Adversary, GreedyDiscrepancyAdversary, QuantileHunterAdversary, RandomAdversary,
-    StaticAdversary,
-};
+use robust_sampling::core::adversary::{Adversary, RandomAdversary, StaticAdversary};
+use robust_sampling::core::attack::{AttackAdversary, MedianHuntAttack, PrefixMassAttack};
 use robust_sampling::core::bounds;
 use robust_sampling::core::game::AdaptiveGame;
 use robust_sampling::core::sampler::{BernoulliSampler, ReservoirSampler};
@@ -27,8 +25,11 @@ fn adversary_suite(seed: u64) -> Vec<Box<dyn Adversary<u64> + Send>> {
         Box::new(StaticAdversary::new(streamgen::zipf(
             N, UNIVERSE, 1.1, seed,
         ))),
-        Box::new(GreedyDiscrepancyAdversary::new(UNIVERSE, 64, seed)),
-        Box::new(QuantileHunterAdversary::new(UNIVERSE, seed)),
+        Box::new(AttackAdversary::new(
+            PrefixMassAttack::new(64, seed),
+            UNIVERSE,
+        )),
+        Box::new(AttackAdversary::new(MedianHuntAttack::new(seed), UNIVERSE)),
     ]
 }
 

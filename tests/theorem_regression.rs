@@ -14,8 +14,8 @@
 //! All games run through the [`ExperimentEngine`], so these tests also
 //! pin the engine's seed-decorrelation plumbing.
 
-use robust_sampling::core::adversary::DiscreteAttackAdversary;
 use robust_sampling::core::approx::prefix_discrepancy;
+use robust_sampling::core::attack::{AttackAdversary, BisectionAttack};
 use robust_sampling::core::bounds;
 use robust_sampling::core::engine::ExperimentEngine;
 use robust_sampling::core::sampler::{BernoulliSampler, ReservoirSampler};
@@ -28,13 +28,13 @@ fn run_reservoir(n: usize, k: usize, trials: usize, base_seed: u64) -> Vec<(bool
         .with_base_seed(base_seed)
         .adaptive_map(
             |s| ReservoirSampler::with_seed(k, s),
-            |_| DiscreteAttackAdversary::for_reservoir(k, n, UNIVERSE),
+            |_| AttackAdversary::new(BisectionAttack::for_reservoir(k, n, UNIVERSE), UNIVERSE),
             |_, adv, out| {
                 let mut sorted = out.stream.clone();
                 sorted.sort_unstable();
                 let cutoff = sorted[out.total_stored - 1];
                 (
-                    adv.exhausted(),
+                    adv.strategy().exhausted(),
                     prefix_discrepancy(&out.stream, &out.sample).value,
                     out.sample.iter().all(|&x| x <= cutoff),
                 )
@@ -47,7 +47,7 @@ fn run_bernoulli(n: usize, p: f64, trials: usize, base_seed: u64) -> Vec<(bool, 
         .with_base_seed(base_seed)
         .adaptive_map(
             |s| BernoulliSampler::with_seed(p, s),
-            |_| DiscreteAttackAdversary::for_bernoulli(p, n, UNIVERSE),
+            |_| AttackAdversary::new(BisectionAttack::for_bernoulli(p, n, UNIVERSE), UNIVERSE),
             |_, adv, out| {
                 let mut sorted = out.stream.clone();
                 sorted.sort_unstable();
@@ -55,7 +55,7 @@ fn run_bernoulli(n: usize, p: f64, trials: usize, base_seed: u64) -> Vec<(bool, 
                 let mut sample_sorted = out.sample.clone();
                 sample_sorted.sort_unstable();
                 (
-                    adv.exhausted(),
+                    adv.strategy().exhausted(),
                     prefix_discrepancy(&out.stream, &out.sample).value,
                     !out.sample.is_empty() && sample_sorted == sorted[..s],
                 )

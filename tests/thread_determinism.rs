@@ -3,7 +3,8 @@
 //! to the sequential engine for every experiment family — adaptive,
 //! continuous, and batch.
 
-use robust_sampling::core::adversary::{QuantileHunterAdversary, RandomAdversary};
+use robust_sampling::core::adversary::RandomAdversary;
+use robust_sampling::core::attack::{AttackAdversary, MedianHuntAttack};
 use robust_sampling::core::engine::ExperimentEngine;
 use robust_sampling::core::game::ContinuousAdaptiveGame;
 use robust_sampling::core::sampler::{BernoulliSampler, ReservoirSampler, StreamSampler};
@@ -22,7 +23,7 @@ fn adaptive_runstats_are_bit_identical_across_thread_counts() {
             .adaptive(
                 &system,
                 |s| ReservoirSampler::with_seed(64, s),
-                |s| QuantileHunterAdversary::new(1 << 18, s),
+                |s| AttackAdversary::new(MedianHuntAttack::new(s), 1 << 18),
             )
     };
     let seq = run(1);
