@@ -4,7 +4,9 @@
 //! for a one-shard service and for two-, three- and four-shard ones.
 //! With three shards a 1,024-element frame leaves the round-robin offset
 //! one further on, so every frame starts each shard's stride somewhere
-//! new.
+//! new. The query path is gated the same way: once an epoch's sorted
+//! view is built, `quantile`, `count` and `ks_uniform` on that snapshot
+//! perform zero heap allocations per call.
 //! All run on the caller's thread.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this
@@ -20,6 +22,7 @@
 use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_service::SummaryService;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
@@ -96,5 +99,25 @@ fn steady_state_ingest_performs_zero_heap_allocations() {
         svc.publish();
         let snap = svc.snapshot();
         assert_eq!(snap.items(), (256 + 512) * 2 * frame.len());
+
+        // Queries: one warm-up call of each kind builds the epoch's
+        // sorted view; every later call reads it in place.
+        let universe = u64::MAX;
+        let x = frame[0];
+        black_box((snap.quantile(0.5), snap.count(x), snap.ks_uniform(universe)));
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..512 {
+            black_box(snap.quantile(black_box(0.5)));
+            black_box(snap.quantile(black_box(0.99)));
+            black_box(snap.count(black_box(x)));
+            black_box(snap.ks_uniform(black_box(universe)));
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "queries on a built epoch view with {shards} shard(s) must not allocate"
+        );
+        assert!(snap.quantile(0.5).is_some());
     }
 }
