@@ -19,7 +19,8 @@
 //! an orphaned node never outlives its router). A rejected
 //! configuration (`--cap 0`, `--epoch-every 0`, or `--universe 1` with
 //! `--tenant-budget`, say) prints the error on stderr and exits 2 before
-//! any handshake.
+//! any handshake; so does a malformed value (`--cap x`), an unknown
+//! flag or a flag with no value.
 
 use robust_sampling_core::sampler::ReservoirSampler;
 use robust_sampling_service::{ServiceConfig, ServiceServer, SummaryService, TenantArenaConfig};
@@ -42,7 +43,21 @@ struct Args {
     tenant_delta: f64,
 }
 
-fn parse_args() -> Args {
+/// Report a rejected configuration on stderr and exit 2, before any
+/// handshake.
+fn reject(message: &str) -> ! {
+    eprintln!("cluster_node: {message}");
+    std::process::exit(2);
+}
+
+/// `flag`'s value parsed as a `T`.
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         seed: 0,
         epoch_every: 1,
@@ -58,31 +73,29 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         let value = it
             .next()
-            .unwrap_or_else(|| panic!("missing value for {flag}"));
-        match flag.as_str() {
-            "--seed" => args.seed = value.parse().expect("--seed: u64"),
-            "--epoch-every" => args.epoch_every = value.parse().expect("--epoch-every: usize"),
-            "--cap" => args.cap = value.parse().expect("--cap: usize"),
-            "--universe" => args.universe = value.parse().expect("--universe: u64"),
-            "--workers" => args.workers = value.parse().expect("--workers: usize"),
-            "--tenant-budget" => {
-                args.tenant_budget = Some(value.parse().expect("--tenant-budget: usize"))
-            }
-            "--tenant-seed" => args.tenant_seed = value.parse().expect("--tenant-seed: u64"),
-            "--tenant-eps" => args.tenant_eps = value.parse().expect("--tenant-eps: f64"),
-            "--tenant-delta" => args.tenant_delta = value.parse().expect("--tenant-delta: f64"),
-            other => panic!("unknown flag {other}"),
+            .ok_or_else(|| format!("missing value for {flag}"))?;
+        let flag = flag.as_str();
+        match flag {
+            "--seed" => args.seed = parse(flag, &value)?,
+            "--epoch-every" => args.epoch_every = parse(flag, &value)?,
+            "--cap" => args.cap = parse(flag, &value)?,
+            "--universe" => args.universe = parse(flag, &value)?,
+            "--workers" => args.workers = parse(flag, &value)?,
+            "--tenant-budget" => args.tenant_budget = Some(parse(flag, &value)?),
+            "--tenant-seed" => args.tenant_seed = parse(flag, &value)?,
+            "--tenant-eps" => args.tenant_eps = parse(flag, &value)?,
+            "--tenant-delta" => args.tenant_delta = parse(flag, &value)?,
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| reject(&e));
     for (flag, value) in [("--cap", args.cap), ("--epoch-every", args.epoch_every)] {
         if value == 0 {
-            eprintln!("cluster_node: {flag} must be positive");
-            std::process::exit(2);
+            reject(&format!("{flag} must be positive"));
         }
     }
     // One shard, seeded exactly as instructed: the factory ignores the
@@ -109,10 +122,8 @@ fn main() {
             }),
         },
     );
-    let server = started.unwrap_or_else(|e| {
-        eprintln!("cluster_node: cannot start the node endpoint: {e}");
-        std::process::exit(2);
-    });
+    let server =
+        started.unwrap_or_else(|e| reject(&format!("cannot start the node endpoint: {e}")));
     println!("LISTENING {}", server.addr());
     // Serve until the parent closes our stdin.
     let mut sink = Vec::new();

@@ -26,8 +26,9 @@
 //! its state *since* the epoch it holds. A node publishes only once per
 //! `epoch_every` of its elements, so most pulls (an adversary reads the
 //! sample before every element it sends) come back "unchanged" from every
-//! node, and the cached view is returned with no transfer, decode or
-//! merge. The merged view is a pure function of the node states, so a
+//! node, and the cached view is returned with no transfer, decode,
+//! merge or sort: its queries read the sorted sample its first query
+//! built. The merged view is a pure function of the node states, so a
 //! reused view is bit-identical to a fresh merge.
 //!
 //! **Ingest is pipelined; admin reads are split-phase.**
@@ -625,8 +626,9 @@ impl ClusterRouter {
     /// surface on every call. The request carries the epoch the router
     /// last merged from that node, and a node still at that epoch
     /// answers without its summary. When every node answers so, the
-    /// previous view is returned again (the same [`Arc`], with its
-    /// `visible`/`sorted` caches already built). Otherwise the changed
+    /// previous view is returned again: the same [`Arc`], whose queries
+    /// read the sorted sample cached by the first query on it, so a
+    /// repeat `quantile` neither merges nor sorts. Otherwise the changed
     /// states are decoded with the cached bytes of the unchanged ones
     /// and merged afresh — the merged view is a pure function of the
     /// node states, so a reused view is bit-identical to a fresh merge.

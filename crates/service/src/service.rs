@@ -52,13 +52,18 @@ type Reservoir = ReservoirSampler<u64>;
 /// One published epoch: an immutable merged summary of everything
 /// ingested up to a frame-aligned boundary.
 ///
-/// The snapshot is immutable and shared across query threads, so the
-/// derived views every query needs — the visible sample and its sorted
-/// copy — are computed once (lazily, on first use) and cached; the query
-/// hot path is allocation-free after that. [`visible_ref`] and
+/// The snapshot is immutable and shared across query threads. Every
+/// query — [`quantile`], [`count`], [`heavy`] and [`ks_uniform`] — reads
+/// the retained sample's one sorted copy, built on first use and cached
+/// for the epoch's lifetime: an epoch sorts its sample once, and a query
+/// on a built view allocates nothing. [`visible_ref`] and
 /// [`sorted_ref`] expose the caches as borrowed slices so protocol
 /// handlers can serialize straight from them.
 ///
+/// [`quantile`]: EpochSnapshot::quantile
+/// [`count`]: EpochSnapshot::count
+/// [`heavy`]: EpochSnapshot::heavy
+/// [`ks_uniform`]: EpochSnapshot::ks_uniform
 /// [`visible_ref`]: EpochSnapshot::visible_ref
 /// [`sorted_ref`]: EpochSnapshot::sorted_ref
 #[derive(Debug)]
@@ -108,10 +113,13 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
     }
 
     /// The retained elements in sorted order, borrowed from the
-    /// per-epoch cache (computed on first use).
+    /// per-epoch cache (computed on first use, straight from the merged
+    /// summary: it does not build the [`visible_ref`](Self::visible_ref)
+    /// cache).
     pub fn sorted_ref(&self) -> &[u64] {
         self.sorted.get_or_init(|| {
-            let mut v = self.visible_ref().to_vec();
+            let mut v = Vec::new();
+            self.merged.visible_into(&mut v);
             v.sort_unstable();
             v
         })
@@ -125,12 +133,8 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
         self.visible_ref().to_vec()
     }
 
-    /// Count estimate for `x`: the summary's own oracle answer when it
-    /// has one, else sample density × stream length.
+    /// Count estimate for `x`: sample density × stream length.
     pub fn count(&self, x: u64) -> f64 {
-        if let Some(c) = self.merged.count_estimate(x) {
-            return c;
-        }
         let sorted = self.sorted_ref();
         if sorted.is_empty() {
             return 0.0;
@@ -139,19 +143,18 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
         occurrences as f64 / sorted.len() as f64 * self.items as f64
     }
 
-    /// `q`-quantile estimate: the summary's own oracle answer when it has
-    /// one, else the empirical quantile of the retained sample. `None`
-    /// before the first element.
+    /// `q`-quantile estimate: the element of rank `⌈q·k⌉` (at least 1)
+    /// in the sorted sample of `k` — the convention of
+    /// [`SampleQuantiles::quantile`](robust_sampling_core::estimators::SampleQuantiles::quantile),
+    /// so a reservoir epoch answers exactly what its summary's
+    /// `estimate_quantile` would, without sorting again. `None` before
+    /// the first element.
     ///
     /// # Panics
     ///
     /// Panics if `q ∉ [0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "q must be in [0,1], got {q}");
-        if let Some(v) = self.merged.quantile_estimate(q) {
-            return Some(v);
-        }
-        // The element of rank ⌈q·k⌉ — same convention as `approx::quantile`.
         let sorted = self.sorted_ref();
         if sorted.is_empty() {
             return None;
@@ -186,6 +189,14 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
     /// empirical CDF and the uniform distribution over
     /// `{0, …, universe−1}` — the drift/skew monitor behind `QUERY KS`.
     /// Returns 1.0 for an empty sample (maximal ignorance).
+    ///
+    /// The running maximum is kept in four independent lanes so the
+    /// per-element terms do not wait on one another. Every term is a
+    /// non-NaN `abs()`, never `-0.0`, so the maximum does not depend on
+    /// the order it is taken in, and a plain comparison takes it
+    /// (`f64::max`'s NaN handling would keep the lanes from pairing up
+    /// in vector instructions): the result is the same to the bit as one
+    /// left-to-right `f64::max` fold.
     pub fn ks_uniform(&self, universe: u64) -> f64 {
         assert!(universe > 0, "universe must be non-empty");
         let sample = self.sorted_ref();
@@ -193,13 +204,31 @@ impl<S: ObservableDefense> EpochSnapshot<S> {
             return 1.0;
         }
         let k = sample.len() as f64;
-        let mut d = 0.0f64;
-        for (i, &v) in sample.iter().enumerate() {
+        let larger = |a: f64, b: f64| if a > b { a } else { b };
+        let gap = |i: usize, v: u64| {
             let f = (v.min(universe - 1) as f64 + 1.0) / universe as f64;
-            d = d.max(((i + 1) as f64 / k - f).abs());
-            d = d.max((f - i as f64 / k).abs());
+            larger(((i + 1) as f64 / k - f).abs(), (f - i as f64 / k).abs())
+        };
+        let mut lanes = [0.0f64; 4];
+        let quads = sample.chunks_exact(4);
+        let tail = quads.remainder();
+        for (c, quad) in quads.enumerate() {
+            let i = 4 * c;
+            let gaps = [
+                gap(i, quad[0]),
+                gap(i + 1, quad[1]),
+                gap(i + 2, quad[2]),
+                gap(i + 3, quad[3]),
+            ];
+            for (lane, g) in lanes.iter_mut().zip(gaps) {
+                *lane = larger(*lane, g);
+            }
         }
-        d
+        let base = sample.len() - tail.len();
+        for (j, &v) in tail.iter().enumerate() {
+            lanes[j] = larger(lanes[j], gap(base + j, v));
+        }
+        larger(larger(lanes[0], lanes[1]), larger(lanes[2], lanes[3]))
     }
 }
 
@@ -624,6 +653,98 @@ mod tests {
         let ks = snap.ks_uniform(50_000);
         assert!(ks < 0.35, "uniform stream KS {ks}");
         assert!(snap.heavy(0.5).is_empty());
+    }
+
+    /// The probe quantiles the equivalence pins sweep: both ends, one
+    /// step inside each end, and two interior points.
+    const PROBE_QS: [f64; 6] = [0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0];
+
+    /// `quantile` reads the epoch's sorted view; it answers exactly what
+    /// the merged reservoir's own `estimate_quantile` (a fresh copy and
+    /// sort) answers — for an empty, a partial (< k), a full and K = 2
+    /// and 3 merged samples. The capacity is prime, so `q·k` is not a
+    /// whole number at the interior probes and the rounding of the rank
+    /// shows.
+    #[test]
+    fn quantile_from_the_sorted_view_equals_the_summary_estimate() {
+        use robust_sampling_core::engine::QuantileSummary;
+        let stream: Vec<u64> = (0..5_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44)
+            .collect();
+        for (shards, n) in [(1, 0), (1, 39), (1, 5_000), (2, 5_000), (3, 5_000)] {
+            let mut svc = SummaryService::start(shards, 13, usize::MAX, |_, s| {
+                ReservoirSampler::with_seed(61, s)
+            });
+            svc.ingest_frame(&stream[..n]);
+            svc.publish();
+            let snap = svc.snapshot();
+            assert_eq!(snap.items(), n);
+            assert_eq!(snap.sorted_ref().len(), n.min(61));
+            for q in PROBE_QS {
+                assert_eq!(
+                    snap.quantile(q),
+                    snap.summary().estimate_quantile(q),
+                    "K = {shards}, n = {n}, q = {q}"
+                );
+            }
+        }
+    }
+
+    /// The left-to-right KS fold `ks_uniform` replaced by its four max
+    /// lanes.
+    fn ks_reference(sample: &[u64], universe: u64) -> f64 {
+        let mut sorted = sample.to_vec();
+        sorted.sort_unstable();
+        if sorted.is_empty() {
+            return 1.0;
+        }
+        let k = sorted.len() as f64;
+        let mut d = 0.0f64;
+        for (i, &v) in sorted.iter().enumerate() {
+            let f = (v.min(universe - 1) as f64 + 1.0) / universe as f64;
+            d = d.max(((i + 1) as f64 / k - f).abs());
+            d = d.max((f - i as f64 / k).abs());
+        }
+        d
+    }
+
+    /// `ks_uniform` equals the scalar fold to the bit, on sample lengths
+    /// 0–9 (every lane remainder) and 1,253, and on universes from 1 to
+    /// `u64::MAX`. Each length and universe is played twice: values
+    /// spread over the universe with some at or above it (the largest
+    /// gap falls low in the sample), and values packed into its bottom
+    /// 64th (the largest gap falls on the last, remainder, elements).
+    #[test]
+    fn ks_lanes_equal_the_scalar_fold_to_the_bit() {
+        for len in (0..10).chain([1_253]) {
+            for universe in [1, 2, 1 << 20, u64::MAX] {
+                for packed in [false, true] {
+                    let scramble = |i: u64| (i + len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let sample: Vec<u64> = (0..len as u64)
+                        .map(|i| match (packed, i % 8) {
+                            (true, _) => scramble(i) % (universe / 64).max(1),
+                            (false, 0) => universe,
+                            (false, 1) => u64::MAX,
+                            (false, 2) => universe - 1,
+                            (false, _) => scramble(i) % universe,
+                        })
+                        .collect();
+                    let mut whole = ReservoirSampler::with_seed(len.max(1), 3);
+                    whole.ingest_batch(&sample);
+                    let snap = EpochSnapshot::new(1, len, whole);
+                    assert_eq!(
+                        snap.sorted_ref().len(),
+                        len,
+                        "the reservoir keeps every value"
+                    );
+                    assert_eq!(
+                        snap.ks_uniform(universe).to_bits(),
+                        ks_reference(&sample, universe).to_bits(),
+                        "len {len}, universe {universe}, packed {packed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -698,6 +698,9 @@ fn cluster_node_reports_an_out_of_range_tenant_arena_and_exits_2() {
             &["--epoch-every", "0"][..],
             "--epoch-every must be positive",
         ),
+        (&["--cap", "x"][..], "--cap: cannot parse \"x\""),
+        (&["--bogus", "1"][..], "unknown flag --bogus"),
+        (&["--seed"][..], "missing value for --seed"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster_node"))
             .args(args)

@@ -513,3 +513,38 @@ fn cluster_tenant_deal_preserves_every_tenant() {
         node.quit().expect("QUIT");
     }
 }
+
+/// A view handed back again is the same `Arc` — no new merge — and it
+/// answers `quantile` from the sorted view its first query built: the
+/// same buffer, and the answer the merged reservoir's own estimate
+/// gives.
+#[test]
+fn a_handed_back_view_answers_quantile_from_its_built_sorted_view() {
+    use robust_sampling::core::engine::QuantileSummary;
+    let stream = workload_stream(1, 4_000, 5);
+    let mut router = cluster(2, 5, 1_000, 64);
+    router.ingest(&stream).expect("cluster ingest");
+    let first = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    let median = first.quantile(0.5);
+    let sorted = first.sorted_ref().as_ptr();
+    let second = router
+        .global_view::<ReservoirSampler<u64>>()
+        .expect("global view");
+    assert!(Arc::ptr_eq(&first, &second), "a repeat view was rebuilt");
+    assert_eq!(
+        second.sorted_ref().as_ptr(),
+        sorted,
+        "the sorted view was rebuilt"
+    );
+    for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+        assert_eq!(
+            second.quantile(q),
+            second.summary().estimate_quantile(q),
+            "q = {q}"
+        );
+    }
+    assert_eq!(second.quantile(0.5), median);
+    assert!(median.is_some());
+}
